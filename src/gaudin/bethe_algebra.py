@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop_ring import (OperatorPencil, Poly, RFMatrix, RationalFunction,
-                          row_determinant)
-from .errors import (DimensionMismatch, NotInvariant, PoleEvaluation,
-                     RepeatedSites)
+from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
+                          site_denominator)
+from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix
 from .repr_core import GlModule, columns_of
-from .scalars import is_exact, scalar_abs, to_complex
+from .scalars import scalar_abs, to_complex
 
 
 def _check_sites(M: GlModule, z):
@@ -34,11 +33,12 @@ def _check_sites(M: GlModule, z):
 def current_matrix(M: GlModule, i, j, z) -> RFMatrix:
     """Action of the current e_ij(u) = sum_s e_ij^(s)/(u - z_s)."""
     _check_sites(M, z)
-    out = RFMatrix(M.dim, M.dim)
-    for s, zs in enumerate(z):
-        den = Poly((-zs, 1 if is_exact(zs) else 1.0 + 0j))
-        out = out + RFMatrix.from_scalar_matrix(M.slot_matrix(s, i, j), den)
-    return out
+    return _current(M, i, j, site_denominator(z))
+
+
+def _current(M: GlModule, i, j, sites) -> RFMatrix:
+    mats = [M.slot_matrix(s, i, j) for s in range(len(M.factors))]
+    return RFMatrix.over_sites(mats, sites)
 
 
 def universal_operator(M: GlModule, z) -> OperatorPencil:
@@ -46,14 +46,13 @@ def universal_operator(M: GlModule, z) -> OperatorPencil:
     _check_sites(M, z)
     r = M.rank
     ident = RFMatrix.identity(M.dim)
-    zero = RFMatrix(M.dim, M.dim)
+    sites = site_denominator(z)
     entries = []
     for i in range(1, r + 1):
         row = []
         for j in range(1, r + 1):
-            c0 = -current_matrix(M, j, i, z)
-            c1 = ident if i == j else zero
-            row.append(OperatorPencil([c0, c1]) if i == j
+            c0 = -_current(M, j, i, sites)
+            row.append(OperatorPencil([c0, ident]) if i == j
                        else OperatorPencil([c0]))
         entries.append(row)
     pencil = row_determinant(entries)
@@ -69,7 +68,7 @@ def operator_coefficient(pencil: OperatorPencil, i: int) -> RFMatrix:
 class BetheOperatorFamily:
     """Coefficients of the universal operator restricted to a subspace.
 
-    B_u[i] is the matrix-over-rational-function coefficient of d^(N+1-i) in
+    B_u[i] is the RFMatrix coefficient of d^(N+1-i) in
     the chosen basis; B_coeffs[i][j-1] is the matrix of the u^-j expansion
     coefficient (j = 1..j_max).
     """
@@ -134,62 +133,55 @@ def _restriction_solver(cols, dim):
     return clean, pivots, tags
 
 
+def _restrict_matrix(mat: SparseMatrix, cols, solver, i) -> SparseMatrix:
+    """The matrix R with mat @ cols == cols @ R; NotInvariant if none."""
+    erows, pivots, tags = solver
+    out = SparseMatrix(len(cols), len(cols))
+    for c, col in enumerate(cols):
+        resid = mat.apply(col)
+        # coordinates in the echelon rows, then back to the given basis
+        d = []
+        for er, p in zip(erows, pivots):
+            x = resid.get(p, 0)
+            d.append(x)
+            if x:
+                for kk, v in er.items():
+                    s = resid.get(kk, 0) - x * v
+                    if s:
+                        resid[kk] = s
+                    else:
+                        resid.pop(kk, None)
+        if resid:
+            bad = max(scalar_abs(v) for v in resid.values())
+            raise NotInvariant(
+                f"coefficient {i} maps basis vector {c} outside the subspace "
+                f"(residual {bad:.3e})")
+        for r, dr in enumerate(d):
+            if dr:
+                for m, tval in tags[r].items():
+                    out[m, c] = out[m, c] + dr * tval
+    return out
+
+
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
     """Express every coefficient of the pencil in the given column basis.
 
     subspace: SparseMatrix of basis columns, a list of dict-vectors, or None
-    for the full carrier space.  Raises NotInvariant when a coefficient maps a
-    basis vector outside the span.
+    for the full carrier space.  A coefficient P(u)/D(u)^k leaves the span
+    invariant iff every coefficient matrix of P does, so each is restricted
+    on its own.  Raises NotInvariant when one maps a basis vector outside the
+    span.
     """
     order = pencil.order
     N = order - 1
-    full = pencil.coeffs[0]
-    dim = full.nrows
-
-    if subspace is None:
-        B_u = {i: pencil.coeffs[order - i] for i in range(1, order + 1)}
-    else:
+    B_u = {i: operator_coefficient(pencil, i) for i in range(1, order + 1)}
+    if subspace is not None:
         cols = columns_of(subspace) if isinstance(subspace, SparseMatrix) else [dict(c) for c in subspace]
-        erows, pivots, tags = _restriction_solver(cols, dim)
+        solver = _restriction_solver(cols, pencil.coeffs[0].nrows)
         k = len(cols)
-        B_u = {}
-        for i in range(1, order + 1):
-            big = pencil.coeffs[order - i]
-            R = RFMatrix(k, k)
-            for c, col in enumerate(cols):
-                img = big.apply_const_vec(col)
-                # coordinates in the echelon rows, then back to the given basis
-                d = []
-                resid = dict(img)
-                for er, p in zip(erows, pivots):
-                    x = resid.get(p)
-                    d.append(x if x is not None else RationalFunction.zero())
-                    if x is not None:
-                        for kk, v in er.items():
-                            cur = resid.get(kk)
-                            term = x * v
-                            s = -term if cur is None else cur - term
-                            if isinstance(s, RationalFunction) and s.is_zero():
-                                resid.pop(kk, None)
-                            else:
-                                resid[kk] = s
-                bad = _max_rf_residual(resid.values())
-                if bad > 0:
-                    raise NotInvariant(
-                        f"coefficient {i} maps basis vector {c} outside the subspace "
-                        f"(residual {bad:.3e})")
-                for r, dr in enumerate(d):
-                    if isinstance(dr, RationalFunction) and dr.is_zero():
-                        continue
-                    for m, tval in tags[r].items():
-                        entry = dr * tval
-                        cur = R.data.get((m, c))
-                        tot = entry if cur is None else cur + entry
-                        if tot.is_zero():
-                            R.data.pop((m, c), None)
-                        else:
-                            R.data[(m, c)] = tot
-            B_u[i] = R
+        B_u = {i: big.map_coeffs(
+                   lambda mat, i=i: _restrict_matrix(mat, cols, solver, i), k, k)
+               for i, big in B_u.items()}
     B_coeffs = {}
     for i in range(1, order + 1):
         mats = B_u[i].entries_series_at_infinity(j_max) if j_max > 0 else []
@@ -197,47 +189,32 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
     return BetheOperatorFamily(N, B_u, B_coeffs, subspace, j_max)
 
 
-def _max_rf_residual(rfs):
-    worst = 0.0
-    for rf in rfs:
-        if isinstance(rf, RationalFunction):
-            if rf.is_zero():
-                continue
-            if rf.exact:
-                return float("inf") if not rf.is_zero() else 0.0
-            # floating: measure numerator scale against denominator scale
-            worst = max(worst, rf.num.max_abs() / max(rf.den.max_abs(), 1.0))
-        elif rf:
-            worst = max(worst, scalar_abs(rf))
-    return worst
-
-
 def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
 
 
-def sample_points(z, count, start=2):
-    """Deterministic exact sample points avoiding the site list."""
-    taken = set()
-    for zz in z:
-        taken.add(zz)
+def sample_points(z, count):
+    """Deterministic exact integer sample points u >= 2 at distance at least 1
+    from every site."""
     out = []
-    k = start
+    k = 2
     while len(out) < count:
         cand = Fraction(k)
-        if all(cand != t for t in taken):
+        if all(scalar_abs(cand - t) >= 1 for t in z):
             out.append(cand)
         k += 1
     return out
 
 
-def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
+def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
                       samples=None) -> dict:
     """Commutativity, gl-invariance, and form-symmetry residuals.
 
     The family must live on the full module for the gl-commutation and
-    Shapovalov checks to make sense.  In exact mode all residuals are exactly
-    zero and `exact` reports True.
+    Shapovalov checks to make sense.  Unless given, the sample points are
+    integers at distance at least 1 from every site z_s, where evaluating
+    P(u)/D(u)^k in floating point loses no digits to a small D(u).  In exact
+    mode all residuals are exactly zero and `exact` reports True.
     """
     N = family.N
     order = N + 1
@@ -250,21 +227,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
         return evals[key]
 
     if samples is None:
-        # the family does not carry the site list, so probe for poles instead
-        pts = []
-        k = 2
-        while len(pts) < 6:
-            u = Fraction(k)
-            k += 1
-            try:
-                ev(1, u)
-            except PoleEvaluation:
-                continue
-            pts.append(u)
+        pts = sample_points(z, 6)
         samples = [(pts[a], pts[a + 1]) for a in range(5)]
 
-    exact_mode = all(all(rf.exact for rf in family.B_u[i].data.values())
-                     for i in range(1, order + 1))
+    exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
     res_comm = 0.0
     for (u0, v0) in samples:
         for i in range(1, order + 1):
@@ -313,20 +279,17 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
 def first_coefficient_identity(pencil: OperatorPencil, sizes, z) -> bool:
     """First coefficient == -sum_s |weight_s| / (u - z_s) * Id.
 
-    Exact (structural) when everything is rational; sampled when sites are
-    floating.
+    Both sides are numerators over the site polynomial: compared structurally
+    when everything is rational, sampled when sites are floating.
     """
     B1 = operator_coefficient(pencil, 1)
-    dim = B1.nrows
-    expected = RationalFunction.zero()
-    for s, zs in enumerate(z):
-        den = Poly((-zs, 1 if is_exact(zs) else 1.0 + 0j))
-        expected = expected + RationalFunction(Poly.const(-Fraction(sizes[s])), den)
-    target = RFMatrix.identity(dim).scale(expected)
+    ident = SparseMatrix.identity(B1.nrows)
+    target = RFMatrix.over_sites([ident.scale(-Fraction(n)) for n in sizes],
+                                 site_denominator(z))
     diff = B1 - target
-    if not diff.data:
+    if diff.is_zero():
         return True
-    if all(rf.exact for rf in diff.data.values()):
+    if diff.is_exact():
         return False
     scale = max(scalar_abs(to_complex(zz)) for zz in z) + 1.0
     worst = 0.0
@@ -335,7 +298,3 @@ def first_coefficient_identity(pencil: OperatorPencil, sizes, z) -> bool:
         m = diff.eval(u)
         worst = max(worst, _matrix_residual(m))
     return worst < 1e-9
-
-
-def gram_and_coefficients_exact(x) -> bool:
-    return all(is_exact(v) for v in x.data.values())

@@ -3,8 +3,9 @@
 Everything is generic over the scalar field (Fraction / Gaussian rational /
 complex).  A pencil is sum_k C_k(u) d^k with coefficients written to the left
 of the derivative powers; coefficients are either scalar rational functions or
-sparse matrices of rational functions, so the same composition code serves the
-scalar factorized operator and the row-determinant operator.
+matrix polynomials over a power of one fixed denominator (RFMatrix), so the
+same composition code serves the scalar factorized operator and the
+row-determinant operator.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ class Poly:
         if not c:
             return Poly(())
         return Poly([c * x for x in self.coeffs])
+
+    def __pow__(self, k):
+        out = ONE
+        for _ in range(k):
+            out = out * self
+        return out
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -280,8 +287,6 @@ class RationalFunction:
         return as_rf(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, RFMatrix):
-            return other.scale(self)
         other = as_rf(other)
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
@@ -312,12 +317,6 @@ class RationalFunction:
 
     __call__ = eval
 
-    def is_proper(self):
-        return self.num.degree <= self.den.degree
-
-    def scale_abs(self):
-        return max(self.num.max_abs(), self.den.max_abs(), 1.0)
-
 
 def as_rf(x):
     if isinstance(x, RationalFunction):
@@ -325,26 +324,6 @@ def as_rf(x):
     if isinstance(x, Poly):
         return RationalFunction(x)
     return RationalFunction(Poly.const(x) if x else ZERO)
-
-
-def rf_equal(a: RationalFunction, b: RationalFunction, rtol=1e-9, points=None):
-    """Decide equality by sampling away from poles (for floating coefficients)."""
-    deg = max(a.num.degree + b.den.degree, b.num.degree + a.den.degree, 0)
-    npts = max(20, 2 * deg + 1)
-    scale = max(a.scale_abs(), b.scale_abs())
-    k = 0
-    m = 0
-    while k < npts and m < 10 * npts + 100:
-        m += 1
-        u = complex(1.37 + 0.61 * m, 0.29 * m % 3.1)
-        if scalar_abs(a.den.eval(u)) < 1e-9 * scale or scalar_abs(b.den.eval(u)) < 1e-9 * scale:
-            continue
-        va, vb = a.eval(u), b.eval(u)
-        ref = max(scalar_abs(va), scalar_abs(vb), 1.0)
-        if scalar_abs(va - vb) > rtol * ref:
-            return False
-        k += 1
-    return True
 
 
 def series_at_infinity(R: RationalFunction, j_max: int):
@@ -364,153 +343,227 @@ def series_at_infinity(R: RationalFunction, j_max: int):
     for k, c in enumerate(R.num.coeffs):
         if dd - k <= j_max:
             ncoef[dd - k] = c
-    bcoef = [Fraction(0)] * (j_max + 1)
-    for k, c in enumerate(R.den.coeffs):
-        if dd - k <= j_max:
-            bcoef[dd - k] = c
-    b0 = bcoef[0]
-    out = [0] * (j_max + 1)
-    for j in range(j_max + 1):
-        acc = ncoef[j]
-        for m in range(j):
-            if out[m] and bcoef[j - m]:
-                acc = acc - out[m] * bcoef[j - m]
-        out[j] = acc / b0
-    return out[1:]
+    return _series_quotient(ncoef, R.den.coeffs[::-1], j_max)[1:]
+
+
+def _series_quotient(num, den, count):
+    """Coefficients 0..count of the power series num(w) / den(w), den[0] != 0."""
+    out = []
+    for j in range(count + 1):
+        acc = num[j] if j < len(num) else 0
+        for m in range(max(0, j - len(den) + 1), j):
+            if out[m] and den[j - m]:
+                acc = acc - out[m] * den[j - m]
+        out.append(acc / den[0])
+    return out
+
+
+def _times_poly(mats, q: Poly):
+    """Coefficients of P(u) * q(u) for a matrix polynomial P and scalar q."""
+    if not mats or q.is_zero():
+        return []
+    out = [{} for _ in range(len(mats) + q.degree)]
+    for a, mat in enumerate(mats):
+        for b, c in enumerate(q.coeffs):
+            if not c:
+                continue
+            acc = out[a + b]
+            for key, v in mat.data.items():
+                cur = acc.get(key)
+                acc[key] = c * v if cur is None else cur + c * v
+    return [SparseMatrix(mats[0].nrows, mats[0].ncols, d) for d in out]
+
+
+def site_denominator(z):
+    """D(u) = prod_s (u - z_s) and the cofactors prod_{t!=s} (u - z_t)."""
+    factors = [Poly((-zs, 1 if is_exact(zs) else 1.0 + 0j)) for zs in z]
+    base = ONE
+    for f in factors:
+        base = base * f
+    cofactors = []
+    for s in range(len(factors)):
+        cofactor = ONE
+        for t, f in enumerate(factors):
+            if t != s:
+                cofactor = cofactor * f
+        cofactors.append(cofactor)
+    return base, cofactors
+
+
+def _add_polys(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 class RFMatrix:
-    """Sparse square-ish matrix with RationalFunction entries."""
+    """Matrix of rational functions over one shared denominator power.
 
-    __slots__ = ("nrows", "ncols", "data")
+    The value is P(u) / D(u)^k: `coeffs` are the SparseMatrix coefficients of
+    P in ascending powers of u, `base` is the polynomial D and `power` is k.
+    Nothing is ever reduced.  Sums bring both sides to the larger power of D,
+    products convolve the coefficients and add the powers.  The currents of a
+    Gaudin model have D = prod_s (u - z_s), and an entry of weight i of their
+    row determinant has pole order at most i at every site, so P_i / D^i is
+    exact without any gcd.
+    """
 
-    def __init__(self, nrows, ncols, data=None):
+    __slots__ = ("nrows", "ncols", "coeffs", "base", "power")
+
+    def __init__(self, nrows, ncols, coeffs=(), base=ONE, power=0):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
         self.nrows = nrows
         self.ncols = ncols
-        self.data = {}
-        if data:
-            for k, v in data.items():
-                v = as_rf(v)
-                if not v.is_zero():
-                    self.data[k] = v
+        self.coeffs = coeffs
+        self.base = base
+        self.power = power if coeffs else 0
 
     @classmethod
     def identity(cls, n):
-        one = RationalFunction.one()
-        m = cls(n, n)
-        for i in range(n):
-            m.data[(i, i)] = one
-        return m
+        return cls(n, n, [SparseMatrix.identity(n)])
 
     @classmethod
-    def from_scalar_matrix(cls, mat: SparseMatrix, den: Poly = None):
-        """Constant matrix, optionally divided by a scalar polynomial."""
-        out = cls(mat.nrows, mat.ncols)
-        den = den if den is not None else ONE
-        for (i, j), v in mat.data.items():
-            out.data[(i, j)] = RationalFunction(Poly.const(v), den)
-        return out
+    def over_sites(cls, mats, sites):
+        """sum_s mats[s] / (u - z_s), kept as sum_s mats[s] prod_{t!=s}(u - z_t)
+        over D(u) = prod_s (u - z_s); `sites` is site_denominator(z)."""
+        base, cofactors = sites
+        coeffs = []
+        for mat, cofactor in zip(mats, cofactors):
+            coeffs = _add_polys(coeffs, _times_poly([mat], cofactor))
+        return cls(mats[0].nrows, mats[0].ncols, coeffs, base, 1)
 
     def is_zero(self):
-        return not self.data
+        return not self.coeffs
+
+    def is_exact(self):
+        return (self.base.is_exact_poly()
+                and all(is_exact(v) for mat in self.coeffs
+                        for v in mat.data.values()))
+
+    def map_coeffs(self, fn, nrows, ncols):
+        """fn applied to every coefficient matrix of P, over the same D^k."""
+        return RFMatrix(nrows, ncols, [fn(mat) for mat in self.coeffs],
+                        self.base, self.power)
+
+    def _like(self, coeffs, power):
+        return RFMatrix(self.nrows, self.ncols, coeffs, self.base, power)
+
+    def _common_base(self, other):
+        if not other.power:
+            return self.base
+        if not self.power:
+            return other.base
+        if self.base is other.base or self.base == other.base:
+            return self.base
+        raise ValueError("rational matrices over different denominators")
 
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        out = RFMatrix(self.nrows, self.ncols)
-        out.data = dict(self.data)
-        for k, v in other.data.items():
-            cur = out.data.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.data.pop(k, None)
-            else:
-                out.data[k] = s
-        return out
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch(f"{(self.nrows, self.ncols)} != "
+                                    f"{(other.nrows, other.ncols)}")
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        base = self._common_base(other)
+        a, b = self.coeffs, other.coeffs
+        if self.power < other.power:
+            a = _times_poly(a, base ** (other.power - self.power))
+        elif other.power < self.power:
+            b = _times_poly(b, base ** (self.power - other.power))
+        return RFMatrix(self.nrows, self.ncols, _add_polys(a, b), base,
+                        max(self.power, other.power))
 
     def __neg__(self):
-        out = RFMatrix(self.nrows, self.ncols)
-        out.data = {k: -v for k, v in self.data.items()}
-        return out
+        return self._like([m.scale(-1) for m in self.coeffs], self.power)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = as_rf(c)
-        out = RFMatrix(self.nrows, self.ncols)
-        if c.is_zero():
-            return out
-        out.data = {k: v * c for k, v in self.data.items()}
-        return out
+        return self._like([m.scale(c) for m in self.coeffs], self.power)
 
     def __mul__(self, other):
-        if isinstance(other, RFMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-            rows = {}
-            for (i, k), x in self.data.items():
-                rows.setdefault(k, []).append((i, x))
-            acc = {}
-            for (k, j), y in other.data.items():
-                hits = rows.get(k)
-                if not hits:
-                    continue
-                for i, x in hits:
-                    key = (i, j)
-                    p = x * y
-                    cur = acc.get(key)
-                    acc[key] = p if cur is None else cur + p
-            out = RFMatrix(self.nrows, other.ncols)
-            out.data = {k: v for k, v in acc.items() if not v.is_zero()}
-            return out
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, RFMatrix):
+            return self.scale(other)
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
+        if self.is_zero() or other.is_zero():
+            return RFMatrix(self.nrows, other.ncols)
+        base = self._common_base(other)
+        out = [{} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for a, left in enumerate(self.coeffs):
+            by_col = {}
+            for (i, k), x in left.data.items():
+                by_col.setdefault(k, []).append((i, x))
+            for b, right in enumerate(other.coeffs):
+                acc = out[a + b]
+                for (k, j), y in right.data.items():
+                    for i, x in by_col.get(k, ()):
+                        key = (i, j)
+                        cur = acc.get(key)
+                        acc[key] = x * y if cur is None else cur + x * y
+        return RFMatrix(self.nrows, other.ncols,
+                        [SparseMatrix(self.nrows, other.ncols, d) for d in out],
+                        base, self.power + other.power)
 
     def derivative(self):
-        out = RFMatrix(self.nrows, self.ncols)
-        for k, v in self.data.items():
-            dv = v.derivative()
-            if not dv.is_zero():
-                out.data[k] = dv
-        return out
+        """(P' D - k P D') / D^(k+1); a polynomial matrix stays one."""
+        dp = [m.scale(k) for k, m in enumerate(self.coeffs) if k]
+        if not self.power:
+            return self._like(dp, 0)
+        num = _add_polys(_times_poly(dp, self.base),
+                         _times_poly(self.coeffs,
+                                     self.base.derivative().scale(-self.power)))
+        return self._like(num, self.power + 1)
 
     def eval(self, u) -> SparseMatrix:
-        out = SparseMatrix(self.nrows, self.ncols)
-        for k, v in self.data.items():
-            out[k] = v.eval(u)
-        return out
-
-    def apply_const_vec(self, vec):
-        """Matrix times a vector of constants; result maps index -> RF."""
-        out = {}
-        for (i, j), rf in self.data.items():
-            c = vec.get(j)
-            if not c:
-                continue
-            term = rf * c
-            cur = out.get(i)
-            out[i] = term if cur is None else cur + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        """Horner over the coefficient matrices, then one scalar division."""
+        acc = {}
+        for mat in reversed(self.coeffs):
+            acc = {key: v * u for key, v in acc.items()}
+            for key, v in mat.data.items():
+                cur = acc.get(key)
+                acc[key] = v if cur is None else cur + v
+        if self.power:
+            d = self.base.eval(u)
+            if not d:
+                raise PoleEvaluation(f"evaluation at pole u={u!r}")
+            den = d
+            for _ in range(self.power - 1):
+                den = den * d
+            acc = {key: v / den for key, v in acc.items()}
+        return SparseMatrix(self.nrows, self.ncols, acc)
 
     def entries_series_at_infinity(self, j_max):
-        """List of SparseMatrix coefficient matrices for u^-1..u^-j_max."""
+        """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.
+
+        1/D^k is expanded once; the constant term of the expansion is dropped.
+        """
         mats = [SparseMatrix(self.nrows, self.ncols) for _ in range(j_max)]
-        for key, rf in self.data.items():
-            for j, c in enumerate(series_at_infinity(rf, j_max)):
-                if c:
-                    mats[j][key] = c
+        if self.is_zero():
+            return mats
+        den = self.base ** self.power
+        top = len(self.coeffs) - 1
+        if top > den.degree:
+            raise ImproperRational(
+                f"degree {top} numerator over degree {den.degree} denominator "
+                "has no expansion at infinity")
+        # 1/D^k = u^-deg * sum_m inv[m] u^-m
+        inv = _series_quotient([1], den.coeffs[::-1], j_max)
+        for j in range(1, j_max + 1):
+            acc = {}
+            for a, mat in enumerate(self.coeffs):
+                c = inv[j - den.degree + a] if j - den.degree + a >= 0 else 0
+                if not c:
+                    continue
+                for key, v in mat.data.items():
+                    cur = acc.get(key)
+                    acc[key] = c * v if cur is None else cur + c * v
+            mats[j - 1] = SparseMatrix(self.nrows, self.ncols, acc)
         return mats
-
-    def pole_free_at(self, u):
-        return all(v.den.eval(u) for v in self.data.values())
-
-
-def _one_like(coef):
-    if isinstance(coef, RFMatrix):
-        return RFMatrix.identity(coef.nrows)
-    return RationalFunction.one()
 
 
 def _zero_like(coef):
@@ -544,12 +597,6 @@ class OperatorPencil:
     def first_order(cls, a):
         """d - a(u) for a scalar rational function a."""
         return cls([-as_rf(a), RationalFunction.one()])
-
-    @classmethod
-    def identity(cls, like=None):
-        if like is None:
-            return cls([RationalFunction.one()])
-        return cls([_one_like(like)])
 
     @property
     def order(self):
@@ -621,7 +668,7 @@ class OperatorPencil:
     def is_monic(self):
         top = self.coeffs[-1]
         if isinstance(top, RFMatrix):
-            return not (top - RFMatrix.identity(top.nrows)).data
+            return (top - RFMatrix.identity(top.nrows)).is_zero()
         return top == RationalFunction.one()
 
 

@@ -282,7 +282,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
     # --- algebra-level checks on the full module
     pencil = universal_operator(M, problem.z)
     family = restrict_family(pencil, None, j_max)
-    sc = algebra_selfcheck(family, form, M)
+    sc = algebra_selfcheck(family, form, M, problem.z)
     checks.add("algebra_commutativity", sc["commutator_pairs"] == 0.0
                or sc["commutator_pairs"] < 1e-10,
                residual=sc["commutator_pairs"])

@@ -155,7 +155,7 @@ def test_c2_commuting_algebra_exact():
             max_dim = max(max_dim, M.dim)
             pencil = universal_operator(M, problem.z)
             family = restrict_family(pencil, None, default_j_max(problem))
-            sc = algebra_selfcheck(family, form, M)
+            sc = algebra_selfcheck(family, form, M, problem.z)
             assert sc["exact"], (parts, z)
             assert sc["commutator_pairs"] == 0.0, (parts, z)
             assert sc["commutator_with_gl"] == 0.0, (parts, z)

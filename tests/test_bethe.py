@@ -10,6 +10,7 @@ from gaudin.errors import NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix
 from gaudin.repr_core import (build_irreducible, tensor_module,
                               tensor_shapovalov, weight_and_singular_subspace)
+from gaudin.scalars import QI, scalar_abs
 
 Z2 = [Fraction(0), Fraction(1)]
 
@@ -57,7 +58,7 @@ def test_commutativity_and_symmetry_exact_small():
     M, form = _module([(1, 0), (1, 0)], 1)
     pencil = universal_operator(M, Z2)
     family = restrict_family(pencil, None, 4)
-    sc = algebra_selfcheck(family, form, M)
+    sc = algebra_selfcheck(family, form, M, Z2)
     assert sc["exact"]
     assert sc["commutator_pairs"] == 0.0
     assert sc["commutator_with_gl"] == 0.0
@@ -109,3 +110,27 @@ def test_repeated_sites_rejected():
     M, _ = _module([(1, 0), (1, 0)], 1)
     with pytest.raises(RepeatedSites):
         universal_operator(M, [Fraction(1), Fraction(1)])
+
+
+def test_sample_points_keep_distance_from_float_sites():
+    pts = sample_points([1.9 + 0j, 4.0 + 0j], 3)
+    assert pts == [Fraction(3), Fraction(5), Fraction(6)]
+
+
+def test_float_sites_match_exact_sites():
+    """At floating real sites every coefficient of the universal operator
+    agrees with the one at the same sites as exact rationals.  With unreduced
+    per-entry float denominators the third coefficient was off by half its
+    size at u = 3 - i/4."""
+    M, _ = _module([(2, 1, 0), (2, 1, 0)], 2)
+    z_exact = [Fraction("-2.235"), Fraction("1.835")]
+    exact = universal_operator(M, z_exact)
+    floating = universal_operator(M, [complex(x) for x in z_exact])
+    for u in (QI(Fraction(1, 2), 1), QI(3, Fraction(-1, 4)), QI(-4, 2)):
+        for i in range(1, 4):
+            want = operator_coefficient(exact, i).eval(u)
+            got = operator_coefficient(floating, i).eval(complex(u))
+            scale = max(scalar_abs(v) for v in want.data.values())
+            err = max(scalar_abs(complex(want[k]) - got[k])
+                      for k in set(want.data) | set(got.data))
+            assert err < 1e-12 * scale, (u, i, err, scale)

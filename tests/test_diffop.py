@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gaudin.diffop_ring import (ONE, OperatorPencil, Poly, RationalFunction,
-                                RFMatrix, row_determinant, series_at_infinity)
-from gaudin.errors import DivisionByZero, ImproperRational
+                                RFMatrix, row_determinant, series_at_infinity,
+                                site_denominator)
+from gaudin.errors import DivisionByZero, ImproperRational, PoleEvaluation
 from gaudin.linalg import SparseMatrix
 
 
@@ -153,10 +154,10 @@ def test_row_determinant_order_convention():
         for j in range(2):
             m = SparseMatrix(1, 1)
             m[0, 0] = -K[i][j]
-            c0 = RFMatrix.from_scalar_matrix(m, ONE)
+            c0 = RFMatrix(1, 1, [m])
             ident = SparseMatrix(1, 1)
             ident[0, 0] = Fraction(1)
-            c1 = RFMatrix.from_scalar_matrix(ident, ONE)
+            c1 = RFMatrix(1, 1, [ident])
             if i == j:
                 entries[i][j] = OperatorPencil([c0, c1])
             else:
@@ -175,8 +176,86 @@ def test_row_determinant_order_convention():
 def test_rfmatrix_eval_and_add():
     m = SparseMatrix(2, 2)
     m[0, 1] = Fraction(3)
-    a = RFMatrix.from_scalar_matrix(m, Poly((Fraction(-1), Fraction(1))))
+    a = RFMatrix.over_sites([m], site_denominator([Fraction(1)]))
     got = a.eval(Fraction(3))
     assert got[0, 1] == Fraction(3, 2)
     s = a + a
     assert s.eval(Fraction(3))[0, 1] == Fraction(3)
+
+
+def test_rfmatrix_over_sites_is_a_sum_of_simple_poles():
+    m, n = SparseMatrix(2, 2), SparseMatrix(2, 2)
+    m[0, 1] = Fraction(3)
+    n[0, 1], n[1, 0] = Fraction(-2), Fraction(5)
+    z = [Fraction(1), Fraction(-2), Fraction(1, 3)]
+    a = RFMatrix.over_sites([m, n, m], site_denominator(z))
+    assert (a.power, a.base) == (1, Poly.from_roots(z))
+    for u in (Fraction(4), Fraction(-1, 2)):
+        want = m.scale(1 / (u - z[0])) + n.scale(1 / (u - z[1])) \
+            + m.scale(1 / (u - z[2]))
+        assert a.eval(u).data == want.data
+
+
+def _rand_matrix_poly(rng, deg, n=2):
+    mats = []
+    for _ in range(deg + 1):
+        m = SparseMatrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.7:
+                    m[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        mats.append(m)
+    return mats
+
+
+def _entrywise(a: RFMatrix):
+    """The same matrix as a dict of independent, gcd-reduced RationalFunctions."""
+    den = a.base ** a.power
+    return {(i, j): RationalFunction(Poly([m[i, j] for m in a.coeffs]), den)
+            for i in range(a.nrows) for j in range(a.ncols)}
+
+
+def _assert_same(a: RFMatrix, rfs, points):
+    for u in points:
+        got = a.eval(u)
+        for key, rf in rfs.items():
+            assert got[key] == rf.eval(u)
+
+
+def test_rfmatrix_agrees_with_entrywise_rational_functions():
+    rng = random.Random(29)
+    base = Poly.from_roots([Fraction(1), Fraction(-2)])
+    points = [Fraction(5), Fraction(-7, 3), Fraction(1, 2)]
+    for _ in range(4):
+        a = RFMatrix(2, 2, _rand_matrix_poly(rng, 1), base, 1)
+        b = RFMatrix(2, 2, _rand_matrix_poly(rng, 3), base, 2)
+        ra, rb = _entrywise(a), _entrywise(b)
+        _assert_same(a, ra, points)
+        # sums over different powers of the base
+        _assert_same(a + b, {k: ra[k] + rb[k] for k in ra}, points)
+        _assert_same(a - b, {k: ra[k] - rb[k] for k in ra}, points)
+        prod = {(i, j): ra[i, 0] * rb[0, j] + ra[i, 1] * rb[1, j]
+                for i in range(2) for j in range(2)}
+        _assert_same(a * b, prod, points)
+        assert (a * b).power == 3
+        _assert_same(b.derivative(), {k: v.derivative() for k, v in rb.items()},
+                     points)
+        for mat in (a, b, a * b, b.derivative()):
+            series = mat.entries_series_at_infinity(6)
+            for key, rf in _entrywise(mat).items():
+                assert [s[key] for s in series] == series_at_infinity(rf, 6)
+
+
+def test_rfmatrix_eval_raises_only_at_a_pole():
+    m = SparseMatrix(1, 1)
+    m[0, 0] = Fraction(2)
+    base = Poly.from_roots([Fraction(1), Fraction(3)])
+    with pytest.raises(PoleEvaluation):
+        RFMatrix(1, 1, [m], base, 1).eval(Fraction(3))
+    # a numerator divisible by the base is never reduced, so u = 1 is still a
+    # pole of the stored form
+    with pytest.raises(PoleEvaluation):
+        RFMatrix(1, 1, [m.scale(-1), m], Poly.from_roots([Fraction(1)]),
+                 1).eval(Fraction(1))
+    assert RFMatrix(1, 1, [m], base, 0).eval(Fraction(3))[0, 0] == 2
+    assert RFMatrix(1, 1, [], base, 2).eval(Fraction(1)).is_zero()

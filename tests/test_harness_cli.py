@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -180,7 +181,13 @@ def test_main_seed_override(tmp_path, capsys):
 
 
 def test_console_script_selftest():
-    proc = subprocess.run(["gaudin", "selftest", "--format", "json"],
+    # the installed `gaudin` script and `python -m gaudin` share one entry
+    # point; running the module also works in a checkout with no install
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert 'gaudin = "gaudin.harness_cli:main"' in scripts.splitlines()
+    proc = subprocess.run([sys.executable, "-m", "gaudin", "selftest",
+                           "--format", "json"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -198,3 +205,41 @@ def test_rank2_pipeline_passes():
     # first coefficient expands to -(|lam_1| + |lam_2|)/u + O(1/u^2)
     lead = spec["eigenvalues"]["1"][0]
     assert lead == "-3"
+
+
+# Floating sites right next to an integer.  The algebra self-check once
+# sampled u = 2 beside the site 1.999 and u = 4 on the site 4.0, and
+# run_pipeline raised PoleEvaluation instead of returning a report.
+POLE_CRASH_PROBLEMS = {
+    "site_next_to_2": {
+        "N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
+        "z": [[-2.732, 0.0], [1.999, 0.0]], "solver": {"seed": 0}},
+    # a spin chain of the perfbench `numeric` workload, seed 14
+    "site_on_4": {
+        "N": 1, "partitions": [[1, 0], [1, 0], [1, 0], [1, 0]], "l": [2],
+        "z": [[-2.948, 0.0], [-1.353, 0.0], [1.238, 0.0], [4.0, 0.0]],
+        "solver": {"seed": 1923916562, "starts": 80, "early_stop": True}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLE_CRASH_PROBLEMS))
+def test_float_site_at_integer_returns_report(name):
+    prob, config, _ = load_problem(POLE_CRASH_PROBLEMS[name])
+    report = run_pipeline(prob, config)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    for check in ("algebra_commutativity", "algebra_gl_invariance",
+                  "algebra_form_symmetry", "first_coefficient"):
+        assert status[check] == "PASS", check
+
+
+def test_complex_sites_pass_every_check():
+    """Sites off the real line: with per-entry float denominators the algebra
+    checks and both eigenvalue equations failed here (residuals 1e-5..1e-3)."""
+    prob, config, _ = load_problem({
+        "N": 1, "partitions": [[1, 0]] * 4, "l": [2],
+        "z": [[0, 0], [1, 0.3], [2, -0.1], [3.5, 0]], "solver": {"seed": 0}})
+    report = run_pipeline(prob, config)
+    failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
+    assert failing == []
+    assert report["summary"]["checks"] == 27

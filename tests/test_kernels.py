@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -157,6 +158,7 @@ print(json.dumps({"backend": kernels.backend_name(), "ok": bool(ok),
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=300,
                           env={"PATH": "/usr/bin:/bin:/usr/local/bin",
+                               "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
                                "GAUDIN_PURE_NUMPY": "1"})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
