@@ -10,7 +10,7 @@ Subcommands:
 Problem files are JSON: {"N": 2, "partitions": [[1,0,0], [1,1,0]],
 "l": [1, 1], "z": ["0", "1"], "solver": {"seed": 0}}.  Site entries may be
 rational strings/integers (exact mode) or [re, im] pairs (numeric mode).
-Reports are deterministic for a fixed seed and backend; exit status is 0 when
+Reports are deterministic for a fixed seed; exit status is 0 when
 every check passes, 1 on any failure, 2 on malformed input.
 """
 
@@ -513,7 +513,6 @@ def main(argv=None):
         sp.add_argument("--tol-dedup", type=float)
         sp.add_argument("--jmax", type=int)
         sp.add_argument("--precision", choices=["double", "longdouble"])
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--max-terms", type=int)
     args = parser.parse_args(argv)
 
@@ -540,11 +539,6 @@ def main(argv=None):
         options["j_max"] = args.jmax
     if args.max_terms is not None:
         options["max_terms"] = args.max_terms
-    if args.threads is not None and kernels.HAS_NUMBA:
-        try:
-            kernels.numba.set_num_threads(args.threads)
-        except ValueError:
-            pass
 
     stage = {"solve": "solve", "verify": "verify", "selftest": "verify",
              "spectrum": "verify", "weightfn": "verify"}[args.command]

@@ -1,4 +1,4 @@
-"""Numeric kernels for the critical-point search.
+"""Numeric kernel for the critical-point search.
 
 The gradient of the logarithm of the master function and its Hessian are
 evaluated on flat complex arrays.  Newton iteration runs on the pole-cleared
@@ -6,45 +6,30 @@ polynomial form of the equations, q_a = psi_a * W_a with W_a the product of
 the linear factors appearing in psi_a's denominators: psi itself decays along
 escapes to infinity (which would make runaways look converged), while |q|
 grows there, so the cleared system only converges to genuine finite roots.
-When numba is importable (and GAUDIN_PURE_NUMPY is not set) the loop kernels
-are compiled with @njit; otherwise vectorized numpy versions are used.  Both
-backends share the same call signature so the solver and the benchmark can
-swap them freely.
+
+There is one vectorized numpy Newton loop.  Its precision is a parameter:
+complex128 (`newton_single`) or clongdouble (`newton_longdouble`).  Only the
+linear solve depends on it, because LAPACK has no extended-precision solve.
 
 Data layout:
-    t     complex128[n]        current variable values (all groups flattened)
-    cmat  float64[n, n]        pair coefficients: 2 same group, -1 adjacent
-                               groups, 0 otherwise; zero diagonal
-    z     complex128[m]        site positions
-    A     float64[n, m]        site exponents per variable
+    t     complex[n]           current variable values (all groups flattened)
+    cmat  float[n, n]          pair coefficients: 2 same group, -1 adjacent
+                               groups, 0 otherwise; symmetric, zero diagonal
+    z     complex[m]           site positions
+    A     float[n, m]          site exponents per variable
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-PURE_NUMPY = os.environ.get("GAUDIN_PURE_NUMPY", "") not in ("", "0")
-
-try:
-    import numba
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not PURE_NUMPY
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
-
-def psi_numpy(t, cmat, z, A):
-    """Gradient of log of the master function, vectorized."""
+def psi(t, cmat, z, A):
+    """Gradient of log of the master function."""
     D = t[:, None] - t[None, :]
     np.fill_diagonal(D, 1.0)
     pair = (cmat / D).sum(axis=1)
@@ -53,31 +38,27 @@ def psi_numpy(t, cmat, z, A):
     return pair - site
 
 
-def hessian_numpy(t, cmat, z, A):
+def hessian(t, cmat, z, A):
     D = t[:, None] - t[None, :]
     np.fill_diagonal(D, 1.0)
     off = cmat / (D * D)
     P = t[:, None] - z[None, :]
     diag = -off.sum(axis=1) + (A / (P * P)).sum(axis=1)
-    H = off.astype(np.complex128)
+    H = off.astype(np.result_type(off, diag))
     np.fill_diagonal(H, diag)
     return H
 
 
-def _too_close_numpy(t, cmat, z, margin):
-    P = np.abs(t[:, None] - z[None, :])
-    if (P < margin).any():
+def _too_close(t, cmat, z, margin):
+    """Whether some variable is within margin of a site or of a partner."""
+    if (np.abs(t[:, None] - z[None, :]) < margin).any():
         return True
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if cmat[a, b] != 0.0 and abs(t[a] - t[b]) < margin:
-                return True
-    return False
+    return bool(((cmat != 0.0)
+                 & (np.abs(t[:, None] - t[None, :]) < margin)).any())
 
 
-def _cleared_numpy(t, cmat, z, A):
-    """W_a = product of the linear factors under psi_a, and d(log W_a)/dt."""
+def _cleared(t, cmat, z, A):
+    """W_a = product of the linear factors under psi_a, and dW_a/dt_b."""
     D = t[:, None] - t[None, :]
     np.fill_diagonal(D, 1.0)
     pair_mask = cmat != 0.0
@@ -91,208 +72,6 @@ def _cleared_numpy(t, cmat, z, A):
     np.fill_diagonal(dW, W * (inv_pair.sum(axis=1) + inv_site.sum(axis=1)))
     return W, dW
 
-
-def newton_numpy(t0, cmat, z, A, max_iter, tol, pole_margin):
-    """Damped Newton on the cleared system; returns (t, converged, residual).
-
-    The reported residual is the max gradient component |psi|, but steps and
-    the line search use q = psi * W, whose modulus grows at infinity.
-    """
-    t = t0.astype(np.complex128).copy()
-    if _too_close_numpy(t, cmat, z, pole_margin):
-        return t, False, np.inf
-    p = psi_numpy(t, cmat, z, A)
-    W, dW = _cleared_numpy(t, cmat, z, A)
-    q = p * W
-    qn = float(np.abs(q).max())
-    res = float(np.abs(p).max())
-    for _ in range(max_iter):
-        if res < tol:
-            return t, True, res
-        H = hessian_numpy(t, cmat, z, A)
-        J = W[:, None] * H + p[:, None] * dW
-        try:
-            step = np.linalg.solve(J, -q)
-        except np.linalg.LinAlgError:
-            return t, False, res
-        alpha = 1.0
-        accepted = False
-        for _bt in range(40):
-            cand = t + alpha * step
-            if not _too_close_numpy(cand, cmat, z, pole_margin):
-                cp = psi_numpy(cand, cmat, z, A)
-                cW, cdW = _cleared_numpy(cand, cmat, z, A)
-                cq = cp * cW
-                cqn = float(np.abs(cq).max())
-                if cqn < qn or float(np.abs(cp).max()) < tol:
-                    t, p, W, dW, q, qn = cand, cp, cW, cdW, cq, cqn
-                    res = float(np.abs(p).max())
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            return t, False, res
-    return t, res < tol, res
-
-
-# ---------------------------------------------------------------- loop path
-
-def _psi_loops(t, cmat, z, A):
-    n = t.shape[0]
-    m = z.shape[0]
-    out = np.zeros(n, dtype=np.complex128)
-    for a in range(n):
-        acc = 0.0 + 0.0j
-        for b in range(n):
-            if b != a and cmat[a, b] != 0.0:
-                acc += cmat[a, b] / (t[a] - t[b])
-        for s in range(m):
-            if A[a, s] != 0.0:
-                acc -= A[a, s] / (t[a] - z[s])
-        out[a] = acc
-    return out
-
-
-def _hessian_loops(t, cmat, z, A):
-    n = t.shape[0]
-    m = z.shape[0]
-    H = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        diag = 0.0 + 0.0j
-        for b in range(n):
-            if b != a and cmat[a, b] != 0.0:
-                d = t[a] - t[b]
-                v = cmat[a, b] / (d * d)
-                H[a, b] = v
-                diag -= v
-        for s in range(m):
-            if A[a, s] != 0.0:
-                d = t[a] - z[s]
-                diag += A[a, s] / (d * d)
-        H[a, a] = diag
-    return H
-
-
-def _too_close_loops(t, cmat, z, margin):
-    n = t.shape[0]
-    m = z.shape[0]
-    for a in range(n):
-        for s in range(m):
-            if abs(t[a] - z[s]) < margin:
-                return True
-        for b in range(a + 1, n):
-            if cmat[a, b] != 0.0 and abs(t[a] - t[b]) < margin:
-                return True
-    return False
-
-
-def _cleared_loops(t, cmat, z, A):
-    n = t.shape[0]
-    m = z.shape[0]
-    W = np.zeros(n, dtype=np.complex128)
-    dlog = np.zeros(n, dtype=np.complex128)
-    for a in range(n):
-        w = 1.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for s in range(m):
-            if A[a, s] != 0.0:
-                d = t[a] - z[s]
-                w *= d
-                acc += 1.0 / d
-        for b in range(n):
-            if b != a and cmat[a, b] != 0.0:
-                d = t[a] - t[b]
-                w *= d
-                acc += 1.0 / d
-        W[a] = w
-        dlog[a] = acc
-    return W, dlog
-
-
-def _newton_loops(t0, cmat, z, A, max_iter, tol, pole_margin):
-    t = t0.copy()
-    if _too_close_loops(t, cmat, z, pole_margin):
-        return t, False, np.inf
-    n = t.shape[0]
-    p = _psi_loops(t, cmat, z, A)
-    W, dlog = _cleared_loops(t, cmat, z, A)
-    q = p * W
-    qn = np.abs(q).max()
-    res = np.abs(p).max()
-    for _ in range(max_iter):
-        if res < tol:
-            return t, True, res
-        H = _hessian_loops(t, cmat, z, A)
-        J = np.zeros((n, n), dtype=np.complex128)
-        for a in range(n):
-            for b in range(n):
-                v = W[a] * H[a, b]
-                if b == a:
-                    v += p[a] * W[a] * dlog[a]
-                elif cmat[a, b] != 0.0:
-                    v -= p[a] * W[a] / (t[a] - t[b])
-                J[a, b] = v
-        step = np.linalg.solve(J, -q)
-        alpha = 1.0
-        accepted = False
-        for _bt in range(40):
-            cand = t + alpha * step
-            if not _too_close_loops(cand, cmat, z, pole_margin):
-                cp = _psi_loops(cand, cmat, z, A)
-                cW, cdlog = _cleared_loops(cand, cmat, z, A)
-                cq = cp * cW
-                cqn = np.abs(cq).max()
-                if cqn < qn or np.abs(cp).max() < tol:
-                    t = cand
-                    p = cp
-                    W = cW
-                    dlog = cdlog
-                    q = cq
-                    qn = cqn
-                    res = np.abs(p).max()
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            return t, False, res
-    return t, res < tol, res
-
-
-if USE_NUMBA:
-    _psi_loops = numba.njit(cache=True)(_psi_loops)
-    _hessian_loops = numba.njit(cache=True)(_hessian_loops)
-    _too_close_loops = numba.njit(cache=True)(_too_close_loops)
-    _cleared_loops = numba.njit(cache=True)(_cleared_loops)
-    _newton_loops = numba.njit(cache=True)(_newton_loops)
-
-
-def psi(t, cmat, z, A):
-    if USE_NUMBA:
-        return _psi_loops(t, cmat, z, A)
-    return psi_numpy(t, cmat, z, A)
-
-
-def hessian(t, cmat, z, A):
-    if USE_NUMBA:
-        return _hessian_loops(t, cmat, z, A)
-    return hessian_numpy(t, cmat, z, A)
-
-
-def newton_single(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8):
-    """One Newton run; singular-Hessian starts report converged=False."""
-    if USE_NUMBA:
-        try:
-            t, ok, res = _newton_loops(
-                np.ascontiguousarray(t0, dtype=np.complex128), cmat, z, A,
-                max_iter, tol, pole_margin)
-        except np.linalg.LinAlgError:
-            return t0, False, np.inf
-        return t, bool(ok), float(res)
-    t, ok, res = newton_numpy(t0, cmat, z, A, max_iter, tol, pole_margin)
-    return t, bool(ok), float(res)
-
-
-# ----------------------------------------------------- extended precision
 
 def _solve_longdouble(H, rhs):
     """Gaussian elimination with partial pivoting for clongdouble systems."""
@@ -311,110 +90,58 @@ def _solve_longdouble(H, rhs):
     return M[:, n]
 
 
-def newton_longdouble(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8):
-    """Damped Newton in extended precision (numpy clongdouble, no numba)."""
-    t = np.asarray(t0, dtype=np.clongdouble).copy()
-    zl = np.asarray(z, dtype=np.clongdouble)
-    cl = np.asarray(cmat, dtype=np.longdouble)
-    Al = np.asarray(A, dtype=np.longdouble)
+def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, dtype):
+    """Damped Newton on the cleared system; returns (t, converged, residual).
 
-    def _psi_l(tt):
-        n = tt.shape[0]
-        out = np.zeros(n, dtype=np.clongdouble)
-        for a in range(n):
-            acc = np.clongdouble(0)
-            for b in range(n):
-                if b != a and cl[a, b] != 0.0:
-                    acc += cl[a, b] / (tt[a] - tt[b])
-            for s in range(zl.shape[0]):
-                if Al[a, s] != 0.0:
-                    acc -= Al[a, s] / (tt[a] - zl[s])
-            out[a] = acc
-        return out
-
-    def _hess_l(tt):
-        n = tt.shape[0]
-        H = np.zeros((n, n), dtype=np.clongdouble)
-        for a in range(n):
-            diag = np.clongdouble(0)
-            for b in range(n):
-                if b != a and cl[a, b] != 0.0:
-                    d = tt[a] - tt[b]
-                    v = cl[a, b] / (d * d)
-                    H[a, b] = v
-                    diag -= v
-            for s in range(zl.shape[0]):
-                if Al[a, s] != 0.0:
-                    d = tt[a] - zl[s]
-                    diag += Al[a, s] / (d * d)
-            H[a, a] = diag
-        return H
-
-    def _close(tt):
-        return _too_close_numpy(np.asarray(tt, dtype=np.complex128), cl,
-                                np.asarray(zl, dtype=np.complex128), pole_margin)
-
-    def _cleared_l(tt):
-        n = tt.shape[0]
-        W = np.zeros(n, dtype=np.clongdouble)
-        dlog = np.zeros(n, dtype=np.clongdouble)
-        for a in range(n):
-            w = np.clongdouble(1)
-            acc = np.clongdouble(0)
-            for s in range(zl.shape[0]):
-                if Al[a, s] != 0.0:
-                    d = tt[a] - zl[s]
-                    w *= d
-                    acc += 1 / d
-            for b in range(n):
-                if b != a and cl[a, b] != 0.0:
-                    d = tt[a] - tt[b]
-                    w *= d
-                    acc += 1 / d
-            W[a] = w
-            dlog[a] = acc
-        return W, dlog
-
-    if _close(t):
+    The reported residual is the max gradient component |psi|, but steps and
+    the line search use q = psi * W, whose modulus grows at infinity.  A
+    singular Jacobian ends the run unconverged.
+    """
+    solve = np.linalg.solve if dtype == np.complex128 else _solve_longdouble
+    t = np.array(t0, dtype=dtype)
+    z = np.asarray(z, dtype=dtype)
+    real = t.real.dtype
+    cmat = np.asarray(cmat, dtype=real)
+    A = np.asarray(A, dtype=real)
+    if _too_close(t, cmat, z, pole_margin):
         return t, False, np.inf
-    n = t.shape[0]
-    p = _psi_l(t)
-    W, dlog = _cleared_l(t)
+    p = psi(t, cmat, z, A)
+    W, dW = _cleared(t, cmat, z, A)
     q = p * W
     qn = float(np.abs(q).max())
     res = float(np.abs(p).max())
     for _ in range(max_iter):
         if res < tol:
             return t, True, res
-        H = _hess_l(t)
-        J = np.zeros((n, n), dtype=np.clongdouble)
-        for a in range(n):
-            for b in range(n):
-                v = W[a] * H[a, b]
-                if b == a:
-                    v += p[a] * W[a] * dlog[a]
-                elif cl[a, b] != 0.0:
-                    v -= p[a] * W[a] / (t[a] - t[b])
-                J[a, b] = v
+        J = W[:, None] * hessian(t, cmat, z, A) + p[:, None] * dW
         try:
-            step = _solve_longdouble(J, -q)
+            step = solve(J, -q)
         except np.linalg.LinAlgError:
             return t, False, res
         alpha = 1.0
-        accepted = False
         for _bt in range(40):
             cand = t + alpha * step
-            if not _close(cand):
-                cp = _psi_l(cand)
-                cW, cdlog = _cleared_l(cand)
+            if not _too_close(cand, cmat, z, pole_margin):
+                cp = psi(cand, cmat, z, A)
+                cW, cdW = _cleared(cand, cmat, z, A)
                 cq = cp * cW
                 cqn = float(np.abs(cq).max())
                 if cqn < qn or float(np.abs(cp).max()) < tol:
-                    t, p, W, dlog, q, qn = cand, cp, cW, cdlog, cq, cqn
+                    t, p, W, dW, q, qn = cand, cp, cW, cdW, cq, cqn
                     res = float(np.abs(p).max())
-                    accepted = True
                     break
             alpha *= 0.5
-        if not accepted:
+        else:
             return t, False, res
     return t, res < tol, res
+
+
+def newton_single(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8):
+    """One Newton run in double precision."""
+    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, np.complex128)
+
+
+def newton_longdouble(t0, cmat, z, A, max_iter=200, tol=1e-12,
+                      pole_margin=1e-8):
+    """One Newton run in extended precision (clongdouble)."""
+    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, np.clongdouble)

@@ -8,8 +8,8 @@ import jsonschema
 import pytest
 
 from gaudin.errors import SchemaError
-from gaudin.harness_cli import (REPORT_SCHEMA, default_j_max, emit_report,
-                                load_problem, main, run_pipeline)
+from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
+                                emit_report, load_problem, main, run_pipeline)
 from gaudin.master import GaudinProblem, SolverConfig
 
 ANCHOR_JSON = {
@@ -85,6 +85,15 @@ def test_run_pipeline_report_is_valid_and_passes():
     assert len(report["orbits"]) == 1
     assert report["derived"]["singular_dimension"] == 1
     assert report["derived"]["exponents"] == [2, 1]
+
+
+def test_run_pipeline_longdouble_passes_every_check():
+    prob, config, _ = load_problem(dict(SELFTEST_PROBLEM))
+    config.precision = "longdouble"
+    report = run_pipeline(prob, config)
+    failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
+    assert failing == []
+    assert len(report["orbits"]) == 1
 
 
 def test_run_pipeline_deterministic_bytes():

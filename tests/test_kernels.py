@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +15,8 @@ def random_state(rng, n, m):
     return t.astype(np.complex128)
 
 
-def test_backend_name_consistent_with_flags():
-    assert kernels.backend_name() in ("numba", "numpy")
-    if kernels.HAS_NUMBA and not kernels.PURE_NUMPY:
-        assert kernels.backend_name() == "numba"
+def test_backend_name_is_numpy():
+    assert kernels.backend_name() == "numpy"
 
 
 def test_psi_matches_independent_gradient():
@@ -35,9 +29,6 @@ def test_psi_matches_independent_gradient():
         want = oracles.closed_gradient([[2, 0], [2, 0]], [2],
                                        [0.0, 1.0], flat)
         assert np.allclose(got, want, atol=1e-12)
-        # loop and vectorized paths agree regardless of dispatch
-        assert np.allclose(kernels.psi_numpy(t, cmat, zc, A), got,
-                           atol=1e-13)
 
 
 def test_hessian_matches_finite_differences():
@@ -45,7 +36,6 @@ def test_hessian_matches_finite_differences():
     cmat, A, zc = TWOVAR.arrays()
     t = random_state(rng, 2, 2)
     H = kernels.hessian(t, cmat, zc, A)
-    assert np.allclose(H, kernels.hessian_numpy(t, cmat, zc, A), atol=1e-13)
     h = 1e-6
     for b in range(2):
         e = np.zeros(2, dtype=np.complex128)
@@ -59,13 +49,13 @@ def test_cleared_derivative_matches_finite_differences():
     rng = np.random.default_rng(13)
     cmat, A, zc = TWOVAR.arrays()
     t = random_state(rng, 2, 2)
-    W, dW = kernels._cleared_numpy(t, cmat, zc, A)
+    W, dW = kernels._cleared(t, cmat, zc, A)
     h = 1e-7
     for b in range(2):
         e = np.zeros(2, dtype=np.complex128)
         e[b] = h
-        up, _ = kernels._cleared_numpy(t + e, cmat, zc, A)
-        dn, _ = kernels._cleared_numpy(t - e, cmat, zc, A)
+        up, _ = kernels._cleared(t + e, cmat, zc, A)
+        dn, _ = kernels._cleared(t - e, cmat, zc, A)
         fd = (up - dn) / (2 * h)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.all(np.abs(dW[:, b] - fd) / scale < 1e-5)
@@ -77,8 +67,8 @@ def test_cleared_system_grows_where_gradient_decays():
     # q = psi * W must blow up there instead
     cmat, A, zc = ANCHOR.arrays()
     t = np.array([1e6 + 0j])
-    p = kernels.psi_numpy(t, cmat, zc, A)
-    W, _ = kernels._cleared_numpy(t, cmat, zc, A)
+    p = kernels.psi(t, cmat, zc, A)
+    W, _ = kernels._cleared(t, cmat, zc, A)
     assert abs(p[0]) < 1e-5
     assert abs(p[0] * W[0]) > 1e5
 
@@ -140,33 +130,36 @@ def test_newton_deterministic():
     assert r1[1:] == r2[1:]
 
 
-def test_pure_numpy_flag_selects_fallback_and_agrees():
-    code = """
-import json
-import numpy as np
-from fractions import Fraction
-from gaudin import kernels
-from gaudin.master import GaudinProblem
-p = GaudinProblem(1, [[2, 0], [2, 0]], [2], [Fraction(0), Fraction(1)])
-cmat, A, zc = p.arrays()
-t0 = np.array([0.4 + 0.2j, 0.6 - 0.2j], dtype=np.complex128)
-t, ok, res = kernels.newton_single(t0, cmat, zc, A)
-print(json.dumps({"backend": kernels.backend_name(), "ok": bool(ok),
-                  "res": float(res),
-                  "t": [[c.real, c.imag] for c in t]}))
-"""
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=300,
-                          env={"PATH": "/usr/bin:/bin:/usr/local/bin",
-                               "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
-                               "GAUDIN_PURE_NUMPY": "1"})
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["backend"] == "numpy"
-    assert out["ok"]
+def test_clongdouble_evaluations_match_complex128():
+    rng = np.random.default_rng(14)
     cmat, A, zc = TWOVAR.arrays()
-    t0 = np.array([0.4 + 0.2j, 0.6 - 0.2j], dtype=np.complex128)
-    t, ok, _ = kernels.newton_single(t0, cmat, zc, A)
-    assert ok
-    got = np.array([complex(re, im) for re, im in out["t"]])
-    assert np.allclose(got, t, atol=1e-12)
+    zl = zc.astype(np.clongdouble)
+    for _ in range(5):
+        t = random_state(rng, 2, 2)
+        tl = t.astype(np.clongdouble)
+        pairs = [(kernels.psi(tl, cmat, zl, A), kernels.psi(t, cmat, zc, A)),
+                 (kernels.hessian(tl, cmat, zl, A),
+                  kernels.hessian(t, cmat, zc, A))]
+        pairs += list(zip(kernels._cleared(tl, cmat, zl, A),
+                          kernels._cleared(t, cmat, zc, A)))
+        for got, want in pairs:
+            assert got.dtype == np.clongdouble
+            err = np.abs(got.astype(np.complex128) - want).max()
+            assert err < 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_newton_longdouble_on_rank_two_instance():
+    prob = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
+                         [Fraction(0), Fraction(1)])
+    cmat, A, zc = prob.arrays()
+    rng = np.random.default_rng(22)
+    best = np.inf
+    for _ in range(20):
+        t0 = (rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)).astype(
+            np.complex128)
+        t, ok, res = kernels.newton_longdouble(t0, cmat, zc, A, tol=1e-15)
+        assert t.dtype == np.clongdouble
+        if ok:
+            best = min(best, res)
+            break
+    assert best < 1e-15
