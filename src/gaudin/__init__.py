@@ -26,7 +26,7 @@ from .master import (CriticalOrbit, GaudinProblem, PointConfig, SolverConfig,
                      find_critical_orbits, gradient_log_master,
                      hessian_determinant, hessian_log_master,
                      master_coefficients, master_operator_at,
-                     residue_nondegenerate, try_rationalize_orbit)
+                     try_rationalize_orbit)
 from .weight_function import (bethe_vector, enumerate_sequences,
                               enumerate_terms, sequence_count, term_count,
                               weight_function)
@@ -52,7 +52,7 @@ __all__ = [
     "find_critical_orbits", "first_coefficient_identity", "format_scalar",
     "gradient_log_master", "hessian_determinant", "hessian_log_master",
     "load_problem", "main", "master_coefficients", "master_operator_at",
-    "parse_rational", "residue_nondegenerate", "restrict_family",
+    "parse_rational", "restrict_family",
     "row_determinant", "run_pipeline", "schubert_incidence", "sequence_count",
     "series_at_infinity", "solve_h_tuple", "tensor_module",
     "tensor_shapovalov", "term_count", "try_rationalize_orbit",

@@ -25,9 +25,8 @@ import jsonschema
 
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
-                            restrict_family, universal_operator)
-from .errors import (DegenerateCriticalPoint, GaudinError, SchemaError,
-                     ZeroVector)
+                            restrict_family, sample_points, universal_operator)
+from .errors import GaudinError, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
 from .master import (GaudinProblem, SolverConfig, factored_pole_data,
                      find_critical_orbits, group_polynomials,
@@ -170,20 +169,12 @@ def _fmt_complex(x):
     return [c.real, c.imag]
 
 
-def _eigencheck_points(problem, point, count):
-    """Deterministic rational sample points away from sites and variables."""
-    avoid = [to_complex(z) for z in problem.z]
-    avoid += [to_complex(t) for grp in point for t in grp]
-    out = []
-    k = 2
-    while len(out) < count:
-        cand = Fraction(k)
-        k += 1
-        cc = complex(cand)
-        if any(abs(cc - a) < 1e-6 for a in avoid):
-            continue
-        out.append(cand)
-    return out
+def _eigen_residual(lhs, vec, g):
+    """Largest coordinate of lhs - g * vec, for sparse dict vectors."""
+    diff = dict(lhs)
+    for idx, v in vec.items():
+        diff[idx] = diff.get(idx, 0) - g * v
+    return max((scalar_abs(v) for v in diff.values()), default=0.0)
 
 
 def _fmt_groups(groups):
@@ -353,37 +344,17 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
         scale = max(1.0, info["coeff_max"])
         if exact_pt and problem.exact:
             for i in range(1, problem.N + 2):
-                gij = series[i]
-                for j, mat in enumerate(family.B_coeffs[i], start=1):
-                    lhs = mat.apply(vec)
-                    g = gij[j - 1]
-                    diff = dict(lhs)
-                    for idx, v in vec.items():
-                        cur = diff.get(idx, 0)
-                        s = cur - g * v
-                        if s:
-                            diff[idx] = s
-                        else:
-                            diff.pop(idx, None)
-                    for v in diff.values():
-                        worst = max(worst, scalar_abs(v))
+                for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
+                    worst = max(worst,
+                                _eigen_residual(mat.apply(vec), vec, g))
         else:
-            pts = _eigencheck_points(problem, point, max(20, 2 * j_max + 1))
-            for u0 in pts:
+            # the scalar jets have poles at the variables as well as the sites
+            avoid = list(problem.z) + [t for grp in point for t in grp]
+            for u0 in sample_points(avoid, max(20, 2 * j_max + 1)):
                 gvals = scalar_coefficient_values(pole_data, u0)
                 for i in range(1, problem.N + 2):
                     lhs = family.eval(i, u0).apply(vec)
-                    g = gvals[i - 1]
-                    diff = dict(lhs)
-                    for idx, v in vec.items():
-                        cur = diff.get(idx, 0)
-                        s = cur - g * v
-                        if s:
-                            diff[idx] = s
-                        else:
-                            diff.pop(idx, None)
-                    for v in diff.values():
-                        worst = max(worst, scalar_abs(v))
+                    worst = max(worst, _eigen_residual(lhs, vec, gvals[i - 1]))
         checks.add(f"{tag}.eigenvalue_equations", worst < EIG_TOL * scale,
                    residual=worst)
 

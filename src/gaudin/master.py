@@ -25,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .diffop_ring import ONE, OperatorPencil, Poly, RationalFunction, series_at_infinity
-from .errors import (DegenerateCriticalPoint, DimensionMismatch, PointNotInU,
-                     RepeatedSites)
+from .diffop_ring import OperatorPencil, Poly, RationalFunction, series_at_infinity
+from .errors import DimensionMismatch, PointNotInU, RepeatedSites
 from .scalars import QI, coerce, is_exact, scalar_abs, to_complex
 from .weights import check_partition, derive_infinity_weight, root_pairing, weight_size
 
@@ -137,6 +136,11 @@ class PointConfig:
                 if problem.site_exponent[ga][s] != 0 and xa == zs:
                     raise PointNotInU(f"variable {xa!r} hits site {zs!r}")
         self.groups = gs
+
+
+# relative distance (in units of max(1, max|z|)) below which an accepted
+# Newton point counts as collapsed onto a site or a partner variable
+COLLAPSE_MARGIN = 1e-6
 
 
 @dataclass
@@ -264,24 +268,6 @@ def hessian_determinant(problem: GaudinProblem, point):
     return dense_det(hessian_log_master(problem, point))
 
 
-def residue_nondegenerate(problem: GaudinProblem, point, tol=1e-12):
-    """Hessian determinant at a critical point, guaranteed usable as the
-    denominator of the local residue functional f -> f(p) / det."""
-    det = hessian_determinant(problem, point)
-    if is_exact(det):
-        if det == 0:
-            raise DegenerateCriticalPoint("vanishing Hessian determinant")
-        return det
-    H = hessian_log_master(problem, point)
-    scale = 1.0
-    for row in H:
-        scale *= max(max((scalar_abs(v) for v in row), default=0.0), 1e-300)
-    if scalar_abs(det) < tol * scale:
-        raise DegenerateCriticalPoint(
-            f"Hessian determinant {det!r} below degeneracy threshold")
-    return det
-
-
 # ------------------------------------------------------------- orbit search
 
 def canonicalize_orbit(groups):
@@ -370,6 +356,10 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
         # the gradient also decays along escapes to infinity; those are not
         # critical points and are recognized by leaving the search region
         if np.abs(t).max() > 5.0 * radius:
+            continue
+        # pseudo-orbits collapse onto a site or onto a partner variable just
+        # outside pole_margin, where leading pole terms cancel in the gradient
+        if kernels._too_close(t, cmat, zc, COLLAPSE_MARGIN * scale):
             continue
         groups = canonicalize_orbit(
             [tuple(complex(v) for v in t[a:b]) for (a, b) in slices])

@@ -118,13 +118,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QI)) and not isinstance(x, bool)
 
 
-def exactify(x):
-    """Promote ints to Fraction so that later division stays exact."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return x
-
-
 def to_complex(x) -> complex:
     if isinstance(x, QI):
         return complex(x)
@@ -150,17 +143,6 @@ def coerce(x):
     if isinstance(x, numbers.Number):
         return complex(x)
     raise TypeError(f"unsupported scalar type {type(x)!r}")
-
-
-def unify(a, b):
-    """Bring two scalars into a common field (Fraction < QI < complex)."""
-    a = coerce(a)
-    b = coerce(b)
-    if isinstance(a, complex) or isinstance(b, complex):
-        return to_complex(a), to_complex(b)
-    if isinstance(a, QI) or isinstance(b, QI):
-        return _as_qi(a), _as_qi(b)
-    return a, b
 
 
 def common_mode(scalars) -> str:

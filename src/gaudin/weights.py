@@ -8,8 +8,6 @@ modules this package builds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotAPartition
 
 
@@ -94,8 +92,3 @@ def conjugate_partition(lam):
     if not lam:
         return ()
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
-
-
-def master_exponent(lam, i):
-    """Site exponent used by the master function: minus the pairing with alpha_i."""
-    return Fraction(-(lam[i - 1] - lam[i]))

@@ -218,7 +218,8 @@ def test_rank2_pipeline_passes():
 
 # Floating sites right next to an integer.  The algebra self-check once
 # sampled u = 2 beside the site 1.999 and u = 4 on the site 4.0, and
-# run_pipeline raised PoleEvaluation instead of returning a report.
+# run_pipeline raised PoleEvaluation instead of returning a report.  The
+# eigenvalue equations once sampled u = 2 there too and failed (4e-7).
 POLE_CRASH_PROBLEMS = {
     "site_next_to_2": {
         "N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
@@ -238,7 +239,8 @@ def test_float_site_at_integer_returns_report(name):
     jsonschema.validate(report, REPORT_SCHEMA)
     status = {c["name"]: c["status"] for c in report["checks"]}
     for check in ("algebra_commutativity", "algebra_gl_invariance",
-                  "algebra_form_symmetry", "first_coefficient"):
+                  "algebra_form_symmetry", "first_coefficient",
+                  "orbit0.eigenvalue_equations"):
         assert status[check] == "PASS", check
 
 
@@ -252,3 +254,15 @@ def test_complex_sites_pass_every_check():
     failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
     assert failing == []
     assert report["summary"]["checks"] == 27
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_four_site_chain_passes_for_every_seed(seed):
+    """Seed 0 once accepted t = (-1e-8, 1e-8), two variables collapsed onto
+    the site 0 just outside the pole margin, as a third orbit."""
+    prob = GaudinProblem(1, [[1, 0]] * 4, [2],
+                         [Fraction(k) for k in range(4)])
+    report = run_pipeline(prob, SolverConfig(seed=seed))
+    failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
+    assert failing == []
+    assert len(report["orbits"]) == report["derived"]["expected_orbits"] == 2
