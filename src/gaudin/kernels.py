@@ -99,10 +99,6 @@ def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, dtype):
     """
     solve = np.linalg.solve if dtype == np.complex128 else _solve_longdouble
     t = np.array(t0, dtype=dtype)
-    z = np.asarray(z, dtype=dtype)
-    real = t.real.dtype
-    cmat = np.asarray(cmat, dtype=real)
-    A = np.asarray(A, dtype=real)
     if _too_close(t, cmat, z, pole_margin):
         return t, False, np.inf
     p = psi(t, cmat, z, A)
