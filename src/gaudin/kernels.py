@@ -44,7 +44,7 @@ def hessian(t, cmat, z, A):
     off = cmat / (D * D)
     P = t[:, None] - z[None, :]
     diag = -off.sum(axis=1) + (A / (P * P)).sum(axis=1)
-    H = off.astype(np.result_type(off, diag))
+    H = off.astype(diag.dtype)
     np.fill_diagonal(H, diag)
     return H
 
@@ -53,8 +53,12 @@ def _too_close(t, cmat, z, margin):
     """Whether some variable is within margin of a site or of a partner."""
     if (np.abs(t[:, None] - z[None, :]) < margin).any():
         return True
-    return bool(((cmat != 0.0)
-                 & (np.abs(t[:, None] - t[None, :]) < margin)).any())
+    n = t.shape[0]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if cmat[a, b] != 0.0 and abs(t[a] - t[b]) < margin:
+                return True
+    return False
 
 
 def _cleared(t, cmat, z, A):
