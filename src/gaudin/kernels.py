@@ -94,16 +94,18 @@ def _solve_longdouble(H, rhs):
     return M[:, n]
 
 
-def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, dtype):
+def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse, dtype):
     """Damped Newton on the cleared system; returns (t, converged, residual).
 
     The reported residual is the max gradient component |psi|, but steps and
     the line search use q = psi * W, whose modulus grows at infinity.  A
-    singular Jacobian ends the run unconverged.
+    singular Jacobian ends the run unconverged.  A start or accepted iterate
+    within `collapse` of a site or a partner variable ends the run with
+    residual inf, like a start inside `pole_margin`; `collapse=0` never does.
     """
     solve = np.linalg.solve if dtype == np.complex128 else _solve_longdouble
     t = np.array(t0, dtype=dtype)
-    if _too_close(t, cmat, z, pole_margin):
+    if _too_close(t, cmat, z, max(pole_margin, collapse)):
         return t, False, np.inf
     p = psi(t, cmat, z, A)
     W, dW = _cleared(t, cmat, z, A)
@@ -133,15 +135,20 @@ def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, dtype):
             alpha *= 0.5
         else:
             return t, False, res
+        if _too_close(t, cmat, z, collapse):
+            return t, False, np.inf
     return t, res < tol, res
 
 
-def newton_single(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8):
+def newton_single(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8,
+                  collapse=0.0):
     """One Newton run in double precision."""
-    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, np.complex128)
+    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse,
+                   np.complex128)
 
 
 def newton_longdouble(t0, cmat, z, A, max_iter=200, tol=1e-12,
-                      pole_margin=1e-8):
+                      pole_margin=1e-8, collapse=0.0):
     """One Newton run in extended precision (clongdouble)."""
-    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, np.clongdouble)
+    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse,
+                   np.clongdouble)

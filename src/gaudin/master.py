@@ -138,8 +138,10 @@ class PointConfig:
         self.groups = gs
 
 
-# relative distance (in units of max(1, max|z|)) below which an accepted
-# Newton point counts as collapsed onto a site or a partner variable
+# relative distance (in units of max(1, max|z|)) below which a Newton run
+# counts as collapsed onto a site or a partner variable: pseudo-orbits sit
+# just outside pole_margin, where leading pole terms cancel in the gradient,
+# so the kernel ends such a run unconverged
 COLLAPSE_MARGIN = 1e-6
 
 
@@ -331,8 +333,8 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
     cmat, A, zc = problem.arrays()
     rng = np.random.default_rng(config.seed)
     n_starts = config.starts or min(max(200 * max(expected, 1), 200), 20000)
-    radius = 2.0 * max(1.0, max(abs(z) for z in zc))
     scale = max(1.0, max(abs(z) for z in zc))
+    radius = 2.0 * scale
     newton = kernels.newton_longdouble if config.precision == "longdouble" \
         else kernels.newton_single
     slices = []
@@ -349,17 +351,13 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
             t0 = radius * _disc(rng, n)
         t, ok, res = newton(t0.astype(np.complex128), cmat, zc, A,
                             config.max_iter, min(config.tol_residual, 1e-12),
-                            config.pole_margin)
+                            config.pole_margin, COLLAPSE_MARGIN * scale)
         if not (res <= config.tol_residual):
             continue
         t = np.asarray(t, dtype=np.complex128)
         # the gradient also decays along escapes to infinity; those are not
         # critical points and are recognized by leaving the search region
         if np.abs(t).max() > 5.0 * radius:
-            continue
-        # pseudo-orbits collapse onto a site or onto a partner variable just
-        # outside pole_margin, where leading pole terms cancel in the gradient
-        if kernels._too_close(t, cmat, zc, COLLAPSE_MARGIN * scale):
             continue
         groups = canonicalize_orbit(
             [tuple(complex(v) for v in t[a:b]) for (a, b) in slices])
