@@ -171,11 +171,13 @@ def _pivot_in_row(row, exact):
     return max(row, key=lambda j: scalar_abs(row[j]))
 
 
-def rref(rows, ncols):
+def rref(rows, ncols, eps=_NUMERIC_EPS):
     """Reduced row echelon form of a list of dict-rows.
 
     Returns (reduced_rows, pivot_cols).  reduced_rows[k] has leading 1 at
-    pivot_cols[k]; zero rows are dropped.  Works in place on copies.
+    pivot_cols[k]; zero rows are dropped.  Works in place on copies.  In
+    numeric mode an entry of modulus at most `eps` counts as zero; exact
+    mode ignores `eps`.
     """
     work = [dict(r) for r in rows if r]
     exact = all(is_exact(x) for r in work for x in r.values())
@@ -196,7 +198,7 @@ def rref(rows, ncols):
             continue
         row = work.pop(best)
         piv = row[col]
-        if not exact and scalar_abs(piv) < _NUMERIC_EPS * max(1.0, max(scalar_abs(v) for v in row.values())):
+        if not exact and scalar_abs(piv) < eps * max(1.0, max(scalar_abs(v) for v in row.values())):
             continue
         row = {j: v / piv for j, v in row.items()}
         row[col] = 1 if exact else 1.0
@@ -206,7 +208,7 @@ def rref(rows, ncols):
                 for j, v in row.items():
                     y = r.get(j)
                     s = -x * v if y is None else y - x * v
-                    if _nz(s, exact):
+                    if _nz(s, exact, eps):
                         r[j] = s
                     else:
                         r.pop(j, None)
@@ -216,7 +218,7 @@ def rref(rows, ncols):
                 for j, v in row.items():
                     y = r.get(j)
                     s = -x * v if y is None else y - x * v
-                    if _nz(s, exact):
+                    if _nz(s, exact, eps):
                         r[j] = s
                     else:
                         r.pop(j, None)
@@ -232,10 +234,10 @@ def _pivot_order(rows, ncols, exact):
     return cols
 
 
-def _nz(x, exact):
+def _nz(x, exact, eps=_NUMERIC_EPS):
     if exact:
         return bool(x)
-    return scalar_abs(x) > _NUMERIC_EPS
+    return scalar_abs(x) > eps
 
 
 def rank(mat: SparseMatrix) -> int:

@@ -298,7 +298,10 @@ def vanishing_orders(polys, z, d_cap, tol=1e-8):
     """Vanishing-order set at z of the span of the polynomials.
 
     Coefficients are re-expanded around z; the order set is the pivot set of
-    the row echelon form of the coefficient rows.
+    the row echelon form of the coefficient rows.  Float rows are divided by
+    max(1, max|coefficient|), so that the zero and pivot tests of the
+    elimination, at `tol`, are relative to each row's scale: cancellation
+    residue between proportional rows is not a pivot.
     """
     rows = []
     for p in polys:
@@ -310,9 +313,9 @@ def vanishing_orders(polys, z, d_cap, tol=1e-8):
                 if c:
                     row[k] = c
             elif scalar_abs(c) > tol * scale:
-                row[k] = c
+                row[k] = c / scale
         rows.append(row)
-    _, pivots = rref(rows, d_cap)
+    _, pivots = rref(rows, d_cap, tol)
     return sorted(pivots)
 
 

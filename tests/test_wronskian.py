@@ -89,6 +89,17 @@ def test_vanishing_orders_direct():
     assert vanishing_orders([u2, h2], Fraction(3), 3) == [0, 1]
 
 
+def test_vanishing_orders_ignores_cancellation_residue():
+    # Taylor rows at z = -3/2 of a non-rationalized kernel pair (search
+    # workload, four spin-1/2 sites): proportional in columns 0 and 1, so
+    # elimination leaves ~1e-12 in column 1, which is not a pivot
+    a = Poly((0.7174577928574362 - 1.0972681097065617e-12j,
+              8.577250360317354 + 8.536921169977063e-13j, -4.5 + 0j, 1 + 0j))
+    b = Poly((0.07667604603165756 - 1.0734000712363417e-14j,
+              0.9166666666666381 - 1.235064612425978e-13j, 1 + 0j))
+    assert vanishing_orders([a, b], 0.0, 4) == [0, 2]
+
+
 def test_expected_orders_and_degree_set():
     assert expected_orders((1, 0), 1) == [0, 2]
     assert expected_orders((2, 1, 0), 2) == [0, 2, 4]
