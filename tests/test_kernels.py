@@ -4,10 +4,11 @@ import numpy as np
 
 import oracles
 from gaudin import kernels
-from gaudin.master import GaudinProblem
+from gaudin.master import COLLAPSE_MARGIN, GaudinProblem, SolverConfig, _disc
 
 ANCHOR = GaudinProblem(1, [[1, 0], [1, 0]], [1], [Fraction(0), Fraction(1)])
 TWOVAR = GaudinProblem(1, [[2, 0], [2, 0]], [2], [Fraction(0), Fraction(1)])
+CHAIN4 = GaudinProblem(1, [[1, 0]] * 4, [2], [Fraction(k) for k in range(4)])
 
 
 def random_state(rng, n, m):
@@ -109,6 +110,47 @@ def test_newton_rejects_start_on_pole():
     _, ok, res = kernels.newton_single(t0, cmat, zc, A)
     assert not ok
     assert res == np.inf
+
+
+def test_collapse_stop_keeps_accepted_runs_bit_identical():
+    # the starts of find_critical_orbits: discs of radius 2 * scale, every
+    # fourth one around a site; most runs on this chain collapse onto a site
+    cmat, A, zc = CHAIN4.arrays()
+    scale = max(1.0, float(np.abs(zc).max()))
+    collapse = COLLAPSE_MARGIN * scale
+    tol = SolverConfig().tol_residual
+    rng = np.random.default_rng(0)
+    accepted = collapsed = 0
+    for trial in range(40):
+        if trial % 4 == 3:
+            t0 = zc[rng.integers(0, len(zc))] + 0.9 * scale * _disc(rng, 2)
+        else:
+            t0 = 2.0 * scale * _disc(rng, 2)
+        t, _, res = kernels.newton_single(t0, cmat, zc, A)
+        tc, okc, resc = kernels.newton_single(t0, cmat, zc, A,
+                                              collapse=collapse)
+        close = kernels._too_close(t, cmat, zc, collapse)
+        if res <= tol and np.abs(t).max() <= 10.0 * scale and not close:
+            accepted += 1
+            assert np.array_equal(t, tc) and res == resc
+        else:
+            assert not okc
+            if close:
+                collapsed += 1
+                assert resc == np.inf
+    assert accepted > 0 and collapsed > 0
+
+
+def test_newton_start_inside_collapse_distance_ends_unconverged():
+    cmat, A, zc = CHAIN4.arrays()
+    collapse = COLLAPSE_MARGIN * 3.0
+    t0 = np.array([1e-7 + 0j, 1.5 + 0.5j])
+    for newton in (kernels.newton_single, kernels.newton_longdouble):
+        _, ok, res = newton(t0, cmat, zc, A, collapse=collapse)
+        assert not ok
+        assert res == np.inf
+        # outside pole_margin, so only the collapse distance ends it
+        assert newton(t0, cmat, zc, A, max_iter=0)[2] < np.inf
 
 
 def test_newton_longdouble_refines_double_result():
