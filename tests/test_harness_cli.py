@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -195,9 +196,13 @@ def test_console_script_selftest():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     assert 'gaudin = "gaudin.harness_cli:main"' in scripts.splitlines()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "gaudin", "selftest",
                            "--format", "json"],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["summary"]["all_pass"]
