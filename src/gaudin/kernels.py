@@ -11,6 +11,14 @@ There is one vectorized numpy Newton loop.  Its precision is a parameter:
 complex128 (`newton_single`) or clongdouble (`newton_longdouble`).  Only the
 linear solve depends on it, because LAPACK has no extended-precision solve.
 
+Runs that collapse onto a site or onto a partner variable are the common
+failure: the iterates creep towards the pole, where the leading pole terms of
+psi cancel, and can even pass the residual test there.  The caller passes an
+absolute `collapse` distance (`master.COLLAPSE_MARGIN` * max(1, max|z|) in
+the orbit search); a start or an accepted iterate that close ends the run
+unconverged with residual inf, as a start inside `pole_margin` does.  The
+search rejected such points anyway, so ending early only drops wasted steps.
+
 Data layout:
     t     complex[n]           current variable values (all groups flattened)
     cmat  float[n, n]          pair coefficients: 2 same group, -1 adjacent

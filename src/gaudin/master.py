@@ -10,7 +10,10 @@ with pair coefficients c_ab = 2 (same group), -1 (adjacent groups), 0 (else),
 and site exponents A_as equal to the pairing of the s-th partition with the
 simple root of a's group.  Critical points are found by seeded multistart
 damped Newton on this gradient; each solution is recorded once per orbit of
-the within-group permutation action.
+the within-group permutation action.  A run that comes within
+COLLAPSE_MARGIN * max(1, max|z|) of a site or of a partner variable ends
+unconverged with residual inf: near there the leading pole terms cancel and
+a pseudo-orbit can pass the residual test, so no such point is accepted.
 
 At a critical point the scalar operator is the left-to-right composition of
 first-order factors (d - logarithmic derivative), one per color, built from
