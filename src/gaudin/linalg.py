@@ -176,8 +176,9 @@ def rref(rows, ncols, eps=_NUMERIC_EPS):
 
     Returns (reduced_rows, pivot_cols).  reduced_rows[k] has leading 1 at
     pivot_cols[k]; zero rows are dropped.  Works in place on copies.  In
-    numeric mode an entry of modulus at most `eps` counts as zero; exact
-    mode ignores `eps`.
+    numeric mode elimination drops entries of modulus at most `eps`, and a
+    pivot below `eps` times max(1, largest modulus in its row) is skipped;
+    exact mode ignores `eps`.
     """
     work = [dict(r) for r in rows if r]
     exact = all(is_exact(x) for r in work for x in r.values())
