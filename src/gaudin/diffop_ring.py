@@ -396,6 +396,41 @@ def _add_polys(a, b):
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
+_FLOATING = "floating"
+_GENERIC = "generic"
+
+
+def _horner_plan(coeffs, base):
+    """How RFMatrix.eval runs Horner at a rational point.
+
+    (lcd, rows) when every entry and the base are rational: rows maps each
+    entry, in the order Horner first meets it (highest coefficient down), to
+    its integer numerators m_n, ..., m_0 over the common denominator lcd.
+    _FLOATING when every entry is a float or complex, else _GENERIC.
+    """
+    if not coeffs:
+        return _GENERIC
+    rows = {}
+    top = len(coeffs) - 1
+    for a in range(top, -1, -1):
+        for key, v in coeffs[a].data.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * (top + 1)
+            row[top - a] = v
+    values = [v for row in rows.values() for v in row]
+    if all(type(v) is Fraction or type(v) is int
+           for v in itertools.chain(values, base.coeffs)):
+        lcd = math.lcm(*(v.denominator for v in values))
+        return lcd, {key: tuple(v.numerator * (lcd // v.denominator)
+                                for v in row)
+                     for key, row in rows.items()}
+    if all(isinstance(v, (float, complex)) for mat in coeffs
+           for v in mat.data.values()):
+        return _FLOATING
+    return _GENERIC
+
+
 class RFMatrix:
     """Matrix of rational functions over one shared denominator power.
 
@@ -408,7 +443,7 @@ class RFMatrix:
     exact without any gcd.
     """
 
-    __slots__ = ("nrows", "ncols", "coeffs", "base", "power")
+    __slots__ = ("nrows", "ncols", "coeffs", "base", "power", "_horner")
 
     def __init__(self, nrows, ncols, coeffs=(), base=ONE, power=0):
         coeffs = list(coeffs)
@@ -419,6 +454,7 @@ class RFMatrix:
         self.coeffs = coeffs
         self.base = base
         self.power = power if coeffs else 0
+        self._horner = None    # eval's plan, made at its first call
 
     @classmethod
     def identity(cls, n):
@@ -520,22 +556,81 @@ class RFMatrix:
         return self._like(num, self.power + 1)
 
     def eval(self, u) -> SparseMatrix:
-        """Horner over the coefficient matrices, then one scalar division."""
+        """Value P(u) / D(u)^k at u: one Horner pass, then one division.
+
+        The first call picks a plan and caches it on the object (see
+        `_horner_plan`).  For an exact matrix at an exact point u = p/q the
+        Horner pass runs in Python ints, homogenised in p and q, over integer
+        numerators with one common denominator; each entry becomes one
+        Fraction at the end, D(u)^k folded in.  A floating matrix at a
+        rational u multiplies by complex(u): complex * Fraction computes
+        complex(v) * complex(u) anyway, so the bits are the same.  Anything
+        else, such as Gaussian-rational entries, runs the generic loop.
+        Every plan inserts the entries in the order Horner first meets them,
+        from the highest coefficient down; SparseMatrix.apply sums floats in
+        that order, so keeping it keeps numeric results bit for bit.
+        """
+        plan = self._horner
+        if plan is None:
+            plan = self._horner = _horner_plan(self.coeffs, self.base)
+        rational_u = isinstance(u, (int, Fraction)) and not isinstance(u, bool)
+        if rational_u and plan is not _GENERIC:
+            if plan is _FLOATING:
+                return self._eval_generic(u, complex(u))
+            return self._eval_integer(u, *plan)
+        return self._eval_generic(u, u)
+
+    def _denominator(self, u):
+        """D(u)^k; PoleEvaluation when D(u) = 0."""
+        d = self.base.eval(u)
+        if not d:
+            raise PoleEvaluation(f"evaluation at pole u={u!r}")
+        den = d
+        for _ in range(self.power - 1):
+            den = den * d
+        return den
+
+    def _eval_generic(self, u, factor):
+        """Horner over the coefficient matrices, multiplying by `factor`
+        (u itself, or complex(u) for floating entries)."""
         acc = {}
         for mat in reversed(self.coeffs):
-            acc = {key: v * u for key, v in acc.items()}
+            acc = {key: v * factor for key, v in acc.items()}
             for key, v in mat.data.items():
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v
         if self.power:
-            d = self.base.eval(u)
-            if not d:
-                raise PoleEvaluation(f"evaluation at pole u={u!r}")
-            den = d
-            for _ in range(self.power - 1):
-                den = den * d
+            den = self._denominator(u)
             acc = {key: v / den for key, v in acc.items()}
         return SparseMatrix(self.nrows, self.ncols, acc)
+
+    def _eval_integer(self, u, lcd, rows):
+        """sum_a m_a p^a q^(n-a) / (lcd q^n D(u)^k) per entry, in ints."""
+        p, q = u.numerator, u.denominator
+        n = len(self.coeffs) - 1
+        if q == 1:
+            nums = []
+            for ms in rows.values():
+                acc = 0
+                for m in ms:
+                    acc = acc * p + m
+                nums.append(acc)
+        else:
+            qpow = [1]
+            for _ in range(n):
+                qpow.append(qpow[-1] * q)
+            nums = []
+            for ms in rows.values():
+                acc = 0
+                for m, qk in zip(ms, qpow):
+                    acc = acc * p + m * qk
+                nums.append(acc)
+        den = self._denominator(u) if self.power else Fraction(1)
+        top = den.denominator
+        bottom = lcd * q ** n * den.numerator
+        return SparseMatrix(self.nrows, self.ncols,
+                            {key: Fraction(num * top, bottom)
+                             for key, num in zip(rows, nums)})
 
     def entries_series_at_infinity(self, j_max):
         """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.

@@ -313,8 +313,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
             # expanding the composed coefficients in floating point loses
             # digits to cancellation; recover the expansion from stable
             # jet-sampled values instead
-            series = {i: series_by_contour(pole_data, j_max, i)
-                      for i in range(1, problem.N + 2)}
+            series = series_by_contour(pole_data, j_max)
         spectra.append({
             "index": orb.index,
             "exact_point": exact_pt,

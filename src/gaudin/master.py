@@ -598,26 +598,34 @@ def _falling(k, j):
     return out
 
 
-def series_by_contour(pole_data, j_max, coefficient_index, radius=None,
-                      points=None):
-    """Expansion coefficients at infinity of one factored-operator
-    coefficient, from a discrete contour of stable values (numeric)."""
-    import numpy as np
+def series_by_contour(pole_data, j_max, radius=None, points=None):
+    """{i: expansion coefficients at infinity of u^-1 .. u^-j_max} for every
+    coefficient i = 1..N+1 of the factored operator (numeric).
+
+    One sweep over a discrete contour |u| = R outside every pole evaluates
+    all coefficients at each point from stable jets; coefficient j of
+    coefficient i is then R^j / M * sum_m value_i(u_m) e^(i j theta_m),
+    summed over m in order.
+    """
     order = len(pole_data)
     maxpole = max([1.0] + [abs(to_complex(r))
                            for fac in pole_data for _, r in fac])
     R = radius or (2.0 + 2.0 * maxpole)
     M = points or max(64, 4 * j_max + 16)
-    i = coefficient_index
-    vals = np.empty(M, dtype=np.complex128)
+    vals = np.empty((order, M), dtype=np.complex128)
     for m in range(M):
         u = R * np.exp(2j * np.pi * (m + 0.5) / M)
-        vals[m] = scalar_coefficient_values(pole_data, complex(u))[i - 1]
-    out = []
-    for j in range(1, j_max + 1):
-        acc = 0j
-        for m in range(M):
-            th = 2 * np.pi * (m + 0.5) / M
-            acc += vals[m] * np.exp(1j * j * th)
-        out.append(complex(acc * (R ** j) / M))
+        vals[:, m] = scalar_coefficient_values(pole_data, complex(u))
+    phases = [[np.exp(1j * j * (2 * np.pi * (m + 0.5) / M)) for m in range(M)]
+              for j in range(1, j_max + 1)]
+    out = {}
+    for i in range(1, order + 1):
+        row = vals[i - 1]
+        series = []
+        for j in range(1, j_max + 1):
+            acc = 0j
+            for v, ph in zip(row, phases[j - 1]):
+                acc += v * ph
+            series.append(complex(acc * (R ** j) / M))
+        out[i] = series
     return out

@@ -9,6 +9,7 @@ from gaudin.diffop_ring import (ONE, OperatorPencil, Poly, RationalFunction,
                                 site_denominator)
 from gaudin.errors import DivisionByZero, ImproperRational, PoleEvaluation
 from gaudin.linalg import SparseMatrix
+from gaudin.scalars import QI
 
 
 def _rand_poly(rng, deg):
@@ -259,3 +260,74 @@ def test_rfmatrix_eval_raises_only_at_a_pole():
                  1).eval(Fraction(1))
     assert RFMatrix(1, 1, [m], base, 0).eval(Fraction(3))[0, 0] == 2
     assert RFMatrix(1, 1, [], base, 2).eval(Fraction(1)).is_zero()
+
+
+def _fraction_horner(a: RFMatrix, u):
+    """Entries of a at u by Horner over Fractions, keys in the order Horner
+    first meets them (highest coefficient down)."""
+    acc = {}
+    for mat in reversed(a.coeffs):
+        acc = {key: v * u for key, v in acc.items()}
+        for key, v in mat.data.items():
+            acc[key] = acc[key] + v if key in acc else v
+    if a.power:
+        d = a.base.eval(u) ** a.power
+        acc = {key: v / d for key, v in acc.items()}
+    return acc
+
+
+def test_integer_eval_matches_fraction_horner():
+    rng = random.Random(41)
+    base = Poly.from_roots([Fraction(1, 3), Fraction(-2)])
+    points = [Fraction(5), Fraction(-7, 3), Fraction(1, 2), Fraction(11, 4), 6]
+    for power in (0, 1, 2):
+        for deg in (0, 2, 3):
+            mats = _rand_matrix_poly(rng, deg, n=3)
+            # an entry met only at the constant coefficient, and one whose
+            # value is zero at u = 5
+            for m in mats:
+                m[2, 0] = m[1, 2] = 0
+            mats[0][2, 0] = Fraction(3, 7)
+            if deg:
+                mats[0][1, 2], mats[1][1, 2] = Fraction(-5), Fraction(1)
+            a = RFMatrix(3, 3, mats, base, power)
+            for u in points:
+                want = {k: v for k, v in _fraction_horner(a, u).items() if v}
+                got = a.eval(u).data
+                assert list(got) == list(want)
+                assert got == want
+                assert all(type(v) is Fraction for v in got.values())
+    # a pole is still a pole
+    a = RFMatrix(3, 3, _rand_matrix_poly(rng, 2, n=3), base, 2)
+    with pytest.raises(PoleEvaluation):
+        a.eval(Fraction(1, 3))
+
+
+def test_gaussian_rational_entries_take_the_generic_loop():
+    m = SparseMatrix(2, 2)
+    m[0, 0] = QI(1, 2)
+    m[1, 0] = Fraction(3, 2)
+    n = SparseMatrix(2, 2)
+    n[0, 1] = Fraction(-1, 3)
+    base = Poly.from_roots([Fraction(0), Fraction(2)])
+    a = RFMatrix(2, 2, [m, n], base, 1)
+    for u in (Fraction(5), Fraction(-1, 2)):
+        want = {k: v for k, v in _fraction_horner(a, u).items() if v}
+        got = a.eval(u).data
+        assert list(got) == list(want) and got == want
+    assert isinstance(a.eval(Fraction(5))[0, 0], QI)
+
+
+def test_float_site_eval_at_a_rational_is_the_eval_at_its_complex():
+    z = [0.25 + 0j, 1.5 - 0.3j, -2.0 + 0.7j]
+    rng = random.Random(5)
+    mats = _rand_matrix_poly(rng, 0, n=3) * 3
+    a = RFMatrix.over_sites(mats, site_denominator(z))
+    b = a * a
+    for mat in (a, b, b.derivative()):
+        for k in (2, 3, 7, -4):
+            got = mat.eval(Fraction(k)).data
+            want = mat.eval(complex(k)).data
+            assert list(got) == list(want)
+            assert [(v.real.hex(), v.imag.hex()) for v in got.values()] == \
+                [(v.real.hex(), v.imag.hex()) for v in want.values()]

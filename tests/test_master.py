@@ -201,13 +201,30 @@ def test_jet_coefficient_values_match_pencil():
             assert vals[i - 1] == pencil.coeffs[pencil.order - i].eval(u0)
 
 
+def test_series_by_contour_matches_exact_series_for_every_coefficient():
+    """One contour sweep returns all N+1 series of an N=2 point."""
+    p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
+                      [Fraction(0), Fraction(1)])
+    pt = [(Fraction(1, 3),), (Fraction(5, 7),)]
+    _, series = master_coefficients(master_operator_at(p, pt), 8)
+    pd = factored_pole_data(p, [tuple(complex(x) for x in g) for g in pt])
+    approx = series_by_contour(pd, 8)
+    assert sorted(approx) == [1, 2, 3]
+    for i in (1, 2, 3):
+        scale = max(1.0, max(abs(complex(b)) for b in series[i]))
+        err = max(abs(a - complex(b)) for a, b in zip(approx[i], series[i],
+                                                       strict=True))
+        assert err < 1e-9 * scale, i
+
+
 def test_series_by_contour_matches_exact_series():
     p = GaudinProblem(*ANCHOR)
     pt_exact = [(Fraction(1, 2),)]
     pencil = master_operator_at(p, pt_exact)
     _, series = master_coefficients(pencil, 6)
     pd = factored_pole_data(p, [(0.5 + 0j,)])
+    approx = series_by_contour(pd, 6)
+    assert sorted(approx) == [1, 2]
     for i in (1, 2):
-        approx = series_by_contour(pd, 6, i)
-        err = max(abs(a - complex(b)) for a, b in zip(approx, series[i]))
+        err = max(abs(a - complex(b)) for a, b in zip(approx[i], series[i]))
         assert err < 1e-9
