@@ -193,6 +193,23 @@ def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
 
 
+def _difference(left: SparseMatrix, right: SparseMatrix, exact):
+    """(largest entry of left - right, largest entry of left and right).
+
+    The second is the scale a numeric residual is judged against; it is 0.0
+    in exact mode, where only an exact zero passes.
+    """
+    a, b = left.data, right.data
+    if exact and a == b:
+        return 0.0, 0.0
+    res = max([scalar_abs(v - b.get(k, 0)) for k, v in a.items()]
+              + [scalar_abs(v) for k, v in b.items() if k not in a],
+              default=0.0)
+    if exact:
+        return res, 0.0
+    return res, max(_matrix_residual(left), _matrix_residual(right))
+
+
 def sample_points(z, count):
     """Deterministic exact integer sample points u >= 2 at distance at least 1
     from every site."""
@@ -214,7 +231,11 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     Shapovalov checks to make sense.  Unless given, the sample points are
     integers at distance at least 1 from every site z_s, where evaluating
     P(u)/D(u)^k in floating point loses no digits to a small D(u).  In exact
-    mode all residuals are exactly zero and `exact` reports True.
+    mode all residuals are exactly zero and `exact` reports True.  In numeric
+    mode `scales` holds, per check, the largest entry of the products it
+    compares, so that a residual can be judged relative to them; the
+    commutator, gl and form checks compare products whose entries reach 1e4
+    and more when the sites differ much in size.
     """
     N = family.N
     order = N + 1
@@ -231,33 +252,41 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
         samples = [(pts[a], pts[a + 1]) for a in range(5)]
 
     exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
-    res_comm = 0.0
+    res_comm = scale_comm = 0.0
     for (u0, v0) in samples:
         for i in range(1, order + 1):
             for j in range(i, order + 1):
-                c = ev(i, u0).commutator(ev(j, v0))
-                res_comm = max(res_comm, _matrix_residual(c))
+                a, b = ev(i, u0), ev(j, v0)
+                res, scale = _difference(a @ b, b @ a, exact_mode)
+                res_comm = max(res_comm, res)
+                scale_comm = max(scale_comm, scale)
 
-    res_gl = 0.0
+    res_gl = scale_gl = 0.0
     u0 = samples[0][0]
     for i in range(1, order + 1):
         Bi = ev(i, u0)
         for k in range(1, M.rank + 1):
             for l in range(1, M.rank + 1):
-                c = Bi.commutator(M.e(k, l))
-                res_gl = max(res_gl, _matrix_residual(c))
+                E = M.e(k, l)
+                res, scale = _difference(Bi @ E, E @ Bi, exact_mode)
+                res_gl = max(res_gl, res)
+                scale_gl = max(scale_gl, scale)
 
     res_sym_u = 0.0
     res_sym_c = 0.0
+    scale_sym = 0.0
     if form is not None:
         G = form.gram
         for i in range(1, order + 1):
             Bi = ev(i, u0)
-            res_sym_u = max(res_sym_u,
-                            _matrix_residual(G @ Bi - Bi.transpose() @ G))
+            res, scale = _difference(G @ Bi, Bi.transpose() @ G, exact_mode)
+            res_sym_u = max(res_sym_u, res)
+            scale_sym = max(scale_sym, scale)
             for mat in family.B_coeffs.get(i, ()):
-                res_sym_c = max(res_sym_c,
-                                _matrix_residual(G @ mat - mat.transpose() @ G))
+                res, scale = _difference(G @ mat, mat.transpose() @ G,
+                                         exact_mode)
+                res_sym_c = max(res_sym_c, res)
+                scale_sym = max(scale_sym, scale)
 
     res_lower = 0.0
     for i in range(1, order + 1):
@@ -271,6 +300,9 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
         "form_symmetry_at_samples": res_sym_u,
         "form_symmetry_coefficients": res_sym_c,
         "lower_coefficients": res_lower,
+        "scales": {"commutator_pairs": scale_comm,
+                   "commutator_with_gl": scale_gl,
+                   "form_symmetry": scale_sym},
         "exact": exact_mode,
         "max_residual": max(res_comm, res_gl, res_sym_u, res_sym_c, res_lower),
     }

@@ -151,6 +151,8 @@ def common_mode(scalars) -> str:
 
 
 def scalar_abs(x) -> float:
+    if type(x) is complex or type(x) is float:
+        return abs(x)
     if isinstance(x, Fraction):
         return abs(float(x))
     if isinstance(x, QI):

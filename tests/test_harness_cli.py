@@ -105,6 +105,22 @@ def test_run_pipeline_deterministic_bytes():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_run_pipeline_deterministic_bytes_numeric():
+    """Float sites: the orbit stays floating, so the series come from the
+    contour and the eigenvalue equations from float evaluations."""
+    payload = {"N": 1, "partitions": [[1, 0], [1, 0], [1, 0]], "l": [1],
+               "z": [[0.0, 0.0], [1.25, 0.4], [-2.5, 0.0]],
+               "solver": {"seed": 3}}
+    reports = [run_pipeline(*load_problem(dict(payload))[:2])
+               for _ in range(2)]
+    assert reports[0]["problem"]["mode"] == "numeric"
+    assert reports[0]["spectra"] and all(
+        not s["exact_point"] for s in reports[0]["spectra"])
+    assert reports[0]["summary"]["all_pass"]
+    assert json.dumps(reports[0], sort_keys=True) == \
+        json.dumps(reports[1], sort_keys=True)
+
+
 def test_solve_stage_reports_orbits_only():
     prob, config, _ = load_problem(dict(ANCHOR_JSON))
     report = run_pipeline(prob, config, stage="solve")
@@ -271,3 +287,32 @@ def test_four_site_chain_passes_for_every_seed(seed):
     failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
     assert failing == []
     assert len(report["orbits"]) == report["derived"]["expected_orbits"] == 2
+
+
+def test_algebra_checks_scale_with_the_compared_products():
+    """Sites -3.657 and -0.002: form-symmetry products reach 8.4e4, and a
+    residual of 1.75e-10 (2e-15 relative) was a FAIL against an absolute
+    1e-10."""
+    prob, config, _ = load_problem({
+        "N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
+        "z": [[-3.657, 0.0], [-0.002, 0.0]],
+        "solver": {"seed": 242795849, "starts": 40}})
+    report = run_pipeline(prob, config)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["algebra_form_symmetry"]["residual"] > 1e-10
+    failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
+    assert failing == []
+
+
+def test_no_orbit_fails_every_joint_check():
+    """40 starts find no orbit here; the joint checks were left out."""
+    prob, config, _ = load_problem({
+        "N": 2, "partitions": [[2, 1, 0], [2, 0, 0]], "l": [2, 1],
+        "z": ["-3/2", "5/2"], "solver": {"seed": 1107703036, "starts": 40}})
+    report = run_pipeline(prob, config)
+    assert report["orbits"] == []
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    for name in ("orbit_count", "gram_rank", "pairwise_orthogonality",
+                 "completeness"):
+        assert status[name] == "FAIL", name
+    assert report["summary"]["failed"] == 4
