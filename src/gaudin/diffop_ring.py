@@ -608,23 +608,13 @@ class RFMatrix:
         """sum_a m_a p^a q^(n-a) / (lcd q^n D(u)^k) per entry, in ints."""
         p, q = u.numerator, u.denominator
         n = len(self.coeffs) - 1
-        if q == 1:
-            nums = []
-            for ms in rows.values():
-                acc = 0
-                for m in ms:
-                    acc = acc * p + m
-                nums.append(acc)
-        else:
-            qpow = [1]
-            for _ in range(n):
-                qpow.append(qpow[-1] * q)
-            nums = []
-            for ms in rows.values():
-                acc = 0
-                for m, qk in zip(ms, qpow):
-                    acc = acc * p + m * qk
-                nums.append(acc)
+        qpow = [q ** k for k in range(n + 1)]
+        nums = []
+        for ms in rows.values():
+            acc = 0
+            for m, qk in zip(ms, qpow):
+                acc = acc * p + m * qk
+            nums.append(acc)
         den = self._denominator(u) if self.power else Fraction(1)
         top = den.denominator
         bottom = lcd * q ** n * den.numerator
