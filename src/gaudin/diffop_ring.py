@@ -573,8 +573,7 @@ class RFMatrix:
         plan = self._horner
         if plan is None:
             plan = self._horner = _horner_plan(self.coeffs, self.base)
-        rational_u = isinstance(u, (int, Fraction)) and not isinstance(u, bool)
-        if rational_u and plan is not _GENERIC:
+        if isinstance(u, (int, Fraction)) and plan is not _GENERIC:
             if plan is _FLOATING:
                 return self._eval_generic(u, complex(u))
             return self._eval_integer(u, *plan)
