@@ -184,7 +184,7 @@ def rref(rows, ncols, eps=_NUMERIC_EPS):
     exact = all(is_exact(x) for r in work for x in r.values())
     reduced = []
     pivots = []
-    for col in _pivot_order(work, ncols, exact):
+    for col in sorted({j for r in work for j in r}):
         best = None
         for idx, r in enumerate(work):
             x = r.get(col)
@@ -228,11 +228,6 @@ def rref(rows, ncols, eps=_NUMERIC_EPS):
         work = [r for r in work if r]
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     return [reduced[k] for k in order], [pivots[k] for k in order]
-
-
-def _pivot_order(rows, ncols, exact):
-    cols = sorted({j for r in rows for j in r})
-    return cols
 
 
 def _nz(x, exact, eps=_NUMERIC_EPS):

@@ -73,6 +73,46 @@ def test_verify_commutation_passes():
     verify_commutation(M)
 
 
+def test_verify_commutation_catches_each_corrupted_generator():
+    """One entry of one generator changed by 1 breaks some relation; the
+    unordered pair loop must see it for every generator, also for those that
+    only ever come second in a pair."""
+    M = tensor_module([build_irreducible((2, 1, 0), 2)[0],
+                       build_irreducible((1, 0, 0), 2)[0]])
+    for key, mat in list(M.gen_action.items()):
+        bad = mat.copy()
+        entry = min(mat.data)
+        bad[entry] = mat[entry] + 1
+        M.gen_action[key] = bad
+        with pytest.raises(AssertionError, match="commutation identity"):
+            verify_commutation(M)
+        M.gen_action[key] = mat
+    verify_commutation(M)
+
+
+@pytest.mark.parametrize("lam, N", [((2, 0), 1), ((2, 1, 0), 2),
+                                    ((1, 1, 0, 0), 3)])
+def test_verify_commutation_multiplies_each_unordered_pair_once(
+        monkeypatch, lam, N):
+    M, _ = build_irreducible(lam, N)
+    r = M.rank
+    name = {id(mat): key for key, mat in M.gen_action.items()}
+    products = []
+    matmul = SparseMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((name[id(a)], name[id(b)]))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    verify_commutation(M)
+    assert len(products) == r * r * (r * r - 1)
+    pairs = {frozenset(p) for p in products}
+    assert len(pairs) == r * r * (r * r - 1) // 2
+    assert all(len(p) == 2 for p in pairs)
+    assert len(set(products)) == len(products)
+
+
 def test_shapovalov_contravariance_and_normalization():
     for lam, N in [((2, 0), 1), ((2, 1, 0), 2)]:
         M, form = build_irreducible(lam, N)
