@@ -210,6 +210,11 @@ def _difference(left: SparseMatrix, right: SparseMatrix, exact):
     return res, max(_matrix_residual(left), _matrix_residual(right))
 
 
+def _to_complex_matrix(mat: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(mat.nrows, mat.ncols,
+                        {k: complex(v) for k, v in mat.data.items()})
+
+
 def sample_points(z, count):
     """Deterministic exact integer sample points u >= 2 at distance at least 1
     from every site."""
@@ -261,22 +266,30 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
                 res_comm = max(res_comm, res)
                 scale_comm = max(scale_comm, scale)
 
+    # In numeric mode every entry of B_i(u) and of its series coefficients
+    # is a complex, and Fraction * complex computes complex(a) * b, so G and
+    # E converted to complex once give the same bits at every product.
+    gens = [M.e(k, l) for k in range(1, M.rank + 1)
+            for l in range(1, M.rank + 1)]
+    G = None if form is None else form.gram
+    if not exact_mode:
+        gens = [_to_complex_matrix(E) for E in gens]
+        if G is not None:
+            G = _to_complex_matrix(G)
+
     res_gl = scale_gl = 0.0
     u0 = samples[0][0]
     for i in range(1, order + 1):
         Bi = ev(i, u0)
-        for k in range(1, M.rank + 1):
-            for l in range(1, M.rank + 1):
-                E = M.e(k, l)
-                res, scale = _difference(Bi @ E, E @ Bi, exact_mode)
-                res_gl = max(res_gl, res)
-                scale_gl = max(scale_gl, scale)
+        for E in gens:
+            res, scale = _difference(Bi @ E, E @ Bi, exact_mode)
+            res_gl = max(res_gl, res)
+            scale_gl = max(scale_gl, scale)
 
     res_sym_u = 0.0
     res_sym_c = 0.0
     scale_sym = 0.0
-    if form is not None:
-        G = form.gram
+    if G is not None:
         for i in range(1, order + 1):
             Bi = ev(i, u0)
             res, scale = _difference(G @ Bi, Bi.transpose() @ G, exact_mode)

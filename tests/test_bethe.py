@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaudin import bethe_algebra
 from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
@@ -134,3 +135,28 @@ def test_float_sites_match_exact_sites():
             err = max(scalar_abs(complex(want[k]) - got[k])
                       for k in set(want.data) | set(got.data))
             assert err < 1e-12 * scale, (u, i, err, scale)
+
+
+# numeric seed 11 instance 36 (form-symmetry products reach 8.4e4) and the
+# complex-site chain of test_complex_sites_pass_every_check
+NUMERIC_SELFCHECK_CASES = {
+    "far_apart_sites": ([(2, 0, 0), (2, 1, 0)], 2,
+                        [complex(-3.657, 0.0), complex(-0.002, 0.0)], 7),
+    "complex_sites": ([(1, 0)] * 4, 1,
+                      [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j], 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_SELFCHECK_CASES))
+def test_numeric_selfcheck_with_complex_g_and_e_is_bit_identical(
+        monkeypatch, name):
+    """G and E converted to complex once give the residuals and scales of
+    the Fraction matrices bit for bit."""
+    parts, N, z, j_max = NUMERIC_SELFCHECK_CASES[name]
+    M, form = _module(parts, N)
+    family = restrict_family(universal_operator(M, z), None, j_max)
+    got = algebra_selfcheck(family, form, M, z)
+    monkeypatch.setattr(bethe_algebra, "_to_complex_matrix", lambda m: m)
+    want = algebra_selfcheck(family, form, M, z)
+    assert not got["exact"]
+    assert repr(got) == repr(want)
