@@ -9,7 +9,9 @@ Subcommands:
 
 Problem files are JSON: {"N": 2, "partitions": [[1,0,0], [1,1,0]],
 "l": [1, 1], "z": ["0", "1"], "solver": {"seed": 0}}.  Site entries may be
-rational strings/integers (exact mode) or [re, im] pairs (numeric mode).
+rational strings/integers or pairs of rational strings such as ["0", "4/3"]
+(Gaussian rationals; both exact mode), or numbers and [re, im] pairs of
+numbers (numeric mode).
 Reports are deterministic for a fixed seed; exit status is 0 when
 every check passes, 1 on any failure, 2 on malformed input.
 """
@@ -35,8 +37,8 @@ from .master import (GaudinProblem, SolverConfig, factored_pole_data,
                      series_by_contour, try_rationalize_orbit)
 from .repr_core import (build_irreducible, tensor_module, tensor_shapovalov,
                         weight_and_singular_subspace)
-from .scalars import (format_scalar, is_exact, parse_rational, scalar_abs,
-                      to_complex)
+from .scalars import (QI, format_scalar, is_exact, parse_rational,
+                      scalar_abs, to_complex)
 from .weight_function import bethe_vector, term_count
 from .wronski_schubert import (exponent_data, kernel_residuals,
                                schubert_incidence, solve_h_tuple,
@@ -68,6 +70,8 @@ PROBLEM_SCHEMA = {
                 {"type": "integer"},
                 {"type": "number"},
                 {"type": "array", "items": {"type": "number"},
+                 "minItems": 2, "maxItems": 2},
+                {"type": "array", "items": {"type": "string"},
                  "minItems": 2, "maxItems": 2},
             ]},
         },
@@ -122,6 +126,25 @@ REPORT_SCHEMA = {
 }
 
 
+def _validator(schema):
+    """A validator for `schema`, which is checked against its metaschema here,
+    once, instead of at every validation."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_PROBLEM_VALIDATOR = _validator(PROBLEM_SCHEMA)
+_REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
+
+
+def _validate(validator, instance):
+    """Raise the error `jsonschema.validate` would raise for `instance`."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def _parse_site(x):
     if isinstance(x, str):
         return parse_rational(x)
@@ -132,6 +155,8 @@ def _parse_site(x):
     if isinstance(x, float):
         return complex(x, 0.0)
     if isinstance(x, (list, tuple)):
+        if all(isinstance(c, str) for c in x):
+            return QI(parse_rational(x[0]), parse_rational(x[1]))
         return complex(float(x[0]), float(x[1]))
     raise SchemaError(f"unreadable site position {x!r}")
 
@@ -145,7 +170,7 @@ def load_problem(source):
         except (OSError, json.JSONDecodeError) as e:
             raise SchemaError(f"cannot read problem file: {e}") from e
     try:
-        jsonschema.validate(source, PROBLEM_SCHEMA)
+        _validate(_PROBLEM_VALIDATOR, source)
     except jsonschema.ValidationError as e:
         raise SchemaError(f"problem does not match the schema: {e.message}") from e
     try:
@@ -439,7 +464,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
     report["spectra"] = [s for s in spectra if s is not None]
     report["checks"] = checks.items
     report["summary"] = checks.summary()
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _validate(_REPORT_VALIDATOR, report)
     return report
 
 

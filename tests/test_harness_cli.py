@@ -8,10 +8,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gaudin import harness_cli
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
                                 emit_report, load_problem, main, run_pipeline)
 from gaudin.master import GaudinProblem, SolverConfig
+from gaudin.scalars import QI
 
 ANCHOR_JSON = {
     "N": 1,
@@ -62,6 +64,57 @@ def test_load_problem_rejects_malformed():
                       "z": ["0", "1"]})
     with pytest.raises(SchemaError):
         load_problem("/nonexistent/path.json")
+
+
+# ROADMAP defect 9: one double critical point at t = (1 + i)/3
+DEFECT9_JSON = {
+    "N": 1, "partitions": [[1, 0], [2, 0], [3, 0]], "l": [1],
+    "z": ["0", "1", ["0", "4/3"]],
+}
+
+
+def test_load_problem_reads_gaussian_rational_sites():
+    prob, config, _ = load_problem(dict(DEFECT9_JSON))
+    assert prob.mode == "exact"
+    assert prob.z == (Fraction(0), Fraction(1), QI(0, Fraction(4, 3)))
+    report = run_pipeline(prob, config, stage="solve")
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["problem"]["z"] == ["0", "1", ["0", "4/3"]]
+
+
+@pytest.mark.parametrize("site", [["0", 1.5], [0.5, "1"], ["1"],
+                                  ["0", "1", "2"]])
+def test_load_problem_rejects_malformed_site_pairs(site):
+    with pytest.raises(SchemaError, match="does not match the schema"):
+        load_problem(dict(DEFECT9_JSON, z=["0", "1", site]))
+
+
+BAD_REPORTS = [
+    {},
+    {"format": "gaudin-report/0", "problem": {}, "backend": "numpy",
+     "checks": [], "summary": {}},
+    {"format": "gaudin-report/1", "problem": {}, "backend": 3,
+     "checks": [{"name": "x", "status": "MAYBE"}], "summary": {}},
+    {"format": "gaudin-report/1", "problem": {}, "backend": "numpy",
+     "checks": [{"name": "x", "status": "PASS", "residual": "0"}],
+     "summary": {"checks": 1}},
+]
+
+
+@pytest.mark.parametrize("report", BAD_REPORTS)
+def test_prebuilt_validator_raises_what_validate_raises(report):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(report, REPORT_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        harness_cli._validate(harness_cli._REPORT_VALIDATOR, report)
+    assert str(got.value) == str(want.value)
+
+
+def test_run_pipeline_rejects_a_report_that_breaks_the_schema(monkeypatch):
+    monkeypatch.setattr(harness_cli.kernels, "backend_name", lambda: 3)
+    prob, config, _ = load_problem(dict(ANCHOR_JSON))
+    with pytest.raises(jsonschema.ValidationError, match="is not of type"):
+        run_pipeline(prob, config)
 
 
 def test_default_j_max():
