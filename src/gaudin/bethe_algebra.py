@@ -15,7 +15,7 @@ from fractions import Fraction
 from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
                           site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, integer_scaled
 from .repr_core import GlModule, columns_of
 from .scalars import scalar_abs, to_complex
 
@@ -193,18 +193,21 @@ def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
 
 
-def _difference(left: SparseMatrix, right: SparseMatrix, exact):
-    """(largest entry of left - right, largest entry of left and right).
+def _difference(left: SparseMatrix, right: SparseMatrix, exact, d=1):
+    """(largest entry of (left - right) / d, largest entry of left and right).
 
-    The second is the scale a numeric residual is judged against; it is 0.0
-    in exact mode, where only an exact zero passes.
+    left and right are d times the products compared.  The second is the
+    scale a numeric residual is judged against; it is 0.0 in exact mode,
+    where only an exact zero passes.
     """
     a, b = left.data, right.data
     if exact and a == b:
         return 0.0, 0.0
-    res = max([scalar_abs(v - b.get(k, 0)) for k, v in a.items()]
-              + [scalar_abs(v) for k, v in b.items() if k not in a],
-              default=0.0)
+    diff = ([v - b.get(k, 0) for k, v in a.items()]
+            + [v for k, v in b.items() if k not in a])
+    if d != 1:
+        diff = [x / d for x in diff]
+    res = max(map(scalar_abs, diff), default=0.0)
     if exact:
         return res, 0.0
     return res, max(_matrix_residual(left), _matrix_residual(right))
@@ -235,12 +238,19 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     The family must live on the full module for the gl-commutation and
     Shapovalov checks to make sense.  Unless given, the sample points are
     integers at distance at least 1 from every site z_s, where evaluating
-    P(u)/D(u)^k in floating point loses no digits to a small D(u).  In exact
-    mode all residuals are exactly zero and `exact` reports True.  In numeric
-    mode `scales` holds, per check, the largest entry of the products it
-    compares, so that a residual can be judged relative to them; the
-    commutator, gl and form checks compare products whose entries reach 1e4
-    and more when the sites differ much in size.
+    P(u)/D(u)^k in floating point loses no digits to a small D(u).
+
+    In exact mode all residuals are exactly zero and `exact` reports True.
+    Every matrix is first scaled to integers over one denominator
+    (`integer_scaled`): once per B_i(u), once for G and E, and once per
+    coefficient matrix.  Products and comparisons then run in Python ints,
+    and a residual, divided back by the denominators, is computed only where
+    a comparison fails.  Gaussian-rational matrices pass through unscaled.
+
+    In numeric mode `scales` holds, per check, the largest entry of the
+    products it compares, so that a residual can be judged relative to them;
+    the commutator, gl and form checks compare products whose entries reach
+    1e4 and more when the sites differ much in size.
     """
     N = family.N
     order = N + 1
@@ -249,7 +259,8 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     def ev(i, u):
         key = (i, u)
         if key not in evals:
-            evals[key] = family.eval(i, u)
+            (mat,), d = integer_scaled([family.eval(i, u)])
+            evals[key] = mat, d
         return evals[key]
 
     if samples is None:
@@ -261,8 +272,8 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     for (u0, v0) in samples:
         for i in range(1, order + 1):
             for j in range(i, order + 1):
-                a, b = ev(i, u0), ev(j, v0)
-                res, scale = _difference(a @ b, b @ a, exact_mode)
+                (a, da), (b, db) = ev(i, u0), ev(j, v0)
+                res, scale = _difference(a @ b, b @ a, exact_mode, da * db)
                 res_comm = max(res_comm, res)
                 scale_comm = max(scale_comm, scale)
 
@@ -272,7 +283,12 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     gens = [M.e(k, l) for k in range(1, M.rank + 1)
             for l in range(1, M.rank + 1)]
     G = None if form is None else form.gram
-    if not exact_mode:
+    d_gens = d_G = 1
+    if exact_mode:
+        gens, d_gens = integer_scaled(gens)
+        if G is not None:
+            (G,), d_G = integer_scaled([G])
+    else:
         gens = [_to_complex_matrix(E) for E in gens]
         if G is not None:
             G = _to_complex_matrix(G)
@@ -280,9 +296,9 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     res_gl = scale_gl = 0.0
     u0 = samples[0][0]
     for i in range(1, order + 1):
-        Bi = ev(i, u0)
+        Bi, d = ev(i, u0)
         for E in gens:
-            res, scale = _difference(Bi @ E, E @ Bi, exact_mode)
+            res, scale = _difference(Bi @ E, E @ Bi, exact_mode, d * d_gens)
             res_gl = max(res_gl, res)
             scale_gl = max(scale_gl, scale)
 
@@ -291,13 +307,15 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     scale_sym = 0.0
     if G is not None:
         for i in range(1, order + 1):
-            Bi = ev(i, u0)
-            res, scale = _difference(G @ Bi, Bi.transpose() @ G, exact_mode)
+            Bi, d = ev(i, u0)
+            res, scale = _difference(G @ Bi, Bi.transpose() @ G, exact_mode,
+                                     d_G * d)
             res_sym_u = max(res_sym_u, res)
             scale_sym = max(scale_sym, scale)
             for mat in family.B_coeffs.get(i, ()):
-                res, scale = _difference(G @ mat, mat.transpose() @ G,
-                                         exact_mode)
+                (P,), d = integer_scaled([mat])
+                res, scale = _difference(G @ P, P.transpose() @ G,
+                                         exact_mode, d_G * d)
                 res_sym_c = max(res_sym_c, res)
                 scale_sym = max(scale_sym, scale)
 

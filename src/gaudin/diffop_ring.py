@@ -757,16 +757,30 @@ class OperatorPencil:
 
 
 def row_determinant(entries):
-    """Row determinant of a square array of pencils: permutation expansion with
-    products taken in row order (row-1 factor leftmost)."""
+    """Row determinant of a square array of pencils, products taken in row
+    order (row-1 factor leftmost), by expansion along the top row.
+
+    Built from the last row up: level k maps each set S of n - k columns
+    to the row determinant of rows k..n-1 on the columns S, which is
+    sum over j in S of (-1)^(position of j in S) entries[k][j] composed
+    with the level-(k+1) minor on S without j.  Only the level below the
+    one being built is kept, so each minor is freed as soon as the level
+    above it is done; a memo through a recursive closure would keep every
+    minor alive until the cyclic garbage collector runs.  Rank 3 takes 9
+    compositions instead of the 12 of the permutation expansion, rank 4
+    takes 28 instead of 72.
+    """
     n = len(entries)
-    acc = None
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = entries[0][perm[0]]
-        for i in range(1, n):
-            term = term.compose(entries[i][perm[i]])
-        if inv % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    level = {(j,): entries[n - 1][j] for j in range(n)}
+    for k in range(n - 2, -1, -1):
+        above = {}
+        for cols in itertools.combinations(range(n), n - k):
+            acc = None
+            for pos, j in enumerate(cols):
+                term = entries[k][j].compose(level[cols[:pos] + cols[pos + 1:]])
+                if pos % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            above[cols] = acc
+        level = above
+    return level[tuple(range(n))]

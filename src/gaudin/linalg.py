@@ -8,6 +8,7 @@ Gaussian with exact pivots in exact mode and partial pivoting in numeric mode.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import is_exact, scalar_abs
@@ -30,9 +31,6 @@ def vec_scale(u, c):
     if not c:
         return {}
     return {k: c * x for k, x in u.items()}
-
-def vec_sub(u, v):
-    return vec_add(u, vec_scale(v, -1))
 
 def vec_dot(u, v):
     if len(v) < len(u):
@@ -155,13 +153,24 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
-    def to_dense(self):
-        import numpy as np
-        from .scalars import to_complex
-        out = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for (i, j), v in self.data.items():
-            out[i, j] = to_complex(v)
-        return out
+
+
+def integer_scaled(mats):
+    """([m * d for m in mats], d) over one common denominator d.
+
+    When every entry is a Fraction or an int, d is the lcm of the entry
+    denominators and the scaled entries are Python ints, so products and
+    dict comparisons run without any gcd.  Otherwise (Gaussian-rational or
+    complex entries) d = 1 and the matrices are returned unchanged.
+    """
+    if not all(type(v) is Fraction or type(v) is int
+               for m in mats for v in m.data.values()):
+        return list(mats), 1
+    d = math.lcm(*(v.denominator for m in mats for v in m.data.values()))
+    return [SparseMatrix(m.nrows, m.ncols,
+                         {k: v.numerator * (d // v.denominator)
+                          for k, v in m.data.items()})
+            for m in mats], d
 
 
 def _pivot_in_row(row, exact):
@@ -171,7 +180,7 @@ def _pivot_in_row(row, exact):
     return max(row, key=lambda j: scalar_abs(row[j]))
 
 
-def rref(rows, ncols, eps=_NUMERIC_EPS):
+def rref(rows, eps=_NUMERIC_EPS):
     """Reduced row echelon form of a list of dict-rows.
 
     Returns (reduced_rows, pivot_cols).  reduced_rows[k] has leading 1 at
@@ -237,13 +246,13 @@ def _nz(x, exact, eps=_NUMERIC_EPS):
 
 
 def rank(mat: SparseMatrix) -> int:
-    _, pivots = rref(mat.rows_as_dicts(), mat.ncols)
+    _, pivots = rref(mat.rows_as_dicts())
     return len(pivots)
 
 
 def nullspace(mat: SparseMatrix):
     """Basis of the right kernel as a list of dict-vectors (exact or numeric)."""
-    reduced, pivots = rref(mat.rows_as_dicts(), mat.ncols)
+    reduced, pivots = rref(mat.rows_as_dicts())
     pivset = set(pivots)
     free = [j for j in range(mat.ncols) if j not in pivset]
     basis = []
@@ -264,7 +273,7 @@ def solve(mat: SparseMatrix, rhs):
         y = rhs.get(i)
         if y:
             r[mat.ncols] = y
-    reduced, pivots = rref(aug_rows, mat.ncols + 1)
+    reduced, pivots = rref(aug_rows)
     x = {}
     for row, p in zip(reduced, pivots):
         if p == mat.ncols:

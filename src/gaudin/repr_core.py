@@ -14,7 +14,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAPartition
-from .linalg import IncrementalSpan, SparseMatrix, nullspace, solve, vec_dot
+from .linalg import (IncrementalSpan, SparseMatrix, integer_scaled, nullspace,
+                     solve, vec_dot)
 from .weights import check_partition, conjugate_partition
 
 _COMMUTATION_CHECK_MAX_DIM = 200
@@ -151,22 +152,25 @@ def verify_commutation(M: GlModule):
 
     Both sides change sign when the two generators swap, and a generator
     commutes with itself, so every unordered pair of distinct generators is
-    checked once, as e_ij e_sk + delta_ik e_sj == e_sk e_ij + delta_js e_ik
-    with the exact entries compared by dict equality: r^2 (r^2 - 1) matrix
-    products for rank r.
+    checked once: r^2 (r^2 - 1) matrix products for rank r.  The generators
+    are scaled to integer matrices over one common denominator d, and
+    e_ij e_sk + delta_ik d e_sj == e_sk e_ij + delta_js d e_ik is compared
+    by dict equality of the exact entries.
     """
-    gens = [(i, j) for i in range(1, M.rank + 1)
+    keys = [(i, j) for i in range(1, M.rank + 1)
             for j in range(1, M.rank + 1)]
-    for a, (i, j) in enumerate(gens):
-        A = M.e(i, j)
-        for s, k in gens[a + 1:]:
-            B = M.e(s, k)
+    mats, d = integer_scaled([M.e(i, j) for i, j in keys])
+    E = dict(zip(keys, mats))
+    for a, (i, j) in enumerate(keys):
+        A = E[i, j]
+        for s, k in keys[a + 1:]:
+            B = E[s, k]
             lhs = A @ B
             rhs = B @ A
             if i == k:
-                lhs = lhs + M.e(s, j)
+                lhs = lhs + E[s, j].scale(d)
             if j == s:
-                rhs = rhs + M.e(i, k)
+                rhs = rhs + E[i, k].scale(d)
             if lhs.data != rhs.data:
                 raise AssertionError(
                     f"commutation identity fails for e_{i}{j}, e_{s}{k}")

@@ -160,3 +160,39 @@ def test_numeric_selfcheck_with_complex_g_and_e_is_bit_identical(
     want = algebra_selfcheck(family, form, M, z)
     assert not got["exact"]
     assert repr(got) == repr(want)
+
+
+def _fraction_selfcheck(monkeypatch, family, form, M, z):
+    """algebra_selfcheck with every matrix left in Fractions."""
+    with monkeypatch.context() as m:
+        m.setattr(bethe_algebra, "integer_scaled",
+                  lambda mats: (list(mats), 1))
+        return algebra_selfcheck(family, form, M, z)
+
+
+def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
+        monkeypatch):
+    """The integer products give the Fraction products' verdicts and, after
+    one coefficient of the family is corrupted, the same nonzero residuals
+    bit for bit."""
+    z = [Fraction(-3, 2), Fraction(5, 3)]
+    M, form = _module([(2, 1, 0), (1, 1, 0)], 2)
+    family = restrict_family(universal_operator(M, z), None, 4)
+    got = algebra_selfcheck(family, form, M, z)
+    assert got["exact"] and got["max_residual"] == 0.0
+    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
+                                                 M, z))
+
+    family = restrict_family(universal_operator(M, z), None, 4)
+    bad = family.B_u[2].coeffs[0]
+    key = next(k for k in bad.data if k[0] != k[1])
+    bad[key] = bad[key] + Fraction(1, 7)
+    coeff = family.B_coeffs[3][2]
+    key = next(k for k in coeff.data if k[0] != k[1])
+    coeff[key] = coeff[key] - Fraction(2, 9)
+    got = algebra_selfcheck(family, form, M, z)
+    for name in ("commutator_pairs", "commutator_with_gl",
+                 "form_symmetry_at_samples", "form_symmetry_coefficients"):
+        assert got[name] > 0, name
+    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
+                                                 M, z))

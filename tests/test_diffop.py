@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -331,3 +332,62 @@ def test_float_site_eval_at_a_rational_is_the_eval_at_its_complex():
             assert list(got) == list(want)
             assert [(v.real.hex(), v.imag.hex()) for v in got.values()] == \
                 [(v.real.hex(), v.imag.hex()) for v in want.values()]
+
+
+def _permutation_row_determinant(entries):
+    """Oracle: sum over permutations of sign * entries[0][p0] o ... o
+    entries[n-1][p(n-1)], composed left to right."""
+    n = len(entries)
+    acc = None
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n)
+                  if perm[i] > perm[j])
+        term = entries[0][perm[0]]
+        for i in range(1, n):
+            term = term.compose(entries[i][perm[i]])
+        if inv % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _rand_matrix(rng, dim):
+    m = SparseMatrix(dim, dim)
+    for i in range(dim):
+        for j in range(dim):
+            m[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return m
+
+
+@pytest.mark.parametrize("n, compositions", [(2, 2), (3, 9), (4, 28)])
+def test_row_determinant_matches_the_permutation_formula(
+        monkeypatch, n, compositions):
+    """Entries with non-commuting 2x2 matrix coefficients over a site
+    denominator, order 1 on the diagonal: the top-row expansion equals the
+    permutation expansion, with fewer compositions."""
+    rng = random.Random(n)
+    sites = site_denominator([Fraction(0), Fraction(1), Fraction(-5, 2)])
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c0 = RFMatrix.over_sites([_rand_matrix(rng, 2) for _ in range(3)],
+                                     sites)
+            coeffs = [c0, RFMatrix(2, 2, [_rand_matrix(rng, 2)])] if i == j \
+                else [c0]
+            row.append(OperatorPencil(coeffs))
+        entries.append(row)
+    want = _permutation_row_determinant(entries)
+    calls = []
+    compose = OperatorPencil.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(OperatorPencil, "compose", counting)
+    got = row_determinant(entries)
+    assert len(calls) == compositions
+    assert got.order == want.order == n
+    for a, b in zip(got.coeffs, want.coeffs, strict=True):
+        assert (a - b).is_zero()

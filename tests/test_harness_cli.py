@@ -82,6 +82,19 @@ def test_load_problem_reads_gaussian_rational_sites():
     assert report["problem"]["z"] == ["0", "1", ["0", "4/3"]]
 
 
+def test_gaussian_rational_sites_verify_the_algebra_exactly():
+    """A Gaussian-rational site keeps QI entries in B_i(u), which have no
+    integer form; they pass through the integer-scaled algebra checks
+    unscaled and the checks stay exact."""
+    report = run_pipeline(*load_problem(dict(DEFECT9_JSON))[:2],
+                          stage="verify")
+    status = {c["name"]: (c["status"], c.get("residual"))
+              for c in report["checks"]}
+    for name in ("algebra_commutativity", "algebra_gl_invariance",
+                 "algebra_form_symmetry", "coefficient_triangularity"):
+        assert status[name][0] == "PASS", (name, status[name])
+
+
 @pytest.mark.parametrize("site", [["0", 1.5], [0.5, "1"], ["1"],
                                   ["0", "1", "2"]])
 def test_load_problem_rejects_malformed_site_pairs(site):
@@ -343,18 +356,25 @@ def test_four_site_chain_passes_for_every_seed(seed):
 
 
 def test_algebra_checks_scale_with_the_compared_products():
-    """Sites -3.657 and -0.002: form-symmetry products reach 8.4e4, and a
-    residual of 1.75e-10 (2e-15 relative) was a FAIL against an absolute
-    1e-10."""
-    prob, config, _ = load_problem({
-        "N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
-        "z": [[-3.657, 0.0], [-0.002, 0.0]],
-        "solver": {"seed": 242795849, "starts": 40}})
-    report = run_pipeline(prob, config)
+    """Numeric algebra checks are judged relative to the products they
+    compare.  Sites -3.657 and -0.002 (numeric seed 11 instance 36):
+    form-symmetry products reach 8.4e4, and a residual of 1.75e-10 (2e-15
+    relative) was a FAIL against an absolute 1e-10.  Sites 1.727 and 3.244
+    (numeric seed 15 instance 36), a FAIL for the same reason, still have a
+    form-symmetry residual above 1e-10."""
+    far_apart = {"N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
+                 "z": [[-3.657, 0.0], [-0.002, 0.0]],
+                 "solver": {"seed": 242795849, "starts": 40}}
+    above = {"N": 2, "partitions": [[2, 1, 0], [2, 0, 0]], "l": [2, 1],
+             "z": [[1.727, 0.0], [3.244, 0.0]],
+             "solver": {"seed": 937887068, "starts": 40}}
+    for payload in (far_apart, above):
+        report = run_pipeline(*load_problem(payload)[:2])
+        failing = [c["name"] for c in report["checks"]
+                   if c["status"] != "PASS"]
+        assert failing == [], payload["z"]
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["algebra_form_symmetry"]["residual"] > 1e-10
-    failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
-    assert failing == []
 
 
 def test_no_orbit_fails_every_joint_check():

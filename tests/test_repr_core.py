@@ -90,18 +90,26 @@ def test_verify_commutation_catches_each_corrupted_generator():
     verify_commutation(M)
 
 
+def _up_to_scale(mat):
+    first = mat.data[min(mat.data)]
+    return frozenset((k, Fraction(v) / first) for k, v in mat.data.items())
+
+
 @pytest.mark.parametrize("lam, N", [((2, 0), 1), ((2, 1, 0), 2),
                                     ((1, 1, 0, 0), 3)])
 def test_verify_commutation_multiplies_each_unordered_pair_once(
         monkeypatch, lam, N):
     M, _ = build_irreducible(lam, N)
     r = M.rank
-    name = {id(mat): key for key, mat in M.gen_action.items()}
+    # an operand is named by its entries up to a common factor, so the
+    # names hold whatever denominator the generators are scaled by
+    name = {_up_to_scale(mat): key for key, mat in M.gen_action.items()}
+    assert len(name) == r * r
     products = []
     matmul = SparseMatrix.__matmul__
 
     def counting(a, b):
-        products.append((name[id(a)], name[id(b)]))
+        products.append((name[_up_to_scale(a)], name[_up_to_scale(b)]))
         return matmul(a, b)
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
