@@ -553,12 +553,13 @@ def apply_factored_at(pole_data, poly: Poly, u0):
     exact = is_exact(u0) and poly.is_exact_poly() and all(
         is_exact(r) for fac in pole_data for _, r in fac)
     if not exact:
+        # Fraction * complex would compute complex(c) * w through the
+        # numbers fallback at every product; converting once is the same
         u0 = to_complex(u0)
+        poly = Poly([to_complex(c) for c in poly.coeffs])
     sh = poly.taylor_shift(u0)
     jet = [sh.coeffs[m] if m < len(sh.coeffs) else (Fraction(0) if exact else 0j)
            for m in range(order + 1)]
-    if not exact:
-        jet = [complex(to_complex(x)) for x in jet]
     for i in range(order, 0, -1):
         ajet = _pole_jet(pole_data[i - 1], u0, len(jet) - 2, exact)
         jet = _jet_apply_first_order(jet, ajet)

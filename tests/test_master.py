@@ -9,6 +9,7 @@ from gaudin.diffop_ring import Poly
 from gaudin.errors import (DimensionMismatch, NotAPartition, PointNotInU,
                            RepeatedSites)
 from gaudin.master import (GaudinProblem, PointConfig, SolverConfig,
+                           _jet_apply_first_order, _pole_jet,
                            apply_factored_at, expected_orbit_count,
                            factored_pole_data, find_critical_orbits,
                            gradient_log_master, group_polynomials,
@@ -187,6 +188,34 @@ def test_jet_apply_matches_pencil():
                     + (Fraction(1),))
         u0 = Fraction(rng.randint(4, 20), rng.randint(1, 3))
         assert apply_factored_at(pd, poly, u0) == pencil.apply(poly).eval(u0)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_numeric_jets_of_monomials_match_the_fraction_path():
+    """At a complex point the monomial is shifted with complex coefficients;
+    the Fraction coefficients went through Fraction's numbers fallback,
+    complex(c) * w, at every product.  Taylor coefficients and jet values
+    agree bit for bit."""
+    p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
+                      [Fraction(0), Fraction(1)])
+    pd = factored_pole_data(p, [(complex(1, 3) / 7,), (5 / 7 + 0j,)])
+    order = len(pd)
+    for u0 in (2.5 + 0.3j, complex(-1.75, 4.125), 0.1 - 3.3j, 7 + 0j):
+        for k in range(7):
+            mono = Poly((Fraction(0),) * k + (Fraction(1),))
+            want = mono.taylor_shift(u0).coeffs
+            got = Poly([complex(c) for c in mono.coeffs]).taylor_shift(u0).coeffs
+            assert ([_bits(complex(c)) for c in want]
+                    == [_bits(c) for c in got]), (u0, k)
+            jet = [complex(want[m]) if m < len(want) else 0j
+                   for m in range(order + 1)]
+            for i in range(order, 0, -1):
+                jet = _jet_apply_first_order(
+                    jet, _pole_jet(pd[i - 1], u0, len(jet) - 2, False))
+            assert _bits(apply_factored_at(pd, mono, u0)) == _bits(jet[0])
 
 
 def test_jet_coefficient_values_match_pencil():
