@@ -315,7 +315,7 @@ def vanishing_orders(polys, z, d_cap, tol=1e-8):
             elif scalar_abs(c) > tol * scale:
                 row[k] = c / scale
         rows.append(row)
-    _, pivots = rref(rows, d_cap, tol)
+    _, pivots = rref(rows, tol)
     return sorted(pivots)
 
 

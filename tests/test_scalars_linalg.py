@@ -114,7 +114,7 @@ def test_rref_pivots_are_sorted_orders():
     rows = [{0: Fraction(1), 3: Fraction(2)},
             {0: Fraction(2), 3: Fraction(4), 5: Fraction(1)},
             {1: Fraction(1)}]
-    _, pivots = rref(rows, 6)
+    _, pivots = rref(rows)
     assert pivots == sorted(pivots)
     assert len(pivots) == 3
 
