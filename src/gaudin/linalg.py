@@ -16,22 +16,6 @@ from .scalars import is_exact, scalar_abs
 _NUMERIC_EPS = 1e-12
 
 
-def vec_add(u, v):
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k)
-        s = x if y is None else y + x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {k: c * x for k, x in u.items()}
-
 def vec_dot(u, v):
     if len(v) < len(u):
         u, v = v, u
@@ -152,7 +136,6 @@ class SparseMatrix:
         for (i, j), v in self.data.items():
             rows[i][j] = v
         return rows
-
 
 
 def integer_scaled(mats):
