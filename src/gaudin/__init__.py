@@ -8,14 +8,13 @@ Wronskian / incidence certificates tying the two sides together.
 """
 
 from .errors import (AmbientTooSmall, DegenerateCriticalPoint,
-                     DimensionMismatch, DistinctnessError, DivisionByZero,
-                     GaudinError, ImproperRational, KernelDimensionMismatch,
+                     DimensionMismatch, DistinctnessError, GaudinError,
+                     ImproperRational, KernelDimensionMismatch,
                      NotAPartition, NotInvariant, PointNotInU, PoleEvaluation,
                      RepeatedSites, SchemaError, ShapeNormalizationFailure,
                      TermLimitExceeded, ZeroVector)
 from .scalars import QI, format_scalar, parse_rational
-from .diffop_ring import (OperatorPencil, Poly, RationalFunction, RFMatrix,
-                          row_determinant, series_at_infinity)
+from .diffop_ring import OperatorPencil, Poly, RFMatrix, row_determinant
 from .repr_core import (GlModule, SymmetricForm, build_irreducible,
                         tensor_module, tensor_shapovalov,
                         weight_and_singular_subspace)
@@ -40,21 +39,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientTooSmall", "BetheOperatorFamily", "CriticalOrbit",
     "DegenerateCriticalPoint", "DimensionMismatch", "DistinctnessError",
-    "DivisionByZero", "ExponentData", "GaudinError", "GaudinProblem",
-    "GlModule", "ImproperRational", "KernelDimensionMismatch", "NotAPartition",
+    "ExponentData", "GaudinError", "GaudinProblem", "GlModule",
+    "ImproperRational", "KernelDimensionMismatch", "NotAPartition",
     "NotInvariant", "OperatorPencil", "PointConfig", "PointNotInU",
     "PoleEvaluation", "Poly", "PolynomialTuple", "QI", "RFMatrix",
-    "RationalFunction", "RepeatedSites", "SchemaError",
-    "ShapeNormalizationFailure", "SolverConfig", "SymmetricForm",
-    "TermLimitExceeded", "ZeroVector", "algebra_selfcheck", "bethe_vector",
-    "build_irreducible", "current_matrix", "emit_report",
-    "enumerate_sequences", "enumerate_terms", "exponent_data",
+    "RepeatedSites", "SchemaError", "ShapeNormalizationFailure",
+    "SolverConfig", "SymmetricForm", "TermLimitExceeded", "ZeroVector",
+    "algebra_selfcheck", "bethe_vector", "build_irreducible", "current_matrix",
+    "emit_report", "enumerate_sequences", "enumerate_terms", "exponent_data",
     "find_critical_orbits", "first_coefficient_identity", "format_scalar",
     "gradient_log_master", "hessian_determinant", "hessian_log_master",
     "load_problem", "main", "master_coefficients", "master_operator_at",
-    "parse_rational", "restrict_family",
-    "row_determinant", "run_pipeline", "schubert_incidence", "sequence_count",
-    "series_at_infinity", "solve_h_tuple", "tensor_module",
+    "parse_rational", "restrict_family", "row_determinant", "run_pipeline",
+    "schubert_incidence", "sequence_count", "solve_h_tuple", "tensor_module",
     "tensor_shapovalov", "term_count", "try_rationalize_orbit",
     "universal_operator", "verify_wronskian_identities",
     "weight_and_singular_subspace", "weight_function", "wronskian",

@@ -1,11 +1,14 @@
-"""Univariate polynomials, rational functions, and differential-operator pencils.
+"""Univariate polynomials, rational matrices over known poles, and
+differential-operator pencils.
 
 Everything is generic over the scalar field (Fraction / Gaussian rational /
 complex).  A pencil is sum_k C_k(u) d^k with coefficients written to the left
-of the derivative powers; coefficients are either scalar rational functions or
-matrix polynomials over a power of one fixed denominator (RFMatrix), so the
-same composition code serves the scalar factorized operator and the
-row-determinant operator.
+of the derivative powers.  Every coefficient is a matrix polynomial over a
+power of one fixed denominator D(u) = prod (u - r) of the known pole
+locations (RFMatrix), so nothing is ever gcd-reduced, and the same
+composition code serves the row-determinant operator (poles at the sites)
+and the scalar operator at a critical point (1x1, poles at the sites and the
+Bethe variables).
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, DivisionByZero, ImproperRational,
-                     PoleEvaluation)
+from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
 from .linalg import SparseMatrix
 from .scalars import is_exact, scalar_abs
 
@@ -34,14 +36,6 @@ class Poly:
 
     def __init__(self, coeffs=()):
         self.coeffs = tuple(_strip(coeffs))
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def x(cls):
-        return cls((Fraction(0), Fraction(1)))
 
     @classmethod
     def from_roots(cls, roots):
@@ -129,39 +123,6 @@ class Poly:
             c = [k * c[k] for k in range(1, len(c))]
         return Poly(c)
 
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
-
-    def shift(self, k):
-        """Multiply by u^k."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(()), self
-        quo = [0] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if c:
-                q = c / lead
-                quo[k] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - q * b
-        return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
-
     def taylor_shift(self, a):
         """Coefficients of p(u + a) -- the Taylor expansion around u = -a... i.e.
         returns q with q(v) = p(v + a); use taylor_shift(z) to expand around z
@@ -187,163 +148,7 @@ class Poly:
         return max((scalar_abs(c) for c in self.coeffs), default=0.0)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over an exact field (Euclid)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
-ZERO = Poly(())
 ONE = Poly((Fraction(1),))
-
-
-class RationalFunction:
-    """num/den; reduced with monic denominator in exact mode."""
-
-    __slots__ = ("num", "den", "exact")
-
-    def __init__(self, num, den=ONE, reduce=True):
-        if not isinstance(num, Poly):
-            num = Poly.const(num) if num else ZERO
-        if not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        exact = num.is_exact_poly() and den.is_exact_poly()
-        if num.is_zero():
-            den = ONE if exact else Poly((1.0 + 0j,))
-        elif exact and reduce:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.leading()
-            if lead != 1:
-                num = Poly([c / lead for c in num.coeffs])
-                den = den.monic()
-        elif not exact:
-            lead = den.leading()
-            if lead != 1:
-                num = Poly([c / lead for c in num.coeffs])
-                den = den.monic()
-        self.num = num
-        self.den = den
-        self.exact = exact
-
-    @classmethod
-    def zero(cls):
-        return cls(ZERO)
-
-    @classmethod
-    def one(cls):
-        return cls(ONE)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    @classmethod
-    def log_derivative(cls, p: Poly):
-        """p'/p."""
-        return cls(p.derivative(), p)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"RF({list(self.num.coeffs)} / {list(self.den.coeffs)})"
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        # exact structural equality (reduced forms); cross-multiplied otherwise
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __add__(self, other):
-        other = as_rf(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-as_rf(other))
-
-    def __rsub__(self, other):
-        return as_rf(other) - self
-
-    def __mul__(self, other):
-        other = as_rf(other)
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.zero()
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_rf(other)
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return as_rf(other) / self
-
-    def derivative(self):
-        if self.is_zero():
-            return self
-        n, d = self.num, self.den
-        return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
-
-    def eval(self, u):
-        dv = self.den.eval(u)
-        if not dv:
-            raise PoleEvaluation(f"evaluation at pole u={u!r}")
-        return self.num.eval(u) / dv
-
-    __call__ = eval
-
-
-def as_rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Poly):
-        return RationalFunction(x)
-    return RationalFunction(Poly.const(x) if x else ZERO)
-
-
-def series_at_infinity(R: RationalFunction, j_max: int):
-    """Coefficients of u^-1 .. u^-j_max of the expansion at infinity.
-
-    Requires deg num <= deg den (the limit at infinity is finite); the constant
-    term of the expansion is dropped.
-    """
-    if R.is_zero():
-        return [Fraction(0)] * j_max
-    dn, dd = R.num.degree, R.den.degree
-    if dn > dd:
-        raise ImproperRational(
-            f"degree {dn} numerator over degree {dd} denominator has no expansion at infinity")
-    # in w = 1/u: N(w) = sum a_k w^(dd-k), B(w) = sum b_k w^(dd-k); division by B, B(0) != 0
-    ncoef = [Fraction(0)] * (j_max + 1)
-    for k, c in enumerate(R.num.coeffs):
-        if dd - k <= j_max:
-            ncoef[dd - k] = c
-    return _series_quotient(ncoef, R.den.coeffs[::-1], j_max)[1:]
 
 
 def _series_quotient(num, den, count):
@@ -650,37 +455,20 @@ class RFMatrix:
         return mats
 
 
-def _zero_like(coef):
-    if isinstance(coef, RFMatrix):
-        return RFMatrix(coef.nrows, coef.ncols)
-    return RationalFunction.zero()
-
-
-def _is_zero_coef(c):
-    return c.is_zero()
-
-
 class OperatorPencil:
     """Differential operator sum_k coeffs[k] * d^k, coefficients left of d.
 
-    Coefficients are RationalFunction (scalar pencil) or RFMatrix entries;
-    all coefficients of one pencil must be of the same kind.
+    The coefficients are RFMatrix entries of one shape over one denominator;
+    a scalar operator has 1x1 coefficients.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
-        while len(coeffs) > 1 and _is_zero_coef(coeffs[-1]):
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
-        if not coeffs:
-            coeffs = [RationalFunction.zero()]
         self.coeffs = coeffs
-
-    @classmethod
-    def first_order(cls, a):
-        """d - a(u) for a scalar rational function a."""
-        return cls([-as_rf(a), RationalFunction.one()])
 
     @property
     def order(self):
@@ -701,49 +489,42 @@ class OperatorPencil:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return OperatorPencil([x * c if isinstance(x, RFMatrix) else as_rf(c) * x
-                               for x in self.coeffs])
-
     def compose(self, other):
         """Operator product self o other via normal ordering d o f = f d + f'."""
-        zero = _zero_like(self.coeffs[0])
+        zero = RFMatrix(self.coeffs[0].nrows, other.coeffs[0].ncols)
         out = [zero] * (self.order + other.order + 1)
         for b, g in enumerate(other.coeffs):
-            if _is_zero_coef(g):
+            if g.is_zero():
                 continue
             # derivatives of g reused across a
             deriv_cache = [g]
             for a, f in enumerate(self.coeffs):
-                if _is_zero_coef(f):
+                if f.is_zero():
                     continue
                 while len(deriv_cache) <= a:
                     deriv_cache.append(deriv_cache[-1].derivative())
                 for m in range(a + 1):
                     gm = deriv_cache[m]
-                    if _is_zero_coef(gm):
+                    if gm.is_zero():
                         continue
                     term = f * gm
                     c = math.comb(a, m)
                     if c != 1:
-                        term = term * Fraction(c) if isinstance(term, RFMatrix) \
-                            else as_rf(Fraction(c)) * term
+                        term = term.scale(Fraction(c))
                     k = a - m + b
                     out[k] = out[k] + term
         return OperatorPencil(out)
 
-    def apply(self, f):
-        """Apply to a scalar function (Poly or RationalFunction)."""
-        f = as_rf(f) if not isinstance(f, RationalFunction) else f
-        acc = RationalFunction.zero()
+    def apply(self, f: Poly) -> RFMatrix:
+        """sum_k coeffs[k] * f^(k) for a polynomial f, over the coefficients'
+        denominator; exactly zero when f is in the kernel."""
+        first = self.coeffs[0]
+        acc = RFMatrix(first.nrows, first.ncols)
         der = f
         for k, c in enumerate(self.coeffs):
-            if k > 0:
+            if k:
                 der = der.derivative()
-            if isinstance(c, RFMatrix):
-                raise TypeError("matrix pencil applied to a scalar function")
-            if not _is_zero_coef(c) and not der.is_zero():
-                acc = acc + c * der
+            acc = acc + c._like(_times_poly(c.coeffs, der), c.power)
         return acc
 
     def eval_coeffs(self, u):
@@ -751,9 +532,7 @@ class OperatorPencil:
 
     def is_monic(self):
         top = self.coeffs[-1]
-        if isinstance(top, RFMatrix):
-            return (top - RFMatrix.identity(top.nrows)).is_zero()
-        return top == RationalFunction.one()
+        return (top - RFMatrix.identity(top.nrows)).is_zero()
 
 
 def row_determinant(entries):

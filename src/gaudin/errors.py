@@ -17,10 +17,6 @@ class SchemaError(GaudinError):
     """Problem JSON does not conform to the input schema."""
 
 
-class DivisionByZero(GaudinError, ZeroDivisionError):
-    """Division by the zero polynomial or rational function."""
-
-
 class PoleEvaluation(GaudinError):
     """Rational function evaluated at a pole."""
 

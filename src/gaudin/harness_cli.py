@@ -340,9 +340,10 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
             continue
         point = try_rationalize_orbit(problem, orb) or orb.groups
         exact_pt = all(is_exact(x) for grp in point for x in grp)
-        scalar_pencil = master_operator_at(problem, point)
         pole_data = factored_pole_data(problem, point)
+        scalar_pencil = None
         if exact_pt and problem.exact:
+            scalar_pencil = master_operator_at(problem, point)
             _, series = master_coefficients(scalar_pencil, j_max)
         else:
             # expanding the composed coefficients in floating point loses

@@ -17,7 +17,11 @@ a pseudo-orbit can pass the residual test, so no such point is accepted.
 
 At a critical point the scalar operator is the left-to-right composition of
 first-order factors (d - logarithmic derivative), one per color, built from
-the site factors and the group polynomials y_i = prod_j (u - t^(i)_j).
+the site factors and the group polynomials y_i = prod_j (u - t^(i)_j).  Each
+logarithmic derivative is a sum of simple poles at the sites and the
+variables, so the operator is composed over the product of (u - r) for the
+known pole locations r, like the universal operator over its sites.  Numeric
+points take stable local jets of the factors instead.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .diffop_ring import OperatorPencil, Poly, RationalFunction, series_at_infinity
+from .diffop_ring import OperatorPencil, Poly, RFMatrix, site_denominator
 from .errors import DimensionMismatch, PointNotInU, RepeatedSites
+from .linalg import SparseMatrix
 from .scalars import QI, coerce, is_exact, scalar_abs, to_complex
 from .weights import check_partition, derive_infinity_weight, root_pairing, weight_size
 
@@ -435,17 +440,6 @@ def try_rationalize_orbit(problem: GaudinProblem, orbit: CriticalOrbit,
 
 # ------------------------------------------------------- the scalar operator
 
-def site_log_derivative(problem: GaudinProblem, color):
-    """Sum over sites of exponent/(u - z_s) for one color (1-based)."""
-    acc = RationalFunction.zero()
-    for s, zs in enumerate(problem.z):
-        e = problem.site_exponent[color - 1][s]
-        if e:
-            lead = 1 if is_exact(zs) else 1.0 + 0j
-            acc = acc + RationalFunction(Poly.const(Fraction(e)), Poly((-zs, lead)))
-    return acc
-
-
 def group_polynomials(problem: GaudinProblem, point):
     """y_i = prod over the i-th group of (u - t); y_0 = y_{N+1} = 1 implicit."""
     gs = _normalize_groups(problem, point)
@@ -456,31 +450,36 @@ def master_operator_at(problem: GaudinProblem, point) -> OperatorPencil:
     """Left-to-right composition of the scalar first-order factors at a point.
 
     Factor i (i = 1..N+1) is d minus the logarithmic derivative of
-    y_{i-1} * T_i * ... * T_N / y_i.
+    y_{i-1} * T_i * ... * T_N / y_i, a sum of simple poles (see
+    `factored_pole_data`).  Every coefficient is a 1x1 RFMatrix over one
+    denominator D(u), the product of (u - r) over the distinct pole locations
+    r of all factors, so composing needs no gcd.
     """
-    N = problem.N
-    ys = group_polynomials(problem, point)
-    site_sum = [RationalFunction.zero()] * (N + 2)
-    for i in range(N, 0, -1):
-        site_sum[i] = site_sum[i + 1] + site_log_derivative(problem, i)
+    pole_data = factored_pole_data(problem, point)
+    locations = list(dict.fromkeys(r for fac in pole_data for _, r in fac))
+    slot = {r: k for k, r in enumerate(locations)}
+    sites = site_denominator(locations)
+    one = RFMatrix.identity(1)
     pencil = None
-    for i in range(1, N + 2):
-        a = site_sum[i] if i <= N else RationalFunction.zero()
-        if i >= 2:
-            a = a + RationalFunction.log_derivative(ys[i - 2])
-        if i <= N:
-            a = a - RationalFunction.log_derivative(ys[i - 1])
-        fac = OperatorPencil.first_order(a)
-        pencil = fac if pencil is None else pencil.compose(fac)
-    assert pencil.order == N + 1 and pencil.is_monic()
+    for fac in pole_data:
+        residues = [SparseMatrix(1, 1) for _ in locations]
+        for c, r in fac:
+            residues[slot[r]][0, 0] = -c
+        minus_a = RFMatrix.over_sites(residues, sites) if fac \
+            else RFMatrix(1, 1)
+        factor = OperatorPencil([minus_a, one])
+        pencil = factor if pencil is None else pencil.compose(factor)
+    assert pencil.order == problem.N + 1 and pencil.is_monic()
     return pencil
 
 
 def master_coefficients(pencil: OperatorPencil, j_max: int):
-    """(coefficient functions, expansion coefficients) keyed by 1..order."""
+    """(coefficient functions, expansion coefficients) keyed by 1..order;
+    the functions are the 1x1 RFMatrix coefficients of the pencil."""
     order = pencil.order
     funcs = {i: pencil.coeffs[order - i] for i in range(1, order + 1)}
-    series = {i: series_at_infinity(funcs[i], j_max) for i in funcs}
+    series = {i: [m[0, 0] for m in funcs[i].entries_series_at_infinity(j_max)]
+              for i in funcs}
     return funcs, series
 
 

@@ -83,24 +83,26 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
     Samples the operator applied to the monomial basis at enough points to
     pin the polynomial identity exactly; exact points give an exact kernel.
     """
-    if pencil is None and all(is_exact(x)
-                              for x in _poles_of(problem, point)):
+    poles = _poles_of(problem, point)
+    if pencil is None and all(is_exact(x) for x in poles):
         pencil = master_operator_at(problem, point)
     if data is None:
         data = exponent_data(problem)
     d1 = data.exponents[0]
-    poles = _poles_of(problem, point)
-    exact = (pencil is not None and all(is_exact(c) for c in poles) and all(
-        c.num.is_exact_poly() and c.den.is_exact_poly() for c in pencil.coeffs))
+    exact = (pencil is not None and all(is_exact(c) for c in poles)
+             and all(c.is_exact() for c in pencil.coeffs))
+    # the operator maps a polynomial of degree <= d1 to a rational function
+    # over prod (u - r)^(N+1), r the distinct poles; more samples than its
+    # numerator degree pin it
+    pole_pts = {to_complex(p) for p in poles}
+    n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
 
     if exact:
-        den_deg = sum(c.den.degree for c in pencil.coeffs)
-        n_samples = d1 + den_deg + 5
         mono_derivs = _monomial_derivative_table(d1, pencil.order)
         samples = _exact_samples(poles, n_samples)
         rows = []
         for u in samples:
-            cvals = pencil.eval_coeffs(u)
+            cvals = [m[0, 0] for m in pencil.eval_coeffs(u)]
             row = {}
             for k in range(d1 + 1):
                 acc = 0
@@ -125,8 +127,6 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
         # factors symbolically in floating point hides the kernel behind
         # catastrophic cancellation, while jets stay accurate to rounding
         pole_data = factored_pole_data(problem, point)
-        pole_pts = {to_complex(p) for p in poles}
-        n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
         R = 1.5 * max([1.0] + [abs(p) for p in pole_pts])
         monos = [Poly((Fraction(0),) * k + (Fraction(1),))
                  for k in range(d1 + 1)]
@@ -294,7 +294,7 @@ def _poly_residual(p: Poly, q: Poly, tol):
     return diff.max_abs() / scale
 
 
-def vanishing_orders(polys, z, d_cap, tol=1e-8):
+def vanishing_orders(polys, z, tol=1e-8):
     """Vanishing-order set at z of the span of the polynomials.
 
     Coefficients are re-expanded around z; the order set is the pivot set of
@@ -343,7 +343,7 @@ def schubert_incidence(problem: GaudinProblem, htuple: PolynomialTuple,
     report = {"sites": [], "ok": True}
     for s, zs in enumerate(problem.z):
         lam = problem.partitions[s]
-        got = vanishing_orders(htuple.polys, zs, data.d_cap, tol)
+        got = vanishing_orders(htuple.polys, zs, tol)
         want = expected_orders(lam, N)
         table = []
         for j in range(1, N + 2):
@@ -375,8 +375,7 @@ def kernel_residuals(problem: GaudinProblem, point, htuple: PolynomialTuple,
             pencil = master_operator_at(problem, point)
         out = []
         for h in htuple.polys:
-            r = pencil.apply(h)
-            out.append(0.0 if r.is_zero() else float("inf"))
+            out.append(0.0 if pencil.apply(h).is_zero() else float("inf"))
         return out
     pole_data = factored_pole_data(problem, point)
     R = 1.5 * max([1.0] + [abs(p) for p in poles])

@@ -248,6 +248,52 @@ def telescoped_first_coefficient_series(sizes, z, j_max):
                 for w, zs in zip(sizes, z)) for k in range(j_max)]
 
 
+# ------------------------------------------- rational functions, entrywise
+#
+# A rational function is an unreduced (numerator, denominator) pair of Polys.
+# Only Poly's ring operations are used (checked against numpy on their own),
+# never RFMatrix or the package's series code.
+
+def rf_add(a, b):
+    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def rf_sub(a, b):
+    return rf_add(a, (-b[0], b[1]))
+
+
+def rf_mul(a, b):
+    return (a[0] * b[0], a[1] * b[1])
+
+
+def rf_derivative(a):
+    num, den = a
+    return (num.derivative() * den - num * den.derivative(), den * den)
+
+
+def rf_eval(a, u):
+    return a[0].eval(u) / a[1].eval(u)
+
+
+def rf_series_at_infinity(a, j_max):
+    """Coefficients of u^-1 .. u^-j_max of num/den, deg num <= deg den.
+
+    The polynomial part of num * u^j_max / den is sum_k c_k u^(j_max - k),
+    where c_k is the u^-k coefficient; long division gives it.
+    """
+    num, den = a
+    assert num.degree <= den.degree
+    rem = [0] * j_max + list(num.coeffs)
+    dd, lead = den.degree, den.coeffs[-1]
+    quo = {}
+    for k in range(len(rem) - 1, dd - 1, -1):
+        q = rem[k] / lead
+        quo[k - dd] = q
+        for i, b in enumerate(den.coeffs):
+            rem[k - dd + i] = rem[k - dd + i] - q * b
+    return [quo.get(j_max - k, 0) for k in range(1, j_max + 1)]
+
+
 # ------------------------------------------------------------ miscellaneous
 
 def brute_weight_terms(l, n):

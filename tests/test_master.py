@@ -166,8 +166,8 @@ def test_master_operator_monic_and_first_coefficient():
                          Fraction(-1)]
     # second coefficient for the anchor: G_2 = 2/(u^2 - u)
     g2 = funcs[2]
-    assert g2.eval(Fraction(2)) == Fraction(1)
-    assert g2.eval(Fraction(3)) == Fraction(1, 3)
+    assert g2.eval(Fraction(2))[0, 0] == Fraction(1)
+    assert g2.eval(Fraction(3))[0, 0] == Fraction(1, 3)
 
 
 def test_group_polynomials():
@@ -187,7 +187,8 @@ def test_jet_apply_matches_pencil():
         poly = Poly(tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
                     + (Fraction(1),))
         u0 = Fraction(rng.randint(4, 20), rng.randint(1, 3))
-        assert apply_factored_at(pd, poly, u0) == pencil.apply(poly).eval(u0)
+        assert apply_factored_at(pd, poly, u0) == \
+            pencil.apply(poly).eval(u0)[0, 0]
 
 
 def _bits(z):
@@ -227,7 +228,29 @@ def test_jet_coefficient_values_match_pencil():
     for u0 in (Fraction(3), Fraction(9, 2)):
         vals = scalar_coefficient_values(pd, u0)
         for i in range(1, 4):
-            assert vals[i - 1] == pencil.coeffs[pencil.order - i].eval(u0)
+            assert vals[i - 1] == \
+                pencil.coeffs[pencil.order - i].eval(u0)[0, 0]
+
+
+def test_variable_on_a_site_of_zero_exponent_shares_one_pole():
+    """A group-1 variable on a site whose color-1 exponent is 0 puts one
+    pole location into factors 1 and 2: the operator's denominator takes it
+    once, and its coefficients equal the jet values."""
+    p = GaudinProblem(2, [[2, 2, 0], [1, 0, 0]], [1, 1],
+                      [Fraction(0), Fraction(1)])
+    assert p.site_exponent[0][0] == 0
+    pt = [(Fraction(0),), (Fraction(5, 7),)]
+    PointConfig(p, pt)
+    pd = factored_pole_data(p, pt)
+    assert sum(1 for fac in pd for _, r in fac if r == 0) == 2
+    pencil = master_operator_at(p, pt)
+    assert pencil.coeffs[0].base == Poly.from_roots(
+        [Fraction(0), Fraction(1), Fraction(5, 7)])
+    for u0 in (Fraction(3), Fraction(-9, 2)):
+        vals = scalar_coefficient_values(pd, u0)
+        for i in range(1, 4):
+            assert vals[i - 1] == \
+                pencil.coeffs[pencil.order - i].eval(u0)[0, 0]
 
 
 def test_series_by_contour_matches_exact_series_for_every_coefficient():

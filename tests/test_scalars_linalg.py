@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaudin.errors import DimensionMismatch, DivisionByZero
+from gaudin.errors import DimensionMismatch
 from gaudin.linalg import (IncrementalSpan, SparseMatrix, nullspace, rank,
                            rref, solve)
 from gaudin.scalars import (QI, coerce, common_mode, format_scalar, is_exact,

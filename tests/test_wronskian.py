@@ -81,12 +81,12 @@ def test_anchor_incidence_tables():
 def test_vanishing_orders_direct():
     u2 = Poly((Fraction(0), Fraction(0), Fraction(1)))
     h2 = Poly((Fraction(-1, 2), Fraction(1)))
-    assert vanishing_orders([u2, h2], Fraction(0), 3) == [0, 2]
+    assert vanishing_orders([u2, h2], Fraction(0)) == [0, 2]
     # at z = 1 the span contains u^2 - 2(u - 1/2) = (u - 1)^2, so the
     # order set of the span is again {0, 2} even though neither basis
     # polynomial vanishes there to order 2
-    assert vanishing_orders([u2, h2], Fraction(1), 3) == [0, 2]
-    assert vanishing_orders([u2, h2], Fraction(3), 3) == [0, 1]
+    assert vanishing_orders([u2, h2], Fraction(1)) == [0, 2]
+    assert vanishing_orders([u2, h2], Fraction(3)) == [0, 1]
 
 
 def test_vanishing_orders_ignores_cancellation_residue():
@@ -97,7 +97,7 @@ def test_vanishing_orders_ignores_cancellation_residue():
               8.577250360317354 + 8.536921169977063e-13j, -4.5 + 0j, 1 + 0j))
     b = Poly((0.07667604603165756 - 1.0734000712363417e-14j,
               0.9166666666666381 - 1.235064612425978e-13j, 1 + 0j))
-    assert vanishing_orders([a, b], 0.0, 4) == [0, 2]
+    assert vanishing_orders([a, b], 0.0) == [0, 2]
 
 
 def test_expected_orders_and_degree_set():
