@@ -15,7 +15,7 @@ from fractions import Fraction
 from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
                           site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
-from .linalg import SparseMatrix, integer_scaled
+from .linalg import Coordinates, SparseMatrix, integer_scaled
 from .repr_core import GlModule, columns_of
 from .scalars import scalar_abs, to_complex
 
@@ -89,77 +89,18 @@ class BetheOperatorFamily:
         return self.B_u[i].eval(u)
 
 
-def _restriction_solver(cols, dim):
-    """RREF the subspace columns with identity tags; returns (rows, pivots, tags)
-    where rows[r] is an echelon combination sum_m tags[r][m] * cols[m]."""
-    work = []
-    for m, col in enumerate(cols):
-        row = dict(col)
-        row[dim + m] = Fraction(1)
-        work.append(row)
-    rows, pivots, tags = [], [], []
-    for row in work:
-        row = dict(row)
-        for er, p in zip(rows, pivots):
-            x = row.get(p)
-            if x:
-                for k, v in er.items():
-                    y = row.get(k)
-                    s = -x * v if y is None else y - x * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
-        p = min(k for k in row if k < dim) if any(k < dim for k in row) else None
-        if p is None:
-            raise NotInvariant("subspace columns are linearly dependent")
-        piv = row[p]
-        row = {k: v / piv for k, v in row.items()}
-        row[p] = Fraction(1)
-        for er in rows:
-            x = er.get(p)
-            if x:
-                for k, v in row.items():
-                    y = er.get(k)
-                    s = -x * v if y is None else y - x * v
-                    if s:
-                        er[k] = s
-                    else:
-                        er.pop(k, None)
-        rows.append(row)
-        pivots.append(p)
-    tags = [{k - dim: v for k, v in r.items() if k >= dim} for r in rows]
-    clean = [{k: v for k, v in r.items() if k < dim} for r in rows]
-    return clean, pivots, tags
-
-
-def _restrict_matrix(mat: SparseMatrix, cols, solver, i) -> SparseMatrix:
+def _restrict_matrix(mat: SparseMatrix, cols, coords, i) -> SparseMatrix:
     """The matrix R with mat @ cols == cols @ R; NotInvariant if none."""
-    erows, pivots, tags = solver
     out = SparseMatrix(len(cols), len(cols))
     for c, col in enumerate(cols):
-        resid = mat.apply(col)
-        # coordinates in the echelon rows, then back to the given basis
-        d = []
-        for er, p in zip(erows, pivots):
-            x = resid.get(p, 0)
-            d.append(x)
-            if x:
-                for kk, v in er.items():
-                    s = resid.get(kk, 0) - x * v
-                    if s:
-                        resid[kk] = s
-                    else:
-                        resid.pop(kk, None)
-        if resid:
-            bad = max(scalar_abs(v) for v in resid.values())
+        x, rest = coords(mat.apply(col))
+        if rest:
+            bad = max(scalar_abs(v) for v in rest.values())
             raise NotInvariant(
                 f"coefficient {i} maps basis vector {c} outside the subspace "
                 f"(residual {bad:.3e})")
-        for r, dr in enumerate(d):
-            if dr:
-                for m, tval in tags[r].items():
-                    out[m, c] = out[m, c] + dr * tval
+        for m, v in x.items():
+            out[m, c] = v
     return out
 
 
@@ -177,10 +118,13 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
     B_u = {i: operator_coefficient(pencil, i) for i in range(1, order + 1)}
     if subspace is not None:
         cols = columns_of(subspace) if isinstance(subspace, SparseMatrix) else [dict(c) for c in subspace]
-        solver = _restriction_solver(cols, pencil.coeffs[0].nrows)
+        try:
+            coords = Coordinates(cols, pencil.coeffs[0].nrows)
+        except ValueError:
+            raise NotInvariant("subspace columns are linearly dependent") from None
         k = len(cols)
         B_u = {i: big.map_coeffs(
-                   lambda mat, i=i: _restrict_matrix(mat, cols, solver, i), k, k)
+                   lambda mat, i=i: _restrict_matrix(mat, cols, coords, i), k, k)
                for i, big in B_u.items()}
     B_coeffs = {}
     for i in range(1, order + 1):

@@ -30,8 +30,8 @@ from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
                             restrict_family, sample_points, universal_operator)
 from .errors import GaudinError, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
-from .master import (GaudinProblem, SolverConfig, factored_pole_data,
-                     find_critical_orbits, group_polynomials,
+from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
+                     factored_pole_data, find_critical_orbits, group_polynomials,
                      hessian_determinant, master_coefficients,
                      master_operator_at, scalar_coefficient_values,
                      series_by_contour, try_rationalize_orbit)
@@ -201,10 +201,6 @@ def _eigen_residual(lhs, vec, g):
     for idx, v in vec.items():
         diff[idx] = diff.get(idx, 0) - g * v
     return max((scalar_abs(v) for v in diff.values()), default=0.0)
-
-
-def _fmt_groups(groups):
-    return [[format_scalar(x) for x in grp] for grp in groups]
 
 
 class Checks:
@@ -592,10 +588,15 @@ def _print_weightfn(problem, report):
         if orb["degenerate"]:
             print(f"orbit {orb['index']}: degenerate, skipped")
             continue
-        groups = [[complex(re, im) for (re, im) in grp]
-                  for grp in orb["groups"]]
+        groups = tuple(tuple(complex(re, im) for (re, im) in grp)
+                       for grp in orb["groups"])
+        orbit = CriticalOrbit(groups, orb["residual"],
+                              complex(*orb["hessian_determinant"]),
+                              orb["degenerate"], orb["index"])
+        # the point run_pipeline verified: exact when the orbit rationalizes
+        point = try_rationalize_orbit(problem, orbit) or groups
         try:
-            vec, info = bethe_vector(problem, M, groups, form=form)
+            vec, info = bethe_vector(problem, M, point, form=form)
         except ZeroVector:
             print(f"orbit {orb['index']}: zero vector")
             continue

@@ -2,8 +2,12 @@
 
 Matrices are dicts mapping (row, col) -> nonzero scalar.  Vectors are dicts
 mapping index -> nonzero scalar.  Everything here is written for correctness
-on modest dimensions (module dimensions in the hundreds); elimination is plain
-Gaussian with exact pivots in exact mode and partial pivoting in numeric mode.
+on modest dimensions (module dimensions in the hundreds).
+
+Every elimination is one row operation, `_eliminate`: row echelon forms
+(`rref`, `IncrementalSpan`), coordinates in a column basis (`Coordinates`)
+and determinants (`det`).  Pivots are exact (first nonzero) in exact mode
+and of largest modulus in numeric mode.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from fractions import Fraction
 from .scalars import is_exact, scalar_abs
 
 _NUMERIC_EPS = 1e-12
+# a numeric remainder this small relative to the vector counts as roundoff
+_REMAINDER_RTOL = 1e-9
 
 
 def vec_dot(u, v):
@@ -40,10 +46,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
 
     def copy(self):
         return SparseMatrix(self.nrows, self.ncols, dict(self.data))
@@ -156,11 +158,29 @@ def integer_scaled(mats):
             for m in mats], d
 
 
-def _pivot_in_row(row, exact):
-    """Choose pivot column: smallest index (exact) / largest magnitude (numeric)."""
+def _nz(x, exact, eps=_NUMERIC_EPS):
     if exact:
-        return min(row)
-    return max(row, key=lambda j: scalar_abs(row[j]))
+        return bool(x)
+    return scalar_abs(x) > eps
+
+
+def _eliminate(target, row, col, exact, eps=_NUMERIC_EPS):
+    """target -= (target[col] / row[col]) * row, in place.
+
+    The one row operation of this module.  An entry of the result is dropped
+    when it is zero (exact mode) or of modulus at most `eps` (numeric mode).
+    """
+    x = target[col]
+    piv = row[col]
+    if piv != 1:
+        x = x / piv
+    for j, w in row.items():
+        y = target.get(j)
+        s = -x * w if y is None else y - x * w
+        if _nz(s, exact, eps):
+            target[j] = s
+        else:
+            target.pop(j, None)
 
 
 def rref(rows, eps=_NUMERIC_EPS):
@@ -195,37 +215,14 @@ def rref(rows, eps=_NUMERIC_EPS):
             continue
         row = {j: v / piv for j, v in row.items()}
         row[col] = 1 if exact else 1.0
-        for r in work:
-            x = r.get(col)
-            if x:
-                for j, v in row.items():
-                    y = r.get(j)
-                    s = -x * v if y is None else y - x * v
-                    if _nz(s, exact, eps):
-                        r[j] = s
-                    else:
-                        r.pop(j, None)
-        for r in reduced:
-            x = r.get(col)
-            if x:
-                for j, v in row.items():
-                    y = r.get(j)
-                    s = -x * v if y is None else y - x * v
-                    if _nz(s, exact, eps):
-                        r[j] = s
-                    else:
-                        r.pop(j, None)
+        for r in work + reduced:
+            if r.get(col):
+                _eliminate(r, row, col, exact, eps)
         reduced.append(row)
         pivots.append(col)
         work = [r for r in work if r]
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     return [reduced[k] for k in order], [pivots[k] for k in order]
-
-
-def _nz(x, exact, eps=_NUMERIC_EPS):
-    if exact:
-        return bool(x)
-    return scalar_abs(x) > eps
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -249,107 +246,116 @@ def nullspace(mat: SparseMatrix):
     return basis
 
 
-def solve(mat: SparseMatrix, rhs):
-    """One solution of mat @ x = rhs (dict-vector rhs), or None if inconsistent."""
-    aug_rows = mat.rows_as_dicts()
-    for i, r in enumerate(aug_rows):
-        y = rhs.get(i)
-        if y:
-            r[mat.ncols] = y
-    reduced, pivots = rref(aug_rows)
-    x = {}
-    for row, p in zip(reduced, pivots):
-        if p == mat.ncols:
-            return None  # inconsistent: pivot in augmented column
-        y = row.get(mat.ncols)
-        if y:
-            x[p] = y
-    return x
+def det(rows):
+    """Determinant of a square matrix given as a list of rows (sequences).
+
+    Gaussian elimination: the first nonzero pivot in exact mode, the largest
+    modulus (partial pivoting) in numeric mode, where no entry is dropped.
+    """
+    n = len(rows)
+    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    exact = all(is_exact(x) for r in work for x in r.values())
+    out = Fraction(1) if exact else complex(1)
+    for col in range(n):
+        if exact:
+            piv = next((r for r in range(col, n) if work[r].get(col)), None)
+        else:
+            piv = max(range(col, n), key=lambda r: scalar_abs(work[r].get(col, 0)))
+            if scalar_abs(work[piv].get(col, 0)) == 0.0:
+                piv = None
+        if piv is None:
+            return Fraction(0) if exact else complex(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            out = -out
+        row = work[col]
+        out = out * row[col]
+        for r in work[col + 1:]:
+            if r.get(col):
+                _eliminate(r, row, col, exact, eps=0.0)
+    return out
 
 
 class IncrementalSpan:
-    """Maintains an RREF basis of a growing span; used for module closure.
+    """Reduced echelon basis of a growing span; used for module closure.
 
     add(v) reduces v against the current basis; if a new direction remains it
-    is absorbed and True is returned.  coords(v) expresses v in the stored
-    (echelon) basis, or returns None when v lies outside the span.
+    is absorbed and True is returned.  Pivots lie below `ambient_dim`; entries
+    at larger indices are tags that ride along in every row operation (see
+    `Coordinates`).
     """
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
         self.rows = []      # echelon rows, leading coefficient 1
         self.pivots = []    # pivot index of each row
+        self.exact = True   # every row exact
 
     def __len__(self):
         return len(self.rows)
 
-    def _reduce(self, v):
+    def _reduce(self, v, eps=_NUMERIC_EPS):
+        """(v with every pivot entry cleared by the rows, exact mode flag)."""
         v = dict(v)
-        exact = all(is_exact(x) for x in v.values()) and all(
-            is_exact(x) for r in self.rows for x in r.values())
+        exact = self.exact and all(is_exact(x) for x in v.values())
         for row, p in zip(self.rows, self.pivots):
-            x = v.get(p)
-            if x:
-                for j, w in row.items():
-                    y = v.get(j)
-                    s = -x * w if y is None else y - x * w
-                    if _nz(s, exact):
-                        v[j] = s
-                    else:
-                        v.pop(j, None)
+            if v.get(p):
+                _eliminate(v, row, p, exact, eps)
         return v, exact
-
-    def contains(self, v):
-        red, _ = self._reduce(v)
-        return not red
 
     def add(self, v):
         red, exact = self._reduce(v)
-        if not red:
+        free = [j for j in red if j < self.ambient_dim]
+        if not free:
             return False
-        p = _pivot_in_row(red, exact)
+        if exact:
+            p = min(free)
+        else:
+            p = max(free, key=lambda j: scalar_abs(red[j]))
         piv = red[p]
         red = {j: w / piv for j, w in red.items()}
         red[p] = 1 if exact else 1.0
         # keep existing rows reduced against the new one
         for row in self.rows:
-            x = row.get(p)
-            if x:
-                for j, w in red.items():
-                    y = row.get(j)
-                    s = -x * w if y is None else y - x * w
-                    if _nz(s, exact):
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+            if row.get(p):
+                _eliminate(row, red, p, exact)
         self.rows.append(red)
         self.pivots.append(p)
+        self.exact = exact
         return True
 
-    def coords(self, v):
-        """Coefficients c with v = sum_k c[k] * rows[k], or None if outside."""
-        v = dict(v)
-        exact = all(is_exact(x) for x in v.values()) and all(
-            is_exact(x) for r in self.rows for x in r.values())
-        out = [0] * len(self.rows)
-        for k, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            x = v.get(p)
-            if x:
-                out[k] = x
-                for j, w in row.items():
-                    y = v.get(j)
-                    s = -x * w if y is None else y - x * w
-                    if _nz(s, exact):
-                        v[j] = s
-                    else:
-                        v.pop(j, None)
-        if v:
-            return None
-        return out
 
-    def basis_matrix(self):
-        m = SparseMatrix(len(self.rows), self.ambient_dim)
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                m[i, j] = x
-        return m
+class Coordinates:
+    """Coordinates of dict-vectors in a basis of independent columns.
+
+    The columns go into an IncrementalSpan with column m tagged by a unit
+    entry at dim + m.  Reducing v against that span leaves minus the
+    coordinates of v at the tags and the part of v outside the span below
+    dim.  Raises ValueError when the columns are linearly dependent.
+    """
+
+    def __init__(self, cols, dim):
+        self.dim = dim
+        self.span = IncrementalSpan(dim)
+        for m, col in enumerate(cols):
+            tagged = dict(col)
+            tagged[dim + m] = Fraction(1)
+            if not self.span.add(tagged):
+                raise ValueError("basis columns are linearly dependent")
+
+    def __call__(self, v):
+        """(x, rest) with v = sum_m x[m] * cols[m] + rest, x and rest dicts.
+
+        rest is empty when v lies in the span.  In numeric mode no entry is
+        dropped, and a remainder of modulus at most _REMAINDER_RTOL times the
+        largest modulus in v counts as roundoff and is discarded.
+        """
+        dim = self.dim
+        red, exact = self.span._reduce(v, eps=0.0)
+        x = {k - dim: -c for k, c in red.items() if k >= dim}
+        rest = {k: c for k, c in red.items() if k < dim}
+        if rest and not exact:
+            bound = _REMAINDER_RTOL * max(scalar_abs(c) for c in v.values())
+            if all(scalar_abs(c) <= bound for c in rest.values()):
+                rest = {}
+        return x, rest

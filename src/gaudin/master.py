@@ -34,8 +34,8 @@ import numpy as np
 from . import kernels
 from .diffop_ring import OperatorPencil, Poly, RFMatrix, site_denominator
 from .errors import DimensionMismatch, PointNotInU, RepeatedSites
-from .linalg import SparseMatrix
-from .scalars import QI, coerce, is_exact, scalar_abs, to_complex
+from .linalg import SparseMatrix, det
+from .scalars import QI, coerce, is_exact, to_complex
 from .weights import check_partition, derive_infinity_weight, root_pairing, weight_size
 
 
@@ -240,42 +240,8 @@ def hessian_log_master(problem: GaudinProblem, point):
     return H
 
 
-def dense_det(rows):
-    """Determinant by Gaussian elimination; exact when entries are exact."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    M = [list(r) for r in rows]
-    exact = all(is_exact(x) for r in M for x in r)
-    det = Fraction(1) if exact else complex(1)
-    for col in range(n):
-        piv = None
-        if exact:
-            for r in range(col, n):
-                if M[r][col]:
-                    piv = r
-                    break
-        else:
-            piv = max(range(col, n), key=lambda r: scalar_abs(M[r][col]))
-            if scalar_abs(M[piv][col]) == 0.0:
-                piv = None
-        if piv is None:
-            return Fraction(0) if exact else complex(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        pv = M[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            x = M[r][col]
-            if x:
-                f = x / pv
-                M[r] = [M[r][k] - f * M[col][k] for k in range(n)]
-    return det
-
-
 def hessian_determinant(problem: GaudinProblem, point):
-    return dense_det(hessian_log_master(problem, point))
+    return det(hessian_log_master(problem, point))
 
 
 # ------------------------------------------------------------- orbit search

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotAPartition
-from .linalg import (IncrementalSpan, SparseMatrix, integer_scaled, nullspace,
-                     solve, vec_dot)
+from .errors import DimensionMismatch
+from .linalg import (Coordinates, IncrementalSpan, SparseMatrix,
+                     integer_scaled, nullspace, vec_dot)
 from .weights import check_partition, conjugate_partition
 
 _COMMUTATION_CHECK_MAX_DIM = 200
@@ -79,12 +79,6 @@ class GlModule:
                     out[base_r + b, base_c + b] = v
         self._slot_cache[key] = out
         return out
-
-    def total_weight_operator(self):
-        acc = SparseMatrix(self.dim, self.dim)
-        for i in range(1, self.rank + 1):
-            acc = acc + self.e(i, i)
-        return acc
 
 
 class SymmetricForm:
@@ -228,13 +222,9 @@ def build_irreducible(lam, N):
     by_weight = {}
     for k, w in enumerate(vweights):
         by_weight.setdefault(w, []).append(k)
-    colmats = {}
-    for w, positions in by_weight.items():
-        A = SparseMatrix(base ** m, len(positions))
-        for c, k in enumerate(positions):
-            for row, val in vectors[k].items():
-                A[row, c] = val
-        colmats[w] = (A, positions)
+    coords = {w: (Coordinates([vectors[k] for k in positions], base ** m),
+                  positions)
+              for w, positions in by_weight.items()}
 
     gen_action = {}
     for i in range(1, N + 2):
@@ -254,15 +244,13 @@ def build_irreducible(lam, N):
                     tw[i - 1] += 1
                     tw[j - 1] -= 1
                     tw = tuple(tw)
-                    entry = colmats.get(tw)
+                    entry = coords.get(tw)
                     assert entry is not None, "image outside the weight grading"
-                    A, positions = entry
-                    x = solve(A, img)
-                    assert x is not None, "image escaped the module span"
-                    for c, pos in enumerate(positions):
-                        val = x.get(c)
-                        if val:
-                            mat[pos, k] = val
+                    in_basis, positions = entry
+                    x, rest = in_basis(img)
+                    assert not rest, "image escaped the module span"
+                    for c, val in x.items():
+                        mat[positions[c], k] = val
             gen_action[(i, j)] = mat
 
     weights_full = [tuple(w[a] + shift for a in range(base)) for w in vweights]

@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, TermLimitExceeded, ZeroVector
-from .linalg import vec_dot
 from .master import GaudinProblem, PointConfig
 from .repr_core import GlModule
 from .scalars import is_exact, scalar_abs
@@ -37,13 +36,6 @@ class ColoredSequence:
 
     def __init__(self, segments):
         self.segments = tuple(tuple(int(c) for c in seg) for seg in segments)
-
-    def color_counts(self, N):
-        out = [0] * N
-        for seg in self.segments:
-            for c in seg:
-                out[c - 1] += 1
-        return tuple(out)
 
     def positions(self):
         """Global position list [(site, color), ...] in reading order."""

@@ -91,6 +91,38 @@ def test_restriction_rejects_noninvariant_subspace():
         restrict_family(pencil, S, 4)
 
 
+def _exact_site(x):
+    return QI(Fraction(x.real), Fraction(x.imag)) if x.imag else Fraction(x.real)
+
+
+FLOAT_RESTRICTION_SITES = {
+    "complex_site": [0, 1, 3 + 0.2j, -2],
+    "off_grid": [0.1, 1.3, 2.7 + 0.2j, -1.9],
+}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(FLOAT_RESTRICTION_SITES))
+def test_restriction_at_float_sites_matches_exact_sites(name, scale):
+    """Restricting to the singular space at floating sites needs no exact
+    zero remainder and keeps small coordinates."""
+    M, _ = _module([(1, 0)] * 4, 1)
+    _, S = weight_and_singular_subspace(M, (2, 2))
+    z = [complex(x) * scale for x in FLOAT_RESTRICTION_SITES[name]]
+    got = restrict_family(universal_operator(M, z), S, 4)
+    want = restrict_family(
+        universal_operator(M, [_exact_site(x) for x in z]), S, 4)
+    assert got.carrier_dim == want.carrier_dim == 2
+    for i in (1, 2):
+        for u in (complex(0.5, 0.7) * scale, complex(-1.3, 0.2) * scale):
+            a = got.eval(i, u)
+            b = want.eval(i, _exact_site(u))
+            keys = set(a.data) | set(b.data)
+            size = max(scalar_abs(b[k]) for k in keys)
+            err = max(abs(complex(a[k]) - complex(b[k])) for k in keys)
+            assert err <= 1e-9 * size, (i, u, err, size)
+
+
 def test_operator_coefficient_indexing():
     M, _ = _module([(1, 0), (1, 0)], 1)
     pencil = universal_operator(M, Z2)

@@ -262,6 +262,20 @@ def test_main_weightfn(tmp_path, capsys):
     assert "orbit 0: 2 nonzero coordinates" in out
 
 
+def test_main_weightfn_prints_the_vector_the_pipeline_verified(tmp_path,
+                                                               capsys):
+    """The selftest orbit rationalizes, so the vector is the exact (-2, 2)
+    with norm 8 that the norm_formula check compared, not its float
+    evaluation at the floating orbit."""
+    path = write_problem(tmp_path, dict(SELFTEST_PROBLEM))
+    rc = main(["weightfn", "--problem", path])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[1:] == ["orbit 0: 2 nonzero coordinates, norm^2 = 8",
+                       "  [1] weight (1, 1): -2",
+                       "  [2] weight (1, 1): 2"]
+
+
 def test_main_seed_override(tmp_path, capsys):
     path = write_problem(tmp_path, ANCHOR_JSON)
     rc = main(["solve", "--problem", path, "--seed", "77", "--format",

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from gaudin.errors import DimensionMismatch
-from gaudin.linalg import (IncrementalSpan, SparseMatrix, nullspace, rank,
-                           rref, solve)
+from gaudin.linalg import (Coordinates, IncrementalSpan, SparseMatrix, det,
+                           nullspace, rank, rref)
 from gaudin.scalars import (QI, coerce, common_mode, format_scalar, is_exact,
                             parse_rational, scalar_abs, to_complex)
 
@@ -99,15 +101,64 @@ def test_sparse_rank_and_nullspace_against_numpy():
             assert np.linalg.norm(arr) > 0
 
 
-def test_solve_consistency():
+def test_coordinates_in_a_column_basis():
     rng = random.Random(2)
     a = _random_sparse(rng, 4, 4, density=0.9)
     while rank(a) < 4:
         a = _random_sparse(rng, 4, 4, density=0.9)
+    cols = [{i: a[i, j] for i in range(4) if a[i, j]} for j in range(4)]
     x = {0: Fraction(1, 3), 2: Fraction(-2)}
-    b = a.apply(x)
-    got = solve(a, b)
-    assert got == x
+    got, rest = Coordinates(cols, 4)(a.apply(x))
+    assert got == x and rest == {}
+    # the first three columns miss the fourth, which has full rank
+    got, rest = Coordinates(cols[:3], 4)(cols[3])
+    assert rest
+    back = dict(rest)
+    for m, c in got.items():
+        for i, v in cols[m].items():
+            back[i] = back.get(i, 0) + c * v
+    assert {i: v for i, v in back.items() if v} == cols[3]
+    with pytest.raises(ValueError):
+        Coordinates(cols + [cols[1]], 4)
+
+
+def _permutation_det(rows):
+    n = len(rows)
+    tot = 0
+    for perm in itertools.permutations(range(n)):
+        term = oracles.perm_sign(perm)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        tot += term
+    return tot
+
+
+def test_det_matches_the_permutation_formula():
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4, 5):
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(n)] for _ in range(n)]
+        assert det(rows) == _permutation_det(rows)
+    # a leading zero forces a row swap
+    rows = [[Fraction(0), Fraction(2), Fraction(1)],
+            [Fraction(3), Fraction(1, 2), Fraction(-1)],
+            [Fraction(1), Fraction(0), Fraction(4)]]
+    assert det(rows) == _permutation_det(rows) != 0
+    singular = [[Fraction(1), Fraction(2), Fraction(3)],
+                [Fraction(2), Fraction(4), Fraction(6)],
+                [Fraction(0), Fraction(1), Fraction(5)]]
+    assert det(singular) == 0
+    assert det([]) == 1
+
+
+def test_det_of_complex_entries_against_numpy():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 6):
+        arr = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        got = det(arr.tolist())
+        assert isinstance(got, complex)
+        want = np.linalg.det(arr)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_rref_pivots_are_sorted_orders():
