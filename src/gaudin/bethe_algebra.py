@@ -121,7 +121,8 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
         try:
             coords = Coordinates(cols, pencil.coeffs[0].nrows)
         except ValueError:
-            raise NotInvariant("subspace columns are linearly dependent") from None
+            raise NotInvariant(
+                "subspace columns are linearly dependent") from None
         k = len(cols)
         B_u = {i: big.map_coeffs(
                    lambda mat, i=i: _restrict_matrix(mat, cols, coords, i), k, k)

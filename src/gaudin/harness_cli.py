@@ -31,10 +31,11 @@ from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
 from .errors import GaudinError, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
 from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
-                     factored_pole_data, find_critical_orbits, group_polynomials,
-                     hessian_determinant, master_coefficients,
-                     master_operator_at, scalar_coefficient_values,
-                     series_by_contour, try_rationalize_orbit)
+                     factored_pole_data, find_critical_orbits,
+                     group_polynomials, hessian_determinant,
+                     master_coefficients, master_operator_at,
+                     scalar_coefficient_values, series_by_contour,
+                     try_rationalize_orbit)
 from .repr_core import (build_irreducible, tensor_module, tensor_shapovalov,
                         weight_and_singular_subspace)
 from .scalars import (QI, format_scalar, is_exact, parse_rational,

@@ -260,7 +260,8 @@ def det(rows):
         if exact:
             piv = next((r for r in range(col, n) if work[r].get(col)), None)
         else:
-            piv = max(range(col, n), key=lambda r: scalar_abs(work[r].get(col, 0)))
+            piv = max(range(col, n),
+                      key=lambda r: scalar_abs(work[r].get(col, 0)))
             if scalar_abs(work[piv].get(col, 0)) == 0.0:
                 piv = None
         if piv is None:
