@@ -8,7 +8,10 @@ power of one fixed denominator D(u) = prod (u - r) of the known pole
 locations (RFMatrix), so nothing is ever gcd-reduced, and the same
 composition code serves the row-determinant operator (poles at the sites)
 and the scalar operator at a critical point (1x1, poles at the sites and the
-Bethe variables).
+Bethe variables).  When the entries and the poles are rational, an RFMatrix
+keeps its value P(u)/D(u)^k as P~(u) / (d * D~(u)^k) with P~ and D~ = lcd * D
+in Python ints and one positive int d, so its arithmetic runs in integers;
+Gaussian-rational and floating ones pass through with d = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, rational_lcd
 from .scalars import is_exact, scalar_abs
 
 
@@ -101,7 +104,8 @@ class Poly:
         return Poly([c * x for x in self.coeffs])
 
     def __pow__(self, k):
-        out = ONE
+        # an integer polynomial's powers start from the int 1, to stay ints
+        out = _INT_ONE if all(type(c) is int for c in self.coeffs) else ONE
         for _ in range(k):
             out = out * self
         return out
@@ -149,6 +153,7 @@ class Poly:
 
 
 ONE = Poly((Fraction(1),))
+_INT_ONE = Poly((1,))
 
 
 def _series_quotient(num, den, count):
@@ -180,19 +185,33 @@ def _times_poly(mats, q: Poly):
 
 
 def site_denominator(z):
-    """D(u) = prod_s (u - z_s) and the cofactors prod_{t!=s} (u - z_t)."""
-    factors = [Poly((-zs, 1 if is_exact(zs) else 1.0 + 0j)) for zs in z]
-    base = ONE
+    """The site polynomial D(u) = prod_s (u - z_s) and its cofactors
+    prod_{t!=s} (u - z_t), as (base, cofactors, lcd).
+
+    With every z_s = p_s / q_s rational, lcd = prod_s q_s and everything
+    is scaled to integer coefficients: base is lcd * D = prod_s (q_s u - p_s)
+    and cofactor s is q_s prod_{t!=s} (q_t u - p_t), so that
+    1/(u - z_s) = cofactor_s / base.  Otherwise lcd is None and D and its
+    cofactors are kept as they are.
+    """
+    lcd = rational_lcd(z)
+    if lcd is not None:
+        factors = [Poly((-zs.numerator, zs.denominator)) for zs in z]
+        one = _INT_ONE
+    else:
+        factors = [Poly((-zs, 1 if is_exact(zs) else 1.0 + 0j)) for zs in z]
+        one = ONE
+    base = one
     for f in factors:
         base = base * f
     cofactors = []
     for s in range(len(factors)):
-        cofactor = ONE
+        cofactor = one if lcd is None else Poly((factors[s].coeffs[1],))
         for t, f in enumerate(factors):
             if t != s:
                 cofactor = cofactor * f
         cofactors.append(cofactor)
-    return base, cofactors
+    return base, cofactors, lcd
 
 
 def _add_polys(a, b):
@@ -201,65 +220,118 @@ def _add_polys(a, b):
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-_FLOATING = "floating"
-_GENERIC = "generic"
+def _to_ints(mat, e, f=1):
+    """mat * e * f with int entries; e is a multiple of every denominator."""
+    return SparseMatrix(mat.nrows, mat.ncols,
+                        {key: v.numerator * (e // v.denominator) * f
+                         for key, v in mat.data.items()})
 
 
-def _horner_plan(coeffs, base):
-    """How RFMatrix.eval runs Horner at a rational point.
-
-    (lcd, rows) when every entry and the base are rational: rows maps each
-    entry, in the order Horner first meets it (highest coefficient down), to
-    its integer numerators m_n, ..., m_0 over the common denominator lcd.
-    _FLOATING when every entry is a float or complex, else _GENERIC.
-    """
-    if not coeffs:
-        return _GENERIC
-    rows = {}
-    top = len(coeffs) - 1
-    for a in range(top, -1, -1):
-        for key, v in coeffs[a].data.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * (top + 1)
-            row[top - a] = v
-    values = [v for row in rows.values() for v in row]
-    if all(type(v) is Fraction or type(v) is int
-           for v in itertools.chain(values, base.coeffs)):
-        lcd = math.lcm(*(v.denominator for v in values))
-        return lcd, {key: tuple(v.numerator * (lcd // v.denominator)
-                                for v in row)
-                     for key, row in rows.items()}
-    if all(isinstance(v, (float, complex)) for mat in coeffs
-           for v in mat.data.values()):
-        return _FLOATING
-    return _GENERIC
+def _scaled(mats, c):
+    return mats if c == 1 else [m.scale(c) for m in mats]
 
 
 class RFMatrix:
     """Matrix of rational functions over one shared denominator power.
 
-    The value is P(u) / D(u)^k: `coeffs` are the SparseMatrix coefficients of
-    P in ascending powers of u, `base` is the polynomial D and `power` is k.
-    Nothing is ever reduced.  Sums bring both sides to the larger power of D,
-    products convolve the coefficients and add the powers.  The currents of a
-    Gaudin model have D = prod_s (u - z_s), and an entry of weight i of their
-    row determinant has pole order at most i at every site, so P_i / D^i is
-    exact without any gcd.
+    The value is P(u) / D(u)^k, and `coeffs` (the SparseMatrix coefficients
+    of P in ascending powers of u), `base` (the polynomial D) and `power`
+    (k) read it in those terms.  Nothing is ever reduced.  Sums bring both
+    sides to the larger power of D, products convolve the coefficients and
+    add the powers.  The currents of a Gaudin model have
+    D = prod_s (u - z_s), and an entry of weight i of their row determinant
+    has pole order at most i at every site, so P_i / D^i is exact without
+    any gcd.
+
+    When every entry and every coefficient of D is rational, the value is
+    stored in integers as P~(u) / (d * D~(u)^k): `num` holds the coefficient
+    matrices of P~ with Python int entries, `den` is D~ = lcd * D with
+    integer coefficients, and d is one positive int, so P = P~ / (d lcd^k).
+    Sums, products, scalings and derivatives then multiply and add ints
+    only, with no gcd; Fractions are made where values leave the type (`eval`,
+    `entries_series_at_infinity`, `coeffs`).  Anything else (Gaussian-
+    rational or floating entries or sites) passes through with num = P,
+    den = D and d = lcd = 1, and an operation between the two forms works on
+    the Fraction form of the integer side.  `is_exact` reads what the
+    constructor knew.
     """
 
-    __slots__ = ("nrows", "ncols", "coeffs", "base", "power", "_horner")
+    __slots__ = ("nrows", "ncols", "num", "den", "lcd", "d", "power",
+                 "integral", "exact", "_horner", "_view")
 
     def __init__(self, nrows, ncols, coeffs=(), base=ONE, power=0):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        values = [v for mat in coeffs for v in mat.data.values()]
+        e = rational_lcd(values)
+        lcd = None if e is None else rational_lcd(base.coeffs)
+        if lcd is None:
+            exact = (base.is_exact_poly()
+                     and all(is_exact(v) for v in values))
+            self._set(nrows, ncols, coeffs, base, 1, 1, power, False, exact)
+            return
+        num = [_to_ints(mat, e, lcd ** power) for mat in coeffs]
+        den = Poly([c.numerator * (lcd // c.denominator) for c in base.coeffs])
+        self._set(nrows, ncols, num, den, lcd, e, power, True, True)
+
+    def _set(self, nrows, ncols, num, den, lcd, d, power, integral, exact):
+        while num and num[-1].is_zero():
+            num.pop()
         self.nrows = nrows
         self.ncols = ncols
-        self.coeffs = coeffs
-        self.base = base
-        self.power = power if coeffs else 0
-        self._horner = None    # eval's plan, made at its first call
+        self.num = num
+        self.den = den
+        self.lcd = lcd
+        self.d = d
+        self.power = power if num else 0
+        self.integral = integral
+        self.exact = exact
+        self._horner = None    # eval's integer rows, made at its first call
+        self._view = None      # the pass-through form, made when needed
+
+    def _like(self, num, power, d=None, nrows=None, ncols=None, exact=None):
+        """A matrix in the same form and over the same denominator."""
+        out = RFMatrix.__new__(RFMatrix)
+        out._set(self.nrows if nrows is None else nrows,
+                 self.ncols if ncols is None else ncols, num, self.den,
+                 self.lcd, self.d if d is None else d, power, self.integral,
+                 self.exact if exact is None else exact)
+        return out
+
+    @property
+    def coeffs(self):
+        """The coefficient matrices of P, made as Fractions in the integer
+        form."""
+        return self._p_matrices() if self.integral else self.num
+
+    @property
+    def base(self):
+        if not self.integral:
+            return self.den
+        return Poly([Fraction(c, self.lcd) for c in self.den.coeffs])
+
+    def _p_matrices(self, floating=False):
+        """P = P~ / (d lcd^k) of the integer form, as Fractions or as their
+        complex values."""
+        f = self.d * self.lcd ** self.power
+        return [SparseMatrix(self.nrows, self.ncols,
+                             {key: complex(v / f) if floating
+                              else Fraction(v, f)
+                              for key, v in mat.data.items()})
+                for mat in self.num]
+
+    def _pass_through(self, floating=False):
+        """The same value in the pass-through form, with Fraction entries or,
+        to meet a floating matrix, their complex values: Fraction's
+        arithmetic with a complex converts it to complex(v) at every product
+        and sum, so the bits are the same.  Cached on the object."""
+        if not self.integral:
+            return self
+        view = self._view
+        if view is None or view.exact == floating:
+            view = self._view = RFMatrix.__new__(RFMatrix)
+            view._set(self.nrows, self.ncols, self._p_matrices(floating),
+                      self.base, 1, 1, self.power, False, not floating)
+        return view
 
     @classmethod
     def identity(cls, n):
@@ -267,37 +339,49 @@ class RFMatrix:
 
     @classmethod
     def over_sites(cls, mats, sites):
-        """sum_s mats[s] / (u - z_s), kept as sum_s mats[s] prod_{t!=s}(u - z_t)
-        over D(u) = prod_s (u - z_s); `sites` is site_denominator(z)."""
-        base, cofactors = sites
+        """sum_s mats[s] / (u - z_s), kept as sum_s mats[s] times cofactor s
+        over the base; `sites` is site_denominator(z)."""
+        base, cofactors, lcd = sites
+        e = None if lcd is None else rational_lcd(
+            v for m in mats for v in m.data.values())
+        if e is not None:
+            mats = [_to_ints(m, e) for m in mats]
         coeffs = []
         for mat, cofactor in zip(mats, cofactors):
             coeffs = _add_polys(coeffs, _times_poly([mat], cofactor))
-        return cls(mats[0].nrows, mats[0].ncols, coeffs, base, 1)
+        if e is None:
+            return cls(mats[0].nrows, mats[0].ncols, coeffs, base, 1)
+        out = cls.__new__(cls)
+        out._set(mats[0].nrows, mats[0].ncols, coeffs, base, lcd, e, 1, True,
+                 True)
+        return out
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_exact(self):
-        return (self.base.is_exact_poly()
-                and all(is_exact(v) for mat in self.coeffs
-                        for v in mat.data.values()))
+        return self.exact
 
     def map_coeffs(self, fn, nrows, ncols):
         """fn applied to every coefficient matrix of P, over the same D^k."""
         return RFMatrix(nrows, ncols, [fn(mat) for mat in self.coeffs],
                         self.base, self.power)
 
-    def _like(self, coeffs, power):
-        return RFMatrix(self.nrows, self.ncols, coeffs, self.base, power)
+    def _same_form(self, other):
+        if self.integral == other.integral:
+            return self, other
+        floating = not (self.exact and other.exact)
+        return self._pass_through(floating), other._pass_through(floating)
 
     def _common_base(self, other):
+        """The operand whose denominator the result is kept over."""
         if not other.power:
-            return self.base
+            return self
         if not self.power:
-            return other.base
-        if self.base is other.base or self.base == other.base:
-            return self.base
+            return other
+        if self.den is other.den or (self.den == other.den
+                                     and self.lcd == other.lcd):
+            return self
         raise ValueError("rational matrices over different denominators")
 
     def __add__(self, other):
@@ -308,23 +392,34 @@ class RFMatrix:
             return self
         if self.is_zero():
             return other
-        base = self._common_base(other)
-        a, b = self.coeffs, other.coeffs
-        if self.power < other.power:
-            a = _times_poly(a, base ** (other.power - self.power))
-        elif other.power < self.power:
-            b = _times_poly(b, base ** (self.power - other.power))
-        return RFMatrix(self.nrows, self.ncols, _add_polys(a, b), base,
-                        max(self.power, other.power))
+        a, b = self._same_form(other)
+        over = a._common_base(b)
+        x, y = a.num, b.num
+        d = a.d
+        if a.d != b.d:
+            d = math.lcm(a.d, b.d)
+            x, y = _scaled(x, d // a.d), _scaled(y, d // b.d)
+        if a.power < b.power:
+            x = _times_poly(x, over.den ** (b.power - a.power))
+        elif b.power < a.power:
+            y = _times_poly(y, over.den ** (a.power - b.power))
+        return over._like(_add_polys(x, y), max(a.power, b.power), d,
+                          exact=a.exact and b.exact)
 
     def __neg__(self):
-        return self._like([m.scale(-1) for m in self.coeffs], self.power)
+        return self._like([m.scale(-1) for m in self.num], self.power)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return self._like([m.scale(c) for m in self.coeffs], self.power)
+        if not self.integral:
+            return self._like([m.scale(c) for m in self.num], self.power,
+                              exact=self.exact and is_exact(c))
+        if type(c) is int or type(c) is Fraction:
+            return self._like([m.scale(c.numerator) for m in self.num],
+                              self.power, self.d * c.denominator)
+        return self._pass_through(not is_exact(c)).scale(c)
 
     def __mul__(self, other):
         if not isinstance(other, RFMatrix):
@@ -333,60 +428,75 @@ class RFMatrix:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
         if self.is_zero() or other.is_zero():
             return RFMatrix(self.nrows, other.ncols)
-        base = self._common_base(other)
-        out = [{} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for a, left in enumerate(self.coeffs):
+        lhs, rhs = self._same_form(other)
+        over = lhs._common_base(rhs)
+        out = [{} for _ in range(len(lhs.num) + len(rhs.num) - 1)]
+        for a, left in enumerate(lhs.num):
             by_col = {}
             for (i, k), x in left.data.items():
                 by_col.setdefault(k, []).append((i, x))
-            for b, right in enumerate(other.coeffs):
+            for b, right in enumerate(rhs.num):
                 acc = out[a + b]
                 for (k, j), y in right.data.items():
                     for i, x in by_col.get(k, ()):
                         key = (i, j)
                         cur = acc.get(key)
                         acc[key] = x * y if cur is None else cur + x * y
-        return RFMatrix(self.nrows, other.ncols,
-                        [SparseMatrix(self.nrows, other.ncols, d) for d in out],
-                        base, self.power + other.power)
+        return over._like([SparseMatrix(self.nrows, other.ncols, d)
+                           for d in out],
+                          lhs.power + rhs.power, lhs.d * rhs.d, self.nrows,
+                          other.ncols, lhs.exact and rhs.exact)
+
+    def times_poly(self, q: Poly):
+        """This matrix times the polynomial q, over the same denominator."""
+        if self.integral:
+            e = rational_lcd(q.coeffs)
+            if e is not None:
+                q = Poly([c.numerator * (e // c.denominator)
+                          for c in q.coeffs])
+                return self._like(_times_poly(self.num, q), self.power,
+                                  self.d * e)
+        exact = q.is_exact_poly()
+        a = self._pass_through(not exact)
+        return a._like(_times_poly(a.num, q), a.power,
+                       exact=a.exact and exact)
 
     def derivative(self):
         """(P' D - k P D') / D^(k+1); a polynomial matrix stays one."""
-        dp = [m.scale(k) for k, m in enumerate(self.coeffs) if k]
+        dp = [m.scale(k) for k, m in enumerate(self.num) if k]
         if not self.power:
             return self._like(dp, 0)
-        num = _add_polys(_times_poly(dp, self.base),
-                         _times_poly(self.coeffs,
-                                     self.base.derivative().scale(-self.power)))
+        num = _add_polys(_times_poly(dp, self.den),
+                         _times_poly(self.num,
+                                     self.den.derivative().scale(-self.power)))
         return self._like(num, self.power + 1)
 
     def eval(self, u) -> SparseMatrix:
-        """Value P(u) / D(u)^k at u: one Horner pass, then one division.
+        """Value at u: one Horner pass, then one division per entry.
 
-        The first call picks a plan and caches it on the object (see
-        `_horner_plan`).  For an exact matrix at an exact point u = p/q the
-        Horner pass runs in Python ints, homogenised in p and q, over integer
-        numerators with one common denominator; each entry becomes one
-        Fraction at the end, D(u)^k folded in.  A floating matrix at a
-        rational u multiplies by complex(u): complex * Fraction computes
+        In the integer form at a rational point u = p/q the Horner pass runs
+        in Python ints, homogenised in p and q, over the rows of P~ cached on
+        the object at the first call; each entry becomes one Fraction at the
+        end, d and D~(u)^k folded in.  A floating matrix at a rational u
+        multiplies by complex(u): complex * Fraction computes
         complex(v) * complex(u) anyway, so the bits are the same.  Anything
-        else, such as Gaussian-rational entries, runs the generic loop.
-        Every plan inserts the entries in the order Horner first meets them,
-        from the highest coefficient down; SparseMatrix.apply sums floats in
-        that order, so keeping it keeps numeric results bit for bit.
+        else runs the generic loop, the integer form on its Fractions.  Every
+        path inserts the entries in the order Horner first meets them, from
+        the highest coefficient down; SparseMatrix.apply sums floats in that
+        order, so keeping it keeps numeric results bit for bit.
         """
-        plan = self._horner
-        if plan is None:
-            plan = self._horner = _horner_plan(self.coeffs, self.base)
-        if isinstance(u, (int, Fraction)) and plan is not _GENERIC:
-            if plan is _FLOATING:
+        if self.is_zero():
+            return SparseMatrix(self.nrows, self.ncols)
+        if isinstance(u, (int, Fraction)):
+            if self.integral:
+                return self._eval_integer(u)
+            if not self.exact:
                 return self._eval_generic(u, complex(u))
-            return self._eval_integer(u, *plan)
-        return self._eval_generic(u, u)
+        return self._pass_through()._eval_generic(u, u)
 
     def _denominator(self, u):
         """D(u)^k; PoleEvaluation when D(u) = 0."""
-        d = self.base.eval(u)
+        d = self.den.eval(u)
         if not d:
             raise PoleEvaluation(f"evaluation at pole u={u!r}")
         den = d
@@ -398,7 +508,7 @@ class RFMatrix:
         """Horner over the coefficient matrices, multiplying by `factor`
         (u itself, or complex(u) for floating entries)."""
         acc = {}
-        for mat in reversed(self.coeffs):
+        for mat in reversed(self.num):
             acc = {key: v * factor for key, v in acc.items()}
             for key, v in mat.data.items():
                 cur = acc.get(key)
@@ -408,10 +518,22 @@ class RFMatrix:
             acc = {key: v / den for key, v in acc.items()}
         return SparseMatrix(self.nrows, self.ncols, acc)
 
-    def _eval_integer(self, u, lcd, rows):
-        """sum_a m_a p^a q^(n-a) / (lcd q^n D(u)^k) per entry, in ints."""
+    def _eval_integer(self, u):
+        """sum_a m_a p^a q^(n-a) q^(ek) / (q^n d N^k) per entry, in ints,
+        where N = q^e D~(p/q) and e = deg D~."""
+        rows = self._horner
+        if rows is None:
+            rows = {}
+            top = len(self.num) - 1
+            for a in range(top, -1, -1):
+                for key, v in self.num[a].data.items():
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = [0] * (top + 1)
+                    row[top - a] = v
+            self._horner = rows
         p, q = u.numerator, u.denominator
-        n = len(self.coeffs) - 1
+        n = len(self.num) - 1
         qpow = [q ** k for k in range(n + 1)]
         nums = []
         for ms in rows.values():
@@ -419,9 +541,16 @@ class RFMatrix:
             for m, qk in zip(ms, qpow):
                 acc = acc * p + m * qk
             nums.append(acc)
-        den = self._denominator(u) if self.power else Fraction(1)
-        top = den.denominator
-        bottom = lcd * q ** n * den.numerator
+        top, bottom = 1, self.d * qpow[n]
+        if self.power:
+            e = self.den.degree
+            dval = 0
+            for k, c in enumerate(reversed(self.den.coeffs)):
+                dval = dval * p + c * q ** k
+            if not dval:
+                raise PoleEvaluation(f"evaluation at pole u={u!r}")
+            top = q ** (e * self.power)
+            bottom *= dval ** self.power
         return SparseMatrix(self.nrows, self.ncols,
                             {key: Fraction(num * top, bottom)
                              for key, num in zip(rows, nums)})
@@ -429,28 +558,53 @@ class RFMatrix:
     def entries_series_at_infinity(self, j_max):
         """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.
 
-        1/D^k is expanded once; the constant term of the expansion is dropped.
+        1/D^k is expanded once; the constant term of the expansion is
+        dropped.  In the integer form 1/D~^k = u^-m sum_t I_t / (l^(t+1) u^t)
+        with integer I_t, l the leading coefficient and m the degree of D~^k,
+        so each output matrix is one integer sum over one denominator.
         """
         mats = [SparseMatrix(self.nrows, self.ncols) for _ in range(j_max)]
         if self.is_zero():
             return mats
-        den = self.base ** self.power
-        top = len(self.coeffs) - 1
-        if top > den.degree:
+        den = self.den ** self.power
+        top = len(self.num) - 1
+        m = den.degree
+        if top > m:
             raise ImproperRational(
-                f"degree {top} numerator over degree {den.degree} denominator "
+                f"degree {top} numerator over degree {m} denominator "
                 "has no expansion at infinity")
-        # 1/D^k = u^-deg * sum_m inv[m] u^-m
-        inv = _series_quotient([1], den.coeffs[::-1], j_max)
+        rev = den.coeffs[::-1]
+        if not self.integral:
+            # 1/D^k = u^-m * sum_t inv[t] u^-t
+            inv = _series_quotient([1], rev, j_max)
+            lead = None
+        else:
+            lead = rev[0]
+            lpow = [1]
+            for _ in range(j_max + 1):
+                lpow.append(lpow[-1] * lead)
+            inv = [1]
+            for t in range(1, j_max + 1):
+                acc = 0
+                for i in range(1, min(t, m) + 1):
+                    if rev[i] and inv[t - i]:
+                        acc -= rev[i] * lpow[i - 1] * inv[t - i]
+                inv.append(acc)
         for j in range(1, j_max + 1):
             acc = {}
-            for a, mat in enumerate(self.coeffs):
-                c = inv[j - den.degree + a] if j - den.degree + a >= 0 else 0
+            for a, mat in enumerate(self.num):
+                t = j - m + a
+                c = inv[t] if t >= 0 else 0
                 if not c:
                     continue
+                if lead is not None:
+                    c *= lpow[top - a]
                 for key, v in mat.data.items():
                     cur = acc.get(key)
                     acc[key] = c * v if cur is None else cur + c * v
+            if lead is not None and acc:
+                f = self.d * lpow[j - m + top + 1]
+                acc = {key: Fraction(v, f) for key, v in acc.items() if v}
             mats[j - 1] = SparseMatrix(self.nrows, self.ncols, acc)
         return mats
 
@@ -524,7 +678,7 @@ class OperatorPencil:
         for k, c in enumerate(self.coeffs):
             if k:
                 der = der.derivative()
-            acc = acc + c._like(_times_poly(c.coeffs, der), c.power)
+            acc = acc + c.times_poly(der)
         return acc
 
     def eval_coeffs(self, u):

@@ -140,6 +140,18 @@ class SparseMatrix:
         return rows
 
 
+def rational_lcd(values):
+    """lcm of the denominators when every value is a Fraction or an int,
+    else None (a Gaussian-rational or floating value has no integer form)."""
+    dens = []
+    for v in values:
+        if type(v) is Fraction:
+            dens.append(v.denominator)
+        elif type(v) is not int:
+            return None
+    return math.lcm(*dens)
+
+
 def integer_scaled(mats):
     """([m * d for m in mats], d) over one common denominator d.
 
@@ -148,10 +160,9 @@ def integer_scaled(mats):
     dict comparisons run without any gcd.  Otherwise (Gaussian-rational or
     complex entries) d = 1 and the matrices are returned unchanged.
     """
-    if not all(type(v) is Fraction or type(v) is int
-               for m in mats for v in m.data.values()):
+    d = rational_lcd(v for m in mats for v in m.data.values())
+    if d is None:
         return list(mats), 1
-    d = math.lcm(*(v.denominator for m in mats for v in m.data.values()))
     return [SparseMatrix(m.nrows, m.ncols,
                          {k: v.numerator * (d // v.denominator)
                           for k, v in m.data.items()})

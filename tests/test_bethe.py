@@ -1,14 +1,19 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from gaudin import bethe_algebra
 from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
                                   sample_points, universal_operator)
+from gaudin.diffop_ring import Poly, RFMatrix
 from gaudin.errors import NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix
+from gaudin.master import (GaudinProblem, master_coefficients,
+                           master_operator_at)
 from gaudin.repr_core import (build_irreducible, tensor_module,
                               tensor_shapovalov, weight_and_singular_subspace)
 from gaudin.scalars import QI, scalar_abs
@@ -216,9 +221,12 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
                                                  M, z))
 
     family = restrict_family(universal_operator(M, z), None, 4)
-    bad = family.B_u[2].coeffs[0]
+    B2 = family.B_u[2]
+    coeffs = B2.coeffs
+    bad = coeffs[0]
     key = next(k for k in bad.data if k[0] != k[1])
     bad[key] = bad[key] + Fraction(1, 7)
+    family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
     coeff = family.B_coeffs[3][2]
     key = next(k for k in coeff.data if k[0] != k[1])
     coeff[key] = coeff[key] - Fraction(2, 9)
@@ -228,3 +236,100 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
         assert got[name] > 0, name
     assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
                                                  M, z))
+
+
+# sha256 of the exact universal operator: (power, base, entries in insertion
+# order) of every coefficient, then its series at infinity to u^-4, recorded
+# when every RFMatrix kept Fraction coefficients.  The site denominators 7,
+# 11 and 3 are coprime, so the integer form scales every base.
+SITES_7_11_3 = [Fraction(-13, 7), Fraction(5, 11), Fraction(17, 3)]
+OPERATOR_PINS = {
+    2: ([(1, 0), (2, 0), (1, 0)], 1, SITES_7_11_3,
+        "378c5817c6788223fce3be71c4f4d60ad411fea4acd60d1ed47709a142d75b39"),
+    3: ([(2, 1, 0), (1, 0, 0)], 2, SITES_7_11_3[:2],
+        "948e1b7597d8a99dad38f011440adafe4033d83b2db66d2a59b4b1dae35d4cd5"),
+    4: ([(1, 0, 0, 0), (1, 1, 0, 0)], 3, SITES_7_11_3[1:],
+        "e7233b257ff3ae8fa188294aad251ad86ba2c413367ff4b2a8bbd46fcb03887a"),
+}
+
+
+def _operator_digest(pencil, j_max):
+    def entries(mat):
+        return repr([(k, str(v)) for k, v in mat.data.items()]).encode()
+
+    h = hashlib.sha256()
+    for c in pencil.coeffs:
+        h.update(repr((c.power, [str(x) for x in c.base.coeffs])).encode())
+        for mat in c.coeffs:
+            h.update(entries(mat))
+        for mat in c.entries_series_at_infinity(j_max):
+            h.update(entries(mat))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("rank", sorted(OPERATOR_PINS))
+def test_universal_operator_is_pinned_byte_for_byte(rank):
+    parts, N, z, digest = OPERATOR_PINS[rank]
+    M, _ = _module(parts, N)
+    assert M.rank == rank
+    assert _operator_digest(universal_operator(M, z), 4) == digest
+
+
+def _entry_pair(a: RFMatrix, key):
+    """Entry `key` of a as an unreduced (numerator, denominator) pair."""
+    return Poly([m[key] for m in a.coeffs]), a.base ** a.power
+
+
+def _exact_scalar(v):
+    return type(v) in (Fraction, int, QI)
+
+
+EXACT_INSTANCES = {
+    # (partitions, N, l, sites, weight at infinity, a point, eval points)
+    "rational": ([(2, 1, 0), (1, 1, 0)], 2, [1, 1],
+                 [Fraction(-3, 2), Fraction(5, 3)], (2, 2, 1),
+                 [(Fraction(1, 3),), (Fraction(5, 7),)],
+                 [Fraction(7, 3), Fraction(-11, 2), 4]),
+    # ROADMAP defect 9, at its double critical point t = (1 + i)/3
+    "gaussian": ([(1, 0), (2, 0), (3, 0)], 1, [1],
+                 [Fraction(0), Fraction(1), QI(0, Fraction(4, 3))], (5, 1),
+                 [(QI(Fraction(1, 3), Fraction(1, 3)),)],
+                 [Fraction(7, 3), 4, QI(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))
+def test_exact_mode_returns_no_float(name):
+    """int / int is a float in Python: every value the exact operator and
+    its restrictions hand out is a Fraction, an int or a QI, and equals the
+    entrywise rational-function oracle."""
+    parts, N, l, z, mu, point, points = EXACT_INSTANCES[name]
+    j_max = 4
+    M, _ = _module(parts, N)
+    pencil = universal_operator(M, z)
+    _, S = weight_and_singular_subspace(M, mu)
+    assert S.ncols
+    for family in (restrict_family(pencil, S, j_max),
+                   restrict_family(pencil, None, j_max)):
+        for i in range(1, N + 2):
+            B = family.B_u[i]
+            assert B.is_exact()
+            pairs = {(r, c): _entry_pair(B, (r, c))
+                     for r in range(B.nrows) for c in range(B.ncols)}
+            for u in points:
+                got = family.eval(i, u)
+                assert all(map(_exact_scalar, got.data.values()))
+                for key, pair in pairs.items():
+                    assert got[key] == oracles.rf_eval(pair, u)
+            series = family.B_coeffs[i]
+            for mat in series:
+                assert all(map(_exact_scalar, mat.data.values()))
+            for key, pair in pairs.items():
+                assert [m[key] for m in series] == \
+                    oracles.rf_series_at_infinity(pair, j_max)
+    funcs, series = master_coefficients(
+        master_operator_at(GaudinProblem(N, parts, l, z), point), j_max)
+    for i, coeffs in series.items():
+        assert all(map(_exact_scalar, coeffs))
+        assert coeffs == oracles.rf_series_at_infinity(
+            _entry_pair(funcs[i], (0, 0)), j_max)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -275,6 +276,27 @@ def test_rfmatrix_eval_raises_only_at_a_pole():
     assert RFMatrix(1, 1, [], base, 2).eval(Fraction(1)).is_zero()
 
 
+def test_is_exact_is_known_from_construction(monkeypatch):
+    """Rational, Gaussian-rational and complex sites, and the identity
+    meeting each: is_exact() reads a flag and scans no entry."""
+    m = SparseMatrix(2, 2)
+    m[0, 1], m[1, 0] = Fraction(3, 2), Fraction(-1)
+    ident = RFMatrix.identity(2)
+    made = {}
+    for name, z in (("rational", [Fraction(1, 3), Fraction(-2)]),
+                    ("gaussian", [Fraction(1, 3), QI(0, 2)]),
+                    ("complex", [1 / 3 + 0j, -2.0 + 0.5j])):
+        a = RFMatrix.over_sites([m, m.scale(2)], site_denominator(z))
+        made[name] = [a, a * ident, ident * a + a, a.derivative(),
+                      a.scale(Fraction(2, 3)), a.times_poly(Poly((1, 2)))]
+    monkeypatch.setattr("gaudin.diffop_ring.is_exact", None)
+    assert ident.is_exact()
+    for name, mats in made.items():
+        assert all(a.is_exact() == (name != "complex") for a in mats), name
+    assert made["rational"][0].integral
+    assert not made["gaussian"][0].integral
+
+
 def _fraction_horner(a: RFMatrix, u):
     """Entries of a at u by Horner over Fractions, keys in the order Horner
     first meets them (highest coefficient down)."""
@@ -371,14 +393,25 @@ def _rand_matrix(rng, dim):
     return m
 
 
-@pytest.mark.parametrize("n, compositions", [(2, 2), (3, 9), (4, 28)])
-def test_row_determinant_matches_the_permutation_formula(
-        monkeypatch, n, compositions):
-    """Entries with non-commuting 2x2 matrix coefficients over a site
-    denominator, order 1 on the diagonal: the top-row expansion equals the
-    permutation expansion, with fewer compositions."""
+ROW_DETERMINANT_SITES = {
+    "rational": [Fraction(0), Fraction(1), Fraction(-5, 2)],
+    "gaussian": [Fraction(0), QI(1, Fraction(1, 2)), Fraction(-5, 2)],
+    "complex": [0.25 + 0j, 1.5 - 0.3j, -2.0 + 0.7j],
+}
+ROW_DETERMINANT_POINTS = [Fraction(7, 2), complex(-1.25, 0.5)]
+# sha256 of the complex-site row determinant: its coefficient matrices and
+# their values at ROW_DETERMINANT_POINTS, floats as .hex(), recorded when
+# every RFMatrix kept Fraction coefficients
+ROW_DETERMINANT_COMPLEX_BITS = {
+    2: "16ce4f9e147468706208a66b45b5fe7177dcc9f679e18278372ae7cbc11f7415",
+    3: "974b5b2eadaa102c7ab9a23560fb06bb16d9c1cfe7525e29b64fb231620077c6",
+    4: "35a37e2b5acc14b76abad192fe7e96a1af4b6415d8bfaad129b1e7c38a444703",
+}
+
+
+def _row_determinant_entries(n, z):
     rng = random.Random(n)
-    sites = site_denominator([Fraction(0), Fraction(1), Fraction(-5, 2)])
+    sites = site_denominator(z)
     entries = []
     for i in range(n):
         row = []
@@ -389,17 +422,65 @@ def test_row_determinant_matches_the_permutation_formula(
                 else [c0]
             row.append(OperatorPencil(coeffs))
         entries.append(row)
-    want = _permutation_row_determinant(entries)
-    calls = []
+    return entries
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else str(v)
+
+
+def _bits(pencil, points):
+    h = hashlib.sha256()
+    for c in pencil.coeffs:
+        for mat in c.coeffs:
+            h.update(repr([(k, _hex(v)) for k, v in mat.data.items()]).encode())
+        for u in points:
+            h.update(repr([(k, _hex(v))
+                           for k, v in c.eval(u).data.items()]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, compositions", [(2, 2), (3, 9), (4, 28)])
+def test_row_determinant_matches_the_permutation_formula(
+        monkeypatch, n, compositions):
+    """Entries with non-commuting 2x2 matrix coefficients over a site
+    denominator, order 1 on the diagonal: the top-row expansion equals the
+    permutation expansion, with fewer compositions.  Rational sites run in
+    the integer form, a Gaussian-rational site and complex sites pass
+    through; at complex sites the result keeps its recorded bits."""
     compose = OperatorPencil.compose
+    calls = []
 
     def counting(self, other):
         calls.append(1)
         return compose(self, other)
 
-    monkeypatch.setattr(OperatorPencil, "compose", counting)
-    got = row_determinant(entries)
-    assert len(calls) == compositions
-    assert got.order == want.order == n
-    for a, b in zip(got.coeffs, want.coeffs, strict=True):
-        assert (a - b).is_zero()
+    for name, z in ROW_DETERMINANT_SITES.items():
+        entries = _row_determinant_entries(n, z)
+        want = _permutation_row_determinant(entries)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(OperatorPencil, "compose", counting)
+            got = row_determinant(entries)
+        assert len(calls) == compositions
+        assert got.order == want.order == n
+        if name != "complex":
+            for a, b in zip(got.coeffs, want.coeffs, strict=True):
+                assert (a - b).is_zero()
+                assert a.is_exact()
+            continue
+        assert _bits(got, ROW_DETERMINANT_POINTS) == \
+            ROW_DETERMINANT_COMPLEX_BITS[n]
+        for a, b in zip(got.coeffs, want.coeffs, strict=True):
+            assert a.is_exact() == (a.power == 0)
+            for u in ROW_DETERMINANT_POINTS:
+                x, y = a.eval(u), b.eval(u)
+                scale = max(abs(complex(v)) for v in y.data.values())
+                assert all(abs(complex(x[k]) - complex(y[k])) <= 1e-12 * scale
+                           for k in set(x.data) | set(y.data))
+            for k in (2, -3):
+                got_bits = a.eval(Fraction(k)).data
+                want_bits = a.eval(complex(k)).data
+                assert list(got_bits) == list(want_bits)
+                assert [_hex(complex(v)) for v in got_bits.values()] == \
+                    [_hex(complex(v)) for v in want_bits.values()]
