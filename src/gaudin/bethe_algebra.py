@@ -186,9 +186,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     P(u)/D(u)^k in floating point loses no digits to a small D(u).
 
     In exact mode all residuals are exactly zero and `exact` reports True.
-    Every matrix is first scaled to integers over one denominator
-    (`integer_scaled`): once per B_i(u), once for G and E, and once per
-    coefficient matrix.  Products and comparisons then run in Python ints,
+    Every matrix is first brought to integers over one denominator: B_i(u)
+    by `RFMatrix.eval_scaled`, which reads the integer Horner numerators
+    without making Fractions, and G, E and each coefficient matrix by
+    `integer_scaled`.  Products and comparisons then run in Python ints,
     and a residual, divided back by the denominators, is computed only where
     a comparison fails.  Gaussian-rational matrices pass through unscaled.
 
@@ -204,8 +205,7 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
     def ev(i, u):
         key = (i, u)
         if key not in evals:
-            (mat,), d = integer_scaled([family.eval(i, u)])
-            evals[key] = mat, d
+            evals[key] = family.B_u[i].eval_scaled(u)
         return evals[key]
 
     if samples is None:

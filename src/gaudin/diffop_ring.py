@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
-from .linalg import SparseMatrix, rational_lcd
+from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .scalars import is_exact, scalar_abs
 
 
@@ -489,10 +489,26 @@ class RFMatrix:
             return SparseMatrix(self.nrows, self.ncols)
         if isinstance(u, (int, Fraction)):
             if self.integral:
-                return self._eval_integer(u)
+                mat, c = self._eval_integer(u)
+                return SparseMatrix(self.nrows, self.ncols,
+                                    {key: Fraction(v, c)
+                                     for key, v in mat.data.items()})
             if not self.exact:
                 return self._eval_generic(u, complex(u))
         return self._pass_through()._eval_generic(u, u)
+
+    def eval_scaled(self, u):
+        """(m, c) with m / c the value at u and c one nonzero int.
+
+        In the integer form at a rational u, m holds the integer numerators
+        of the Horner pass, with no Fraction made; otherwise it is
+        integer_scaled([eval(u)]).
+        """
+        if (self.integral and isinstance(u, (int, Fraction))
+                and not self.is_zero()):
+            return self._eval_integer(u)
+        (mat,), c = integer_scaled([self.eval(u)])
+        return mat, c
 
     def _denominator(self, u):
         """D(u)^k; PoleEvaluation when D(u) = 0."""
@@ -519,8 +535,11 @@ class RFMatrix:
         return SparseMatrix(self.nrows, self.ncols, acc)
 
     def _eval_integer(self, u):
-        """sum_a m_a p^a q^(n-a) q^(ek) / (q^n d N^k) per entry, in ints,
-        where N = q^e D~(p/q) and e = deg D~."""
+        """(m, c): the value at u = p/q as the int matrix m over the int c.
+
+        Entry by entry m = sum_a m_a p^a q^(n-a) q^(ek) and c = q^n d N^k,
+        where N = q^e D~(p/q) and e = deg D~.
+        """
         rows = self._horner
         if rows is None:
             rows = {}
@@ -551,9 +570,9 @@ class RFMatrix:
                 raise PoleEvaluation(f"evaluation at pole u={u!r}")
             top = q ** (e * self.power)
             bottom *= dval ** self.power
-        return SparseMatrix(self.nrows, self.ncols,
-                            {key: Fraction(num * top, bottom)
-                             for key, num in zip(rows, nums)})
+        mat = SparseMatrix(self.nrows, self.ncols,
+                           {key: num * top for key, num in zip(rows, nums)})
+        return mat, bottom
 
     def entries_series_at_infinity(self, j_max):
         """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.

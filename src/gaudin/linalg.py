@@ -289,7 +289,7 @@ def det(rows):
 
 
 class IncrementalSpan:
-    """Reduced echelon basis of a growing span; used for module closure.
+    """Reduced echelon basis of a growing span; used by `Coordinates`.
 
     add(v) reduces v against the current basis; if a new direction remains it
     is absorbed and True is returned.  Pivots lie below `ambient_dim`; entries

@@ -1,22 +1,22 @@
 """Exact finite-dimensional gl(N+1) modules and their tensor products.
 
-Irreducible highest-weight modules are realized inside tensor powers of the
-defining (N+1)-dimensional representation: the highest weight vector is the
-product of column antisymmetrizers of the Young diagram, and the module is the
-closure of that vector under the simple lowering generators, tracked with
-exact rational arithmetic.  This keeps every generator matrix rational and
-makes the invariant-form Gram matrix positive definite.
+An irreducible highest-weight module is built in its Gelfand-Tsetlin basis,
+one basis vector per pattern: the generators are given by rational formulas
+in the pattern entries (A. Molev, "Gelfand-Tsetlin bases for classical Lie
+algebras", arXiv:math/0211289, section 2), so every generator matrix is
+rational, and the invariant form is diagonal with positive entries.
+Tensor products act by the Leibniz rule and carry the product form.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import (Coordinates, IncrementalSpan, SparseMatrix,
-                     integer_scaled, nullspace, vec_dot)
-from .weights import check_partition, conjugate_partition
+from .linalg import SparseMatrix, integer_scaled, nullspace, vec_dot
+from .weights import check_partition
 
 _COMMUTATION_CHECK_MAX_DIM = 200
 
@@ -94,53 +94,6 @@ class SymmetricForm:
         return self.pairing(u, u)
 
 
-def _apply_tensor_generator(vec, i, j, m, base):
-    """e_ij acting on a dict-vector in the m-fold tensor power of the defining
-    representation (indices are base-(N+1) digit strings, slot 0 most significant)."""
-    if m == 0:
-        return {}
-    out = {}
-    src = j - 1
-    dst = i - 1
-    for idx, c in vec.items():
-        rem = idx
-        digits = [0] * m
-        for s in range(m - 1, -1, -1):
-            digits[s] = rem % base
-            rem //= base
-        for s in range(m):
-            if digits[s] == src:
-                nidx = idx + (dst - src) * base ** (m - 1 - s)
-                cur = out.get(nidx)
-                nc = c if cur is None else cur + c
-                if nc:
-                    out[nidx] = nc
-                else:
-                    out.pop(nidx, None)
-    return out
-
-
-def _column_antisymmetrizer(height, base):
-    """sum over permutations of sign * e_{pi(1)} x ... x e_{pi(height)}."""
-    out = {}
-    for perm in itertools.permutations(range(height)):
-        inv = sum(1 for a in range(height) for b in range(a + 1, height)
-                  if perm[a] > perm[b])
-        idx = 0
-        for d in perm:
-            idx = idx * base + d
-        out[idx] = Fraction(-1 if inv % 2 else 1)
-    if height == 0:
-        out[0] = Fraction(1)
-    return out
-
-
-def _kron_vec(u, v, vdim):
-    if not u or not v:
-        return {}
-    return {iu * vdim + iv: cu * cv for iu, cu in u.items() for iv, cv in v.items()}
-
-
 def verify_commutation(M: GlModule):
     """Exhaustively check [e_ij, e_sk] = delta_js e_ik - delta_ik e_sj.
 
@@ -170,105 +123,99 @@ def verify_commutation(M: GlModule):
                     f"commutation identity fails for e_{i}{j}, e_{s}{k}")
 
 
+def _gt_patterns(lam):
+    """Every Gelfand-Tsetlin pattern with top row lam, as a tuple of rows:
+    row k (0-based) has k + 1 entries, row k interlaces row k + 1, and the
+    last row is lam."""
+    patterns = [(tuple(lam),)]
+    for _ in range(len(lam) - 1):
+        patterns = [(row,) + rows for rows in patterns
+                    for row in itertools.product(
+                        *[range(rows[0][i + 1], rows[0][i] + 1)
+                          for i in range(len(rows[0]) - 1)])]
+    return patterns
+
+
+def _gt_weight(rows):
+    sums = [0] + [sum(row) for row in rows]
+    return tuple(sums[k + 1] - sums[k] for k in range(len(rows)))
+
+
+def _gt_moved(rows, k, i, step):
+    row = list(rows[k])
+    row[i] += step
+    return rows[:k] + (tuple(row),) + rows[k + 1:]
+
+
+def _gt_coefficient(rows, k, i, step):
+    """Coefficient of _gt_moved(rows, k, i, step) in e_{k,k+1} (step +1) or
+    e_{k+1,k} (step -1) applied to the vector of rows, with 0-based k and i
+    (A. Molev, arXiv:math/0211289, Theorem 2.3)."""
+    l = [[x - j for j, x in enumerate(row)] for row in rows]
+    li = l[k][i]
+    if step > 0:
+        num = -math.prod(li - x for x in l[k + 1])
+    else:
+        num = math.prod(li - x for x in l[k - 1]) if k else 1
+    return Fraction(num, math.prod(li - x for j, x in enumerate(l[k])
+                                   if j != i))
+
+
 def build_irreducible(lam, N):
     """Irreducible module of highest weight lam, with its invariant form.
 
-    Returns (GlModule, SymmetricForm).  When lam has a nonzero last part c,
-    the module for lam - (c,...,c) is built and the diagonal action shifted,
-    which leaves the form untouched.
+    Returns (GlModule, SymmetricForm).  The basis is the Gelfand-Tsetlin
+    basis, one vector per pattern with top row lam, ordered by weight.  The
+    simple generators act by the Gelfand-Tsetlin formulas, and e_ij with
+    |i - j| > 1 is a commutator of two generators closer to the diagonal.
+    The contravariant form is diagonal in this basis: <hw, hw> = 1, and
+    <e_{k,k+1} x, y> = <x, e_{k+1,k} y> gives the norm of each pattern from
+    that of a pattern one raising step above it.
     """
     lam = check_partition(lam, N)
-    base = N + 1
-    shift = lam[-1]
-    core = tuple(x - shift for x in lam)
-    m = sum(core)
+    rank = N + 1
+    patterns = sorted(_gt_patterns(lam),
+                      key=lambda rows: tuple(reversed(_gt_weight(rows))))
+    index = {rows: c for c, rows in enumerate(patterns)}
+    dim = len(patterns)
+    weights = [_gt_weight(rows) for rows in patterns]
 
-    hw = _column_antisymmetrizer(0, base) if m == 0 else None
-    if m > 0:
-        cols = conjugate_partition(core)
-        hw = {0: Fraction(1)}
-        cur_dim = 1
-        for h in cols:
-            col = _column_antisymmetrizer(h, base)
-            hw = _kron_vec(hw, col, base ** h)
-            cur_dim *= base ** h
-        assert cur_dim == base ** m
+    acts = {}
+    for i in range(1, rank + 1):
+        acts[i, i] = SparseMatrix(dim, dim, {(c, c): Fraction(w[i - 1])
+                                             for c, w in enumerate(weights)})
+    for k in range(N):
+        for step, key in ((1, (k + 1, k + 2)), (-1, (k + 2, k + 1))):
+            mat = acts[key] = SparseMatrix(dim, dim)
+            for c, rows in enumerate(patterns):
+                for i in range(k + 1):
+                    r = index.get(_gt_moved(rows, k, i, step))
+                    if r is not None:
+                        mat[r, c] = _gt_coefficient(rows, k, i, step)
+    for gap in range(2, rank):
+        for i in range(1, rank - gap + 1):
+            j = i + gap
+            acts[i, j] = acts[i, j - 1].commutator(acts[j - 1, j])
+            acts[j, i] = acts[j, j - 1].commutator(acts[j - 1, i])
+    gen_action = {(i, j): acts[i, j] for i in range(1, rank + 1)
+                  for j in range(1, rank + 1)}
 
-    vectors = [hw]
-    vweights = [core]
-    span = IncrementalSpan(base ** m)
-    span.add(dict(hw))
-    head = 0
-    while head < len(vectors):
-        v = vectors[head]
-        wt = vweights[head]
-        head += 1
-        for i in range(1, N + 1):
-            w = _apply_tensor_generator(v, i + 1, i, m, base)
-            if w and span.add(dict(w)):
-                vectors.append(w)
-                nw = list(wt)
-                nw[i - 1] -= 1
-                nw[i] += 1
-                vweights.append(tuple(nw))
+    hw_index = index[tuple(lam[:k + 1] for k in range(rank))]
+    module = GlModule(rank, dim, weights, gen_action, hw_index=hw_index,
+                      label=lam)
 
-    order = sorted(range(len(vectors)),
-                   key=lambda k: tuple(reversed(vweights[k])))
-    vectors = [vectors[k] for k in order]
-    vweights = [vweights[k] for k in order]
-    dim = len(vectors)
-    hw_index = next(k for k in range(dim) if vweights[k] == core)
-
-    by_weight = {}
-    for k, w in enumerate(vweights):
-        by_weight.setdefault(w, []).append(k)
-    coords = {w: (Coordinates([vectors[k] for k in positions], base ** m),
-                  positions)
-              for w, positions in by_weight.items()}
-
-    gen_action = {}
-    for i in range(1, N + 2):
-        for j in range(1, N + 2):
-            mat = SparseMatrix(dim, dim)
-            if i == j:
-                for k, w in enumerate(vweights):
-                    val = w[i - 1] + shift
-                    if val:
-                        mat[k, k] = Fraction(val)
-            else:
-                for k in range(dim):
-                    img = _apply_tensor_generator(vectors[k], i, j, m, base)
-                    if not img:
-                        continue
-                    tw = list(vweights[k])
-                    tw[i - 1] += 1
-                    tw[j - 1] -= 1
-                    tw = tuple(tw)
-                    entry = coords.get(tw)
-                    assert entry is not None, "image outside the weight grading"
-                    in_basis, positions = entry
-                    x, rest = in_basis(img)
-                    assert not rest, "image escaped the module span"
-                    for c, val in x.items():
-                        mat[positions[c], k] = val
-            gen_action[(i, j)] = mat
-
-    weights_full = [tuple(w[a] + shift for a in range(base)) for w in vweights]
-    module = GlModule(base, dim, weights_full, gen_action,
-                      hw_index=hw_index, label=lam)
-
-    hw_norm = vec_dot(vectors[hw_index], vectors[hw_index])
-    gram = SparseMatrix(dim, dim)
-    for a in range(dim):
-        va = vectors[a]
-        for b in range(a, dim):
-            if vweights[a] != vweights[b]:
-                continue
-            val = vec_dot(va, vectors[b]) / hw_norm
-            if val:
-                gram[a, b] = val
-                if a != b:
-                    gram[b, a] = val
+    # raising adds 1 to the sum of all entries, so going by decreasing sum
+    # meets the pattern above before the pattern below
+    norms = {hw_index: Fraction(1)}
+    for c in sorted(range(dim), key=lambda c: -sum(map(sum, patterns[c]))):
+        if c == hw_index:
+            continue
+        rows = patterns[c]
+        k, r = next((k, index[up]) for k in range(N) for i in range(k + 1)
+                    if (up := _gt_moved(rows, k, i, 1)) in index)
+        norms[c] = (norms[r] * gen_action[k + 1, k + 2][r, c]
+                    / gen_action[k + 2, k + 1][c, r])
+    gram = SparseMatrix(dim, dim, {(c, c): norms[c] for c in range(dim)})
     if dim <= _COMMUTATION_CHECK_MAX_DIM:
         verify_commutation(module)
     return module, SymmetricForm(gram)

@@ -85,10 +85,3 @@ def tensor_weight(weights):
             out[k] += x
     return tuple(out)
 
-
-def conjugate_partition(lam):
-    """Transpose of the Young diagram."""
-    lam = [x for x in lam if x > 0]
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))

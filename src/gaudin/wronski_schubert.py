@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bethe_algebra import sample_points
 from .diffop_ring import ONE, OperatorPencil, Poly
 from .errors import (AmbientTooSmall, KernelDimensionMismatch,
                      ShapeNormalizationFailure)
@@ -99,7 +100,7 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
 
     if exact:
         mono_derivs = _monomial_derivative_table(d1, pencil.order)
-        samples = _exact_samples(poles, n_samples)
+        samples = sample_points(poles, n_samples)
         rows = []
         for u in samples:
             cvals = [m[0, 0] for m in pencil.eval_coeffs(u)]
@@ -167,18 +168,6 @@ def _monomial_derivative_table(d1, order):
             p = p.derivative()
         table.append(row)
     return table
-
-
-def _exact_samples(poles, count):
-    out = []
-    k = 2
-    exact_poles = [p for p in poles if is_exact(p)]
-    while len(out) < count:
-        cand = Fraction(k)
-        if all(cand != p for p in exact_poles):
-            out.append(cand)
-        k += 1
-    return out
 
 
 def _shape_normalize(vecs, data: ExponentData):

@@ -11,7 +11,7 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   sample_points, universal_operator)
 from gaudin.diffop_ring import Poly, RFMatrix
 from gaudin.errors import NotInvariant, RepeatedSites
-from gaudin.linalg import SparseMatrix
+from gaudin.linalg import SparseMatrix, integer_scaled
 from gaudin.master import (GaudinProblem, master_coefficients,
                            master_operator_at)
 from gaudin.repr_core import (build_irreducible, tensor_module,
@@ -204,6 +204,7 @@ def _fraction_selfcheck(monkeypatch, family, form, M, z):
     with monkeypatch.context() as m:
         m.setattr(bethe_algebra, "integer_scaled",
                   lambda mats: (list(mats), 1))
+        m.setattr(RFMatrix, "eval_scaled", lambda self, u: (self.eval(u), 1))
         return algebra_selfcheck(family, form, M, z)
 
 
@@ -239,17 +240,19 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
 
 
 # sha256 of the exact universal operator: (power, base, entries in insertion
-# order) of every coefficient, then its series at infinity to u^-4, recorded
-# when every RFMatrix kept Fraction coefficients.  The site denominators 7,
-# 11 and 3 are coprime, so the integer form scales every base.
+# order) of every coefficient, then its series at infinity to u^-4, in the
+# Gelfand-Tsetlin basis of each factor.  The rank-2 pin was recorded when
+# every RFMatrix kept Fraction coefficients; for N = 1 that basis is the one
+# the modules had before.  The site denominators 7, 11 and 3 are coprime, so
+# the integer form scales every base.
 SITES_7_11_3 = [Fraction(-13, 7), Fraction(5, 11), Fraction(17, 3)]
 OPERATOR_PINS = {
     2: ([(1, 0), (2, 0), (1, 0)], 1, SITES_7_11_3,
         "378c5817c6788223fce3be71c4f4d60ad411fea4acd60d1ed47709a142d75b39"),
     3: ([(2, 1, 0), (1, 0, 0)], 2, SITES_7_11_3[:2],
-        "948e1b7597d8a99dad38f011440adafe4033d83b2db66d2a59b4b1dae35d4cd5"),
+        "6d6bc7599a5effb1da1364550608747a2ddeec8f7d7910af5d4cd3068011c42a"),
     4: ([(1, 0, 0, 0), (1, 1, 0, 0)], 3, SITES_7_11_3[1:],
-        "e7233b257ff3ae8fa188294aad251ad86ba2c413367ff4b2a8bbd46fcb03887a"),
+        "2dc252ad48ff02b9b6239f850f5a2d2f321e1febe57252b64170559288c77490"),
 }
 
 
@@ -333,3 +336,57 @@ def test_exact_mode_returns_no_float(name):
         assert all(map(_exact_scalar, coeffs))
         assert coeffs == oracles.rf_series_at_infinity(
             _entry_pair(funcs[i], (0, 0)), j_max)
+
+
+# 4-site spin-1/2 chains, l = 2, where multistart reports one orbit for
+# dim Sing = 2 (`search` workload seed 13, instances 0, 3 and 22); z0 is a
+# site, and u0 a sample point off the sites
+NON_CRITICAL_EIGENVALUES = {
+    "first": (["0", "1/2", "2/3", "3/2"], "2/3", "37/7"),
+    "second": (["-3/2", "1/3", "1/2", "2"], "1/3", "-11/5"),
+    "third": (["-5/2", "-1/2", "-1/3", "2"], "-1/3", "9/2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CRITICAL_EIGENVALUES))
+def test_bethe_algebra_eigenvalue_that_is_not_a_critical_point(name):
+    """One eigenvalue of B_2(u0) on Sing belongs to y = (u - z0)^2, whose
+    roots sit on the site z0, so it is no critical point of the master
+    function: these chains have one critical point, and their orbit_count
+    FAIL is right, not a missed orbit."""
+    sites, z0, u0 = NON_CRITICAL_EIGENVALUES[name]
+    z = [Fraction(s) for s in sites]
+    z0, u0 = Fraction(z0), Fraction(u0)
+    M, _ = _module([(1, 0)] * 4, 1)
+    _, S = weight_and_singular_subspace(M, (2, 2))
+    assert S.ncols == 2
+    family = restrict_family(universal_operator(M, z), S, 0)
+    y = Poly.from_roots([z0, z0])
+    c1 = -sum(1 / (u0 - s) for s in z)
+    c2 = -(y.derivative(2).eval(u0) + c1 * y.derivative().eval(u0)) / y.eval(u0)
+    B1, B2 = family.eval(1, u0), family.eval(2, u0)
+    assert B1 == SparseMatrix.identity(2).scale(c1)
+    trace = B2[0, 0] + B2[1, 1]
+    det = B2[0, 0] * B2[1, 1] - B2[0, 1] * B2[1, 0]
+    assert c2 * c2 - trace * c2 + det == 0
+
+
+def test_eval_scaled_is_eval_over_one_int_denominator():
+    """At a rational point an integer-form matrix gives int numerators over
+    one nonzero int; elsewhere eval_scaled is integer_scaled of eval."""
+    M, _ = _module([(2, 1, 0), (1, 1, 0)], 2)
+    rational = universal_operator(M, [Fraction(-3, 2), Fraction(5, 3)])
+    gaussian = universal_operator(M, [Fraction(-3, 2), QI(0, Fraction(4, 3))])
+    for i in range(1, 4):
+        B = operator_coefficient(rational, i)
+        assert B.integral
+        for u in (Fraction(7, 2), 3, Fraction(-5, 4)):
+            mat, c = B.eval_scaled(u)
+            assert type(c) is int and c != 0
+            assert all(type(v) is int for v in mat.data.values())
+            assert {k: Fraction(v, c) for k, v in mat.data.items()} \
+                == B.eval(u).data
+        for B, u in ((B, QI(1, 2)),
+                     (operator_coefficient(gaussian, i), Fraction(7, 2))):
+            (want,), d = integer_scaled([B.eval(u)])
+            assert B.eval_scaled(u) == (want, d)

@@ -11,7 +11,9 @@ from gaudin.repr_core import (build_irreducible, check_contravariance,
                               verify_commutation, weight_and_singular_subspace)
 
 PARTITIONS = [((1, 0), 1), ((2, 0), 1), ((3, 0), 1), ((2, 1), 1),
-              ((1, 0, 0), 2), ((1, 1, 0), 2), ((2, 1, 0), 2), ((2, 2, 0), 2)]
+              ((1, 0, 0), 2), ((1, 1, 0), 2), ((2, 1, 0), 2), ((2, 2, 0), 2),
+              ((2, 1, 0, 0), 3), ((2, 2, 1), 2), ((3, 1, 1, 0), 3),
+              ((2, 1, 0, 0, 0), 4)]
 
 
 def test_irreducible_dimensions_match_weyl():
@@ -122,11 +124,14 @@ def test_verify_commutation_multiplies_each_unordered_pair_once(
 
 
 def test_shapovalov_contravariance_and_normalization():
-    for lam, N in [((2, 0), 1), ((2, 1, 0), 2)]:
+    for lam, N in PARTITIONS:
         M, form = build_irreducible(lam, N)
-        check_contravariance(form, M)
+        assert check_contravariance(form, M), lam
         hw = M.highest_vector()
         assert form.norm_square(hw) == Fraction(1)
+        # the Gelfand-Tsetlin basis is orthogonal: a diagonal, positive Gram
+        assert sorted(form.gram.data) == [(k, k) for k in range(M.dim)], lam
+        assert all(v > 0 for v in form.gram.data.values()), lam
 
 
 def test_shapovalov_contravariance_explicit():

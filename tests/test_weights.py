@@ -1,9 +1,9 @@
 import pytest
 
 from gaudin.errors import NotAPartition
-from gaudin.weights import (check_partition, conjugate_partition,
-                            derive_infinity_weight, root_pairing, simple_root,
-                            tensor_weight, weight_size, weight_sub_roots)
+from gaudin.weights import (check_partition, derive_infinity_weight,
+                            root_pairing, simple_root, tensor_weight,
+                            weight_size, weight_sub_roots)
 
 
 def test_check_partition():
@@ -50,13 +50,3 @@ def test_weight_sub_roots_matches_infinity_weight():
 def test_tensor_weight():
     assert tensor_weight([(1, 0), (2, 1)]) == (3, 1)
 
-
-def test_conjugate_partition():
-    assert conjugate_partition((3, 1, 0)) == (2, 1, 1)
-    assert conjugate_partition((2, 2)) == (2, 2)
-
-
-def test_conjugate_is_involution_on_support():
-    lam = (4, 2, 1)
-    twice = conjugate_partition(conjugate_partition(lam))
-    assert tuple(x for x in twice if x) == tuple(x for x in lam if x)
