@@ -386,7 +386,7 @@ def test_eval_scaled_is_eval_over_one_int_denominator():
             assert all(type(v) is int for v in mat.data.values())
             assert {k: Fraction(v, c) for k, v in mat.data.items()} \
                 == B.eval(u).data
-        for B, u in ((B, QI(1, 2)),
+        for A, u in ((B, QI(1, 2)),
                      (operator_coefficient(gaussian, i), Fraction(7, 2))):
-            (want,), d = integer_scaled([B.eval(u)])
-            assert B.eval_scaled(u) == (want, d)
+            (want,), d = integer_scaled([A.eval(u)])
+            assert A.eval_scaled(u) == (want, d)
