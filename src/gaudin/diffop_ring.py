@@ -11,7 +11,7 @@ and the scalar operator at a critical point (1x1, poles at the sites and the
 Bethe variables).  When the entries and the poles are rational, an RFMatrix
 keeps its value P(u)/D(u)^k as P~(u) / (d * D~(u)^k) with P~ and D~ = lcd * D
 in Python ints and one positive int d, so its arithmetic runs in integers;
-Gaussian-rational and floating ones pass through with d = 1.
+Gaussian-rational and floating ones are kept as P / D^k.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _series_quotient(num, den, count):
     return out
 
 
-def _times_poly(mats, q: Poly):
+def _mul_poly(mats, q: Poly):
     """Coefficients of P(u) * q(u) for a matrix polynomial P and scalar q."""
     if not mats or q.is_zero():
         return []
@@ -252,12 +252,13 @@ class RFMatrix:
     `entries_series_at_infinity`, `coeffs`).  Anything else (Gaussian-
     rational or floating entries or sites) passes through with num = P,
     den = D and d = lcd = 1, and an operation between the two forms works on
-    the Fraction form of the integer side.  `is_exact` reads what the
-    constructor knew.
+    the Fraction form of the integer side, or on its ints as they are when
+    they are P itself (d = 1 and k = 0, as for the identity).  `is_exact`
+    reads what the constructor knew.
     """
 
     __slots__ = ("nrows", "ncols", "num", "den", "lcd", "d", "power",
-                 "integral", "exact", "_horner", "_view")
+                 "integral", "exact", "_horner")
 
     def __init__(self, nrows, ncols, coeffs=(), base=ONE, power=0):
         coeffs = list(coeffs)
@@ -286,7 +287,6 @@ class RFMatrix:
         self.integral = integral
         self.exact = exact
         self._horner = None    # eval's integer rows, made at its first call
-        self._view = None      # the pass-through form, made when needed
 
     def _like(self, num, power, d=None, nrows=None, ncols=None, exact=None):
         """A matrix in the same form and over the same denominator."""
@@ -309,29 +309,26 @@ class RFMatrix:
             return self.den
         return Poly([Fraction(c, self.lcd) for c in self.den.coeffs])
 
-    def _p_matrices(self, floating=False):
-        """P = P~ / (d lcd^k) of the integer form, as Fractions or as their
-        complex values."""
+    def _p_matrices(self):
+        """P = P~ / (d lcd^k) of the integer form, as Fractions."""
         f = self.d * self.lcd ** self.power
         return [SparseMatrix(self.nrows, self.ncols,
-                             {key: complex(v / f) if floating
-                              else Fraction(v, f)
+                             {key: Fraction(v, f)
                               for key, v in mat.data.items()})
                 for mat in self.num]
 
-    def _pass_through(self, floating=False):
-        """The same value in the pass-through form, with Fraction entries or,
-        to meet a floating matrix, their complex values: Fraction's
-        arithmetic with a complex converts it to complex(v) at every product
-        and sum, so the bits are the same.  Cached on the object."""
+    def _pass_through(self):
+        """The same value in the pass-through form.  When d = 1 and k = 0
+        the ints of P~ are P and stay as they are: an int meets a Gaussian
+        rational or a complex with the same bits as its Fraction."""
         if not self.integral:
             return self
-        view = self._view
-        if view is None or view.exact == floating:
-            view = self._view = RFMatrix.__new__(RFMatrix)
-            view._set(self.nrows, self.ncols, self._p_matrices(floating),
-                      self.base, 1, 1, self.power, False, not floating)
-        return view
+        num = self.num if self.d == 1 and not self.power \
+            else self._p_matrices()
+        out = RFMatrix.__new__(RFMatrix)
+        out._set(self.nrows, self.ncols, num, self.base, 1, 1, self.power,
+                 False, True)
+        return out
 
     @classmethod
     def identity(cls, n):
@@ -348,7 +345,7 @@ class RFMatrix:
             mats = [_to_ints(m, e) for m in mats]
         coeffs = []
         for mat, cofactor in zip(mats, cofactors):
-            coeffs = _add_polys(coeffs, _times_poly([mat], cofactor))
+            coeffs = _add_polys(coeffs, _mul_poly([mat], cofactor))
         if e is None:
             return cls(mats[0].nrows, mats[0].ncols, coeffs, base, 1)
         out = cls.__new__(cls)
@@ -370,8 +367,7 @@ class RFMatrix:
     def _same_form(self, other):
         if self.integral == other.integral:
             return self, other
-        floating = not (self.exact and other.exact)
-        return self._pass_through(floating), other._pass_through(floating)
+        return self._pass_through(), other._pass_through()
 
     def _common_base(self, other):
         """The operand whose denominator the result is kept over."""
@@ -400,9 +396,9 @@ class RFMatrix:
             d = math.lcm(a.d, b.d)
             x, y = _scaled(x, d // a.d), _scaled(y, d // b.d)
         if a.power < b.power:
-            x = _times_poly(x, over.den ** (b.power - a.power))
+            x = _mul_poly(x, over.den ** (b.power - a.power))
         elif b.power < a.power:
-            y = _times_poly(y, over.den ** (a.power - b.power))
+            y = _mul_poly(y, over.den ** (a.power - b.power))
         return over._like(_add_polys(x, y), max(a.power, b.power), d,
                           exact=a.exact and b.exact)
 
@@ -419,7 +415,7 @@ class RFMatrix:
         if type(c) is int or type(c) is Fraction:
             return self._like([m.scale(c.numerator) for m in self.num],
                               self.power, self.d * c.denominator)
-        return self._pass_through(not is_exact(c)).scale(c)
+        return self._pass_through().scale(c)
 
     def __mul__(self, other):
         if not isinstance(other, RFMatrix):
@@ -447,28 +443,14 @@ class RFMatrix:
                           lhs.power + rhs.power, lhs.d * rhs.d, self.nrows,
                           other.ncols, lhs.exact and rhs.exact)
 
-    def times_poly(self, q: Poly):
-        """This matrix times the polynomial q, over the same denominator."""
-        if self.integral:
-            e = rational_lcd(q.coeffs)
-            if e is not None:
-                q = Poly([c.numerator * (e // c.denominator)
-                          for c in q.coeffs])
-                return self._like(_times_poly(self.num, q), self.power,
-                                  self.d * e)
-        exact = q.is_exact_poly()
-        a = self._pass_through(not exact)
-        return a._like(_times_poly(a.num, q), a.power,
-                       exact=a.exact and exact)
-
     def derivative(self):
         """(P' D - k P D') / D^(k+1); a polynomial matrix stays one."""
         dp = [m.scale(k) for k, m in enumerate(self.num) if k]
         if not self.power:
             return self._like(dp, 0)
-        num = _add_polys(_times_poly(dp, self.den),
-                         _times_poly(self.num,
-                                     self.den.derivative().scale(-self.power)))
+        num = _add_polys(_mul_poly(dp, self.den),
+                         _mul_poly(self.num,
+                                   self.den.derivative().scale(-self.power)))
         return self._like(num, self.power + 1)
 
     def eval(self, u) -> SparseMatrix:
@@ -688,20 +670,19 @@ class OperatorPencil:
                     out[k] = out[k] + term
         return OperatorPencil(out)
 
-    def apply(self, f: Poly) -> RFMatrix:
-        """sum_k coeffs[k] * f^(k) for a polynomial f, over the coefficients'
-        denominator; exactly zero when f is in the kernel."""
-        first = self.coeffs[0]
-        acc = RFMatrix(first.nrows, first.ncols)
-        der = f
+    def apply(self, f) -> RFMatrix:
+        """sum_k coeffs[k] * f^(k) over the coefficients' denominator, for a
+        polynomial f or a row of them (a polynomial RFMatrix, column j
+        holding f_j); exactly zero where f is in the kernel."""
+        if isinstance(f, Poly):
+            f = RFMatrix(1, 1, [SparseMatrix(1, 1, {(0, 0): c})
+                                for c in f.coeffs])
+        acc = RFMatrix(self.coeffs[0].nrows, f.ncols)
         for k, c in enumerate(self.coeffs):
             if k:
-                der = der.derivative()
-            acc = acc + c.times_poly(der)
+                f = f.derivative()
+            acc = acc + c * f
         return acc
-
-    def eval_coeffs(self, u):
-        return [c.eval(u) for c in self.coeffs]
 
     def is_monic(self):
         top = self.coeffs[-1]

@@ -175,6 +175,13 @@ def _nz(x, exact, eps=_NUMERIC_EPS):
     return scalar_abs(x) > eps
 
 
+def _div(a, b, exact):
+    """a / b; in exact mode a Fraction when both are ints."""
+    if exact and type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
 def _eliminate(target, row, col, exact, eps=_NUMERIC_EPS):
     """target -= (target[col] / row[col]) * row, in place.
 
@@ -184,7 +191,7 @@ def _eliminate(target, row, col, exact, eps=_NUMERIC_EPS):
     x = target[col]
     piv = row[col]
     if piv != 1:
-        x = x / piv
+        x = _div(x, piv, exact)
     for j, w in row.items():
         y = target.get(j)
         s = -x * w if y is None else y - x * w
@@ -224,7 +231,7 @@ def rref(rows, eps=_NUMERIC_EPS):
         piv = row[col]
         if not exact and scalar_abs(piv) < eps * max(1.0, max(scalar_abs(v) for v in row.values())):
             continue
-        row = {j: v / piv for j, v in row.items()}
+        row = {j: _div(v, piv, exact) for j, v in row.items()}
         row[col] = 1 if exact else 1.0
         for r in work + reduced:
             if r.get(col):
@@ -325,7 +332,7 @@ class IncrementalSpan:
         else:
             p = max(free, key=lambda j: scalar_abs(red[j]))
         piv = red[p]
-        red = {j: w / piv for j, w in red.items()}
+        red = {j: _div(w, piv, exact) for j, w in red.items()}
         red[p] = 1 if exact else 1.0
         # keep existing rows reduced against the new one
         for row in self.rows:

@@ -229,13 +229,15 @@ def hessian_log_master(problem: GaudinProblem, point):
             d = abs(ga - gb)
             c = 2 if d == 0 else (-1 if d == 1 else 0)
             if c:
-                v = c / (_diff(xa, xb) ** 2)
+                r = _diff(xa, xb)
+                v = c / (r * r)
                 H[a][b] = v
                 diag -= v
         for s, zs in enumerate(problem.z):
             e = problem.site_exponent[ga][s]
             if e:
-                diag += e / (_diff(xa, zs) ** 2)
+                r = _diff(xa, zs)
+                diag += e / (r * r)
         H[a][a] = diag
     return H
 

@@ -1,11 +1,12 @@
 """Polynomial kernel of the scalar operator and its geometric certificates.
 
 At a critical point the scalar operator annihilates an (N+1)-dimensional
-space of polynomials.  That space is computed here by sampling, normalized to
-the expected exponent shape, and certified two ways: Wronskian product
-identities relating consecutive minors to the group polynomials and site
-factors, and vanishing-order (incidence) tables at every site and at
-infinity.
+space of polynomials.  That space is computed here, exactly from the
+numerator of the operator applied to the monomials or numerically from
+samples of its local jets, normalized to the expected exponent shape, and
+certified two ways: Wronskian product identities relating consecutive minors
+to the group polynomials and site factors, and vanishing-order (incidence)
+tables at every site and at infinity.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bethe_algebra import sample_points
-from .diffop_ring import ONE, OperatorPencil, Poly
+from .diffop_ring import ONE, OperatorPencil, Poly, RFMatrix
 from .errors import (AmbientTooSmall, KernelDimensionMismatch,
                      ShapeNormalizationFailure)
 from .linalg import SparseMatrix, nullspace, rref
@@ -81,8 +81,12 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
                   data: ExponentData = None, svd_cutoff=1e-10) -> PolynomialTuple:
     """Kernel of the scalar operator on polynomials, in exponent shape.
 
-    Samples the operator applied to the monomial basis at enough points to
-    pin the polynomial identity exactly; exact points give an exact kernel.
+    At an exact point the operator is applied once to the row
+    (1, u, ..., u^d1) of monomials; a polynomial sum_k x_k u^k is in the
+    kernel exactly when x is a null vector of every coefficient matrix of
+    the image's numerator, so the kernel is exact.  Otherwise the operator's
+    local jets are sampled at points on a circle around the poles and the
+    kernel is read from an SVD.
     """
     poles = _poles_of(problem, point)
     if pencil is None and all(is_exact(x) for x in poles):
@@ -92,32 +96,13 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
     d1 = data.exponents[0]
     exact = (pencil is not None and all(is_exact(c) for c in poles)
              and all(c.is_exact() for c in pencil.coeffs))
-    # the operator maps a polynomial of degree <= d1 to a rational function
-    # over prod (u - r)^(N+1), r the distinct poles; more samples than its
-    # numerator degree pin it
-    pole_pts = {to_complex(p) for p in poles}
-    n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
-
     if exact:
-        mono_derivs = _monomial_derivative_table(d1, pencil.order)
-        samples = sample_points(poles, n_samples)
-        rows = []
-        for u in samples:
-            cvals = [m[0, 0] for m in pencil.eval_coeffs(u)]
-            row = {}
-            for k in range(d1 + 1):
-                acc = 0
-                for j, cv in enumerate(cvals):
-                    term = mono_derivs[k][j]
-                    if term:
-                        acc += cv * term(u)
-                if acc:
-                    row[k] = acc
-            rows.append(row)
-        mat = SparseMatrix(len(rows), d1 + 1)
-        for i, r in enumerate(rows):
-            for k, v in r.items():
-                mat[i, k] = v
+        monomials = RFMatrix(1, d1 + 1, [SparseMatrix(1, d1 + 1, {(0, k): 1})
+                                         for k in range(d1 + 1)])
+        image = pencil.apply(monomials)
+        mat = SparseMatrix(len(image.num), d1 + 1,
+                           {(i, k): v for i, m in enumerate(image.num)
+                            for (_, k), v in m.data.items()})
         kernel = nullspace(mat)
         if len(kernel) != problem.N + 1:
             raise KernelDimensionMismatch(
@@ -126,7 +111,12 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
     else:
         # sample through local jets of the factored operator: composing the
         # factors symbolically in floating point hides the kernel behind
-        # catastrophic cancellation, while jets stay accurate to rounding
+        # catastrophic cancellation, while jets stay accurate to rounding.
+        # The operator maps a polynomial of degree <= d1 to a rational
+        # function over prod (u - r)^(N+1), r the distinct poles; more
+        # samples than its numerator degree pin it
+        pole_pts = {to_complex(p) for p in poles}
+        n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
         pole_data = factored_pole_data(problem, point)
         R = 1.5 * max([1.0] + [abs(p) for p in pole_pts])
         monos = [Poly((Fraction(0),) * k + (Fraction(1),))
@@ -155,19 +145,6 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
 
     polys = _shape_normalize(vecs, data)
     return PolynomialTuple(polys=tuple(polys), exponents=data.exponents)
-
-
-def _monomial_derivative_table(d1, order):
-    """table[k][j] = j-th derivative of u^k as a Poly (None when zero)."""
-    table = []
-    for k in range(d1 + 1):
-        p = Poly((Fraction(0),) * k + (Fraction(1),))
-        row = []
-        for j in range(order + 1):
-            row.append(p if not p.is_zero() else None)
-            p = p.derivative()
-        table.append(row)
-    return table
 
 
 def _shape_normalize(vecs, data: ExponentData):

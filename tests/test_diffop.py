@@ -153,6 +153,20 @@ def test_pencil_apply_leibniz():
                             RFMatrix.identity(1)])
     assert first.apply(pole).is_zero()
     assert not first.apply(pole * pole).is_zero()
+    # a 1 x m row of polynomials goes through in one apply, column by column
+    hs = [h, pole, pole * pole, ONE]
+    row = RFMatrix(1, len(hs), [
+        SparseMatrix(1, len(hs), {(0, j): p.coeffs[a]
+                                  for j, p in enumerate(hs)
+                                  if a < len(p.coeffs)})
+        for a in range(max(len(p.coeffs) for p in hs))])
+    for op in (pencil, first):
+        image = op.apply(row)
+        for j, p in enumerate(hs):
+            column = RFMatrix(len(hs), 1,
+                              [SparseMatrix(len(hs), 1, {(j, 0): 1})])
+            assert (image * column - op.apply(p)).is_zero()
+    assert all(not m[0, 1] for m in first.apply(row).coeffs)
 
 
 def test_row_determinant_order_convention():
@@ -288,7 +302,10 @@ def test_is_exact_is_known_from_construction(monkeypatch):
                     ("complex", [1 / 3 + 0j, -2.0 + 0.5j])):
         a = RFMatrix.over_sites([m, m.scale(2)], site_denominator(z))
         made[name] = [a, a * ident, ident * a + a, a.derivative(),
-                      a.scale(Fraction(2, 3)), a.times_poly(Poly((1, 2)))]
+                      a.scale(Fraction(2, 3))]
+    # the identity's ints meet a Gaussian-rational or complex scalar as they are
+    made["gaussian"].append(ident.scale(QI(0, 1)))
+    made["complex"].append(ident.scale(0.5j))
     monkeypatch.setattr("gaudin.diffop_ring.is_exact", None)
     assert ident.is_exact()
     for name, mats in made.items():

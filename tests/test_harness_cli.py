@@ -94,6 +94,23 @@ def test_gaussian_rational_sites_verify_the_algebra_exactly():
         assert checks[name]["status"] == "PASS", checks[name]
 
 
+@pytest.mark.parametrize("N, partitions, l", [
+    (1, [[1, 0], [1, 0]], [1]),              # critical point t = 0
+    (2, [[2, 1, 0], [1, 0, 0]], [1, 1]),     # critical point (-i/2, i/4)
+])
+def test_critical_point_at_gaussian_rational_sites_verifies(N, partitions, l):
+    """Sites i and -i: the Hessian squares Gaussian-rational differences,
+    which once raised TypeError, and the kernel is found exactly over Q(i)."""
+    report = run_pipeline(*load_problem({
+        "N": N, "partitions": partitions, "l": l,
+        "z": [["0", "1"], ["0", "-1"]]})[:2], stage="verify")
+    assert report["summary"]["checks"] == 18
+    assert report["summary"]["all_pass"], report["checks"]
+    for check in report["checks"]:
+        if check["name"].endswith(("kernel_residual", "wronskian_identities")):
+            assert check["residual"] == 0.0, check
+
+
 @pytest.mark.parametrize("site", [["0", 1.5], [0.5, "1"], ["1"],
                                   ["0", "1", "2"]])
 def test_load_problem_rejects_malformed_site_pairs(site):

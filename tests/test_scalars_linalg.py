@@ -170,6 +170,22 @@ def test_rref_pivots_are_sorted_orders():
     assert len(pivots) == 3
 
 
+def test_exact_routines_keep_int_input_exact():
+    """int input divides into Fractions, not floats."""
+    (v,) = nullspace(SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 1}))
+    assert v == {0: Fraction(-1, 2), 1: 1}
+    assert all(type(x) is Fraction for x in v.values())
+    d = det([[2, 1], [1, 3]])
+    assert d == 5 and type(d) is Fraction
+    (row,), pivots = rref([{0: 2, 1: 3, 2: 1}])
+    assert row == {0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}
+    assert type(row[1]) is Fraction and type(row[2]) is Fraction
+    span = IncrementalSpan(2)
+    span.add({0: 2, 1: 1})
+    assert span.rows == [{0: 1, 1: Fraction(1, 2)}]
+    assert type(span.rows[0][1]) is Fraction
+
+
 def test_incremental_span():
     span = IncrementalSpan(4)
     assert span.add({0: Fraction(1), 1: Fraction(1)})
