@@ -176,14 +176,14 @@ def sample_points(z, count):
     return out
 
 
-def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
-                      samples=None) -> dict:
+def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
+                      z) -> dict:
     """Commutativity, gl-invariance, and form-symmetry residuals.
 
     The family must live on the full module for the gl-commutation and
-    Shapovalov checks to make sense.  Unless given, the sample points are
-    integers at distance at least 1 from every site z_s, where evaluating
-    P(u)/D(u)^k in floating point loses no digits to a small D(u).
+    Shapovalov checks to make sense.  The sample points are integers at
+    distance at least 1 from every site z_s, where evaluating P(u)/D(u)^k in
+    floating point loses no digits to a small D(u).
 
     In exact mode all residuals are exactly zero and `exact` reports True.
     Every matrix is first brought to integers over one denominator: B_i(u)
@@ -208,9 +208,8 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule, z,
             evals[key] = family.B_u[i].eval_scaled(u)
         return evals[key]
 
-    if samples is None:
-        pts = sample_points(z, 6)
-        samples = [(pts[a], pts[a + 1]) for a in range(5)]
+    pts = sample_points(z, 6)
+    samples = [(pts[a], pts[a + 1]) for a in range(5)]
 
     exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
     res_comm = scale_comm = 0.0

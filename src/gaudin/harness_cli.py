@@ -33,9 +33,8 @@ from .linalg import SparseMatrix, rank
 from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
                      factored_pole_data, find_critical_orbits,
                      group_polynomials, hessian_determinant,
-                     master_coefficients, master_operator_at,
-                     scalar_coefficient_values, series_by_contour,
-                     try_rationalize_orbit)
+                     master_operator_at, scalar_coefficient_values,
+                     series_by_contour, try_rationalize_orbit)
 from .repr_core import (build_irreducible, tensor_module, tensor_shapovalov,
                         weight_and_singular_subspace)
 from .scalars import (QI, format_scalar, is_exact, parse_rational,
@@ -162,14 +161,20 @@ def _parse_site(x):
     raise SchemaError(f"unreadable site position {x!r}")
 
 
-def load_problem(source):
-    """dict or path -> (GaudinProblem, SolverConfig, options dict)."""
+def _read_problem(source):
+    """The problem document of a path; a dict is returned as it is."""
     if isinstance(source, (str, bytes)):
         try:
             with open(source) as fh:
-                source = json.load(fh)
+                return json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise SchemaError(f"cannot read problem file: {e}") from e
+    return source
+
+
+def load_problem(source):
+    """dict or path -> (GaudinProblem, SolverConfig, options dict)."""
+    source = _read_problem(source)
     try:
         _validate(_PROBLEM_VALIDATOR, source)
     except jsonschema.ValidationError as e:
@@ -338,15 +343,9 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
         point = try_rationalize_orbit(problem, orb) or orb.groups
         exact_pt = all(is_exact(x) for grp in point for x in grp)
         pole_data = factored_pole_data(problem, point)
-        scalar_pencil = None
-        if exact_pt and problem.exact:
-            scalar_pencil = master_operator_at(problem, point)
-            _, series = master_coefficients(scalar_pencil, j_max)
-        else:
-            # expanding the composed coefficients in floating point loses
-            # digits to cancellation; recover the expansion from stable
-            # jet-sampled values instead
-            series = series_by_contour(pole_data, j_max)
+        scalar_pencil = master_operator_at(problem, point) \
+            if exact_pt and problem.exact else None
+        series = series_by_contour(pole_data, j_max)
         spectra.append({
             "index": orb.index,
             "exact_point": exact_pt,
@@ -371,7 +370,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
 
         # eigenvalue equations: coefficient-by-coefficient in exact mode,
         # else the same identity sampled at enough points to pin it, with
-        # scalar values taken from stable jets
+        # scalar values taken from the factors composed over jets
         worst = 0.0
         scale = max(1.0, info["coeff_max"])
         if exact_pt and problem.exact:
@@ -520,34 +519,18 @@ def main(argv=None):
         sp.add_argument("--starts", type=int)
         sp.add_argument("--tol-residual", type=float)
         sp.add_argument("--tol-dedup", type=float)
-        sp.add_argument("--jmax", type=int)
+        sp.add_argument("--jmax", dest="j_max", type=int)
         sp.add_argument("--precision", choices=["double", "longdouble"])
         sp.add_argument("--max-terms", type=int)
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "selftest":
-            problem, config, options = load_problem(dict(SELFTEST_PROBLEM))
-        else:
-            problem, config, options = load_problem(args.problem)
+        source = SELFTEST_PROBLEM if args.command == "selftest" \
+            else _read_problem(args.problem)
+        problem, config, options = load_problem(_with_overrides(source, args))
     except SchemaError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.starts is not None:
-        config.starts = args.starts
-    if args.tol_residual is not None:
-        config.tol_residual = args.tol_residual
-    if args.tol_dedup is not None:
-        config.tol_dedup = args.tol_dedup
-    if args.precision is not None:
-        config.precision = args.precision
-    if args.jmax is not None:
-        options["j_max"] = args.jmax
-    if args.max_terms is not None:
-        options["max_terms"] = args.max_terms
 
     stage = {"solve": "solve", "verify": "verify", "selftest": "verify",
              "spectrum": "verify", "weightfn": "verify"}[args.command]
@@ -573,6 +556,21 @@ def main(argv=None):
     if args.command not in ("spectrum", "weightfn") or args.format == "json":
         emit_report(report, args.format)
     return 0 if report["summary"]["all_pass"] else 1
+
+
+def _with_overrides(source, args):
+    """The problem document with the command-line overrides written into it,
+    so that the schema bounds them like values read from the file."""
+    if not (isinstance(source, dict)
+            and isinstance(source.get("solver", {}), dict)):
+        return source                   # malformed: the schema says why
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    out = dict(source, **{k: given[k] for k in ("j_max", "max_terms")
+                          if k in given})
+    out["solver"] = dict(source.get("solver", {}), **{
+        k: given[k] for k in ("seed", "starts", "tol_residual", "tol_dedup",
+                              "precision") if k in given})
+    return out
 
 
 def _print_spectra(report):

@@ -20,8 +20,9 @@ first-order factors (d - logarithmic derivative), one per color, built from
 the site factors and the group polynomials y_i = prod_j (u - t^(i)_j).  Each
 logarithmic derivative is a sum of simple poles at the sites and the
 variables, so the operator is composed over the product of (u - r) for the
-known pole locations r, like the universal operator over its sites.  Numeric
-points take stable local jets of the factors instead.
+known pole locations r, like the universal operator over its sites.  Values
+at a point and the expansion at infinity compose the same factors over
+truncated power series instead.
 """
 
 from __future__ import annotations
@@ -451,14 +452,15 @@ def master_coefficients(pencil: OperatorPencil, j_max: int):
     return funcs, series
 
 
-# ------------------------------------------------- stable local evaluation
+# -------------------------------------- series of the composed factors
 #
-# Composing the first-order factors symbolically produces rational functions
-# whose floating numerator and denominator share large unreduced common
-# factors; evaluating those loses many digits.  The helpers below instead
-# work with truncated Taylor expansions at the evaluation point: every factor
-# is a sum of known simple poles, so its local jet is exact-to-rounding, and
-# applying (d - a) consumes one jet order.  Exact inputs stay exact.
+# Composing the factors symbolically in floating point gives rational
+# functions whose numerator and denominator share large unreduced factors;
+# evaluating or expanding those loses many digits.  Instead the factors are
+# composed over truncated power series in a local parameter, Taylor jets in
+# u - u0 at a point and series in 1/u at infinity, where each factor, a sum
+# of known simple poles, has an exact expansion.  Exact inputs stay exact;
+# only the rule for d/du differs between the two parameters.
 
 def factored_pole_data(problem: GaudinProblem, point):
     """Per factor i = 1..N+1: list of (coefficient, location) simple poles."""
@@ -488,7 +490,8 @@ def factored_pole_data(problem: GaudinProblem, point):
 
 
 def _pole_jet(poles, u0, order, exact):
-    """Taylor coefficients at u0 of sum c/(u - r), orders 0..order."""
+    """Taylor coefficients at u0 of sum c/(u - r), orders 0..order: the m-th
+    is sum (-1)^m c (u0 - r)^(-m-1)."""
     out = [Fraction(0) if exact else 0j] * (order + 1)
     for c, r in poles:
         d = u0 - r
@@ -501,99 +504,82 @@ def _pole_jet(poles, u0, order, exact):
     return out
 
 
-def _jet_apply_first_order(gjet, ajet):
-    """Jet of g' - a*g, one order shorter than g."""
-    M = len(gjet) - 1
-    out = []
-    for m in range(M):
-        acc = (m + 1) * gjet[m + 1]
-        for q in range(m + 1):
-            if ajet[q] and gjet[m - q]:
-                acc = acc - ajet[q] * gjet[m - q]
-        out.append(acc)
+def _pole_series_at_infinity(poles, j_max, zero):
+    """Coefficients of u^0 .. u^-j_max of sum c/(u - r) = sum_j c r^(j-1) u^-j."""
+    out = [zero] * (j_max + 1)
+    for c, r in poles:
+        term = c
+        for j in range(1, j_max + 1):
+            out[j] = out[j] + term
+            term = term * r
     return out
 
 
-def apply_factored_at(pole_data, poly: Poly, u0):
-    """Value at u0 of the factored operator applied to a polynomial."""
-    order = len(pole_data)
-    exact = is_exact(u0) and poly.is_exact_poly() and all(
-        is_exact(r) for fac in pole_data for _, r in fac)
-    if not exact:
-        # Fraction * complex would compute complex(c) * w through the
-        # numbers fallback at every product; converting once is the same
-        u0 = to_complex(u0)
-        poly = Poly([to_complex(c) for c in poly.coeffs])
-    sh = poly.taylor_shift(u0)
-    jet = [sh.coeffs[m] if m < len(sh.coeffs) else (Fraction(0) if exact else 0j)
-           for m in range(order + 1)]
-    for i in range(order, 0, -1):
-        ajet = _pole_jet(pole_data[i - 1], u0, len(jet) - 2, exact)
-        jet = _jet_apply_first_order(jet, ajet)
-    return jet[0]
+def _jet_derivative(f):
+    """d/du of a Taylor jet in u - u0; its top order is lost."""
+    return [(m + 1) * f[m + 1] for m in range(len(f) - 1)]
+
+
+def _derivative_at_infinity(f):
+    """d/du of a series in 1/u: u^-j goes to -j u^-(j+1), the constant to 0."""
+    return [0, 0] + [-j * f[j] for j in range(1, len(f) - 1)]
+
+
+def _series_mul(f, g, zero):
+    """Product of two truncated series, as long as the shorter one."""
+    return [sum((f[a] * g[m - a] for a in range(m + 1) if f[a] and g[m - a]),
+                zero)
+            for m in range(min(len(f), len(g)))]
+
+
+def _compose_factors(factors, derivative, zero):
+    """[C_1, ..., C_n] as series, C_i standing in front of d^(n-i) in
+    (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i; `zero` is 0
+    for exact series and 0j for floating ones.
+
+    (d - a) sum_k q_k d^k = sum_k (q_k' - a q_k + q_(k-1)) d^k, so the
+    factors are taken from the right, starting at the identity.  A Taylor
+    jet loses one order per factor: jets of orders 0..n give the values.
+    """
+    nil = [zero] * len(factors[0])
+    q = [[1] + nil[1:]]                   # q[k] stands in front of d^k
+    for a in reversed(factors):
+        q = [[x - y + w for x, y, w in zip(derivative(qk),
+                                           _series_mul(a, qk, zero), below)]
+             for qk, below in zip(q + [nil], [nil] + q)]
+    return q[-2::-1]
+
+
+def _exact_poles(pole_data):
+    return all(is_exact(r) for fac in pole_data for _, r in fac)
+
+
+def _as_complex(pole_data):
+    return [[(c, to_complex(r)) for c, r in fac] for fac in pole_data]
 
 
 def scalar_coefficient_values(pole_data, u0):
     """[C_1(u0), ..., C_{N+1}(u0)]: values of the coefficients standing in
-    front of d^(N), ..., d^0, recovered from jet applications to monomials."""
-    order = len(pole_data)
-    exact = is_exact(u0) and all(is_exact(r) for fac in pole_data for _, r in fac)
-    u0c = u0 if exact else to_complex(u0)
-    dvals = [apply_factored_at(pole_data, _monomial(k), u0c)
-             for k in range(order)]
-    # W[k][j] = j-th derivative of u^k at u0; forward substitution, with the
-    # leading coefficient fixed at 1
-    # the j-th derivative of u^k vanishes for j > k, so the system is
-    # triangular: solve C[0], C[1], ... in turn
-    C = [None] * (order + 1)   # C[j] multiplies d^j
-    C[order] = Fraction(1) if exact else 1.0 + 0j
-    for k in range(order):
-        acc = dvals[k]
-        for j in range(k):
-            acc = acc - C[j] * _falling(k, j) * u0c ** (k - j)
-        C[k] = acc / _falling(k, k)
-    return [C[order - i] for i in range(1, order + 1)]
+    front of d^N, ..., d^0, the order-0 terms of the factors composed over
+    Taylor jets at u0."""
+    exact = is_exact(u0) and _exact_poles(pole_data)
+    if not exact:
+        pole_data, u0 = _as_complex(pole_data), to_complex(u0)
+    jets = [_pole_jet(fac, u0, len(pole_data), exact) for fac in pole_data]
+    composed = _compose_factors(jets, _jet_derivative, 0 if exact else 0j)
+    return [c[0] for c in composed]
 
 
-def _monomial(k):
-    return Poly((Fraction(0),) * k + (Fraction(1),))
-
-
-def _falling(k, j):
-    out = 1
-    for m in range(j):
-        out *= (k - m)
-    return out
-
-
-def series_by_contour(pole_data, j_max, radius=None, points=None):
-    """{i: expansion coefficients at infinity of u^-1 .. u^-j_max} for every
-    coefficient i = 1..N+1 of the factored operator (numeric).
-
-    One sweep over a discrete contour |u| = R outside every pole evaluates
-    all coefficients at each point from stable jets; coefficient j of
-    coefficient i is then R^j / M * sum_m value_i(u_m) e^(i j theta_m),
-    summed over m in order.
-    """
-    order = len(pole_data)
-    maxpole = max([1.0] + [abs(to_complex(r))
-                           for fac in pole_data for _, r in fac])
-    R = radius or (2.0 + 2.0 * maxpole)
-    M = points or max(64, 4 * j_max + 16)
-    vals = np.empty((order, M), dtype=np.complex128)
-    for m in range(M):
-        u = R * np.exp(2j * np.pi * (m + 0.5) / M)
-        vals[:, m] = scalar_coefficient_values(pole_data, complex(u))
-    phases = [[np.exp(1j * j * (2 * np.pi * (m + 0.5) / M)) for m in range(M)]
-              for j in range(1, j_max + 1)]
-    out = {}
-    for i in range(1, order + 1):
-        row = vals[i - 1]
-        series = []
-        for j in range(1, j_max + 1):
-            acc = 0j
-            for v, ph in zip(row, phases[j - 1]):
-                acc += v * ph
-            series.append(complex(acc * (R ** j) / M))
-        out[i] = series
-    return out
+def series_by_contour(pole_data, j_max):
+    """{i: expansion coefficients of u^-1 .. u^-j_max} of every coefficient
+    i = 1..N+1 of the factored operator, from the factors composed over
+    series in 1/u: those of `master_coefficients` for exact poles, accurate
+    to rounding for floating ones.  perfbench/spans.py binds this name."""
+    zero = 0
+    if not _exact_poles(pole_data):
+        pole_data, zero = _as_complex(pole_data), 0j
+    factors = [_pole_series_at_infinity(fac, j_max, zero) for fac in pole_data]
+    composed = _compose_factors(factors, _derivative_at_infinity, zero)
+    # a sum that cancels over Q(i) is QI(0, 0), which renders unlike 0
+    return {i: [x or zero for x in c[1:]]
+            for i, c in enumerate(composed, start=1)}

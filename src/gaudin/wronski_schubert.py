@@ -21,9 +21,13 @@ from .diffop_ring import ONE, OperatorPencil, Poly, RFMatrix
 from .errors import (AmbientTooSmall, KernelDimensionMismatch,
                      ShapeNormalizationFailure)
 from .linalg import SparseMatrix, nullspace, rref
-from .master import (GaudinProblem, _normalize_groups, apply_factored_at,
-                     factored_pole_data, group_polynomials, master_operator_at)
+from .master import (GaudinProblem, _normalize_groups, factored_pole_data,
+                     group_polynomials, master_operator_at,
+                     scalar_coefficient_values)
 from .scalars import is_exact, scalar_abs, to_complex
+
+
+SVD_CUTOFF = 1e-10   # relative singular values spanning the numeric kernel
 
 
 @dataclass
@@ -77,16 +81,31 @@ def _poles_of(problem, point):
     return list(problem.z) + [x for grp in gs for x in grp]
 
 
+def _complex_derivatives(polys, order):
+    """[p, p', ..., p^(order)] over complex coefficients, for each p."""
+    return [[Poly([to_complex(c) for c in p.coeffs]).derivative(j)
+             for j in range(order + 1)] for p in polys]
+
+
+def _apply_at(pole_data, table, u):
+    """Values at u of the scalar operator applied to each polynomial of a
+    `_complex_derivatives` table, from its coefficient values at u, in front
+    of d^0, ..., d^N, and the monic d^(N+1)."""
+    coeffs = scalar_coefficient_values(pole_data, u)[::-1] + [1]
+    return [sum(c * d.eval(u) for c, d in zip(coeffs, derivs, strict=True))
+            for derivs in table]
+
+
 def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
-                  data: ExponentData = None, svd_cutoff=1e-10) -> PolynomialTuple:
+                  data: ExponentData = None) -> PolynomialTuple:
     """Kernel of the scalar operator on polynomials, in exponent shape.
 
     At an exact point the operator is applied once to the row
     (1, u, ..., u^d1) of monomials; a polynomial sum_k x_k u^k is in the
     kernel exactly when x is a null vector of every coefficient matrix of
-    the image's numerator, so the kernel is exact.  Otherwise the operator's
-    local jets are sampled at points on a circle around the poles and the
-    kernel is read from an SVD.
+    the image's numerator, so the kernel is exact.  Otherwise the operator,
+    from its coefficient values at each point, is sampled on a circle around
+    the poles and the kernel is read from an SVD.
     """
     poles = _poles_of(problem, point)
     if pencil is None and all(is_exact(x) for x in poles):
@@ -109,18 +128,16 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
                 f"kernel dimension {len(kernel)}, expected {problem.N + 1}")
         vecs = [[v.get(k, Fraction(0)) for k in range(d1 + 1)] for v in kernel]
     else:
-        # sample through local jets of the factored operator: composing the
-        # factors symbolically in floating point hides the kernel behind
-        # catastrophic cancellation, while jets stay accurate to rounding.
-        # The operator maps a polynomial of degree <= d1 to a rational
-        # function over prod (u - r)^(N+1), r the distinct poles; more
-        # samples than its numerator degree pin it
+        # the symbolic composition would hide the kernel behind floating
+        # cancellation.  The operator maps a polynomial of degree <= d1 to a
+        # rational function over prod (u - r)^(N+1), r the distinct poles;
+        # more samples than its numerator degree pin it
         pole_pts = {to_complex(p) for p in poles}
         n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
         pole_data = factored_pole_data(problem, point)
         R = 1.5 * max([1.0] + [abs(p) for p in pole_pts])
-        monos = [Poly((Fraction(0),) * k + (Fraction(1),))
-                 for k in range(d1 + 1)]
+        monomials = _complex_derivatives(
+            [Poly((0,) * k + (1,)) for k in range(d1 + 1)], problem.N + 1)
         E = np.zeros((n_samples, d1 + 1), dtype=np.complex128)
         m = 0
         k_try = 0
@@ -130,13 +147,13 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
             k_try += 1
             if any(abs(u - p) < 1e-6 * R for p in pole_pts):
                 continue
-            for k in range(d1 + 1):
-                E[m, k] = apply_factored_at(pole_data, monos[k], u) / (R ** k)
+            E[m] = [v / (R ** k) for k, v in
+                    enumerate(_apply_at(pole_data, monomials, u))]
             m += 1
         _, sv, vh = np.linalg.svd(E)
         smax = sv[0] if len(sv) else 1.0
         null_rows = [r for r in range(vh.shape[0])
-                     if r >= len(sv) or sv[r] < svd_cutoff * max(smax, 1e-300)]
+                     if r >= len(sv) or sv[r] < SVD_CUTOFF * max(smax, 1e-300)]
         if len(null_rows) != problem.N + 1:
             raise KernelDimensionMismatch(
                 f"kernel dimension {len(null_rows)}, expected {problem.N + 1}")
@@ -223,7 +240,7 @@ def wronskian(polys):
 
 
 def verify_wronskian_identities(problem: GaudinProblem, point,
-                                htuple: PolynomialTuple, tol=1e-8):
+                                htuple: PolynomialTuple):
     """Consecutive-minor identities: for j = 1..N the Wronskian of the last
     j+1 kernel polynomials equals y_{N-j} times a staircase of site factors
     times an integer constant from the exponents.
@@ -248,11 +265,11 @@ def verify_wronskian_identities(problem: GaudinProblem, point,
             for b in range(a + 1, N + 1):
                 const = const * (d[a] - d[b])
         rhs = rhs.scale(const)
-        out[j] = _poly_residual(lhs, rhs, tol)
+        out[j] = _poly_residual(lhs, rhs)
     return out
 
 
-def _poly_residual(p: Poly, q: Poly, tol):
+def _poly_residual(p: Poly, q: Poly):
     diff = p - q
     if diff.is_zero():
         return 0.0
@@ -330,29 +347,26 @@ def schubert_incidence(problem: GaudinProblem, htuple: PolynomialTuple,
 
 
 def kernel_residuals(problem: GaudinProblem, point, htuple: PolynomialTuple,
-                     pencil: OperatorPencil = None, tol=1e-8):
+                     pencil: OperatorPencil = None):
     """Residuals of the operator applied to each kernel polynomial, sampled
     away from the poles; exact zero reported as 0.0."""
-    poles = [to_complex(p) for p in _poles_of(problem, point)]
-    all_exact = all(is_exact(x) for x in _poles_of(problem, point)) and all(
-        h.is_exact_poly() for h in htuple.polys)
-    if all_exact:
+    poles = _poles_of(problem, point)
+    if all(is_exact(x) for x in poles) and all(
+            h.is_exact_poly() for h in htuple.polys):
         if pencil is None:
             pencil = master_operator_at(problem, point)
-        out = []
-        for h in htuple.polys:
-            out.append(0.0 if pencil.apply(h).is_zero() else float("inf"))
-        return out
+        return [0.0 if pencil.apply(h).is_zero() else float("inf")
+                for h in htuple.polys]
+    poles = [to_complex(p) for p in poles]
     pole_data = factored_pole_data(problem, point)
+    table = _complex_derivatives(htuple.polys, problem.N + 1)
+    scales = [max(h.max_abs(), 1.0) for h in htuple.polys]
     R = 1.5 * max([1.0] + [abs(p) for p in poles])
-    out = []
-    for h in htuple.polys:
-        worst = 0.0
-        scale = max(h.max_abs(), 1.0)
-        for k in range(12):
-            u = complex(R * np.exp(1j * (0.21 + 2 * np.pi * k / 12)))
-            if any(abs(u - p) < 1e-6 * R for p in poles):
-                continue
-            worst = max(worst, abs(apply_factored_at(pole_data, h, u)) / scale)
-        out.append(worst)
-    return out
+    worst = [0.0] * len(table)
+    for k in range(12):
+        u = complex(R * np.exp(1j * (0.21 + 2 * np.pi * k / 12)))
+        if any(abs(u - p) < 1e-6 * R for p in poles):
+            continue
+        for n, v in enumerate(_apply_at(pole_data, table, u)):
+            worst[n] = max(worst[n], abs(v) / scales[n])
+    return worst

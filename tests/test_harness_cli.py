@@ -12,8 +12,10 @@ from gaudin import harness_cli
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
                                 emit_report, load_problem, main, run_pipeline)
-from gaudin.master import GaudinProblem, SolverConfig
-from gaudin.scalars import QI
+from gaudin.master import (GaudinProblem, SolverConfig, factored_pole_data,
+                           master_coefficients, master_operator_at,
+                           series_by_contour)
+from gaudin.scalars import QI, format_scalar
 
 ANCHOR_JSON = {
     "N": 1,
@@ -111,6 +113,29 @@ def test_critical_point_at_gaussian_rational_sites_verifies(N, partitions, l):
             assert check["residual"] == 0.0, check
 
 
+@pytest.mark.parametrize("N, partitions, l, point", [
+    (1, [[1, 0], [1, 0]], [1], [(Fraction(0),)]),
+    (2, [[2, 1, 0], [1, 0, 0]], [1, 1],
+     [(QI(0, Fraction(-1, 2)),), (QI(0, Fraction(1, 4)),)]),
+])
+def test_spectra_at_gaussian_rational_sites_are_the_pencil_expansion(
+        N, partitions, l, point):
+    """The composed series at infinity equals the expansion of the exact
+    pencil over Q(i), value for value and in the report's rendering, where
+    a QI and a Fraction print differently."""
+    problem, config, _ = load_problem({
+        "N": N, "partitions": partitions, "l": l,
+        "z": [["0", "1"], ["0", "-1"]]})
+    report = run_pipeline(problem, config, stage="verify")
+    j_max = report["derived"]["j_max"]
+    _, want = master_coefficients(master_operator_at(problem, point), j_max)
+    got = series_by_contour(factored_pole_data(problem, point), j_max)
+    assert got == want
+    rendered = {str(i): [format_scalar(c) for c in want[i]] for i in want}
+    assert [s["eigenvalues"] for s in report["spectra"]] == [rendered]
+    assert report["spectra"][0]["exact_point"]
+
+
 @pytest.mark.parametrize("site", [["0", 1.5], [0.5, "1"], ["1"],
                                   ["0", "1", "2"]])
 def test_load_problem_rejects_malformed_site_pairs(site):
@@ -188,8 +213,8 @@ def test_run_pipeline_deterministic_bytes():
 
 
 def test_run_pipeline_deterministic_bytes_numeric():
-    """Float sites: the orbit stays floating, so the series come from the
-    contour and the eigenvalue equations from float evaluations."""
+    """Float sites: the orbit stays floating, so the series are composed in
+    floating point and the eigenvalue equations use float evaluations."""
     payload = {"N": 1, "partitions": [[1, 0], [1, 0], [1, 0]], "l": [1],
                "z": [[0.0, 0.0], [1.25, 0.4], [-2.5, 0.0]],
                "solver": {"seed": 3}}
@@ -258,6 +283,33 @@ def test_main_malformed_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jmax", "-2"], ["--jmax", "0"], ["--starts", "-5"],
+    ["--max-terms", "0"], ["--seed", "-1"]])
+def test_main_overrides_meet_the_schema_bounds(tmp_path, capsys, flags):
+    """A command-line override below the schema's minimum is malformed
+    input, like the same value in the problem file: once `--jmax -2`
+    verified zero expansion coefficients and `--starts -5` made no starts."""
+    path = write_problem(tmp_path, ANCHOR_JSON)
+    rc = main(["verify", "--problem", path] + flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_main_overrides_reach_the_pipeline(tmp_path, capsys):
+    path = write_problem(tmp_path, ANCHOR_JSON)
+    rc = main(["verify", "--problem", path, "--format", "json", "--jmax", "3",
+               "--starts", "0", "--seed", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["seed"] == 4
+    assert report["derived"]["j_max"] == 3
+    assert all(len(v) == 3 for s in report["spectra"]
+               for v in s["eigenvalues"].values())
 
 
 def test_main_spectrum(tmp_path, capsys):

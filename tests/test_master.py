@@ -9,14 +9,14 @@ from gaudin.diffop_ring import Poly
 from gaudin.errors import (DimensionMismatch, NotAPartition, PointNotInU,
                            RepeatedSites)
 from gaudin.master import (GaudinProblem, PointConfig, SolverConfig,
-                           _jet_apply_first_order, _pole_jet,
-                           apply_factored_at, expected_orbit_count,
+                           expected_orbit_count,
                            factored_pole_data, find_critical_orbits,
                            gradient_log_master, group_polynomials,
                            hessian_determinant, hessian_log_master,
                            master_coefficients, master_operator_at,
                            orbit_distance, scalar_coefficient_values,
                            series_by_contour, try_rationalize_orbit)
+from gaudin.scalars import QI, format_scalar
 
 ANCHOR = (1, [[1, 0], [1, 0]], [1], [Fraction(0), Fraction(1)])
 
@@ -177,6 +177,8 @@ def test_group_polynomials():
 
 
 def test_jet_apply_matches_pencil():
+    """The coefficient values at u0, applied to the derivatives of a
+    polynomial there, give the value of the pencil applied to it."""
     p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
                       [Fraction(0), Fraction(1)])
     pt = [(Fraction(1, 3),), (Fraction(5, 7),)]
@@ -187,23 +189,35 @@ def test_jet_apply_matches_pencil():
         poly = Poly(tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
                     + (Fraction(1),))
         u0 = Fraction(rng.randint(4, 20), rng.randint(1, 3))
-        assert apply_factored_at(pd, poly, u0) == \
-            pencil.apply(poly).eval(u0)[0, 0]
+        vals = scalar_coefficient_values(pd, u0)     # d^2, d^1, d^0
+        got = poly.derivative(3).eval(u0) + sum(
+            c * poly.derivative(2 - i).eval(u0) for i, c in enumerate(vals))
+        assert got == pencil.apply(poly).eval(u0)[0, 0]
 
 
 def _bits(z):
     return z.real.hex(), z.imag.hex()
 
 
+def _exact_copy(pole_data):
+    """The same poles as Gaussian rationals, converted without rounding."""
+    return [[(c, _qi(r)) for c, r in fac] for fac in pole_data]
+
+
+def _qi(x):
+    x = complex(x)
+    return QI(Fraction(x.real), Fraction(x.imag))
+
+
 def test_numeric_jets_of_monomials_match_the_fraction_path():
     """At a complex point the monomial is shifted with complex coefficients;
     the Fraction coefficients went through Fraction's numbers fallback,
-    complex(c) * w, at every product.  Taylor coefficients and jet values
-    agree bit for bit."""
+    complex(c) * w, at every product.  Taylor coefficients agree bit for
+    bit, and the coefficient values composed over complex jets agree with
+    the exact composition over the same poles and point to rounding."""
     p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
                       [Fraction(0), Fraction(1)])
     pd = factored_pole_data(p, [(complex(1, 3) / 7,), (5 / 7 + 0j,)])
-    order = len(pd)
     for u0 in (2.5 + 0.3j, complex(-1.75, 4.125), 0.1 - 3.3j, 7 + 0j):
         for k in range(7):
             mono = Poly((Fraction(0),) * k + (Fraction(1),))
@@ -211,12 +225,11 @@ def test_numeric_jets_of_monomials_match_the_fraction_path():
             got = Poly([complex(c) for c in mono.coeffs]).taylor_shift(u0).coeffs
             assert ([_bits(complex(c)) for c in want]
                     == [_bits(c) for c in got]), (u0, k)
-            jet = [complex(want[m]) if m < len(want) else 0j
-                   for m in range(order + 1)]
-            for i in range(order, 0, -1):
-                jet = _jet_apply_first_order(
-                    jet, _pole_jet(pd[i - 1], u0, len(jet) - 2, False))
-            assert _bits(apply_factored_at(pd, mono, u0)) == _bits(jet[0])
+        got = scalar_coefficient_values(pd, u0)
+        want = scalar_coefficient_values(_exact_copy(pd), _qi(u0))
+        assert all(isinstance(w, QI) for w in want)
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - complex(w)) < 1e-14 * max(1.0, abs(complex(w)))
 
 
 def test_jet_coefficient_values_match_pencil():
@@ -254,7 +267,7 @@ def test_variable_on_a_site_of_zero_exponent_shares_one_pole():
 
 
 def test_series_by_contour_matches_exact_series_for_every_coefficient():
-    """One contour sweep returns all N+1 series of an N=2 point."""
+    """One composition returns all N+1 series of an N=2 point."""
     p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], [1, 1],
                       [Fraction(0), Fraction(1)])
     pt = [(Fraction(1, 3),), (Fraction(5, 7),)]
@@ -266,7 +279,7 @@ def test_series_by_contour_matches_exact_series_for_every_coefficient():
         scale = max(1.0, max(abs(complex(b)) for b in series[i]))
         err = max(abs(a - complex(b)) for a, b in zip(approx[i], series[i],
                                                        strict=True))
-        assert err < 1e-9 * scale, i
+        assert err < 1e-12 * scale, i
 
 
 def test_series_by_contour_matches_exact_series():
@@ -279,4 +292,39 @@ def test_series_by_contour_matches_exact_series():
     assert sorted(approx) == [1, 2]
     for i in (1, 2):
         err = max(abs(a - complex(b)) for a, b in zip(approx[i], series[i]))
-        assert err < 1e-9
+        assert err < 1e-12
+
+
+def test_series_that_cancel_over_gaussian_rationals_render_as_zero():
+    """Sites 4 and -4 make the u^-2 coefficient of C_1 cancel over Q(i) at a
+    Gaussian-rational point: the pencil's expansion holds the int 0 there,
+    and the composed series renders the same."""
+    p = GaudinProblem(1, [[1, 0], [1, 0]], [1], [Fraction(4), Fraction(-4)])
+    pt = [(QI(Fraction(-2, 3), 5),)]
+    _, want = master_coefficients(master_operator_at(p, pt), 5)
+    got = series_by_contour(factored_pole_data(p, pt), 5)
+    assert got == want and want[1][1] == 0
+    for i in (1, 2):
+        assert ([format_scalar(c) for c in got[i]]
+                == [format_scalar(c) for c in want[i]]), i
+
+
+def test_series_at_an_off_line_point_matches_the_exact_composition():
+    """At a complex point off the real line, the series at infinity composed
+    over the floating poles agrees to rounding with the one composed over
+    the same poles converted to Gaussian rationals, and that one equals the
+    expansion of the exact pencil."""
+    p = GaudinProblem(2, [[2, 1, 0], [1, 0, 0]], [1, 1],
+                      [Fraction(-1), Fraction(3, 2)])
+    pt = [(complex(0.3, 0.8),), (complex(-0.45, 1.7),)]
+    pd = factored_pole_data(p, pt)
+    approx = series_by_contour(pd, 10)
+    exact = series_by_contour(_exact_copy(pd), 10)
+    pencil = master_operator_at(p, [tuple(_qi(x) for x in g) for g in pt])
+    _, series = master_coefficients(pencil, 10)
+    assert exact == series
+    for i in (1, 2, 3):
+        scale = max(1.0, max(abs(complex(b)) for b in series[i]))
+        err = max(abs(a - complex(b)) for a, b in zip(approx[i], series[i],
+                                                       strict=True))
+        assert err < 1e-12 * scale, i
