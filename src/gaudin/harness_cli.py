@@ -82,10 +82,10 @@ PROBLEM_SCHEMA = {
                 "seed": {"type": "integer", "minimum": 0},
                 "starts": {"type": "integer", "minimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                "tol_residual": {"type": "number"},
-                "tol_dedup": {"type": "number"},
-                "tol_degenerate": {"type": "number"},
-                "pole_margin": {"type": "number"},
+                "tol_residual": {"type": "number", "exclusiveMinimum": 0},
+                "tol_dedup": {"type": "number", "exclusiveMinimum": 0},
+                "tol_degenerate": {"type": "number", "exclusiveMinimum": 0},
+                "pole_margin": {"type": "number", "minimum": 0},
                 "precision": {"enum": ["double", "longdouble"]},
                 "early_stop": {"type": "boolean"},
             },
@@ -248,7 +248,10 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                  stage="verify"):
     """Full machine verification; returns the report dict."""
     config = config or SolverConfig()
-    j_max = j_max or default_j_max(problem)
+    if j_max is None:
+        j_max = default_j_max(problem)
+    elif j_max < 1:
+        raise SchemaError(f"j_max must be at least 1, got {j_max}")
     checks = Checks()
     report = {
         "format": REPORT_FORMAT,

@@ -5,9 +5,10 @@ mapping index -> nonzero scalar.  Everything here is written for correctness
 on modest dimensions (module dimensions in the hundreds).
 
 Every elimination is one row operation, `_eliminate`: row echelon forms
-(`rref`, `IncrementalSpan`), coordinates in a column basis (`Coordinates`)
-and determinants (`det`).  Pivots are exact (first nonzero) in exact mode
-and of largest modulus in numeric mode.
+(`rref`, `IncrementalSpan`), coordinates in a column basis (`Coordinates`),
+determinants (`det`) and dense square systems (`solve`, the Newton kernel's
+Jacobian).  Pivots are exact (first nonzero) in exact mode and of largest
+modulus in numeric mode.
 """
 
 from __future__ import annotations
@@ -264,16 +265,14 @@ def nullspace(mat: SparseMatrix):
     return basis
 
 
-def det(rows):
-    """Determinant of a square matrix given as a list of rows (sequences).
+def _forward(work, n, exact):
+    """Forward elimination of the dict rows `work` over columns 0..n-1.
 
-    Gaussian elimination: the first nonzero pivot in exact mode, the largest
-    modulus (partial pivoting) in numeric mode, where no entry is dropped.
+    In place; the first nonzero pivot in exact mode, the largest modulus
+    (partial pivoting) in numeric mode, and no entry is dropped.  Returns
+    the sign of the row permutation, or 0 when some column has no pivot.
     """
-    n = len(rows)
-    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    exact = all(is_exact(x) for r in work for x in r.values())
-    out = Fraction(1) if exact else complex(1)
+    sign = 1
     for col in range(n):
         if exact:
             piv = next((r for r in range(col, n) if work[r].get(col)), None)
@@ -283,16 +282,51 @@ def det(rows):
             if scalar_abs(work[piv].get(col, 0)) == 0.0:
                 piv = None
         if piv is None:
-            return Fraction(0) if exact else complex(0)
+            return 0
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
-            out = -out
+            sign = -sign
         row = work[col]
-        out = out * row[col]
         for r in work[col + 1:]:
             if r.get(col):
                 _eliminate(r, row, col, exact, eps=0.0)
+    return sign
+
+
+def _dict_rows(rows):
+    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    return work, all(is_exact(x) for r in work for x in r.values())
+
+
+def det(rows):
+    """Determinant of a square matrix given as a list of rows (sequences),
+    by Gaussian elimination (`_forward`)."""
+    n = len(rows)
+    work, exact = _dict_rows(rows)
+    sign = _forward(work, n, exact)
+    out = Fraction(sign) if exact else complex(sign)
+    if sign:
+        for col in range(n):
+            out = out * work[col][col]
     return out
+
+
+def solve(rows, rhs):
+    """x with rows @ x = rhs, by the elimination of `det` and back
+    substitution; None when the matrix is singular."""
+    n = len(rows)
+    work, exact = _dict_rows(list(r) + [b] for r, b in zip(rows, rhs))
+    if not _forward(work, n, exact):
+        return None
+    x = [0] * n
+    for col in reversed(range(n)):
+        row = work[col]
+        s = row.get(n, 0)
+        for j, w in row.items():
+            if col < j < n:
+                s = s - w * x[j]
+        x[col] = _div(s, row[col], exact)
+    return x
 
 
 class IncrementalSpan:

@@ -345,16 +345,15 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
                 break
         if known:
             continue
-        flat = np.array([to_complex(x) for g in groups for x in g],
-                        dtype=np.complex128)
+        flat = [to_complex(x) for g in groups for x in g]
         H = kernels.hessian(flat, cmat, zc, A)
-        det = complex(np.linalg.det(H))
+        hdet = det(H)
         rowscale = 1.0
-        for a in range(n):
-            rowscale *= max(float(np.abs(H[a]).max()), 1e-300)
-        degenerate = abs(det) < config.tol_degenerate * rowscale
+        for row in H:
+            rowscale *= max(max(map(abs, row)), 1e-300)
+        degenerate = abs(hdet) < config.tol_degenerate * rowscale
         orbits.append(CriticalOrbit(groups=groups, residual=float(res),
-                                    hessian_determinant=det,
+                                    hessian_determinant=hdet,
                                     degenerate=degenerate))
         if (config.early_stop and expected is not None
                 and len(orbits) == expected

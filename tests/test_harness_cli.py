@@ -176,6 +176,14 @@ def test_default_j_max():
     assert default_j_max(prob) == 4
 
 
+@pytest.mark.parametrize("j_max", [0, -2])
+def test_run_pipeline_rejects_j_max_below_one(j_max):
+    """0 once read as "unset" and ran with `default_j_max` instead."""
+    prob, config, _ = load_problem(dict(ANCHOR_JSON))
+    with pytest.raises(SchemaError):
+        run_pipeline(prob, config, j_max=j_max, stage="solve")
+
+
 def test_run_pipeline_report_is_valid_and_passes():
     prob, config, _ = load_problem(dict(ANCHOR_JSON))
     report = run_pipeline(prob, config)
@@ -287,7 +295,8 @@ def test_main_malformed_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--jmax", "-2"], ["--jmax", "0"], ["--starts", "-5"],
-    ["--max-terms", "0"], ["--seed", "-1"]])
+    ["--max-terms", "0"], ["--seed", "-1"], ["--tol-residual", "-1"],
+    ["--tol-dedup", "-1"]])
 def test_main_overrides_meet_the_schema_bounds(tmp_path, capsys, flags):
     """A command-line override below the schema's minimum is malformed
     input, like the same value in the problem file: once `--jmax -2`

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gaudin import kernels
 from gaudin.diffop_ring import Poly
 from gaudin.errors import (DimensionMismatch, NotAPartition, PointNotInU,
                            RepeatedSites)
@@ -133,6 +134,27 @@ def test_trivial_orbit_when_no_variables():
     orbits = find_critical_orbits(p, SolverConfig(seed=1))
     assert len(orbits) == 1
     assert orbits[0].groups == ((),)
+
+
+@pytest.mark.parametrize("precision,name", [
+    ("double", "newton_single"), ("longdouble", "newton_longdouble")])
+def test_search_calls_the_per_start_kernel_once_per_start(monkeypatch,
+                                                          precision, name):
+    """The benchmark's `kernels.newton` span wraps the per-start entry
+    points; a search that batched its starts would leave that span empty."""
+    calls = []
+    orig = getattr(kernels, name)
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counting)
+    p = GaudinProblem(1, [[1, 0]] * 4, [2], [Fraction(k) for k in range(4)])
+    config = SolverConfig(seed=0, starts=40, early_stop=False,
+                          precision=precision)
+    find_critical_orbits(p, config)
+    assert calls == [2] * 40
 
 
 def test_orbit_distance_is_permutation_invariant():

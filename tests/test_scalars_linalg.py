@@ -8,7 +8,7 @@ import pytest
 import oracles
 from gaudin.errors import DimensionMismatch
 from gaudin.linalg import (Coordinates, IncrementalSpan, SparseMatrix, det,
-                           nullspace, rank, rref)
+                           nullspace, rank, rref, solve)
 from gaudin.scalars import (QI, coerce, common_mode, format_scalar, is_exact,
                             parse_rational, scalar_abs, to_complex)
 
@@ -159,6 +159,41 @@ def test_det_of_complex_entries_against_numpy():
         assert isinstance(got, complex)
         want = np.linalg.det(arr)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_solve_of_complex_systems_against_numpy():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 5):
+        for _ in range(20):
+            arr = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got = np.array(solve(arr.tolist(), rhs.tolist()))
+            want = np.linalg.solve(arr, rhs)
+            err = np.abs(got - want).max()
+            assert err <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_solve_of_clongdouble_systems_has_extended_residual():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 5):
+        arr = (rng.normal(size=(n, n))
+               + 1j * rng.normal(size=(n, n))).astype(np.clongdouble)
+        arr += np.clongdouble(1) / 3         # entries not exact in double
+        rhs = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(
+            np.clongdouble)
+        x = np.array(solve(list(arr), list(rhs)))
+        assert all(type(v) is np.clongdouble for v in x)
+        resid = np.abs(arr @ x - rhs).max()
+        scale = np.abs(arr).max() * np.abs(x).max()
+        assert resid <= 10 * n * np.finfo(np.longdouble).eps * scale
+
+
+def test_solve_singular_and_exact():
+    assert solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0]) is None
+    assert solve([[0j, 0j], [0j, 1 + 0j]], [1j, 1j]) is None
+    x = solve([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]],
+              [Fraction(4), Fraction(5)])
+    assert x == [1, 2] and all(type(v) is Fraction for v in x)
 
 
 def test_rref_pivots_are_sorted_orders():
