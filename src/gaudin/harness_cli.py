@@ -294,9 +294,14 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
             "hessian_determinant": _fmt_complex(orb.hessian_determinant),
             "degenerate": bool(orb.degenerate),
         })
+    # degenerate orbits get no Bethe vector below, so they cannot make up
+    # dim Sing
+    degenerate = sum(orb.degenerate for orb in orbits)
+    count_ok = len(orbits) == expected and not degenerate
+    count_detail = f"found {len(orbits)}, expected {expected}" \
+        + (f", {degenerate} degenerate" if degenerate else "")
     if stage == "solve":
-        checks.add("orbit_count", len(orbits) == expected,
-                   detail=f"found {len(orbits)}, expected {expected}")
+        checks.add("orbit_count", count_ok, detail=count_detail)
         report["checks"] = checks.items
         report["summary"] = checks.summary()
         return report
@@ -329,8 +334,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                residual=sc["lower_coefficients"])
     checks.add("first_coefficient",
                first_coefficient_identity(pencil, problem.sizes, problem.z))
-    checks.add("orbit_count", len(orbits) == expected,
-               detail=f"found {len(orbits)}, expected {expected}")
+    checks.add("orbit_count", count_ok, detail=count_detail)
 
     # --- per-orbit checks
     vectors = []

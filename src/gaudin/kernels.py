@@ -1,4 +1,5 @@
-"""Numeric kernel for the critical-point search.
+"""The gradient of the log master function, its Hessian and the Newton
+kernel of the critical-point search.
 
 Newton iteration runs on the pole-cleared polynomial form of the equations,
 q_a = psi_a * W_a, with psi the gradient of the logarithm of the master
@@ -19,12 +20,15 @@ iterate within the caller's `collapse` distance (`master.COLLAPSE_MARGIN` *
 max(1, max|z|) in the orbit search) of a site or a partner ends the run
 unconverged with residual inf, as a start inside `pole_margin` does.
 
-Data layout of the arguments:
-    t     complex[n]           variable values (all groups flattened)
-    cmat  float[n, n]          pair coefficients: 2 same group, -1 adjacent
-                               groups, 0 otherwise; symmetric, zero diagonal
-    z     complex[m]           site positions
-    A     float[n, m]          site exponents per variable
+The pole layout (`GaudinProblem.poles`): for each flattened variable a, the
+pairs (j, k) with psi_a = sum of k / (t_a - x_j), where x is the variables
+followed by the sites and k an int: 2 for a partner in the same group, -1 for
+one in an adjacent group, -A_as for site s.  Partners come first by index,
+then the sites of nonzero exponent, then those of exponent 0, whose k = 0
+adds nothing to psi and which only bound the distances.  `evaluate` and
+`derivatives` are the only code computing psi, W, q and the Hessian; they
+take `complex`, `np.clongdouble`, `Fraction` and `QI` values alike, so the
+exact gradient and Hessian of `master` read the same layout.
 """
 
 from __future__ import annotations
@@ -40,32 +44,20 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _layout(cmat, z, A, scalar):
-    """Per variable a, its poles (j, k): psi_a = sum of k / (t_a - x_j), where
-    x = t + z (variables, then sites) and k = c_ab for a partner b, -A_as for
-    a site.  Sites of exponent 0 only bound the distance; they come last."""
-    n = len(cmat)
-    return ([[(b, c) for b, c in enumerate(crow) if c]
-             + sorted(((n + s, -e) for s, e in enumerate(arow)),
-                      key=lambda pole: not pole[1])
-             for crow, arow in zip(cmat.tolist(), A.tolist())],
-            [scalar(x) for x in z.tolist()])
-
-
-def _evaluate(t, layout, margin):
+def evaluate(t, poles, z, margin=0):
     """(psi, W, q, near, inv) at t; None when a variable lies within `margin`
-    of a site or a partner, or on one.  near is the smallest such distance;
-    inv[a] lists 1/(t_a - x_j) over the poles of t_a with k != 0."""
-    poles, zs = layout
-    x = t + zs
+    of a site or a partner, or on one of nonzero k.  near is the smallest
+    such distance; inv[a] lists 1/(t_a - x_j) over the poles of t_a with
+    k != 0."""
+    x = [*t, *z]
     near = math.inf
     rows = []
-    for a, ta in enumerate(t):
+    for ta, tpoles in zip(t, poles):
         g, w, ra = 0, 1, []
-        for j, k in poles[a]:
+        for j, k in tpoles:
             d = ta - x[j]
             dist = abs(d)
-            if dist < margin or not dist:
+            if dist < margin or (k and not dist):
                 return None
             if dist < near:
                 near = dist
@@ -75,32 +67,26 @@ def _evaluate(t, layout, margin):
                 g += k * r
                 ra.append(r)
         rows.append((g, w, g * w, ra))
-    psi, W, q, inv = zip(*rows)
+    psi, W, q, inv = zip(*rows) if rows else ((),) * 4
     return psi, W, q, near, inv
 
 
-def _derivatives(layout, W, inv):
-    """Hessian of the log master function and dW_a/dt_b, as rows."""
+def derivatives(poles, W, inv):
+    """(Hessian of the log master function, dW_a/dt_b), each as rows."""
     n = len(W)
-    rows = []
+    H, dW = [], []
     for a, (w, ra) in enumerate(zip(W, inv)):
         h, dw = [0] * n, [0] * n
-        for (j, k), r in zip(layout[0][a], ra):
+        for (j, k), r in zip(poles[a], ra):
             h[a] -= k * r * r
             dw[a] += r
             if j < n:
                 h[j] = k * r * r
                 dw[j] = -w * r
         dw[a] *= w
-        rows.append((h, dw))
-    return tuple(zip(*rows))
-
-
-def hessian(t, cmat, z, A):
-    """Hessian of the log master function at t, as a sequence of rows."""
-    layout = _layout(cmat, z, A, complex)
-    _, W, _, _, inv = _evaluate([complex(x) for x in t], layout, 0.0)
-    return _derivatives(layout, W, inv)[0]
+        H.append(h)
+        dW.append(dw)
+    return H, dW
 
 
 def _maxabs(v):
@@ -108,15 +94,15 @@ def _maxabs(v):
     return max(abs(x) if x == x else math.inf for x in v)
 
 
-def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse, scalar):
+def _newton(t0, poles, z, max_iter, tol, pole_margin, collapse, scalar):
     """Damped Newton on the cleared system; returns (t, converged, residual).
 
     The residual is max |psi|; steps and the line search use |q|.  A singular
     Jacobian ends the run unconverged; `collapse=0` never ends it early.
     """
-    layout = _layout(cmat, z, A, scalar)
+    z = [scalar(x) for x in z]
     t = [scalar(x) for x in t0]
-    point = _evaluate(t, layout, max(pole_margin, collapse))
+    point = evaluate(t, poles, z, max(pole_margin, collapse))
     if point is None:
         return np.array(t), False, math.inf
     psi, W, q, near, inv = point
@@ -124,7 +110,7 @@ def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse, scalar):
     for _ in range(max_iter):
         if res < tol:
             break
-        H, dW = _derivatives(layout, W, inv)
+        H, dW = derivatives(poles, W, inv)
         step = solve([[w * h + p * d for h, d in zip(hrow, drow)]
                       for p, w, hrow, drow in zip(psi, W, H, dW)],
                      [-x for x in q])
@@ -132,7 +118,7 @@ def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse, scalar):
             break
         for halvings in range(40):
             cand = [x + 0.5 ** halvings * s for x, s in zip(t, step)]
-            point = _evaluate(cand, layout, pole_margin)
+            point = evaluate(cand, poles, z, pole_margin)
             if point is not None:
                 cqn = _maxabs(point[2])
                 if cqn < qn or _maxabs(point[0]) < tol:
@@ -148,15 +134,15 @@ def _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse, scalar):
     return np.array(t), res < tol, float(res)
 
 
-def newton_single(t0, cmat, z, A, max_iter=200, tol=1e-12, pole_margin=1e-8,
+def newton_single(t0, poles, z, max_iter=200, tol=1e-12, pole_margin=1e-8,
                   collapse=0.0):
     """One Newton run in double precision."""
-    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse,
+    return _newton(t0, poles, z, max_iter, tol, pole_margin, collapse,
                    complex)
 
 
-def newton_longdouble(t0, cmat, z, A, max_iter=200, tol=1e-12,
+def newton_longdouble(t0, poles, z, max_iter=200, tol=1e-12,
                       pole_margin=1e-8, collapse=0.0):
     """One Newton run in extended precision (clongdouble)."""
-    return _newton(t0, cmat, z, A, max_iter, tol, pole_margin, collapse,
+    return _newton(t0, poles, z, max_iter, tol, pole_margin, collapse,
                    np.clongdouble)

@@ -8,9 +8,16 @@ logarithm of the master function has the gradient
 
 with pair coefficients c_ab = 2 (same group), -1 (adjacent groups), 0 (else),
 and site exponents A_as equal to the pairing of the s-th partition with the
-simple root of a's group.  Critical points are found by seeded multistart
-damped Newton on this gradient; each solution is recorded once per orbit of
-the within-group permutation action.  A run that comes within
+simple root of a's group.  `GaudinProblem.poles` lays these terms out once
+per problem, and `kernels.evaluate` / `kernels.derivatives` read it for every
+value of psi and of its Hessian: in Newton's floats, in the degenerate test
+and the norm formula's determinant, and exactly (over Fraction and QI) for
+the admissibility of a point and the check of a rationalized orbit.  A point
+lies in U unless a variable meets a partner or a site of nonzero exponent.
+
+Critical points are found by seeded multistart damped Newton on this
+gradient; each solution is recorded once per orbit of the within-group
+permutation action.  A run that comes within
 COLLAPSE_MARGIN * max(1, max|z|) of a site or of a partner variable ends
 unconverged with residual inf: near there the leading pole terms cancel and
 a pseudo-orbit can pass the residual test, so no such point is accepted.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -75,37 +83,21 @@ class GaudinProblem:
             tuple(root_pairing(lam, i) for lam in self.partitions)
             for i in range(1, N + 1))
 
+        # the pole layout of psi (see kernels): per variable its partners by
+        # index, then the sites, those of exponent 0 last
+        groups = [g for g, cnt in enumerate(self.l) for _ in range(cnt)]
+        n = len(groups)
+        self.poles = tuple(
+            [(b, 2 if gb == ga else -1) for b, gb in enumerate(groups)
+             if b != a and abs(gb - ga) <= 1]
+            + sorted(((n + s, -e) for s, e in
+                      enumerate(self.site_exponent[ga])),
+                     key=lambda pole: not pole[1])
+            for a, ga in enumerate(groups))
+
     @property
     def n_vars(self):
         return sum(self.l)
-
-    def var_groups(self):
-        """Group index (0-based) of each flattened variable."""
-        out = []
-        for g, cnt in enumerate(self.l):
-            out.extend([g] * cnt)
-        return out
-
-    def arrays(self):
-        """(cmat, A, zc) float/complex arrays in the kernel layout."""
-        n = self.n_vars
-        groups = self.var_groups()
-        cmat = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                d = abs(groups[a] - groups[b])
-                if d == 0:
-                    cmat[a, b] = 2.0
-                elif d == 1:
-                    cmat[a, b] = -1.0
-        A = np.zeros((n, self.n_sites))
-        for a in range(n):
-            for s in range(self.n_sites):
-                A[a, s] = self.site_exponent[groups[a]][s]
-        zc = np.array([to_complex(x) for x in self.z], dtype=np.complex128)
-        return cmat, A, zc
 
     def __repr__(self):
         return (f"GaudinProblem(N={self.N}, partitions={self.partitions}, "
@@ -131,20 +123,25 @@ class PointConfig:
 
     def __init__(self, problem, groups):
         self.problem = problem
-        self.groups = [tuple(coerce(x) for x in g) for g in groups]
-        gs = _normalize_groups(problem, self.groups)
-        flat = [(x, g) for g, grp in enumerate(gs) for x in grp]
-        for a in range(len(flat)):
-            xa, ga = flat[a]
-            for b in range(a + 1, len(flat)):
-                xb, gb = flat[b]
-                if abs(ga - gb) <= 1 and xa == xb:
-                    raise PointNotInU(
-                        f"coinciding variables {xa!r} in groups {ga + 1},{gb + 1}")
-            for s, zs in enumerate(problem.z):
-                if problem.site_exponent[ga][s] != 0 and xa == zs:
-                    raise PointNotInU(f"variable {xa!r} hits site {zs!r}")
-        self.groups = gs
+        self.groups = _normalize_groups(problem, groups)
+        _evaluate_at(problem, self.groups)
+
+
+def _grouped(problem, flat):
+    """The flattened variables (or values per variable) split into groups."""
+    it = iter(flat)
+    return [tuple(islice(it, cnt)) for cnt in problem.l]
+
+
+def _evaluate_at(problem, point):
+    """`kernels.evaluate` at a grouped point of U, reading the problem's pole
+    layout; raises PointNotInU where a variable meets a partner or a site of
+    nonzero exponent."""
+    flat = [x for grp in _normalize_groups(problem, point) for x in grp]
+    out = kernels.evaluate(flat, problem.poles, problem.z)
+    if out is None:
+        raise PointNotInU(f"a variable of {flat!r} meets a partner or a site")
+    return out
 
 
 # relative distance (in units of max(1, max|z|)) below which a Newton run
@@ -181,66 +178,13 @@ class CriticalOrbit:
 
 def gradient_log_master(problem: GaudinProblem, point):
     """Exact-capable gradient of log of the master function, grouped."""
-    gs = _normalize_groups(problem, point)
-    flat = [(x, g) for g, grp in enumerate(gs) for x in grp]
-    out = []
-    for a, (xa, ga) in enumerate(flat):
-        acc = 0
-        for b, (xb, gb) in enumerate(flat):
-            if b == a:
-                continue
-            d = abs(ga - gb)
-            if d == 0:
-                acc += 2 / _diff(xa, xb)
-            elif d == 1:
-                acc += -1 / _diff(xa, xb)
-        for s, zs in enumerate(problem.z):
-            e = problem.site_exponent[ga][s]
-            if e:
-                acc -= e / _diff(xa, zs)
-        out.append(acc)
-    grouped = []
-    pos = 0
-    for cnt in problem.l:
-        grouped.append(tuple(out[pos:pos + cnt]))
-        pos += cnt
-    return grouped
-
-
-def _diff(a, b):
-    d = a - b
-    if not d:
-        raise PointNotInU(f"coinciding values {a!r}")
-    if isinstance(d, Fraction) or isinstance(d, int):
-        return Fraction(d) if not isinstance(d, Fraction) else d
-    return d
+    return _grouped(problem, _evaluate_at(problem, point)[0])
 
 
 def hessian_log_master(problem: GaudinProblem, point):
     """Dense Hessian of log of the master function as a list of lists."""
-    gs = _normalize_groups(problem, point)
-    flat = [(x, g) for g, grp in enumerate(gs) for x in grp]
-    n = len(flat)
-    H = [[0] * n for _ in range(n)]
-    for a, (xa, ga) in enumerate(flat):
-        diag = 0
-        for b, (xb, gb) in enumerate(flat):
-            if b == a:
-                continue
-            d = abs(ga - gb)
-            c = 2 if d == 0 else (-1 if d == 1 else 0)
-            if c:
-                r = _diff(xa, xb)
-                v = c / (r * r)
-                H[a][b] = v
-                diag -= v
-        for s, zs in enumerate(problem.z):
-            e = problem.site_exponent[ga][s]
-            if e:
-                r = _diff(xa, zs)
-                diag += e / (r * r)
-        H[a][a] = diag
-    return H
+    _, W, _, _, inv = _evaluate_at(problem, point)
+    return kernels.derivatives(problem.poles, W, inv)[0]
 
 
 def hessian_determinant(problem: GaudinProblem, point):
@@ -307,18 +251,13 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
                               degenerate=False, index=0)]
     if expected is None:
         expected = expected_orbit_count(problem)
-    cmat, A, zc = problem.arrays()
+    zc = [to_complex(x) for x in problem.z]
     rng = np.random.default_rng(config.seed)
     n_starts = config.starts or min(max(200 * max(expected, 1), 200), 20000)
     scale = max(1.0, max(abs(z) for z in zc))
     radius = 2.0 * scale
     newton = kernels.newton_longdouble if config.precision == "longdouble" \
         else kernels.newton_single
-    slices = []
-    pos = 0
-    for cnt in problem.l:
-        slices.append((pos, pos + cnt))
-        pos += cnt
     orbits = []
     for trial in range(n_starts):
         if trial % 4 == 3 and problem.n_sites > 0:
@@ -326,7 +265,7 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
             t0 = anchor + 0.45 * radius * _disc(rng, n)
         else:
             t0 = radius * _disc(rng, n)
-        t, ok, res = newton(t0.astype(np.complex128), cmat, zc, A,
+        t, ok, res = newton(t0.astype(np.complex128), problem.poles, zc,
                             config.max_iter, min(config.tol_residual, 1e-12),
                             config.pole_margin, COLLAPSE_MARGIN * scale)
         if not (res <= config.tol_residual):
@@ -336,8 +275,7 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
         # critical points and are recognized by leaving the search region
         if np.abs(t).max() > 5.0 * radius:
             continue
-        groups = canonicalize_orbit(
-            [tuple(complex(v) for v in t[a:b]) for (a, b) in slices])
+        groups = canonicalize_orbit(_grouped(problem, map(complex, t)))
         known = False
         for orb in orbits:
             if orbit_distance(orb.groups, groups) < config.tol_dedup * scale:
@@ -345,8 +283,7 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
                 break
         if known:
             continue
-        flat = [to_complex(x) for g in groups for x in g]
-        H = kernels.hessian(flat, cmat, zc, A)
+        H = hessian_log_master(problem, groups)
         hdet = det(H)
         rowscale = 1.0
         for row in H:
@@ -388,22 +325,13 @@ def try_rationalize_orbit(problem: GaudinProblem, orbit: CriticalOrbit,
     """Exact orbit coordinates verified by a vanishing exact gradient, or None."""
     if not problem.exact:
         return None
-    out = []
-    for grp in orbit.groups:
-        g = []
-        for x in grp:
-            r = rationalize_scalar(x, max_denominator, tol)
-            if r is None:
-                return None
-            g.append(r)
-        out.append(tuple(g))
-    try:
-        grad = gradient_log_master(problem, out)
-    except PointNotInU:
+    flat = [rationalize_scalar(x, max_denominator, tol) for x in orbit.flat()]
+    if any(x is None for x in flat):
         return None
-    if all(not v for grp in grad for v in grp):
-        return canonicalize_orbit(out)
-    return None
+    point = kernels.evaluate(flat, problem.poles, problem.z)
+    if point is None or any(point[0]):
+        return None
+    return canonicalize_orbit(_grouped(problem, flat))
 
 
 # ------------------------------------------------------- the scalar operator

@@ -101,6 +101,9 @@ class QI:
     def conjugate(self):
         return QI(self.re, -self.im)
 
+    def __abs__(self):
+        return abs(complex(self))
+
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

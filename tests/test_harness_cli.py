@@ -12,7 +12,8 @@ from gaudin import harness_cli
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
                                 emit_report, load_problem, main, run_pipeline)
-from gaudin.master import (GaudinProblem, SolverConfig, factored_pole_data,
+from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
+                           factored_pole_data, find_critical_orbits,
                            master_coefficients, master_operator_at,
                            series_by_contour)
 from gaudin.scalars import QI, format_scalar
@@ -241,6 +242,24 @@ def test_solve_stage_reports_orbits_only():
     report = run_pipeline(prob, config, stage="solve")
     assert [c["name"] for c in report["checks"]] == ["orbit_count"]
     assert report["summary"]["all_pass"]
+
+
+def test_orbit_count_fails_when_a_degenerate_orbit_makes_up_the_number(
+        monkeypatch):
+    """The 4-site spin-1/2 chain has dim Sing 2; one genuine orbit and one
+    degenerate pseudo-orbit next to a site are not two critical points."""
+    prob = GaudinProblem(1, [[1, 0]] * 4, [2], [Fraction(k) for k in range(4)])
+    config = SolverConfig(seed=0)
+    genuine = find_critical_orbits(prob, config, expected=2)[0]
+    pseudo = CriticalOrbit(groups=((1e-4 + 0j, 1.5 + 0j),), residual=1e-11,
+                           hessian_determinant=0j, degenerate=True, index=1)
+    monkeypatch.setattr(harness_cli, "find_critical_orbits",
+                        lambda *args, **kwargs: [genuine, pseudo])
+    for stage in ("solve", "verify"):
+        report = run_pipeline(prob, config, stage=stage)
+        check = next(c for c in report["checks"] if c["name"] == "orbit_count")
+        assert check["status"] == "FAIL"
+        assert check["detail"] == "found 2, expected 2, 1 degenerate"
 
 
 def test_emit_report_text(capsys):

@@ -44,6 +44,20 @@ def test_point_config_rejects_collisions():
         PointConfig(p2, [(Fraction(1, 3), Fraction(1, 3))])
 
 
+def test_point_config_admits_a_variable_on_a_site_of_exponent_zero():
+    # site 0 has color-1 exponent 0 and site 1 color-2 exponent 0
+    p = GaudinProblem(2, [[1, 1, 0], [1, 0, 0]], [1, 1],
+                      [Fraction(0), Fraction(1)])
+    pt = [(Fraction(0),), (Fraction(1, 3),)]
+    PointConfig(p, pt)
+    assert gradient_log_master(p, pt) == [(4,), (-6,)]
+    assert hessian_log_master(p, pt) == [[10, -9], [-9, 18]]
+    for bad in ([(Fraction(1),), (Fraction(1, 3),)],        # on site 1
+                [(Fraction(1, 3),), (Fraction(1, 3),)]):    # on a partner
+        with pytest.raises(PointNotInU):
+            PointConfig(p, bad)
+
+
 def test_gradient_matches_finite_differences():
     rng = random.Random(41)
     cases = [([[2, 0], [1, 0], [1, 0]], [2], 1),
@@ -134,6 +148,24 @@ def test_trivial_orbit_when_no_variables():
     orbits = find_critical_orbits(p, SolverConfig(seed=1))
     assert len(orbits) == 1
     assert orbits[0].groups == ((),)
+    assert gradient_log_master(p, [()]) == [()]
+    assert hessian_log_master(p, [()]) == []
+    assert hessian_determinant(p, [()]) == 1
+
+
+@pytest.mark.parametrize("N,parts,l,z", [
+    (1, [[1, 0]] * 4, [2], range(4)),
+    (2, [[2, 1, 0]] * 2, [1, 1], range(2)),
+    (1, [[1, 0]] * 6, [3], range(6))])
+def test_one_hessian_serves_the_degenerate_test_and_the_norm_formula(
+        N, parts, l, z):
+    """The determinant an orbit carries (its degenerate flag) is the one the
+    norm formula takes at the orbit's coordinates, bit for bit."""
+    p = GaudinProblem(N, parts, l, [Fraction(x) for x in z])
+    orbits = find_critical_orbits(p, SolverConfig(seed=0))
+    assert orbits
+    for orb in orbits:
+        assert orb.hessian_determinant == hessian_determinant(p, orb.groups)
 
 
 @pytest.mark.parametrize("precision,name", [

@@ -253,4 +253,5 @@ def test_kron_shape_and_values():
 def test_scalar_abs():
     assert scalar_abs(Fraction(-3, 2)) == 1.5
     assert scalar_abs(QI(3, 4)) == 5.0
+    assert abs(QI(3, 4)) == 5.0
     assert scalar_abs(3 - 4j) == 5.0
