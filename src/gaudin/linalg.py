@@ -4,11 +4,13 @@ Matrices are dicts mapping (row, col) -> nonzero scalar.  Vectors are dicts
 mapping index -> nonzero scalar.  Everything here is written for correctness
 on modest dimensions (module dimensions in the hundreds).
 
-Every elimination is one row operation, `_eliminate`: row echelon forms
-(`rref`, `IncrementalSpan`), coordinates in a column basis (`Coordinates`),
-determinants (`det`) and dense square systems (`solve`, the Newton kernel's
-Jacobian).  Pivots are exact (first nonzero) in exact mode and of largest
-modulus in numeric mode.
+Every sparse elimination is one row operation, `_eliminate`: row echelon
+forms (`rref`, `IncrementalSpan`) and coordinates in a column basis
+(`Coordinates`).  Square matrices given as lists of rows, determinants
+(`det`) and square systems (`solve`, the Newton kernel's Jacobian), share
+one dense forward elimination, `_forward`, over list rows: on a few
+variables dict rows cost more than the arithmetic.  Pivots are exact (first
+nonzero) in exact mode and of largest modulus in numeric mode.
 """
 
 from __future__ import annotations
@@ -265,45 +267,54 @@ def nullspace(mat: SparseMatrix):
     return basis
 
 
-def _forward(work, n, exact):
-    """Forward elimination of the dict rows `work` over columns 0..n-1.
+def _forward(work, n):
+    """Forward elimination over columns 0..n-1 of n list rows of at least n
+    entries, in place; returns (sign, exact).
 
-    In place; the first nonzero pivot in exact mode, the largest modulus
-    (partial pivoting) in numeric mode, and no entry is dropped.  Returns
-    the sign of the row permutation, or 0 when some column has no pivot.
+    Afterwards the rows are eliminated on and above the diagonal (entries
+    below it are left unread).  Exact mode (every nonzero entry exact) pivots
+    on the first nonzero entry, numeric mode on the first entry of largest
+    modulus.  Each step is row - x * pivot row over the columns after the
+    pivot, with no entry dropped; a zero entry counts as absent, as in
+    `_eliminate`.  sign is that of the row permutation, or 0 when some
+    column has no pivot.  `det` and `solve` pass copies, so their callers'
+    rows are never changed.
     """
+    exact = all(is_exact(x) for r in work for x in r if x)
     sign = 1
     for col in range(n):
         if exact:
-            piv = next((r for r in range(col, n) if work[r].get(col)), None)
+            piv = next((r for r in range(col, n) if work[r][col]), None)
         else:
-            piv = max(range(col, n),
-                      key=lambda r: scalar_abs(work[r].get(col, 0)))
-            if scalar_abs(work[piv].get(col, 0)) == 0.0:
-                piv = None
+            mags = [scalar_abs(work[r][col]) for r in range(col, n)]
+            best = max(mags)
+            piv = None if best == 0.0 else col + mags.index(best)
         if piv is None:
-            return 0
+            return 0, exact
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             sign = -sign
         row = work[col]
+        p = row[col]
+        tail = [(j, row[j]) for j in range(col + 1, len(row)) if row[j]]
         for r in work[col + 1:]:
-            if r.get(col):
-                _eliminate(r, row, col, exact, eps=0.0)
-    return sign
-
-
-def _dict_rows(rows):
-    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    return work, all(is_exact(x) for r in work for x in r.values())
+            x = r[col]
+            if not x:
+                continue
+            if p != 1:
+                x = _div(x, p, exact)
+            for j, w in tail:
+                y = r[j]
+                r[j] = y - x * w if y else -x * w
+    return sign, exact
 
 
 def det(rows):
     """Determinant of a square matrix given as a list of rows (sequences),
     by Gaussian elimination (`_forward`)."""
     n = len(rows)
-    work, exact = _dict_rows(rows)
-    sign = _forward(work, n, exact)
+    work = [list(r) for r in rows]
+    sign, exact = _forward(work, n)
     out = Fraction(sign) if exact else complex(sign)
     if sign:
         for col in range(n):
@@ -315,15 +326,17 @@ def solve(rows, rhs):
     """x with rows @ x = rhs, by the elimination of `det` and back
     substitution; None when the matrix is singular."""
     n = len(rows)
-    work, exact = _dict_rows(list(r) + [b] for r, b in zip(rows, rhs))
-    if not _forward(work, n, exact):
+    work = [[*r, b] for r, b in zip(rows, rhs)]
+    sign, exact = _forward(work, n)
+    if not sign:
         return None
     x = [0] * n
     for col in reversed(range(n)):
         row = work[col]
-        s = row.get(n, 0)
-        for j, w in row.items():
-            if col < j < n:
+        s = row[n] or 0
+        for j in range(col + 1, n):
+            w = row[j]
+            if w:
                 s = s - w * x[j]
         x[col] = _div(s, row[col], exact)
     return x

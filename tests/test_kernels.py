@@ -177,6 +177,33 @@ def test_collapse_stop_keeps_accepted_runs_bit_identical():
     assert accepted > 0 and collapsed > 0
 
 
+def test_creeping_runs_end_before_they_reach_the_collapse_distance(
+        monkeypatch):
+    # near a site or a partner q has a multiple root while psi keeps a
+    # nonzero limit, so Newton closes in only linearly; with the collapse
+    # distance on, three such steps in a row end the run (1146 Newton
+    # iterations on these starts without the stop, 671 with it)
+    calls = []
+    derivatives = kernels.derivatives
+
+    def counting(*args):
+        calls.append(1)
+        return derivatives(*args)
+
+    monkeypatch.setattr(kernels, "derivatives", counting)
+    poles, zc = layout(CHAIN4)
+    scale = max(1.0, float(np.abs(zc).max()))
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        if trial % 4 == 3:
+            t0 = zc[rng.integers(0, len(zc))] + 0.9 * scale * _disc(rng, 2)
+        else:
+            t0 = 2.0 * scale * _disc(rng, 2)
+        kernels.newton_single(t0, poles, zc,
+                              collapse=COLLAPSE_MARGIN * scale)
+    assert len(calls) <= 800
+
+
 def test_newton_start_inside_collapse_distance_ends_unconverged():
     poles, zc = layout(CHAIN4)
     collapse = COLLAPSE_MARGIN * 3.0

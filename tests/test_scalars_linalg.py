@@ -196,6 +196,30 @@ def test_solve_singular_and_exact():
     assert x == [1, 2] and all(type(v) is Fraction for v in x)
 
 
+def test_det_and_solve_take_any_rows_and_leave_them_unchanged():
+    # find_critical_orbits reads the Hessian's row scale after det(H)
+    rows = [[0j, 2 + 1j, 1], [3 - 1j, 0.5, -1], [1, 0, 4j]]
+    rhs = [1j, 2, -1]
+    want_det = np.linalg.det(np.array(rows))
+    want_x = np.linalg.solve(np.array(rows), np.array(rhs))
+    for form in (lambda r: [list(x) for x in r],
+                 lambda r: [tuple(x) for x in r],
+                 lambda r: list(np.array(r, dtype=complex)),
+                 lambda r: np.array(r, dtype=complex)):
+        given, b = form(rows), list(rhs)
+        before = [list(r) for r in given]
+        assert abs(det(given) - want_det) <= 1e-12 * abs(want_det)
+        x = solve(given, b)
+        assert np.abs(np.array(x) - want_x).max() <= 1e-12
+        assert [list(r) for r in given] == before and b == rhs
+    exact = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+    for given in (exact, [tuple(r) for r in exact]):
+        before = [list(r) for r in given]
+        assert det(given) == -6
+        assert solve(given, [Fraction(4), Fraction(5)]) == [1, 2]
+        assert [list(r) for r in given] == before
+
+
 def test_rref_pivots_are_sorted_orders():
     rows = [{0: Fraction(1), 3: Fraction(2)},
             {0: Fraction(2), 3: Fraction(4), 5: Fraction(1)},
