@@ -4,13 +4,17 @@ The operator is the row determinant of the (N+1)x(N+1) matrix with entry
 delta_ij * d - e_ji(u), where e_ij(u) is the generating current acting on a
 tensor product of evaluation modules: sum_s e_ij^(s) / (u - z_s).  Its
 coefficient matrices commute pairwise, commute with the diagonal gl action,
-and are symmetric for the invariant form; those statements are checked
-exactly here on rational sites.
+and are symmetric for the invariant form; `algebra_selfcheck` checks those
+statements exactly, in integer products, on rational sites, and on dense
+complex128 arrays (one BLAS product each), relative to the size of the
+products, at floating sites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
                           site_denominator)
@@ -85,8 +89,9 @@ class BetheOperatorFamily:
         any_mat = self.B_u[1]
         return any_mat.nrows
 
-    def eval(self, i, u) -> SparseMatrix:
-        return self.B_u[i].eval(u)
+    def eval(self, i, u, floating=False) -> SparseMatrix:
+        """B_i(u); `floating` as in RFMatrix.eval."""
+        return self.B_u[i].eval(u, floating)
 
 
 def _restrict_matrix(mat: SparseMatrix, cols, coords, i) -> SparseMatrix:
@@ -138,29 +143,39 @@ def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
 
 
-def _difference(left: SparseMatrix, right: SparseMatrix, exact, d=1):
+def _difference(left, right, d=1):
     """(largest entry of (left - right) / d, largest entry of left and right).
 
-    left and right are d times the products compared.  The second is the
-    scale a numeric residual is judged against; it is 0.0 in exact mode,
-    where only an exact zero passes.
+    left and right are d times the products compared: int or Gaussian-
+    rational SparseMatrix products in exact mode, where the second value is
+    0.0 and only an exact zero passes, or complex ndarrays (d = 1) in numeric
+    mode, where the second value is the scale a residual is judged against
+    and left is overwritten by the difference.
     """
+    if isinstance(left, np.ndarray):
+        scale = max(np.abs(left).max(), np.abs(right).max())
+        left -= right
+        return float(np.abs(left).max()), float(scale)
     a, b = left.data, right.data
-    if exact and a == b:
+    if a == b:
         return 0.0, 0.0
     diff = ([v - b.get(k, 0) for k, v in a.items()]
             + [v for k, v in b.items() if k not in a])
     if d != 1:
         diff = [x / d for x in diff]
-    res = max(map(scalar_abs, diff), default=0.0)
-    if exact:
-        return res, 0.0
-    return res, max(_matrix_residual(left), _matrix_residual(right))
+    return max(map(scalar_abs, diff)), 0.0
 
 
-def _to_complex_matrix(mat: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(mat.nrows, mat.ncols,
-                        {k: complex(v) for k, v in mat.data.items()})
+def _dense(mat: SparseMatrix) -> np.ndarray:
+    out = np.zeros((mat.nrows, mat.ncols), dtype=complex)
+    if mat.data:
+        rows, cols = zip(*mat.data)
+        out[rows, cols] = list(map(complex, mat.data.values()))
+    return out
+
+
+def _transpose(mat):
+    return mat.T if isinstance(mat, np.ndarray) else mat.transpose()
 
 
 def sample_points(z, count):
@@ -193,75 +208,73 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     and a residual, divided back by the denominators, is computed only where
     a comparison fails.  Gaussian-rational matrices pass through unscaled.
 
-    In numeric mode `scales` holds, per check, the largest entry of the
+    In numeric mode every matrix is a dense complex128 ndarray, so a product
+    is one BLAS call.  Only the values of B_i at the two current sample
+    points, G, and the one generator or series coefficient in use are held
+    dense at a time.  `scales` holds, per check, the largest entry of the
     products it compares, so that a residual can be judged relative to them;
     the commutator, gl and form checks compare products whose entries reach
     1e4 and more when the sites differ much in size.
     """
     N = family.N
     order = N + 1
-    evals = {}
+    exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
+    if exact_mode:
+        value, scaled = RFMatrix.eval_scaled, integer_scaled
+    else:
+        def value(B, u):
+            return _dense(B.eval(u)), 1
 
-    def ev(i, u):
-        key = (i, u)
-        if key not in evals:
-            evals[key] = family.B_u[i].eval_scaled(u)
-        return evals[key]
+        def scaled(mats):
+            # a generator, so that each matrix is made dense only when used
+            return (_dense(m) for m in mats), 1
+
+    def at(u):
+        """(B_i(u) times c, c) for i = 1..N+1."""
+        return [value(family.B_u[i], u) for i in range(1, order + 1)]
 
     pts = sample_points(z, 6)
-    samples = [(pts[a], pts[a + 1]) for a in range(5)]
-
-    exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
-    res_comm = scale_comm = 0.0
-    for (u0, v0) in samples:
-        for i in range(1, order + 1):
-            for j in range(i, order + 1):
-                (a, da), (b, db) = ev(i, u0), ev(j, v0)
-                res, scale = _difference(a @ b, b @ a, exact_mode, da * db)
-                res_comm = max(res_comm, res)
-                scale_comm = max(scale_comm, scale)
-
-    # In numeric mode every entry of B_i(u) and of its series coefficients
-    # is a complex, and Fraction * complex computes complex(a) * b, so G and
-    # E converted to complex once give the same bits at every product.
-    gens = [M.e(k, l) for k in range(1, M.rank + 1)
-            for l in range(1, M.rank + 1)]
-    G = None if form is None else form.gram
-    d_gens = d_G = 1
-    if exact_mode:
-        gens, d_gens = integer_scaled(gens)
-        if G is not None:
-            (G,), d_G = integer_scaled([G])
-    else:
-        gens = [_to_complex_matrix(E) for E in gens]
-        if G is not None:
-            G = _to_complex_matrix(G)
+    # the values at the first sample point serve the gl and form checks,
+    # then start the commutator walk below
+    left = at(pts[0])
 
     res_gl = scale_gl = 0.0
-    u0 = samples[0][0]
-    for i in range(1, order + 1):
-        Bi, d = ev(i, u0)
-        for E in gens:
-            res, scale = _difference(Bi @ E, E @ Bi, exact_mode, d * d_gens)
+    gens, d_gens = scaled([M.e(k, l) for k in range(1, M.rank + 1)
+                           for l in range(1, M.rank + 1)])
+    for E in gens:
+        for Bi, d in left:
+            res, scale = _difference(Bi @ E, E @ Bi, d * d_gens)
             res_gl = max(res_gl, res)
             scale_gl = max(scale_gl, scale)
 
     res_sym_u = 0.0
     res_sym_c = 0.0
     scale_sym = 0.0
-    if G is not None:
-        for i in range(1, order + 1):
-            Bi, d = ev(i, u0)
-            res, scale = _difference(G @ Bi, Bi.transpose() @ G, exact_mode,
-                                     d_G * d)
+    if form is not None:
+        (G,), d_G = scaled([form.gram])
+        for i, (Bi, d) in enumerate(left, start=1):
+            res, scale = _difference(G @ Bi, _transpose(Bi) @ G, d_G * d)
             res_sym_u = max(res_sym_u, res)
             scale_sym = max(scale_sym, scale)
             for mat in family.B_coeffs.get(i, ()):
-                (P,), d = integer_scaled([mat])
-                res, scale = _difference(G @ P, P.transpose() @ G,
-                                         exact_mode, d_G * d)
+                (P,), d = scaled([mat])
+                res, scale = _difference(G @ P, _transpose(P) @ G, d_G * d)
                 res_sym_c = max(res_sym_c, res)
                 scale_sym = max(scale_sym, scale)
+
+    # B_i(u) and B_j(v) at consecutive sample points, the values at only two
+    # points alive at a time
+    res_comm = scale_comm = 0.0
+    E = G = P = Bi = None    # free the dense ones before the walk
+    for v0 in pts[1:]:
+        right = at(v0)
+        for i in range(order):
+            for j in range(i, order):
+                (a, da), (b, db) = left[i], right[j]
+                res, scale = _difference(a @ b, b @ a, da * db)
+                res_comm = max(res_comm, res)
+                scale_comm = max(scale_comm, scale)
+        left = right
 
     res_lower = 0.0
     for i in range(1, order + 1):

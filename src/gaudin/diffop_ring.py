@@ -343,6 +343,12 @@ class RFMatrix:
             v for m in mats for v in m.data.values())
         if e is not None:
             mats = [_to_ints(m, e) for m in mats]
+        elif not base.is_exact_poly():
+            # at floating sites complex * Fraction computes complex(v) * c
+            # anyway, so converting each entry once keeps the bits
+            mats = [SparseMatrix(m.nrows, m.ncols,
+                                 {key: complex(v) for key, v in m.data.items()})
+                    for m in mats]
         coeffs = []
         for mat, cofactor in zip(mats, cofactors):
             coeffs = _add_polys(coeffs, _mul_poly([mat], cofactor))
@@ -453,19 +459,22 @@ class RFMatrix:
                                    self.den.derivative().scale(-self.power)))
         return self._like(num, self.power + 1)
 
-    def eval(self, u) -> SparseMatrix:
+    def eval(self, u, floating=False) -> SparseMatrix:
         """Value at u: one Horner pass, then one division per entry.
 
         In the integer form at a rational point u = p/q the Horner pass runs
         in Python ints, homogenised in p and q, over the rows of P~ cached on
         the object at the first call; each entry becomes one Fraction at the
-        end, d and D~(u)^k folded in.  A floating matrix at a rational u
-        multiplies by complex(u): complex * Fraction computes
-        complex(v) * complex(u) anyway, so the bits are the same.  Anything
-        else runs the generic loop, the integer form on its Fractions.  Every
-        path inserts the entries in the order Horner first meets them, from
-        the highest coefficient down; SparseMatrix.apply sums floats in that
-        order, so keeping it keeps numeric results bit for bit.
+        end, d and D~(u)^k folded in.  With `floating`, for a value that
+        only meets floats, an entry m / c is a float instead: int / int is
+        correctly rounded, like float(Fraction(m, c)), and Fraction * complex
+        computes complex(float(v)) * complex anyway, so the bits are the
+        same.  A floating matrix at a rational u multiplies by complex(u), by
+        the same argument.  Anything else runs the generic loop, the integer
+        form on its Fractions.  Every path inserts the entries in the order
+        Horner first meets them, from the highest coefficient down;
+        SparseMatrix.apply sums floats in that order, so keeping it keeps
+        numeric results bit for bit.
         """
         if self.is_zero():
             return SparseMatrix(self.nrows, self.ncols)
@@ -473,7 +482,7 @@ class RFMatrix:
             if self.integral:
                 mat, c = self._eval_integer(u)
                 return SparseMatrix(self.nrows, self.ncols,
-                                    {key: Fraction(v, c)
+                                    {key: v / c if floating else Fraction(v, c)
                                      for key, v in mat.data.items()})
             if not self.exact:
                 return self._eval_generic(u, complex(u))
@@ -504,7 +513,7 @@ class RFMatrix:
 
     def _eval_generic(self, u, factor):
         """Horner over the coefficient matrices, multiplying by `factor`
-        (u itself, or complex(u) for floating entries)."""
+        (u itself, or complex(u) for floating entries), and D(factor)^k."""
         acc = {}
         for mat in reversed(self.num):
             acc = {key: v * factor for key, v in acc.items()}
@@ -512,7 +521,7 @@ class RFMatrix:
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v
         if self.power:
-            den = self._denominator(u)
+            den = self._denominator(factor)
             acc = {key: v / den for key, v in acc.items()}
         return SparseMatrix(self.nrows, self.ncols, acc)
 

@@ -386,12 +386,13 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                     worst = max(worst,
                                 _eigen_residual(mat.apply(vec), vec, g))
         else:
-            # the scalar jets have poles at the variables as well as the sites
+            # the scalar jets have poles at the variables as well as the sites;
+            # vec is floating here, so B_i(u) is read in floats
             avoid = list(problem.z) + [t for grp in point for t in grp]
             for u0 in sample_points(avoid, max(20, 2 * j_max + 1)):
                 gvals = scalar_coefficient_values(pole_data, u0)
                 for i in range(1, problem.N + 2):
-                    lhs = family.eval(i, u0).apply(vec)
+                    lhs = family.eval(i, u0, floating=True).apply(vec)
                     worst = max(worst, _eigen_residual(lhs, vec, gvals[i - 1]))
         checks.add(f"{tag}.eigenvalue_equations", worst < EIG_TOL * scale,
                    residual=worst)

@@ -1,10 +1,11 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from gaudin import bethe_algebra
+from gaudin import bethe_algebra, harness_cli
 from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
@@ -184,19 +185,112 @@ NUMERIC_SELFCHECK_CASES = {
 }
 
 
+def _sparse_reference(family, form, M, z):
+    """The numeric self-check's residuals and scales from SparseMatrix
+    products, complex B_i(u) and series coefficients with the Fraction G
+    and E."""
+    order = family.N + 1
+    pts = sample_points(z, 6)
+    B = {u: [family.eval(i, u) for i in range(1, order + 1)] for u in pts}
+    gens = [M.e(k, l) for k in range(1, M.rank + 1)
+            for l in range(1, M.rank + 1)]
+    G = form.gram
+
+    def worst(pairs):
+        res = scale = 0.0
+        for left, right in pairs:
+            keys = set(left.data) | set(right.data)
+            res = max([res] + [abs(complex(left[k]) - complex(right[k]))
+                               for k in keys])
+            scale = max([scale] + [abs(complex(v)) for v in
+                                   (*left.data.values(), *right.data.values())])
+        return res, scale
+
+    comm = worst((a @ b, b @ a) for u, v in zip(pts, pts[1:])
+                 for i, a in enumerate(B[u]) for b in B[v][i:])
+    gl = worst((Bi @ E, E @ Bi) for Bi in B[pts[0]] for E in gens)
+    sym_u = worst((G @ Bi, Bi.transpose() @ G) for Bi in B[pts[0]])
+    sym_c = worst((G @ P, P.transpose() @ G) for i in range(1, order + 1)
+                  for P in family.B_coeffs[i])
+    return {"commutator_pairs": comm[0], "commutator_with_gl": gl[0],
+            "form_symmetry_at_samples": sym_u[0],
+            "form_symmetry_coefficients": sym_c[0],
+            "scales": {"commutator_pairs": comm[1],
+                       "commutator_with_gl": gl[1],
+                       "form_symmetry": max(sym_u[1], sym_c[1])}}
+
+
+# each numeric check and the scale it is judged against
+SCALE_OF = {"commutator_pairs": "commutator_pairs",
+            "commutator_with_gl": "commutator_with_gl",
+            "form_symmetry_at_samples": "form_symmetry",
+            "form_symmetry_coefficients": "form_symmetry"}
+
+
+def _passes(sc, check):
+    scale = sc["scales"][SCALE_OF[check]]
+    return sc[check] < harness_cli.ALGEBRA_TOL * max(1.0, scale)
+
+
 @pytest.mark.parametrize("name", sorted(NUMERIC_SELFCHECK_CASES))
-def test_numeric_selfcheck_with_complex_g_and_e_is_bit_identical(
-        monkeypatch, name):
-    """G and E converted to complex once give the residuals and scales of
-    the Fraction matrices bit for bit."""
+def test_numeric_selfcheck_matches_a_sparse_reference(name):
+    """The ndarray products give the residuals and scales of the sparse
+    products to 1e-12 of the scale, and the same verdicts."""
     parts, N, z, j_max = NUMERIC_SELFCHECK_CASES[name]
     M, form = _module(parts, N)
     family = restrict_family(universal_operator(M, z), None, j_max)
     got = algebra_selfcheck(family, form, M, z)
-    monkeypatch.setattr(bethe_algebra, "_to_complex_matrix", lambda m: m)
-    want = algebra_selfcheck(family, form, M, z)
     assert not got["exact"]
-    assert repr(got) == repr(want)
+    want = _sparse_reference(family, form, M, z)
+    for check, scale_name in SCALE_OF.items():
+        scale = want["scales"][scale_name]
+        assert abs(got["scales"][scale_name] - scale) <= 1e-12 * scale, check
+        assert abs(got[check] - want[check]) <= 1e-12 * max(1.0, scale), check
+        assert _passes(got, check) == _passes(want, check), check
+
+
+def test_numeric_selfcheck_fails_on_a_corrupted_coefficient():
+    """One corrupted coefficient of B_2 and one of B_3's series fail every
+    check they enter, at floating sites as in exact mode."""
+    parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["far_apart_sites"]
+    M, form = _module(parts, N)
+    family = restrict_family(universal_operator(M, z), None, j_max)
+    B2 = family.B_u[2]
+    coeffs = [mat.copy() for mat in B2.coeffs]
+    bad = coeffs[0]
+    key = next(k for k in bad.data if k[0] != k[1])
+    bad[key] = bad[key] + 1 / 7
+    family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
+    coeff = family.B_coeffs[3][2].copy()
+    key = next(k for k in coeff.data if k[0] != k[1])
+    coeff[key] = coeff[key] - 2 / 9
+    family.B_coeffs[3][2] = coeff
+    got = algebra_selfcheck(family, form, M, z)
+    assert not got["exact"]
+    for check in SCALE_OF:
+        assert not _passes(got, check), check
+
+
+def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
+    """Numeric mode multiplies ndarrays only; exact mode still multiplies
+    SparseMatrix products, which the counter sees."""
+    parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["complex_sites"]
+    M, form = _module(parts, N)
+    numeric = restrict_family(universal_operator(M, z), None, j_max)
+    z_exact = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)]
+    exact = restrict_family(universal_operator(M, z_exact), None, j_max)
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    assert not algebra_selfcheck(numeric, form, M, z)["exact"]
+    assert not calls
+    assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
+    assert calls
 
 
 def _fraction_selfcheck(monkeypatch, family, form, M, z):
@@ -276,6 +370,27 @@ def test_universal_operator_is_pinned_byte_for_byte(rank):
     M, _ = _module(parts, N)
     assert M.rank == rank
     assert _operator_digest(universal_operator(M, z), 4) == digest
+
+
+def test_floating_values_of_an_integral_family_keep_the_bits():
+    """Read in floats, B_i(u) of the integer form applied to a random
+    complex vector gives the bits of its Fraction value applied to it."""
+    parts, N, z, _ = OPERATOR_PINS[3]
+    M, _ = _module(parts, N)
+    family = restrict_family(universal_operator(M, z), None, 0)
+    rng = random.Random(3)
+    for i in range(1, N + 2):
+        assert family.B_u[i].integral
+        for u in (Fraction(2), Fraction(-7, 3), Fraction(123456789, 1000003)):
+            got = family.eval(i, u, floating=True)
+            want = family.eval(i, u)
+            assert list(got.data) == list(want.data)
+            assert all(type(v) is float for v in got.data.values())
+            for _ in range(3):
+                vec = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       * 10.0 ** rng.randint(-3, 3)
+                       for k in range(M.dim) if rng.random() < 0.8}
+                assert repr(got.apply(vec)) == repr(want.apply(vec))
 
 
 def _entry_pair(a: RFMatrix, key):
