@@ -89,9 +89,9 @@ class BetheOperatorFamily:
         any_mat = self.B_u[1]
         return any_mat.nrows
 
-    def eval(self, i, u, floating=False) -> SparseMatrix:
-        """B_i(u); `floating` as in RFMatrix.eval."""
-        return self.B_u[i].eval(u, floating)
+    def eval(self, i, u) -> SparseMatrix:
+        """B_i(u)."""
+        return self.B_u[i].eval(u)
 
 
 def _restrict_matrix(mat: SparseMatrix, cols, coords, i) -> SparseMatrix:
@@ -174,6 +174,30 @@ def _dense(mat: SparseMatrix) -> np.ndarray:
     return out
 
 
+def _dense_horner(B: RFMatrix):
+    """u -> B(u) as a dense complex ndarray, by Horner over the coefficient
+    matrices of the numerator, each held as (rows, cols, values) arrays."""
+    coeffs = []
+    for mat in reversed(B.num):
+        keys = np.array(list(mat.data), dtype=np.intp).reshape(-1, 2)
+        coeffs.append((keys[:, 0], keys[:, 1],
+                       np.fromiter(mat.data.values(), complex, len(keys))))
+
+    def at(u):
+        x = complex(u)
+        out = np.zeros((B.nrows, B.ncols), dtype=complex)
+        for rows, cols, vals in coeffs:
+            out *= x
+            out[rows, cols] += vals
+        if B.power:
+            out /= B._denominator(x)
+        if B.d != 1:
+            out /= float(B.d)
+        return out
+
+    return at
+
+
 def _transpose(mat):
     return mat.T if isinstance(mat, np.ndarray) else mat.transpose()
 
@@ -184,9 +208,10 @@ def sample_points(z, count):
     out = []
     k = 2
     while len(out) < count:
-        cand = Fraction(k)
-        if all(scalar_abs(cand - t) >= 1 for t in z):
-            out.append(cand)
+        # an int meets a complex site with the bits of its Fraction, without
+        # going through Fraction's fallback to complex
+        if all(scalar_abs(k - t) >= 1 for t in z):
+            out.append(Fraction(k))
         k += 1
     return out
 
@@ -209,29 +234,34 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     a comparison fails.  Gaussian-rational matrices pass through unscaled.
 
     In numeric mode every matrix is a dense complex128 ndarray, so a product
-    is one BLAS call.  Only the values of B_i at the two current sample
-    points, G, and the one generator or series coefficient in use are held
-    dense at a time.  `scales` holds, per check, the largest entry of the
-    products it compares, so that a residual can be judged relative to them;
-    the commutator, gl and form checks compare products whose entries reach
-    1e4 and more when the sites differ much in size.
+    is one BLAS call.  B_i(u) comes from a dense Horner over the coefficient
+    matrices of its numerator, each held as (rows, cols, values) arrays.
+    Only the values of B_i at the two current sample points, G, and the one
+    generator or series coefficient in use are held dense at a time.
+    `scales` holds, per check, the largest entry of the products it
+    compares, so that a residual can be judged relative to them; the
+    commutator, gl and form checks compare products whose entries reach 1e4
+    and more when the sites differ much in size.
     """
     N = family.N
     order = N + 1
-    exact_mode = all(family.B_u[i].is_exact() for i in range(1, order + 1))
+    family_u = [family.B_u[i] for i in range(1, order + 1)]
+    exact_mode = all(B.is_exact() for B in family_u)
+    # at(u) gives (B_i(u) times c, c) for i = 1..N+1
     if exact_mode:
-        value, scaled = RFMatrix.eval_scaled, integer_scaled
+        scaled = integer_scaled
+
+        def at(u):
+            return [B.eval_scaled(u) for B in family_u]
     else:
-        def value(B, u):
-            return _dense(B.eval(u)), 1
+        horners = [_dense_horner(B) for B in family_u]
+
+        def at(u):
+            return [(value(u), 1) for value in horners]
 
         def scaled(mats):
             # a generator, so that each matrix is made dense only when used
             return (_dense(m) for m in mats), 1
-
-    def at(u):
-        """(B_i(u) times c, c) for i = 1..N+1."""
-        return [value(family.B_u[i], u) for i in range(1, order + 1)]
 
     pts = sample_points(z, 6)
     # the values at the first sample point serve the gl and form checks,

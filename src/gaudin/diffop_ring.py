@@ -20,6 +20,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .scalars import is_exact, scalar_abs
@@ -459,22 +461,19 @@ class RFMatrix:
                                    self.den.derivative().scale(-self.power)))
         return self._like(num, self.power + 1)
 
-    def eval(self, u, floating=False) -> SparseMatrix:
+    def eval(self, u) -> SparseMatrix:
         """Value at u: one Horner pass, then one division per entry.
 
         In the integer form at a rational point u = p/q the Horner pass runs
         in Python ints, homogenised in p and q, over the rows of P~ cached on
         the object at the first call; each entry becomes one Fraction at the
-        end, d and D~(u)^k folded in.  With `floating`, for a value that
-        only meets floats, an entry m / c is a float instead: int / int is
-        correctly rounded, like float(Fraction(m, c)), and Fraction * complex
-        computes complex(float(v)) * complex anyway, so the bits are the
-        same.  A floating matrix at a rational u multiplies by complex(u), by
-        the same argument.  Anything else runs the generic loop, the integer
-        form on its Fractions.  Every path inserts the entries in the order
-        Horner first meets them, from the highest coefficient down;
-        SparseMatrix.apply sums floats in that order, so keeping it keeps
-        numeric results bit for bit.
+        end, d and D~(u)^k folded in.  A floating matrix at a rational u
+        multiplies by complex(u): Fraction * complex computes
+        complex(float(u)) * complex anyway, so the bits are the same.
+        Anything else runs the generic loop, the integer form on its
+        Fractions.  Every path inserts the entries in the order Horner first
+        meets them, from the highest coefficient down, the order in which
+        SparseMatrix.apply then sums them.
         """
         if self.is_zero():
             return SparseMatrix(self.nrows, self.ncols)
@@ -482,11 +481,37 @@ class RFMatrix:
             if self.integral:
                 mat, c = self._eval_integer(u)
                 return SparseMatrix(self.nrows, self.ncols,
-                                    {key: v / c if floating else Fraction(v, c)
+                                    {key: Fraction(v, c)
                                      for key, v in mat.data.items()})
             if not self.exact:
                 return self._eval_generic(u, complex(u))
         return self._pass_through()._eval_generic(u, u)
+
+    def apply_at(self, vec, points) -> np.ndarray:
+        """Row m of the result is the value at points[m] applied to the
+        dict-vector vec, for a 1-D complex ndarray of points.
+
+        Each coefficient matrix of the numerator is applied to vec once, and
+        Horner runs over the resulting vectors with all the points at once:
+        P(u) vec / (d D(u)^k), in the integer form with P~ and D~.  The
+        arithmetic is complex128 whatever the form, and only vectors, never
+        dense coefficient matrices, are held.
+        """
+        out = np.zeros((len(points), self.nrows), dtype=complex)
+        for mat in reversed(self.num):
+            out *= points[:, None]
+            w = mat.apply(vec)
+            if w:
+                out[:, list(w)] += np.fromiter(w.values(), complex, len(w))
+        if self.power:
+            den = np.polyval([complex(c) for c in reversed(self.den.coeffs)],
+                             points) ** self.power
+            if not den.all():
+                raise PoleEvaluation(f"evaluation at a pole among {points!r}")
+            out /= den[:, None]
+        if self.d != 1:
+            out /= float(self.d)
+        return out
 
     def eval_scaled(self, u):
         """(m, c) with m / c the value at u and c one nonzero int.

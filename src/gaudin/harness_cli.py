@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
@@ -387,13 +388,18 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                                 _eigen_residual(mat.apply(vec), vec, g))
         else:
             # the scalar jets have poles at the variables as well as the sites;
-            # vec is floating here, so B_i(u) is read in floats
+            # vec is floating here, and every B_i(u) vec and g_i(u) is taken
+            # at all the sample points at once
             avoid = list(problem.z) + [t for grp in point for t in grp]
-            for u0 in sample_points(avoid, max(20, 2 * j_max + 1)):
-                gvals = scalar_coefficient_values(pole_data, u0)
-                for i in range(1, problem.N + 2):
-                    lhs = family.eval(i, u0, floating=True).apply(vec)
-                    worst = max(worst, _eigen_residual(lhs, vec, gvals[i - 1]))
+            pts = np.array([complex(u) for u in
+                            sample_points(avoid, max(20, 2 * j_max + 1))])
+            gvals = scalar_coefficient_values(pole_data, pts)
+            dense = np.zeros(family.carrier_dim, dtype=complex)
+            dense[list(vec)] = list(vec.values())
+            for i in range(1, problem.N + 2):
+                lhs = family.B_u[i].apply_at(vec, pts)
+                lhs -= gvals[i - 1][:, None] * dense
+                worst = max(worst, float(np.abs(lhs).max()))
         checks.add(f"{tag}.eigenvalue_equations", worst < EIG_TOL * scale,
                    residual=worst)
 

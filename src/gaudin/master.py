@@ -453,16 +453,23 @@ def _derivative_at_infinity(f):
 
 
 def _series_mul(f, g, zero):
-    """Product of two truncated series, as long as the shorter one."""
-    return [sum((f[a] * g[m - a] for a in range(m + 1) if f[a] and g[m - a]),
-                zero)
-            for m in range(min(len(f), len(g)))]
+    """Product of two truncated series, as long as the shorter one.  Exact
+    series skip their zero terms; a floating term may be an array of values
+    at many points, which has no truth value, so every term is added."""
+    n = min(len(f), len(g))
+    if is_exact(zero):
+        return [sum((f[a] * g[m - a] for a in range(m + 1)
+                     if f[a] and g[m - a]), zero)
+                for m in range(n)]
+    return [sum((f[a] * g[m - a] for a in range(m + 1)), zero)
+            for m in range(n)]
 
 
 def _compose_factors(factors, derivative, zero):
     """[C_1, ..., C_n] as series, C_i standing in front of d^(n-i) in
     (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i; `zero` is 0
-    for exact series and 0j for floating ones.
+    for exact series, 0j for floating ones, and an array of complex zeros
+    for series whose terms are arrays of values at many points.
 
     (d - a) sum_k q_k d^k = sum_k (q_k' - a q_k + q_(k-1)) d^k, so the
     factors are taken from the right, starting at the identity.  A Taylor
@@ -488,12 +495,22 @@ def _as_complex(pole_data):
 def scalar_coefficient_values(pole_data, u0):
     """[C_1(u0), ..., C_{N+1}(u0)]: values of the coefficients standing in
     front of d^N, ..., d^0, the order-0 terms of the factors composed over
-    Taylor jets at u0."""
+    Taylor jets at u0.
+
+    u0 may also be a 1-D complex ndarray of points.  Every jet term is then
+    an array of its values at all the points, the factors are composed once,
+    and each C_i(u0) is an array.
+    """
     exact = is_exact(u0) and _exact_poles(pole_data)
+    zero = 0
     if not exact:
-        pole_data, u0 = _as_complex(pole_data), to_complex(u0)
+        pole_data = _as_complex(pole_data)
+        if isinstance(u0, np.ndarray):
+            zero = np.zeros(u0.shape, dtype=complex)
+        else:
+            u0, zero = to_complex(u0), 0j
     jets = [_pole_jet(fac, u0, len(pole_data), exact) for fac in pole_data]
-    composed = _compose_factors(jets, _jet_derivative, 0 if exact else 0j)
+    composed = _compose_factors(jets, _jet_derivative, zero)
     return [c[0] for c in composed]
 
 

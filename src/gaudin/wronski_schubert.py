@@ -88,9 +88,10 @@ def _complex_derivatives(polys, order):
 
 
 def _apply_at(pole_data, table, u):
-    """Values at u of the scalar operator applied to each polynomial of a
-    `_complex_derivatives` table, from its coefficient values at u, in front
-    of d^0, ..., d^N, and the monic d^(N+1)."""
+    """Values at the points of the complex ndarray u of the scalar operator
+    applied to each polynomial of a `_complex_derivatives` table, one array
+    per polynomial, from its coefficient values at u, in front of d^0, ...,
+    d^N, and the monic d^(N+1)."""
     coeffs = scalar_coefficient_values(pole_data, u)[::-1] + [1]
     return [sum(c * d.eval(u) for c, d in zip(coeffs, derivs, strict=True))
             for derivs in table]
@@ -138,18 +139,12 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
         R = 1.5 * max([1.0] + [abs(p) for p in pole_pts])
         monomials = _complex_derivatives(
             [Poly((0,) * k + (1,)) for k in range(d1 + 1)], problem.N + 1)
-        E = np.zeros((n_samples, d1 + 1), dtype=np.complex128)
-        m = 0
-        k_try = 0
-        while m < n_samples:
-            th = 0.37 + 2 * np.pi * 0.6180339887498949 * k_try
-            u = complex(R * np.exp(1j * th))
-            k_try += 1
-            if any(abs(u - p) < 1e-6 * R for p in pole_pts):
-                continue
-            E[m] = [v / (R ** k) for k, v in
-                    enumerate(_apply_at(pole_data, monomials, u))]
-            m += 1
+        # the poles lie within R / 1.5, so every point of the circle is at
+        # least R / 3 from them
+        pts = R * np.exp(1j * (0.37 + 2 * np.pi * 0.6180339887498949
+                               * np.arange(n_samples)))
+        E = np.array([v / (R ** k) for k, v in
+                      enumerate(_apply_at(pole_data, monomials, pts))]).T
         _, sv, vh = np.linalg.svd(E)
         smax = sv[0] if len(sv) else 1.0
         null_rows = [r for r in range(vh.shape[0])
@@ -362,11 +357,7 @@ def kernel_residuals(problem: GaudinProblem, point, htuple: PolynomialTuple,
     table = _complex_derivatives(htuple.polys, problem.N + 1)
     scales = [max(h.max_abs(), 1.0) for h in htuple.polys]
     R = 1.5 * max([1.0] + [abs(p) for p in poles])
-    worst = [0.0] * len(table)
-    for k in range(12):
-        u = complex(R * np.exp(1j * (0.21 + 2 * np.pi * k / 12)))
-        if any(abs(u - p) < 1e-6 * R for p in poles):
-            continue
-        for n, v in enumerate(_apply_at(pole_data, table, u)):
-            worst[n] = max(worst[n], abs(v) / scales[n])
-    return worst
+    # 12 points on a circle at least R / 3 from every pole
+    pts = R * np.exp(1j * (0.21 + 2 * np.pi * np.arange(12) / 12))
+    return [float(np.abs(v).max()) / s
+            for v, s in zip(_apply_at(pole_data, table, pts), scales)]

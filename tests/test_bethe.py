@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -11,7 +12,7 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   operator_coefficient, restrict_family,
                                   sample_points, universal_operator)
 from gaudin.diffop_ring import Poly, RFMatrix
-from gaudin.errors import NotInvariant, RepeatedSites
+from gaudin.errors import NotInvariant, PoleEvaluation, RepeatedSites
 from gaudin.linalg import SparseMatrix, integer_scaled
 from gaudin.master import (GaudinProblem, master_coefficients,
                            master_operator_at)
@@ -156,6 +157,19 @@ def test_sample_points_keep_distance_from_float_sites():
     assert pts == [Fraction(3), Fraction(5), Fraction(6)]
 
 
+@pytest.mark.parametrize("z, want", [
+    ([Fraction(5, 2), Fraction(4)], [5, 6, 7]),
+    ([QI(3, Fraction(1, 2)), QI(6, -2)], [2, 4, 5]),
+    ([2.5 + 0.9j, 5 + 0j], [2, 3, 4, 6]),
+    ([Fraction(3), QI(7, Fraction(1, 3)), 4.5 - 0.2j], [2, 6, 8, 9]),
+], ids=["fraction", "qi", "complex", "mixed"])
+def test_sample_points_are_pinned_for_fraction_qi_and_complex_sites(z, want):
+    """The int k is tested against the sites, and Fraction(k) returned."""
+    pts = sample_points(z, len(want))
+    assert pts == want
+    assert all(type(u) is Fraction for u in pts)
+
+
 def test_float_sites_match_exact_sites():
     """At floating real sites every coefficient of the universal operator
     agrees with the one at the same sites as exact rationals.  With unreduced
@@ -293,6 +307,28 @@ def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("name", sorted(NUMERIC_SELFCHECK_CASES)
+                         + ["rational_sites"])
+def test_numeric_selfcheck_values_match_the_sparse_values(name):
+    """The self-check's dense Horner over (rows, cols, values) arrays gives
+    the sparse value of B_i(u) made dense, to 1e-13 of its largest entry,
+    at floating sites and for the integer form."""
+    if name == "rational_sites":
+        parts, N, z = ([(2, 1, 0), (1, 1, 0)], 2,
+                       [Fraction(-3, 2), Fraction(5, 3)])
+    else:
+        parts, N, z, _ = NUMERIC_SELFCHECK_CASES[name]
+    M, _ = _module(parts, N)
+    family = restrict_family(universal_operator(M, z), None, 0)
+    for i in range(1, N + 2):
+        B = family.B_u[i]
+        assert B.integral == (name == "rational_sites")
+        value = bethe_algebra._dense_horner(B)
+        for u in sample_points(z, 6):
+            want = bethe_algebra._dense(B.eval(u))
+            assert np.abs(value(u) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _fraction_selfcheck(monkeypatch, family, form, M, z):
     """algebra_selfcheck with every matrix left in Fractions."""
     with monkeypatch.context() as m:
@@ -372,25 +408,65 @@ def test_universal_operator_is_pinned_byte_for_byte(rank):
     assert _operator_digest(universal_operator(M, z), 4) == digest
 
 
-def test_floating_values_of_an_integral_family_keep_the_bits():
-    """Read in floats, B_i(u) of the integer form applied to a random
-    complex vector gives the bits of its Fraction value applied to it."""
-    parts, N, z, _ = OPERATOR_PINS[3]
-    M, _ = _module(parts, N)
+def _random_vector(rng, dim):
+    return {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            * 10.0 ** rng.randint(-3, 3)
+            for k in range(dim) if rng.random() < 0.8}
+
+
+def _assert_apply_at_matches_values(B, vec, us):
+    """B.apply_at(vec, us) against eval(u).apply(vec) at each point, to
+    1e-13 of the largest entry."""
+    got = B.apply_at(vec, np.array([complex(u) for u in us]))
+    assert got.shape == (len(us), B.nrows)
+    for row, u in zip(got, us, strict=True):
+        want = np.zeros(B.nrows, dtype=complex)
+        for k, v in B.eval(u).apply(vec).items():
+            want[k] = complex(v)
+        assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_values_of_an_integral_family_at_many_points_applied_to_a_vector():
+    """The integer form applied to a random complex vector at integer and
+    non-integer rational points at once: P~_a vec once per coefficient,
+    Horner over the points, one division by d D~(u)^k per point."""
+    z = [Fraction(-3, 2), Fraction(5, 3)]
+    M, _ = _module([(2, 1, 0), (1, 1, 0)], 2)
     family = restrict_family(universal_operator(M, z), None, 0)
     rng = random.Random(3)
+    us = (Fraction(2), Fraction(-7, 3), Fraction(123456789, 1000003))
+    for i in range(1, 4):
+        B = family.B_u[i]
+        assert B.integral and B.power and B.d == (1 if i == 1 else 12)
+        for _ in range(3):
+            _assert_apply_at_matches_values(B, _random_vector(rng, M.dim), us)
+        with pytest.raises(PoleEvaluation):
+            B.apply_at({0: 1j}, np.array([3 + 0j, -1.5 + 0j]))
+
+
+@pytest.mark.parametrize("name", ["complex_sites", "gaussian_sites", "zero"])
+def test_apply_at_many_points_matches_the_values_applied_to_a_vector(name):
+    """A floating family at complex sites, a Gaussian-rational one, and zero
+    matrices, at points at distance at least 1 from the sites."""
+    rng = random.Random(5)
+    us = [Fraction(5), Fraction(-9, 4), Fraction(31, 3)]
+    if name == "zero":
+        base = Poly.from_roots([Fraction(1), Fraction(2)])
+        for B in (RFMatrix(4, 4), RFMatrix(3, 3, [], base, 2)):
+            _assert_apply_at_matches_values(B, _random_vector(rng, 4), us)
+            assert not B.apply_at({0: 1j}, np.array([4j])).any()
+        return
+    if name == "complex_sites":
+        parts, N, z, _ = NUMERIC_SELFCHECK_CASES[name]
+    else:
+        parts, N, z = ([(2, 1, 0), (1, 1, 0)], 2,
+                       [Fraction(-3, 2), QI(0, Fraction(4, 3))])
+    M, _ = _module(parts, N)
+    family = restrict_family(universal_operator(M, z), None, 0)
     for i in range(1, N + 2):
-        assert family.B_u[i].integral
-        for u in (Fraction(2), Fraction(-7, 3), Fraction(123456789, 1000003)):
-            got = family.eval(i, u, floating=True)
-            want = family.eval(i, u)
-            assert list(got.data) == list(want.data)
-            assert all(type(v) is float for v in got.data.values())
-            for _ in range(3):
-                vec = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                       * 10.0 ** rng.randint(-3, 3)
-                       for k in range(M.dim) if rng.random() < 0.8}
-                assert repr(got.apply(vec)) == repr(want.apply(vec))
+        B = family.B_u[i]
+        assert not B.integral and B.is_exact() == (name == "gaussian_sites")
+        _assert_apply_at_matches_values(B, _random_vector(rng, M.dim), us)
 
 
 def _entry_pair(a: RFMatrix, key):

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from gaudin import harness_cli
+from gaudin.diffop_ring import RFMatrix
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
                                 emit_report, load_problem, main, run_pipeline)
@@ -463,6 +464,43 @@ def test_four_site_chain_passes_for_every_seed(seed):
     failing = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
     assert failing == []
     assert len(report["orbits"]) == report["derived"]["expected_orbits"] == 2
+
+
+@pytest.mark.parametrize(
+    "z", [[Fraction(k) for k in range(4)],
+          [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j]],
+    ids=["rational_sites", "complex_sites"])
+def test_sampled_eigenvalue_check_reads_all_its_points_at_once(monkeypatch, z):
+    """At an irrational orbit the eigenvalue equations are sampled.  B_i(u)
+    vec at every point comes from RFMatrix.apply_at, so RFMatrix.eval is
+    called only by the first-coefficient check, and only at floating sites;
+    the scalar values come from one scalar_coefficient_values call per
+    orbit."""
+    prob = GaudinProblem(1, [[1, 0]] * 4, [2], z)
+    callers = []
+    scalar_calls = []
+    rf_eval = RFMatrix.eval
+    values = harness_cli.scalar_coefficient_values
+
+    def counted_eval(self, u):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rf_eval(self, u)
+
+    def counted_values(pole_data, u0):
+        scalar_calls.append(len(u0))
+        return values(pole_data, u0)
+
+    monkeypatch.setattr(RFMatrix, "eval", counted_eval)
+    monkeypatch.setattr(harness_cli, "scalar_coefficient_values",
+                        counted_values)
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert set(status.values()) == {"PASS"}
+    assert len(report["spectra"]) == 2
+    assert not any(s["exact_point"] for s in report["spectra"])
+    assert set(callers) == ({"first_coefficient_identity"}
+                            if isinstance(z[0], complex) else set())
+    assert scalar_calls == [20, 20]
 
 
 def test_algebra_checks_scale_with_the_compared_products():

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
+from gaudin import wronski_schubert
 from gaudin.diffop_ring import Poly
 from gaudin.errors import AmbientTooSmall, KernelDimensionMismatch
 from gaudin.master import (GaudinProblem, SolverConfig, find_critical_orbits,
-                           master_operator_at, try_rationalize_orbit)
+                           master_operator_at, scalar_coefficient_values,
+                           try_rationalize_orbit)
 from gaudin.wronski_schubert import (PolynomialTuple, degree_set,
                                      exponent_data, expected_orders,
                                      kernel_residuals, schubert_incidence,
@@ -158,6 +161,51 @@ def test_numeric_rank2_instance_end_to_end():
         assert max(res.values()) < 1e-8
         rep = schubert_incidence(p, ht)
         assert rep["ok"]
+
+
+def _one_point_at_a_time(pole_data, table, u):
+    """The operator applied to a derivative table, composed at each point of
+    u on its own in Python complex arithmetic."""
+    rows = []
+    for x in map(complex, u):
+        coeffs = scalar_coefficient_values(pole_data, x)[::-1] + [1]
+        rows.append([sum(c * d.eval(x) for c, d in zip(coeffs, derivs))
+                     for derivs in table])
+    return [np.array(col) for col in zip(*rows)]
+
+
+def test_sampled_kernel_matches_one_point_at_a_time(monkeypatch):
+    """On CHAIN4 at complex sites the kernel read from the operator sampled
+    at all the circle points at once has the degrees and, to 1e-10, the
+    coefficients of the one sampled point by point; solve_h_tuple and
+    kernel_residuals each compose the scalar operator once per orbit."""
+    p = GaudinProblem(1, [[1, 0]] * 4, [2],
+                      [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j])
+    orbits = find_critical_orbits(p, SolverConfig(seed=0))
+    assert len(orbits) == 2
+    calls = []
+    values = wronski_schubert.scalar_coefficient_values
+
+    def counted(pole_data, u0):
+        calls.append(len(u0))
+        return values(pole_data, u0)
+
+    with monkeypatch.context() as m:
+        m.setattr(wronski_schubert, "scalar_coefficient_values", counted)
+        batched = [solve_h_tuple(p, orb.groups) for orb in orbits]
+        residuals = [kernel_residuals(p, orb.groups, ht)
+                     for orb, ht in zip(orbits, batched)]
+    assert len(calls) == 2 * len(orbits) and 12 in calls
+    monkeypatch.setattr(wronski_schubert, "_apply_at", _one_point_at_a_time)
+    for orb, ht, res in zip(orbits, batched, residuals):
+        want = solve_h_tuple(p, orb.groups)
+        assert [h.degree for h in ht.polys] == [h.degree for h in want.polys]
+        for h, w in zip(ht.polys, want.polys):
+            assert len(h.coeffs) == len(w.coeffs)
+            for a, b in zip(h.coeffs, w.coeffs):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+        assert max(res) < 1e-8
+        assert max(kernel_residuals(p, orb.groups, want)) < 1e-8
 
 
 def test_polynomial_tuple_iterates_in_order():
