@@ -36,8 +36,7 @@ from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
                      group_polynomials, hessian_determinant,
                      master_operator_at, scalar_coefficient_values,
                      series_by_contour, try_rationalize_orbit)
-from .repr_core import (build_irreducible, tensor_module, tensor_shapovalov,
-                        weight_and_singular_subspace)
+from .repr_core import shared_module, weight_and_singular_subspace
 from .scalars import (QI, format_scalar, is_exact, parse_rational,
                       scalar_abs, to_complex)
 from .weight_function import bethe_vector, term_count
@@ -236,12 +235,9 @@ class Checks:
 
 
 def build_modules(problem):
-    pairs = [build_irreducible(lam, problem.N) for lam in problem.partitions]
-    mods = [m for m, _ in pairs]
-    forms = [f for _, f in pairs]
-    if len(mods) == 1:
-        return mods[0], forms[0]
-    return tensor_module(mods), tensor_shapovalov(forms)
+    """(module, form) of the problem's tensor product, shared within the
+    process for its (N, partitions): do not mutate it."""
+    return shared_module(problem.partitions, problem.N)
 
 
 def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,

@@ -232,10 +232,8 @@ def orbit_distance(groups1, groups2):
 
 def expected_orbit_count(problem: GaudinProblem):
     """Dimension of the singular subspace of the derived weight."""
-    from .repr_core import (build_irreducible, tensor_module,
-                            weight_and_singular_subspace)
-    mods = [build_irreducible(lam, problem.N)[0] for lam in problem.partitions]
-    M = mods[0] if len(mods) == 1 else tensor_module(mods)
+    from .repr_core import shared_module, weight_and_singular_subspace
+    M, _ = shared_module(problem.partitions, problem.N)
     _, S = weight_and_singular_subspace(M, problem.infinity_weight)
     return S.ncols
 

@@ -6,10 +6,16 @@ in the pattern entries (A. Molev, "Gelfand-Tsetlin bases for classical Lie
 algebras", arXiv:math/0211289, section 2), so every generator matrix is
 rational, and the invariant form is diagonal with positive entries.
 Tensor products act by the Leibniz rule and carry the product form.
+
+A module and its form depend only on (N, partitions), not on the sites.
+`shared_irreducible` and `shared_module` build and check each such key once
+per process and hand every caller the same objects, so a caller must not
+mutate a module, its generator matrices or its Gram matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +25,9 @@ from .linalg import SparseMatrix, integer_scaled, nullspace, vec_dot
 from .weights import check_partition
 
 _COMMUTATION_CHECK_MAX_DIM = 200
+# keys kept per shared-module cache: 7 shapes in both factor orders, above
+# the 12 tensor keys and 7 irreducibles that one workload seed uses
+_SHARED_MODULES = 16
 
 
 class GlModule:
@@ -38,7 +47,6 @@ class GlModule:
         self.hw_index = hw_index
         self.factors = factors if factors is not None else [self]
         self.label = label
-        self._slot_cache = {}
         self._weight_positions = {}
         for k, w in enumerate(basis_weights):
             self._weight_positions.setdefault(w, []).append(k)
@@ -57,11 +65,9 @@ class GlModule:
         return {self.hw_index: Fraction(1)}
 
     def slot_matrix(self, s, i, j) -> SparseMatrix:
-        """Action of e_ij in tensor slot s (identity elsewhere)."""
-        key = (s, i, j)
-        cached = self._slot_cache.get(key)
-        if cached is not None:
-            return cached
+        """Action of e_ij in tensor slot s (identity elsewhere).  Made anew
+        on each call, so that a shared module holds only its generators,
+        weights and form."""
         dims = [f.dim for f in self.factors]
         left = 1
         for d in dims[:s]:
@@ -77,7 +83,6 @@ class GlModule:
                 base_c = (a * dims[s] + c) * right
                 for b in range(right):
                     out[base_r + b, base_c + b] = v
-        self._slot_cache[key] = out
         return out
 
 
@@ -269,6 +274,29 @@ def tensor_shapovalov(forms):
     for f in forms[1:]:
         gram = gram.kron(f.gram)
     return SymmetricForm(gram)
+
+
+@functools.lru_cache(maxsize=_SHARED_MODULES)
+def shared_irreducible(lam, N):
+    """`build_irreducible(lam, N)`, built and checked once per process.
+
+    lam is a padded partition tuple, as `check_partition(lam, N)` returns
+    it.  The (module, form) pair is shared by every caller: do not mutate it.
+    """
+    return build_irreducible(lam, N)
+
+
+@functools.lru_cache(maxsize=_SHARED_MODULES)
+def shared_module(partitions, N):
+    """(module, form) of the tensor product of the irreducibles of a tuple of
+    padded partition tuples, built once per process from the shared
+    irreducibles; a single partition gives its irreducible itself.  The pair
+    is shared by every caller: do not mutate it."""
+    pairs = [shared_irreducible(lam, N) for lam in partitions]
+    if len(pairs) == 1:
+        return pairs[0]
+    return (tensor_module([m for m, _ in pairs]),
+            tensor_shapovalov([f for _, f in pairs]))
 
 
 def weight_and_singular_subspace(M: GlModule, mu):

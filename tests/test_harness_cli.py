@@ -8,15 +8,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gaudin import harness_cli
+from gaudin import harness_cli, repr_core
 from gaudin.diffop_ring import RFMatrix
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
                                 emit_report, load_problem, main, run_pipeline)
 from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
-                           factored_pole_data, find_critical_orbits,
-                           master_coefficients, master_operator_at,
-                           series_by_contour)
+                           expected_orbit_count, factored_pole_data,
+                           find_critical_orbits, master_coefficients,
+                           master_operator_at, series_by_contour)
 from gaudin.scalars import QI, format_scalar
 
 ANCHOR_JSON = {
@@ -537,3 +537,104 @@ def test_no_orbit_fails_every_joint_check():
                  "completeness"):
         assert status[name] == "FAIL", name
     assert report["summary"]["failed"] == 4
+
+
+# One module shape, (N, partitions) = (2, [[2,1,0],[1,0,0]]), at exact,
+# Gaussian-rational and floating sites.
+SHARED_SHAPE = {"N": 2, "partitions": [[2, 1, 0], [1, 0, 0]], "l": [1, 1],
+                "solver": {"seed": 2}}
+SHARED_SHAPE_SITES = {
+    "exact": ["-1", "3/2"],
+    "gaussian": [["0", "1"], ["2", "-1/2"]],
+    "floating": [[0.25, 0.0], [1.5, 0.75]],
+}
+
+
+def _shape_problem(z, reverse=False):
+    payload = dict(SHARED_SHAPE, z=z)
+    if reverse:
+        payload["partitions"] = payload["partitions"][::-1]
+        payload["z"] = z[::-1]
+    return load_problem(payload)[:2]
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_SHAPE_SITES))
+def test_shared_modules_give_the_reports_of_fresh_builds(fresh_modules, kind):
+    """A module built for other sites of the same shape gives the report,
+    byte for byte, of a module built afresh for this problem."""
+    run_pipeline(*_shape_problem(["0", "1"]))
+    prob, config = _shape_problem(SHARED_SHAPE_SITES[kind])
+    assert harness_cli.build_modules(prob) is harness_cli.build_modules(prob)
+    cached = run_pipeline(prob, config)
+    repr_core.shared_irreducible.cache_clear()
+    repr_core.shared_module.cache_clear()
+    fresh = run_pipeline(prob, config)
+    assert cached["summary"]["all_pass"]
+    assert json.dumps(cached, sort_keys=True) == \
+        json.dumps(fresh, sort_keys=True)
+
+
+def test_run_pipeline_verifies_each_module_shape_once(fresh_modules,
+                                                      monkeypatch):
+    """Two irreducibles and their tensor product are checked once however
+    many problems share them; the other factor order is one more tensor
+    product, and `expected_orbit_count` builds nothing."""
+    calls = []
+    verify = repr_core.verify_commutation
+
+    def counted(M):
+        calls.append(M.dim)
+        verify(M)
+
+    monkeypatch.setattr(repr_core, "verify_commutation", counted)
+    for z in SHARED_SHAPE_SITES.values():
+        run_pipeline(*_shape_problem(z))
+    assert sorted(calls) == [3, 8, 24]
+    prob, config = _shape_problem(SHARED_SHAPE_SITES["exact"], reverse=True)
+    run_pipeline(prob, config)
+    run_pipeline(*_shape_problem(SHARED_SHAPE_SITES["floating"],
+                                 reverse=True))
+    assert sorted(calls) == [3, 8, 24, 24]
+    assert expected_orbit_count(prob) == 1
+    assert len(calls) == 4
+
+
+def _module_entries(M, form):
+    return ({(s, key): dict(f.gen_action[key].data)
+             for s, f in enumerate(M.factors) for key in f.gen_action},
+            {key: dict(mat.data) for key, mat in M.gen_action.items()},
+            dict(form.gram.data))
+
+
+def test_run_pipeline_leaves_the_shared_module_unchanged(fresh_modules):
+    prob, _ = _shape_problem(SHARED_SHAPE_SITES["exact"])
+    M, form = harness_cli.build_modules(prob)
+    before = _module_entries(M, form)
+    for z in SHARED_SHAPE_SITES.values():
+        prob, config = _shape_problem(z)
+        run_pipeline(prob, config)
+        assert harness_cli.build_modules(prob) == (M, form)
+    assert _module_entries(M, form) == before
+
+
+def test_main_weightfn_builds_each_irreducible_once(tmp_path, capsys,
+                                                   fresh_modules, monkeypatch):
+    """`weightfn` prints the vectors of the pipeline's own module; it built
+    every irreducible a second time."""
+    build = repr_core.build_irreducible
+    calls = []
+
+    def counted(lam, N):
+        calls.append(tuple(lam))
+        return build(lam, N)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gaudin"
+                and getattr(module, "build_irreducible", None) is build):
+            monkeypatch.setattr(module, "build_irreducible", counted)
+    path = write_problem(tmp_path, dict(SHARED_SHAPE,
+                                        z=SHARED_SHAPE_SITES["exact"]))
+    rc = main(["weightfn", "--problem", path])
+    assert rc == 0
+    assert "orbit 0:" in capsys.readouterr().out
+    assert sorted(calls) == [(1, 0, 0), (2, 1, 0)]
