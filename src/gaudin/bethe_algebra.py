@@ -19,8 +19,8 @@ import numpy as np
 from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
                           site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
-from .linalg import Coordinates, SparseMatrix, integer_scaled
-from .repr_core import GlModule, columns_of
+from .linalg import SparseMatrix, integer_scaled, rational_lcd
+from .repr_core import GlModule
 from .scalars import scalar_abs, to_complex
 
 
@@ -94,44 +94,102 @@ class BetheOperatorFamily:
         return self.B_u[i].eval(u)
 
 
-def _restrict_matrix(mat: SparseMatrix, cols, coords, i) -> SparseMatrix:
-    """The matrix R with mat @ cols == cols @ R; NotInvariant if none."""
-    out = SparseMatrix(len(cols), len(cols))
-    for c, col in enumerate(cols):
-        x, rest = coords(mat.apply(col))
-        if rest:
-            bad = max(scalar_abs(v) for v in rest.values())
+# a floating remainder at most this share of the image counts as roundoff
+_REMAINDER_RTOL = 1e-9
+
+
+def _unit_rows(S: SparseMatrix):
+    """For each column m the first row r_m where column m is 1 and every
+    other column is 0; ValueError when a column has none."""
+    hits = {}
+    for (r, c), v in S.data.items():
+        hits.setdefault(r, []).append((c, v))
+    unit = [None] * S.ncols
+    for r in sorted(hits):
+        (c, v), *others = hits[r]
+        if not others and v == 1 and unit[c] is None:
+            unit[c] = r
+    if None in unit:
+        raise ValueError(
+            f"basis column {unit.index(None)} has no unit row; linalg.rref "
+            "of the columns gives a basis of the same span with unit rows")
+    return unit
+
+
+def _restrict_matrix(mat: SparseMatrix, S, unit, L, exact, i):
+    """R with mat @ S == S @ R / L, read at the unit rows of S (where S is
+    L); NotInvariant when mat maps a column of S outside its span.
+
+    mat's entries are read once, against the rows of S, so each entry of
+    mat @ S is summed in their order, as in SparseMatrix.apply.  Exact
+    matrices must meet the identity exactly.  At floating sites a remainder
+    in column c of at most _REMAINDER_RTOL times the largest entry of the
+    image of column c counts as roundoff.
+    """
+    k = S.ncols
+    by_row = {}
+    for (r, c), v in S.data.items():
+        by_row.setdefault(r, []).append((c, v))
+    image = {}
+    for (r, j), x in mat.data.items():
+        for c, y in by_row.get(j, ()):
+            key = (r, c)
+            cur = image.get(key)
+            image[key] = x * y if cur is None else cur + x * y
+    image = SparseMatrix(mat.nrows, k, image)
+    R = SparseMatrix(k, k, {(m, c): image[r, c]
+                            for m, r in enumerate(unit) for c in range(k)})
+    if L != 1:
+        image = image.scale(L)
+    back = S @ R
+    if image.data == back.data:
+        return R
+    top, rest = {}, {}
+    for (_, c), v in image.data.items():
+        top[c] = max(top.get(c, 0.0), scalar_abs(v))
+    for (_, c), v in (image - back).data.items():
+        rest[c] = max(rest.get(c, 0.0), scalar_abs(v) / top[c])
+    for c in sorted(rest):
+        if exact or rest[c] > _REMAINDER_RTOL:
             raise NotInvariant(
                 f"coefficient {i} maps basis vector {c} outside the subspace "
-                f"(residual {bad:.3e})")
-        for m, v in x.items():
-            out[m, c] = v
-    return out
+                f"(remainder {rest[c]:.3e} of the image)")
+    return R
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
     """Express every coefficient of the pencil in the given column basis.
 
-    subspace: SparseMatrix of basis columns, a list of dict-vectors, or None
-    for the full carrier space.  A coefficient P(u)/D(u)^k leaves the span
-    invariant iff every coefficient matrix of P does, so each is restricted
-    on its own.  Raises NotInvariant when one maps a basis vector outside the
-    span.
+    subspace: SparseMatrix of rational basis columns with unit rows, or None
+    for the full carrier space.  Column m must have a unit row r_m, where it
+    is 1 and every other column is 0, as the columns of
+    `weight_and_singular_subspace` have; ValueError otherwise.  Any basis
+    gets unit rows from `linalg.rref` of its columns.  The coordinates of a
+    vector of the span are its entries at the unit rows.
+
+    A coefficient P(u)/D(u)^k leaves the span invariant iff every
+    coefficient matrix of P does, so each is restricted on its own: R is read
+    at the unit rows of P S, and P S == S R is checked as one identity.
+    Raises NotInvariant when it fails.  An integral coefficient is restricted
+    in its integer numerators against the basis scaled to ints by its lcd L,
+    and L goes into the restricted d, so no Fraction is made.  Gaussian-
+    rational and floating coefficients run the same loop on the basis as
+    given, with L = 1.
     """
     order = pencil.order
     N = order - 1
     B_u = {i: operator_coefficient(pencil, i) for i in range(1, order + 1)}
     if subspace is not None:
-        cols = columns_of(subspace) if isinstance(subspace, SparseMatrix) else [dict(c) for c in subspace]
-        try:
-            coords = Coordinates(cols, pencil.coeffs[0].nrows)
-        except ValueError:
-            raise NotInvariant(
-                "subspace columns are linearly dependent") from None
-        k = len(cols)
-        B_u = {i: big.map_coeffs(
-                   lambda mat, i=i: _restrict_matrix(mat, cols, coords, i), k, k)
-               for i, big in B_u.items()}
+        unit = _unit_rows(subspace)
+        if rational_lcd(subspace.data.values()) is None:
+            raise ValueError("basis entries must be rational")
+        (ints,), L = integer_scaled([subspace])
+        k = subspace.ncols
+        for i, B in B_u.items():
+            S, scale = (ints, L) if B.integral else (subspace, 1)
+            num = [_restrict_matrix(mat, S, unit, scale, B.is_exact(), i)
+                   for mat in B.num]
+            B_u[i] = B._like(num, B.power, B.d * scale, k, k)
     B_coeffs = {}
     for i in range(1, order + 1):
         mats = B_u[i].entries_series_at_infinity(j_max) if j_max > 0 else []

@@ -367,11 +367,6 @@ class RFMatrix:
     def is_exact(self):
         return self.exact
 
-    def map_coeffs(self, fn, nrows, ncols):
-        """fn applied to every coefficient matrix of P, over the same D^k."""
-        return RFMatrix(nrows, ncols, [fn(mat) for mat in self.coeffs],
-                        self.base, self.power)
-
     def _same_form(self, other):
         if self.integral == other.integral:
             return self, other

@@ -4,13 +4,16 @@ Matrices are dicts mapping (row, col) -> nonzero scalar.  Vectors are dicts
 mapping index -> nonzero scalar.  Everything here is written for correctness
 on modest dimensions (module dimensions in the hundreds).
 
-Every sparse elimination is one row operation, `_eliminate`: row echelon
-forms (`rref`, `IncrementalSpan`) and coordinates in a column basis
-(`Coordinates`).  Square matrices given as lists of rows, determinants
-(`det`) and square systems (`solve`, the Newton kernel's Jacobian), share
-one dense forward elimination, `_forward`, over list rows: on a few
-variables dict rows cost more than the arithmetic.  Pivots are exact (first
-nonzero) in exact mode and of largest modulus in numeric mode.
+Every sparse elimination is one row operation, `_eliminate`, in the
+reduced row echelon form `rref` (and through it `rank` and `nullspace`).
+Coordinates in a column basis need no elimination once every column has a
+unit row, where it is 1 and the other columns are 0: `rref` of the columns
+gives such a basis, and the coordinates are the entries at those rows
+(`bethe_algebra.restrict_family`).  Square matrices given as lists of rows,
+determinants (`det`) and square systems (`solve`, the Newton kernel's
+Jacobian), share one dense forward elimination, `_forward`, over list rows:
+on a few variables dict rows cost more than the arithmetic.  Pivots are
+exact (first nonzero) in exact mode and of largest modulus in numeric mode.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from fractions import Fraction
 from .scalars import is_exact, scalar_abs
 
 _NUMERIC_EPS = 1e-12
-# a numeric remainder this small relative to the vector counts as roundoff
-_REMAINDER_RTOL = 1e-9
 
 
 def vec_dot(u, v):
@@ -340,88 +341,3 @@ def solve(rows, rhs):
                 s = s - w * x[j]
         x[col] = _div(s, row[col], exact)
     return x
-
-
-class IncrementalSpan:
-    """Reduced echelon basis of a growing span; used by `Coordinates`.
-
-    add(v) reduces v against the current basis; if a new direction remains it
-    is absorbed and True is returned.  Pivots lie below `ambient_dim`; entries
-    at larger indices are tags that ride along in every row operation (see
-    `Coordinates`).
-    """
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.rows = []      # echelon rows, leading coefficient 1
-        self.pivots = []    # pivot index of each row
-        self.exact = True   # every row exact
-
-    def __len__(self):
-        return len(self.rows)
-
-    def _reduce(self, v, eps=_NUMERIC_EPS):
-        """(v with every pivot entry cleared by the rows, exact mode flag)."""
-        v = dict(v)
-        exact = self.exact and all(is_exact(x) for x in v.values())
-        for row, p in zip(self.rows, self.pivots):
-            if v.get(p):
-                _eliminate(v, row, p, exact, eps)
-        return v, exact
-
-    def add(self, v):
-        red, exact = self._reduce(v)
-        free = [j for j in red if j < self.ambient_dim]
-        if not free:
-            return False
-        if exact:
-            p = min(free)
-        else:
-            p = max(free, key=lambda j: scalar_abs(red[j]))
-        piv = red[p]
-        red = {j: _div(w, piv, exact) for j, w in red.items()}
-        red[p] = 1 if exact else 1.0
-        # keep existing rows reduced against the new one
-        for row in self.rows:
-            if row.get(p):
-                _eliminate(row, red, p, exact)
-        self.rows.append(red)
-        self.pivots.append(p)
-        self.exact = exact
-        return True
-
-
-class Coordinates:
-    """Coordinates of dict-vectors in a basis of independent columns.
-
-    The columns go into an IncrementalSpan with column m tagged by a unit
-    entry at dim + m.  Reducing v against that span leaves minus the
-    coordinates of v at the tags and the part of v outside the span below
-    dim.  Raises ValueError when the columns are linearly dependent.
-    """
-
-    def __init__(self, cols, dim):
-        self.dim = dim
-        self.span = IncrementalSpan(dim)
-        for m, col in enumerate(cols):
-            tagged = dict(col)
-            tagged[dim + m] = Fraction(1)
-            if not self.span.add(tagged):
-                raise ValueError("basis columns are linearly dependent")
-
-    def __call__(self, v):
-        """(x, rest) with v = sum_m x[m] * cols[m] + rest, x and rest dicts.
-
-        rest is empty when v lies in the span.  In numeric mode no entry is
-        dropped, and a remainder of modulus at most _REMAINDER_RTOL times the
-        largest modulus in v counts as roundoff and is discarded.
-        """
-        dim = self.dim
-        red, exact = self.span._reduce(v, eps=0.0)
-        x = {k - dim: -c for k, c in red.items() if k >= dim}
-        rest = {k: c for k, c in red.items() if k < dim}
-        if rest and not exact:
-            bound = _REMAINDER_RTOL * max(scalar_abs(c) for c in v.values())
-            if all(scalar_abs(c) <= bound for c in rest.values()):
-                rest = {}
-        return x, rest

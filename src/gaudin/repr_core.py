@@ -300,7 +300,14 @@ def shared_module(partitions, N):
 
 
 def weight_and_singular_subspace(M: GlModule, mu):
-    """Basis matrices (columns) of the weight subspace and its singular part."""
+    """Basis matrices (columns) of the weight subspace and its singular part.
+
+    Each column of either basis has a unit row, where it is 1 and every
+    other column is 0: W's columns are the unit vectors at the weight
+    positions, and S's come from `nullspace`, so column m is 1 at its free
+    position and the other columns vanish there.  `restrict_family` reads
+    coordinates in S at these rows.
+    """
     mu = tuple(mu)
     positions = M.weight_positions(mu)
     W = SparseMatrix(M.dim, len(positions))
@@ -327,14 +334,6 @@ def weight_and_singular_subspace(M: GlModule, mu):
         for loc, v in coeffs.items():
             S[positions[loc], c] = v
     return W, S
-
-
-def columns_of(mat: SparseMatrix):
-    """The columns of a basis matrix as dict-vectors."""
-    cols = [dict() for _ in range(mat.ncols)]
-    for (i, j), v in mat.data.items():
-        cols[j][i] = v
-    return cols
 
 
 def check_contravariance(form: SymmetricForm, M: GlModule):

@@ -68,6 +68,9 @@ class QI:
         return other - self
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            # a rational scales both parts: two products instead of four
+            return QI(self.re * other, self.im * other)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         other = _as_qi(other)
@@ -146,11 +149,6 @@ def coerce(x):
     if isinstance(x, numbers.Number):
         return complex(x)
     raise TypeError(f"unsupported scalar type {type(x)!r}")
-
-
-def common_mode(scalars) -> str:
-    """'exact' if every scalar is exact, else 'numeric'."""
-    return "exact" if all(is_exact(coerce(x)) for x in scalars) else "numeric"
 
 
 def scalar_abs(x) -> float:

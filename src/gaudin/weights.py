@@ -33,16 +33,6 @@ def weight_size(lam):
     return sum(lam)
 
 
-def simple_root(i, N):
-    """The i-th simple root (1-based), as an (N+1)-tuple."""
-    if not 1 <= i <= N:
-        raise ValueError(f"simple root index {i} out of range 1..{N}")
-    v = [0] * (N + 1)
-    v[i - 1] = 1
-    v[i] = -1
-    return tuple(v)
-
-
 def root_pairing(lam, i):
     """Pairing of a weight with the i-th simple root: lam_i - lam_{i+1} (1-based i)."""
     return lam[i - 1] - lam[i]
@@ -73,15 +63,3 @@ def derive_infinity_weight(partitions, l, N):
             total[k] += lam[k]
     lam_inf = weight_sub_roots(total, l, N)
     return check_partition(lam_inf, N)
-
-
-def tensor_weight(weights):
-    """Coordinatewise sum of a list of weights."""
-    if not weights:
-        return ()
-    out = [0] * len(weights[0])
-    for w in weights:
-        for k, x in enumerate(w):
-            out[k] += x
-    return tuple(out)
-

@@ -13,12 +13,13 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   sample_points, universal_operator)
 from gaudin.diffop_ring import Poly, RFMatrix
 from gaudin.errors import NotInvariant, PoleEvaluation, RepeatedSites
-from gaudin.linalg import SparseMatrix, integer_scaled
+from gaudin.linalg import SparseMatrix, integer_scaled, rational_lcd, rref
 from gaudin.master import (GaudinProblem, master_coefficients,
                            master_operator_at)
-from gaudin.repr_core import (build_irreducible, tensor_module,
+from gaudin.repr_core import (build_irreducible, shared_module, tensor_module,
                               tensor_shapovalov, weight_and_singular_subspace)
 from gaudin.scalars import QI, scalar_abs
+from gaudin.weights import derive_infinity_weight
 
 Z2 = [Fraction(0), Fraction(1)]
 
@@ -128,6 +129,139 @@ def test_restriction_at_float_sites_matches_exact_sites(name, scale):
             size = max(scalar_abs(b[k]) for k in keys)
             err = max(abs(complex(a[k]) - complex(b[k])) for k in keys)
             assert err <= 1e-9 * size, (i, u, err, size)
+
+
+# (N, partitions, l) of the module shapes of the benchmark workloads; each is
+# tested in both factor orders
+WORKLOAD_SHAPES = [
+    (1, [(1, 0)] * 4, [2]),
+    (2, [(2, 1, 0), (2, 1, 0)], [1, 1]),
+    (2, [(2, 1, 0), (1, 0, 0)], [1, 1]),
+    (2, [(2, 1, 0), (2, 0, 0)], [2, 1]),
+    (2, [(2, 1, 0), (1, 1, 0)], [1, 1]),
+    (2, [(2, 0, 0), (1, 1, 0)], [1, 1]),
+    (3, [(1, 0, 0, 0), (1, 1, 0, 0)], [1, 1, 0]),
+    (3, [(2, 1, 0, 0), (1, 0, 0, 0)], [1, 1, 0]),
+]
+
+
+def _has_unit_rows(S):
+    """Every column m is 1 at some row where every other column is 0."""
+    rows = {}
+    for (r, c), v in S.data.items():
+        rows.setdefault(r, {})[c] = v
+    return all(any(row == {m: 1} for row in rows.values())
+               for m in range(S.ncols))
+
+
+def _singular_basis(parts, N, l):
+    M, _ = shared_module(tuple(parts), N)
+    return M, weight_and_singular_subspace(
+        M, derive_infinity_weight(parts, l, N))[1]
+
+
+def test_singular_bases_have_unit_rows(fresh_modules):
+    """restrict_family reads coordinates at unit rows: the singular bases of
+    every workload shape and of the 8-site chain have them, also where the
+    columns are not integral."""
+    shapes = [(N, order, l) for N, parts, l in WORKLOAD_SHAPES
+              for order in (parts, parts[::-1])]
+    lcds = set()
+    for N, parts, l in shapes + [(1, [(1, 0)] * 8, [4])]:
+        _, S = _singular_basis(parts, N, l)
+        assert S.ncols and _has_unit_rows(S), parts
+        lcds |= {rational_lcd(v for (_, c), v in S.data.items() if c == m)
+                 for m in range(S.ncols)}
+    assert lcds == {1, 2, 3, 6}
+
+
+def test_restriction_needs_unit_rows():
+    """A basis without unit rows raises ValueError.  rref of its columns
+    spans the same space with unit rows, and restricts to the same traces."""
+    M, _ = _module([(1, 0)] * 4, 1)
+    _, S = weight_and_singular_subspace(M, (2, 2))
+    pencil = universal_operator(M, [Fraction(k) for k in range(4)])
+    mix = SparseMatrix(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1})
+    T = S @ mix
+    assert not _has_unit_rows(T)
+    with pytest.raises(ValueError, match="unit row"):
+        restrict_family(pencil, T, 0)
+    cols = [{r: v for (r, c), v in T.data.items() if c == m} for m in range(2)]
+    rows, _ = rref(cols)
+    U = SparseMatrix(M.dim, 2, {(r, m): v for m, row in enumerate(rows)
+                                for r, v in row.items()})
+    assert _has_unit_rows(U)
+    u = Fraction(37, 7)
+    for i in (1, 2):
+        a = restrict_family(pencil, U, 0).eval(i, u)
+        b = restrict_family(pencil, S, 0).eval(i, u)
+        assert a[0, 0] + a[1, 1] == b[0, 0] + b[1, 1]
+    # a Gaussian-rational entry off the unit rows
+    key = next(k for k, v in S.data.items() if v != 1)
+    G = S.copy()
+    G[key] = QI(0, 1)
+    with pytest.raises(ValueError, match="rational"):
+        restrict_family(pencil, G, 0)
+
+
+RESTRICTION_SHAPES = {
+    "chain6": (1, [(1, 0)] * 6, [3]),
+    "wide21": (2, [(2, 1, 0), (2, 1, 0)], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTION_SHAPES))
+def test_restricted_family_commutes_with_the_singular_basis(name):
+    """B(u) S == S B_Sing(u) exactly at rational sites, with B(u) the value
+    of the full family and B_Sing the restriction to Sing."""
+    N, parts, l = RESTRICTION_SHAPES[name]
+    M, S = _singular_basis(parts, N, l)
+    z = [Fraction(3 * k - 1, 2) for k in range(len(parts))]
+    pencil = universal_operator(M, z)
+    full = restrict_family(pencil, None, 0)
+    sing = restrict_family(pencil, S, 0)
+    assert sing.carrier_dim == S.ncols > 1
+    for i in range(1, N + 2):
+        for u in (Fraction(37, 7), Fraction(-5, 3)):
+            value = sing.eval(i, u)
+            assert not value.is_zero()
+            assert full.eval(i, u) @ S == S @ value
+
+
+@pytest.mark.parametrize("parts", [[(2, 1, 0), (2, 1, 0)],
+                                   [(1, 1, 0), (2, 0, 0)]],
+                         ids=["lcd2", "lcd6"])
+def test_integral_pencil_restricts_to_an_integral_family(parts):
+    """An integer-form pencil restricts to int numerators over its own
+    denominator, with the lcd L of the basis folded into d; its Fraction
+    view restricts each coefficient matrix of P."""
+    M, S = _singular_basis(parts, 2, [1, 1])
+    (_,), L = integer_scaled([S])
+    assert L > 1
+    pencil = universal_operator(M, [Fraction(-3, 2), Fraction(5, 3)])
+    family = restrict_family(pencil, S, 4)
+    k = S.ncols
+    for i in range(1, 4):
+        big, B = operator_coefficient(pencil, i), family.B_u[i]
+        assert big.integral and B.integral and B.d == big.d * L
+        assert all(type(v) is int for m in B.num for v in m.data.values())
+        assert (B.base, B.power) == (big.base, big.power)
+        for a, P in enumerate(big.coeffs):
+            R = B.coeffs[a] if a < len(B.coeffs) else SparseMatrix(k, k)
+            assert P @ S == S @ R
+
+
+def test_restriction_at_float_sites_rejects_a_noninvariant_column():
+    """At floating sites a remainder far above roundoff raises NotInvariant:
+    one basis vector of the weight space is not an eigenvector of B_2."""
+    M, _ = _module([(1, 0)] * 4, 1)
+    W, _ = weight_and_singular_subspace(M, (2, 2))
+    column = SparseMatrix(M.dim, 1, {(next(iter(W.data))[0], 0): 1})
+    z = [complex(x) for x in FLOAT_RESTRICTION_SITES["complex_site"]]
+    with pytest.raises(NotInvariant, match="coefficient 2"):
+        restrict_family(universal_operator(M, z), column, 0)
+    # the whole weight space is invariant
+    assert restrict_family(universal_operator(M, z), W, 0).carrier_dim == 6
 
 
 def test_operator_coefficient_indexing():

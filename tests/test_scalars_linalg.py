@@ -7,9 +7,8 @@ import pytest
 
 import oracles
 from gaudin.errors import DimensionMismatch
-from gaudin.linalg import (Coordinates, IncrementalSpan, SparseMatrix, det,
-                           nullspace, rank, rref, solve)
-from gaudin.scalars import (QI, coerce, common_mode, format_scalar, is_exact,
+from gaudin.linalg import SparseMatrix, det, nullspace, rank, rref, solve
+from gaudin.scalars import (QI, coerce, format_scalar, is_exact,
                             parse_rational, scalar_abs, to_complex)
 
 
@@ -21,6 +20,10 @@ def test_qi_field_ops():
                        Fraction(1, 2) * Fraction(1, 5) + 3 * Fraction(-2))
     assert (a / b) * b == a
     assert a - a == QI(0, 0)
+    # an int or Fraction factor takes the two-product path, on either side
+    for c in (3, Fraction(-2, 7)):
+        for got in (a * c, c * a):
+            assert got == a * QI(c) and type(got.re) is Fraction
     with pytest.raises(ZeroDivisionError):
         a / QI(0, 0)
 
@@ -45,8 +48,6 @@ def test_coerce_and_mode():
     assert not is_exact(coerce(1.5))
     with pytest.raises(TypeError):
         coerce(True)
-    assert common_mode([Fraction(1), QI(0, 1)]) == "exact"
-    assert common_mode([Fraction(1), 2.0 + 0j]) == "numeric"
 
 
 def test_parse_and_format_roundtrip():
@@ -99,27 +100,6 @@ def test_sparse_rank_and_nullspace_against_numpy():
             arr = np.array([float(v.get(k, 0)) for k in range(6)])
             assert np.linalg.norm(d @ arr) < 1e-9
             assert np.linalg.norm(arr) > 0
-
-
-def test_coordinates_in_a_column_basis():
-    rng = random.Random(2)
-    a = _random_sparse(rng, 4, 4, density=0.9)
-    while rank(a) < 4:
-        a = _random_sparse(rng, 4, 4, density=0.9)
-    cols = [{i: a[i, j] for i in range(4) if a[i, j]} for j in range(4)]
-    x = {0: Fraction(1, 3), 2: Fraction(-2)}
-    got, rest = Coordinates(cols, 4)(a.apply(x))
-    assert got == x and rest == {}
-    # the first three columns miss the fourth, which has full rank
-    got, rest = Coordinates(cols[:3], 4)(cols[3])
-    assert rest
-    back = dict(rest)
-    for m, c in got.items():
-        for i, v in cols[m].items():
-            back[i] = back.get(i, 0) + c * v
-    assert {i: v for i, v in back.items() if v} == cols[3]
-    with pytest.raises(ValueError):
-        Coordinates(cols + [cols[1]], 4)
 
 
 def _permutation_det(rows):
@@ -239,18 +219,6 @@ def test_exact_routines_keep_int_input_exact():
     (row,), pivots = rref([{0: 2, 1: 3, 2: 1}])
     assert row == {0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}
     assert type(row[1]) is Fraction and type(row[2]) is Fraction
-    span = IncrementalSpan(2)
-    span.add({0: 2, 1: 1})
-    assert span.rows == [{0: 1, 1: Fraction(1, 2)}]
-    assert type(span.rows[0][1]) is Fraction
-
-
-def test_incremental_span():
-    span = IncrementalSpan(4)
-    assert span.add({0: Fraction(1), 1: Fraction(1)})
-    assert not span.add({0: Fraction(2), 1: Fraction(2)})
-    assert span.add({2: Fraction(1)})
-    assert len(span) == 2
 
 
 def test_commutator_and_transpose():

@@ -2,8 +2,7 @@ import pytest
 
 from gaudin.errors import NotAPartition
 from gaudin.weights import (check_partition, derive_infinity_weight,
-                            root_pairing, simple_root, tensor_weight,
-                            weight_size, weight_sub_roots)
+                            root_pairing, weight_size, weight_sub_roots)
 
 
 def test_check_partition():
@@ -18,10 +17,8 @@ def test_check_partition():
         check_partition([2, 1, 0, 0], N=2)             # longer than N+1 rows
 
 
-def test_weight_size_and_simple_root():
+def test_weight_size():
     assert weight_size((3, 1, 0)) == 4
-    assert simple_root(1, 2) == (1, -1, 0)
-    assert simple_root(2, 2) == (0, 1, -1)
 
 
 def test_root_pairing_hand_values():
@@ -42,11 +39,6 @@ def test_derive_infinity_weight():
 
 
 def test_weight_sub_roots_matches_infinity_weight():
-    parts = [(2, 1, 0), (2, 1, 0)]
-    total = tensor_weight(parts)
+    total = (4, 2, 0)    # (2, 1, 0) + (2, 1, 0)
     assert weight_sub_roots(total, (1, 1), 2) == (3, 2, 1)
-
-
-def test_tensor_weight():
-    assert tensor_weight([(1, 0), (2, 1)]) == (3, 1)
 
