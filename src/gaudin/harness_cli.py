@@ -34,7 +34,8 @@ from .linalg import SparseMatrix, rank
 from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
                      factored_pole_data, find_critical_orbits,
                      group_polynomials, hessian_determinant,
-                     master_operator_at, scalar_coefficient_values,
+                     master_coefficients, master_operator_at,
+                     scalar_coefficient_values,
                      series_by_contour, try_rationalize_orbit)
 from .repr_core import shared_module, weight_and_singular_subspace
 from .scalars import (QI, format_scalar, is_exact, parse_rational,
@@ -346,10 +347,15 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
             continue
         point = try_rationalize_orbit(problem, orb) or orb.groups
         exact_pt = all(is_exact(x) for grp in point for x in grp)
-        pole_data = factored_pole_data(problem, point)
-        scalar_pencil = master_operator_at(problem, point) \
-            if exact_pt and problem.exact else None
-        series = series_by_contour(pole_data, j_max)
+        # at an exact point one pencil gives the spectrum, the eigenvalue
+        # equations, the kernel and its certificate
+        if exact_pt and problem.exact:
+            scalar_pencil = master_operator_at(problem, point)
+            _, series = master_coefficients(scalar_pencil, j_max)
+        else:
+            scalar_pencil = None
+            pole_data = factored_pole_data(problem, point)
+            series = series_by_contour(pole_data, j_max)
         spectra.append({
             "index": orb.index,
             "exact_point": exact_pt,
@@ -377,7 +383,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
         # scalar values taken from the factors composed over jets
         worst = 0.0
         scale = max(1.0, info["coeff_max"])
-        if exact_pt and problem.exact:
+        if scalar_pencil is not None:
             for i in range(1, problem.N + 2):
                 for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
                     worst = max(worst,

@@ -27,9 +27,11 @@ first-order factors (d - logarithmic derivative), one per color, built from
 the site factors and the group polynomials y_i = prod_j (u - t^(i)_j).  Each
 logarithmic derivative is a sum of simple poles at the sites and the
 variables, so the operator is composed over the product of (u - r) for the
-known pole locations r, like the universal operator over its sites.  Values
-at a point and the expansion at infinity compose the same factors over
-truncated power series instead.
+known pole locations r, like the universal operator over its sites.  At an
+exact point this pencil gives the kernel, its certificate and the
+expansion at infinity exactly.  At a floating point, values at a point and
+the expansion at infinity compose the same factors over truncated complex
+power series instead.
 """
 
 from __future__ import annotations
@@ -382,10 +384,11 @@ def master_coefficients(pencil: OperatorPencil, j_max: int):
 # Composing the factors symbolically in floating point gives rational
 # functions whose numerator and denominator share large unreduced factors;
 # evaluating or expanding those loses many digits.  Instead the factors are
-# composed over truncated power series in a local parameter, Taylor jets in
-# u - u0 at a point and series in 1/u at infinity, where each factor, a sum
-# of known simple poles, has an exact expansion.  Exact inputs stay exact;
-# only the rule for d/du differs between the two parameters.
+# composed over truncated complex power series in a local parameter, Taylor
+# jets in u - u0 at a point and series in 1/u at infinity, where each
+# factor, a sum of known simple poles, has an exact expansion.  Only the
+# rule for d/du differs between the two parameters.  An exact point reads
+# the pencil of `master_operator_at` instead.
 
 def factored_pole_data(problem: GaudinProblem, point):
     """Per factor i = 1..N+1: list of (coefficient, location) simple poles."""
@@ -414,14 +417,12 @@ def factored_pole_data(problem: GaudinProblem, point):
     return out
 
 
-def _pole_jet(poles, u0, order, exact):
+def _pole_jet(poles, u0, order):
     """Taylor coefficients at u0 of sum c/(u - r), orders 0..order: the m-th
     is sum (-1)^m c (u0 - r)^(-m-1)."""
-    out = [Fraction(0) if exact else 0j] * (order + 1)
+    out = [0j] * (order + 1)
     for c, r in poles:
         d = u0 - r
-        if exact and not isinstance(d, (Fraction, QI)):
-            d = Fraction(d)
         term = c / d
         for m in range(order + 1):
             out[m] = out[m] + term
@@ -429,9 +430,9 @@ def _pole_jet(poles, u0, order, exact):
     return out
 
 
-def _pole_series_at_infinity(poles, j_max, zero):
+def _pole_series_at_infinity(poles, j_max):
     """Coefficients of u^0 .. u^-j_max of sum c/(u - r) = sum_j c r^(j-1) u^-j."""
-    out = [zero] * (j_max + 1)
+    out = [0j] * (j_max + 1)
     for c, r in poles:
         term = c
         for j in range(1, j_max + 1):
@@ -451,23 +452,17 @@ def _derivative_at_infinity(f):
 
 
 def _series_mul(f, g, zero):
-    """Product of two truncated series, as long as the shorter one.  Exact
-    series skip their zero terms; a floating term may be an array of values
-    at many points, which has no truth value, so every term is added."""
-    n = min(len(f), len(g))
-    if is_exact(zero):
-        return [sum((f[a] * g[m - a] for a in range(m + 1)
-                     if f[a] and g[m - a]), zero)
-                for m in range(n)]
+    """Product of two truncated series, as long as the shorter one; a term
+    may be an array of values at many points."""
     return [sum((f[a] * g[m - a] for a in range(m + 1)), zero)
-            for m in range(n)]
+            for m in range(min(len(f), len(g)))]
 
 
 def _compose_factors(factors, derivative, zero):
     """[C_1, ..., C_n] as series, C_i standing in front of d^(n-i) in
-    (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i; `zero` is 0
-    for exact series, 0j for floating ones, and an array of complex zeros
-    for series whose terms are arrays of values at many points.
+    (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i; `zero` is 0j,
+    or an array of complex zeros for series whose terms are arrays of values
+    at many points.
 
     (d - a) sum_k q_k d^k = sum_k (q_k' - a q_k + q_(k-1)) d^k, so the
     factors are taken from the right, starting at the identity.  A Taylor
@@ -482,46 +477,37 @@ def _compose_factors(factors, derivative, zero):
     return q[-2::-1]
 
 
-def _exact_poles(pole_data):
-    return all(is_exact(r) for fac in pole_data for _, r in fac)
-
-
 def _as_complex(pole_data):
     return [[(c, to_complex(r)) for c, r in fac] for fac in pole_data]
 
 
 def scalar_coefficient_values(pole_data, u0):
-    """[C_1(u0), ..., C_{N+1}(u0)]: values of the coefficients standing in
-    front of d^N, ..., d^0, the order-0 terms of the factors composed over
-    Taylor jets at u0.
+    """[C_1(u0), ..., C_{N+1}(u0)]: complex values of the coefficients
+    standing in front of d^N, ..., d^0, the order-0 terms of the factors
+    composed over complex Taylor jets at u0, whatever the type of the poles.
 
     u0 may also be a 1-D complex ndarray of points.  Every jet term is then
     an array of its values at all the points, the factors are composed once,
-    and each C_i(u0) is an array.
+    and each C_i(u0) is an array.  Exact values at an exact point are those
+    of the pencil of `master_operator_at`.
     """
-    exact = is_exact(u0) and _exact_poles(pole_data)
-    zero = 0
-    if not exact:
-        pole_data = _as_complex(pole_data)
-        if isinstance(u0, np.ndarray):
-            zero = np.zeros(u0.shape, dtype=complex)
-        else:
-            u0, zero = to_complex(u0), 0j
-    jets = [_pole_jet(fac, u0, len(pole_data), exact) for fac in pole_data]
+    pole_data = _as_complex(pole_data)
+    if isinstance(u0, np.ndarray):
+        zero = np.zeros(u0.shape, dtype=complex)
+    else:
+        u0, zero = to_complex(u0), 0j
+    jets = [_pole_jet(fac, u0, len(pole_data)) for fac in pole_data]
     composed = _compose_factors(jets, _jet_derivative, zero)
     return [c[0] for c in composed]
 
 
 def series_by_contour(pole_data, j_max):
-    """{i: expansion coefficients of u^-1 .. u^-j_max} of every coefficient
-    i = 1..N+1 of the factored operator, from the factors composed over
-    series in 1/u: those of `master_coefficients` for exact poles, accurate
-    to rounding for floating ones.  perfbench/spans.py binds this name."""
-    zero = 0
-    if not _exact_poles(pole_data):
-        pole_data, zero = _as_complex(pole_data), 0j
-    factors = [_pole_series_at_infinity(fac, j_max, zero) for fac in pole_data]
-    composed = _compose_factors(factors, _derivative_at_infinity, zero)
-    # a sum that cancels over Q(i) is QI(0, 0), which renders unlike 0
-    return {i: [x or zero for x in c[1:]]
-            for i, c in enumerate(composed, start=1)}
+    """{i: complex expansion coefficients of u^-1 .. u^-j_max} of every
+    coefficient i = 1..N+1 of the factored operator, from the factors
+    composed over complex series in 1/u, accurate to rounding.  An exact
+    point reads the exact series with `master_coefficients` from its
+    pencil.  perfbench/spans.py binds this name."""
+    factors = [_pole_series_at_infinity(fac, j_max)
+               for fac in _as_complex(pole_data)]
+    composed = _compose_factors(factors, _derivative_at_infinity, 0j)
+    return {i: c[1:] for i, c in enumerate(composed, start=1)}

@@ -20,8 +20,9 @@ class QI:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # arithmetic results pass Fractions: wrap only what is not one
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import DimensionMismatch, TermLimitExceeded, ZeroVector
 from .master import GaudinProblem, PointConfig
@@ -155,7 +154,9 @@ def term_coefficient(seq: ColoredSequence, sigma, groups, z):
     values = []
     for p, (_s, c) in enumerate(positions):
         values.append(groups[c - 1][sigma[p]])
-    coeff = Fraction(1)
+    # int starts: a Fraction would send every complex product through
+    # fractions' fallback, with the same bits
+    coeff = 1
     pos = 0
     for s, seg in enumerate(seq.segments):
         k = len(seg)
@@ -163,7 +164,7 @@ def term_coefficient(seq: ColoredSequence, sigma, groups, z):
             continue
         vs = values[pos:pos + k]
         pos += k
-        den = Fraction(1)
+        den = 1
         for a in range(k - 1):
             den = den * (vs[a] - vs[a + 1])
         den = den * (vs[k - 1] - z[s])

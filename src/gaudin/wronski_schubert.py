@@ -106,7 +106,8 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
     kernel exactly when x is a null vector of every coefficient matrix of
     the image's numerator, so the kernel is exact.  Otherwise the operator,
     from its coefficient values at each point, is sampled on a circle around
-    the poles and the kernel is read from an SVD.
+    the poles and the kernel is read from an SVD.  A pencil, given or built
+    here, is present only at an exact point.
     """
     poles = _poles_of(problem, point)
     if pencil is None and all(is_exact(x) for x in poles):
@@ -114,9 +115,7 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
     if data is None:
         data = exponent_data(problem)
     d1 = data.exponents[0]
-    exact = (pencil is not None and all(is_exact(c) for c in poles)
-             and all(c.is_exact() for c in pencil.coeffs))
-    if exact:
+    if pencil is not None:
         monomials = RFMatrix(1, d1 + 1, [SparseMatrix(1, d1 + 1, {(0, k): 1})
                                          for k in range(d1 + 1)])
         image = pencil.apply(monomials)

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gaudin import harness_cli, repr_core
+from gaudin import harness_cli, repr_core, wronski_schubert
 from gaudin.diffop_ring import RFMatrix
 from gaudin.errors import SchemaError
 from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
@@ -16,7 +16,8 @@ from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
 from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
                            expected_orbit_count, factored_pole_data,
                            find_critical_orbits, master_coefficients,
-                           master_operator_at, series_by_contour)
+                           master_operator_at, scalar_coefficient_values,
+                           series_by_contour)
 from gaudin.scalars import QI, format_scalar
 
 ANCHOR_JSON = {
@@ -122,9 +123,9 @@ def test_critical_point_at_gaussian_rational_sites_verifies(N, partitions, l):
 ])
 def test_spectra_at_gaussian_rational_sites_are_the_pencil_expansion(
         N, partitions, l, point):
-    """The composed series at infinity equals the expansion of the exact
-    pencil over Q(i), value for value and in the report's rendering, where
-    a QI and a Fraction print differently."""
+    """The report renders the expansion of the exact pencil over Q(i), where
+    a QI and a Fraction print differently, and the complex series composed
+    over the same poles agrees with it to rounding."""
     problem, config, _ = load_problem({
         "N": N, "partitions": partitions, "l": l,
         "z": [["0", "1"], ["0", "-1"]]})
@@ -132,7 +133,10 @@ def test_spectra_at_gaussian_rational_sites_are_the_pencil_expansion(
     j_max = report["derived"]["j_max"]
     _, want = master_coefficients(master_operator_at(problem, point), j_max)
     got = series_by_contour(factored_pole_data(problem, point), j_max)
-    assert got == want
+    assert sorted(got) == sorted(want)
+    for i in want:
+        for g, w in zip(got[i], want[i], strict=True):
+            assert abs(g - complex(w)) <= 1e-12 * max(1.0, abs(complex(w)))
     rendered = {str(i): [format_scalar(c) for c in want[i]] for i in want}
     assert [s["eigenvalues"] for s in report["spectra"]] == [rendered]
     assert report["spectra"][0]["exact_point"]
@@ -501,6 +505,50 @@ def test_sampled_eigenvalue_check_reads_all_its_points_at_once(monkeypatch, z):
     assert set(callers) == ({"first_coefficient_identity"}
                             if isinstance(z[0], complex) else set())
     assert scalar_calls == [20, 20]
+
+
+@pytest.mark.parametrize("sites, partitions, exact", [
+    ([-2, 0, 3], [[2, 0], [1, 0], [1, 0]], True),
+    ([0, 1, 3], [[1, 0], [1, 0], [1, 0]], False),
+], ids=["exact_orbits", "floating_orbits"])
+def test_exact_spectra_are_read_from_the_pencil(monkeypatch, sites,
+                                                partitions, exact):
+    """Both instances have two orbits.  At an exact orbit the spectrum is
+    the expansion of the pencil that the kernel reads: one
+    master_coefficients call per orbit, and no pole data or complex series
+    is made.  Irrational orbits take the complex series instead, which is
+    complex, like the jet values, also where the poles are exact."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("master_coefficients", "series_by_contour",
+                 "factored_pole_data"):
+        counted(harness_cli, name)
+    counted(wronski_schubert, "factored_pole_data")
+    prob = GaudinProblem(1, partitions, [1], [Fraction(x) for x in sites])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert report["summary"]["all_pass"], report["checks"]
+    assert [s["exact_point"] for s in report["spectra"]] == [exact] * 2
+    if exact:
+        assert calls == ["master_coefficients"] * 2
+    else:
+        assert sorted(set(calls)) == ["factored_pole_data",
+                                      "series_by_contour"]
+        assert calls.count("series_by_contour") == 2
+
+    point = [(Fraction(1, 2),)]
+    pole_data = factored_pole_data(prob, point)
+    assert all(type(x) is complex for c in
+               series_by_contour(pole_data, 4).values() for x in c)
+    assert all(type(x) is complex for x in
+               scalar_coefficient_values(pole_data, Fraction(7)))
 
 
 def test_algebra_checks_scale_with_the_compared_products():

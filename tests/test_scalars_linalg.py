@@ -26,6 +26,12 @@ def test_qi_field_ops():
             assert got == a * QI(c) and type(got.re) is Fraction
     with pytest.raises(ZeroDivisionError):
         a / QI(0, 0)
+    # parts are Fractions whether given as Fractions, which are kept, or
+    # as ints, which are wrapped
+    for x in (a + b, a - b, a * b, a / b, -a, a.conjugate(), a * 3, 3 - a,
+              Fraction(1, 3) / a, QI(3), QI(2, -1), QI()):
+        assert type(x.re) is Fraction and type(x.im) is Fraction, x
+    assert QI(3) == QI(Fraction(3), Fraction(0))
 
 
 def test_qi_matches_complex():
