@@ -7,9 +7,8 @@ of the master function with Bethe eigenvectors, and the polynomial-kernel /
 Wronskian / incidence certificates tying the two sides together.
 """
 
-from .errors import (AmbientTooSmall, DegenerateCriticalPoint,
-                     DimensionMismatch, DistinctnessError, GaudinError,
-                     ImproperRational, KernelDimensionMismatch,
+from .errors import (AmbientTooSmall, DimensionMismatch, DistinctnessError,
+                     GaudinError, ImproperRational, KernelDimensionMismatch,
                      NotAPartition, NotInvariant, PointNotInU, PoleEvaluation,
                      RepeatedSites, SchemaError, ShapeNormalizationFailure,
                      TermLimitExceeded, ZeroVector)
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientTooSmall", "BetheOperatorFamily", "CriticalOrbit",
-    "DegenerateCriticalPoint", "DimensionMismatch", "DistinctnessError",
+    "DimensionMismatch", "DistinctnessError",
     "ExponentData", "GaudinError", "GaudinProblem", "GlModule",
     "ImproperRational", "KernelDimensionMismatch", "NotAPartition",
     "NotInvariant", "OperatorPencil", "PointConfig", "PointNotInU",

@@ -21,7 +21,7 @@ from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .repr_core import GlModule
-from .scalars import scalar_abs, to_complex
+from .scalars import scalar_abs
 
 
 def _check_sites(M: GlModule, z):
@@ -387,8 +387,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
 def first_coefficient_identity(pencil: OperatorPencil, sizes, z) -> bool:
     """First coefficient == -sum_s |weight_s| / (u - z_s) * Id.
 
-    Both sides are numerators over the site polynomial: compared structurally
-    when everything is rational, sampled when sites are floating.
+    Both sides are numerators of power 1 over the site polynomial, and the
+    numerators are compared: exactly when everything is exact, and at
+    floating sites up to 1e-9 times the largest numerator entry of either
+    side, or 1e-9 when that is below 1.
     """
     B1 = operator_coefficient(pencil, 1)
     ident = SparseMatrix.identity(B1.nrows)
@@ -399,10 +401,5 @@ def first_coefficient_identity(pencil: OperatorPencil, sizes, z) -> bool:
         return True
     if diff.is_exact():
         return False
-    scale = max(scalar_abs(to_complex(zz)) for zz in z) + 1.0
-    worst = 0.0
-    for k in range(7):
-        u = complex(1.1 * scale + 0.37 * k, 0.53 + 0.11 * k)
-        m = diff.eval(u)
-        worst = max(worst, _matrix_residual(m))
-    return worst < 1e-9
+    scale = max(map(_matrix_residual, B1.num + target.num))
+    return max(map(_matrix_residual, diff.num)) <= 1e-9 * max(1.0, scale)

@@ -20,8 +20,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .scalars import is_exact, scalar_abs
@@ -481,32 +479,6 @@ class RFMatrix:
             if not self.exact:
                 return self._eval_generic(u, complex(u))
         return self._pass_through()._eval_generic(u, u)
-
-    def apply_at(self, vec, points) -> np.ndarray:
-        """Row m of the result is the value at points[m] applied to the
-        dict-vector vec, for a 1-D complex ndarray of points.
-
-        Each coefficient matrix of the numerator is applied to vec once, and
-        Horner runs over the resulting vectors with all the points at once:
-        P(u) vec / (d D(u)^k), in the integer form with P~ and D~.  The
-        arithmetic is complex128 whatever the form, and only vectors, never
-        dense coefficient matrices, are held.
-        """
-        out = np.zeros((len(points), self.nrows), dtype=complex)
-        for mat in reversed(self.num):
-            out *= points[:, None]
-            w = mat.apply(vec)
-            if w:
-                out[:, list(w)] += np.fromiter(w.values(), complex, len(w))
-        if self.power:
-            den = np.polyval([complex(c) for c in reversed(self.den.coeffs)],
-                             points) ** self.power
-            if not den.all():
-                raise PoleEvaluation(f"evaluation at a pole among {points!r}")
-            out /= den[:, None]
-        if self.d != 1:
-            out /= float(self.d)
-        return out
 
     def eval_scaled(self, u):
         """(m, c) with m / c the value at u and c one nonzero int.

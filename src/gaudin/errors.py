@@ -41,10 +41,6 @@ class PointNotInU(GaudinError):
     """Point lies on a forbidden hyperplane of the master function domain."""
 
 
-class DegenerateCriticalPoint(GaudinError):
-    """Operation requires a nondegenerate critical point."""
-
-
 class ZeroVector(GaudinError):
     """Weight function vanished at a critical point (computation fault)."""
 

@@ -24,18 +24,16 @@ import sys
 from fractions import Fraction
 
 import jsonschema
-import numpy as np
 
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
-                            restrict_family, sample_points, universal_operator)
+                            restrict_family, universal_operator)
 from .errors import GaudinError, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
 from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
                      factored_pole_data, find_critical_orbits,
                      group_polynomials, hessian_determinant,
                      master_coefficients, master_operator_at,
-                     scalar_coefficient_values,
                      series_by_contour, try_rationalize_orbit)
 from .repr_core import shared_module, weight_and_singular_subspace
 from .scalars import (QI, format_scalar, is_exact, parse_rational,
@@ -354,8 +352,8 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
             _, series = master_coefficients(scalar_pencil, j_max)
         else:
             scalar_pencil = None
-            pole_data = factored_pole_data(problem, point)
-            series = series_by_contour(pole_data, j_max)
+            series = series_by_contour(factored_pole_data(problem, point),
+                                       j_max)
         spectra.append({
             "index": orb.index,
             "exact_point": exact_pt,
@@ -378,32 +376,21 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                    info["singular_residual"] < SING_TOL * max(1.0, info["coeff_max"]),
                    residual=info["singular_residual"])
 
-        # eigenvalue equations: coefficient-by-coefficient in exact mode,
-        # else the same identity sampled at enough points to pin it, with
-        # scalar values taken from the factors composed over jets
+        # eigenvalue equations B_{i,j} vec == g_{i,j} vec, one for each
+        # coefficient of the series at infinity the spectrum reports: an
+        # exact zero at an exact point, else relative to the vectors compared
         worst = 0.0
-        scale = max(1.0, info["coeff_max"])
-        if scalar_pencil is not None:
-            for i in range(1, problem.N + 2):
-                for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
-                    worst = max(worst,
-                                _eigen_residual(mat.apply(vec), vec, g))
-        else:
-            # the scalar jets have poles at the variables as well as the sites;
-            # vec is floating here, and every B_i(u) vec and g_i(u) is taken
-            # at all the sample points at once
-            avoid = list(problem.z) + [t for grp in point for t in grp]
-            pts = np.array([complex(u) for u in
-                            sample_points(avoid, max(20, 2 * j_max + 1))])
-            gvals = scalar_coefficient_values(pole_data, pts)
-            dense = np.zeros(family.carrier_dim, dtype=complex)
-            dense[list(vec)] = list(vec.values())
-            for i in range(1, problem.N + 2):
-                lhs = family.B_u[i].apply_at(vec, pts)
-                lhs -= gvals[i - 1][:, None] * dense
-                worst = max(worst, float(np.abs(lhs).max()))
-        checks.add(f"{tag}.eigenvalue_equations", worst < EIG_TOL * scale,
-                   residual=worst)
+        vmax = info["coeff_max"]
+        for i in range(1, problem.N + 2):
+            for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
+                lhs = mat.apply(vec)
+                res = _eigen_residual(lhs, vec, g)
+                if scalar_pencil is None:
+                    top = max(map(scalar_abs, lhs.values()), default=0.0)
+                    res /= max(1.0, vmax, top, abs(g) * vmax)
+                worst = max(worst, res)
+        ok = worst == 0.0 if scalar_pencil is not None else worst < EIG_TOL
+        checks.add(f"{tag}.eigenvalue_equations", ok, residual=worst)
 
         # norm formula against the Hessian determinant
         det = hessian_determinant(problem, point)

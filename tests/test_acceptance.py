@@ -168,15 +168,27 @@ def test_c3_eigenvalue_equations():
     with Criterion(3, "eigenvalue equations on every nondegenerate orbit",
                    120.0) as c:
         worst = 0.0
-        checked = 0
+        checked = exact_checked = 0
         for inst in suite():
+            problem = inst.problem
+            order = problem.N + 1
             for ent in inst.orbits:
-                pole_data = factored_pole_data(inst.problem, ent.point)
+                # g_i(u0) from the exact pencil at an exact point, else from
+                # the factors composed over jets
+                exact = _point_is_exact(ent.point) and problem.exact
+                if exact:
+                    scalar_pencil = master_operator_at(problem, ent.point)
+                else:
+                    pole_data = factored_pole_data(problem, ent.point)
                 norm = _sup(ent.vec)
                 assert norm > 0
-                for u0 in _sample_points(inst.problem, ent.point, 20):
-                    gvals = scalar_coefficient_values(pole_data, u0)
-                    for i in range(1, inst.problem.N + 2):
+                for u0 in _sample_points(problem, ent.point, 20):
+                    if exact:
+                        gvals = [scalar_pencil.coeffs[order - i].eval(u0)[0, 0]
+                                 for i in range(1, order + 1)]
+                    else:
+                        gvals = scalar_coefficient_values(pole_data, u0)
+                    for i in range(1, order + 1):
                         lhs = inst.family.eval(i, u0).apply(ent.vec)
                         g = gvals[i - 1]
                         diff = dict(lhs)
@@ -186,15 +198,20 @@ def test_c3_eigenvalue_equations():
                                 diff[idx] = s
                             else:
                                 diff.pop(idx, None)
-                        if diff:
+                        checked += 1
+                        if exact:
+                            assert not diff, (problem.partitions, i, u0)
+                            exact_checked += 1
+                        elif diff:
                             worst = max(worst, max(scalar_abs(x)
                                                    for x in diff.values())
                                         / norm)
-                        checked += 1
-                        assert worst < RESIDUAL_TOL, (inst.problem.partitions,
+                        assert worst < RESIDUAL_TOL, (problem.partitions,
                                                       i, u0)
         assert checked >= len(SUITE_DEFS) * 20 * 2
-        c.note = f"worst residual {worst:.1e} over {checked} samples"
+        assert exact_checked > 0
+        c.note = (f"{exact_checked} exact samples zero; worst floating "
+                  f"residual {worst:.1e} over {checked - exact_checked}")
 
 
 def test_c4_norm_formula():

@@ -9,10 +9,10 @@ import jsonschema
 import pytest
 
 from gaudin import harness_cli, repr_core, wronski_schubert
-from gaudin.diffop_ring import RFMatrix
 from gaudin.errors import SchemaError
-from gaudin.harness_cli import (REPORT_SCHEMA, SELFTEST_PROBLEM, default_j_max,
-                                emit_report, load_problem, main, run_pipeline)
+from gaudin.harness_cli import (EIG_TOL, REPORT_SCHEMA, SELFTEST_PROBLEM,
+                                default_j_max, emit_report, load_problem,
+                                main, run_pipeline)
 from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
                            expected_orbit_count, factored_pole_data,
                            find_critical_orbits, master_coefficients,
@@ -421,7 +421,9 @@ def test_rank2_pipeline_passes():
 # Floating sites right next to an integer.  The algebra self-check once
 # sampled u = 2 beside the site 1.999 and u = 4 on the site 4.0, and
 # run_pipeline raised PoleEvaluation instead of returning a report.  The
-# eigenvalue equations once sampled u = 2 there too and failed (4e-7).
+# eigenvalue equations, when they were sampled, once took u = 2 there too
+# and failed (4e-7); they now compare coefficients of the series at
+# infinity, which take no sample point.
 POLE_CRASH_PROBLEMS = {
     "site_next_to_2": {
         "N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
@@ -470,43 +472,6 @@ def test_four_site_chain_passes_for_every_seed(seed):
     assert len(report["orbits"]) == report["derived"]["expected_orbits"] == 2
 
 
-@pytest.mark.parametrize(
-    "z", [[Fraction(k) for k in range(4)],
-          [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j]],
-    ids=["rational_sites", "complex_sites"])
-def test_sampled_eigenvalue_check_reads_all_its_points_at_once(monkeypatch, z):
-    """At an irrational orbit the eigenvalue equations are sampled.  B_i(u)
-    vec at every point comes from RFMatrix.apply_at, so RFMatrix.eval is
-    called only by the first-coefficient check, and only at floating sites;
-    the scalar values come from one scalar_coefficient_values call per
-    orbit."""
-    prob = GaudinProblem(1, [[1, 0]] * 4, [2], z)
-    callers = []
-    scalar_calls = []
-    rf_eval = RFMatrix.eval
-    values = harness_cli.scalar_coefficient_values
-
-    def counted_eval(self, u):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return rf_eval(self, u)
-
-    def counted_values(pole_data, u0):
-        scalar_calls.append(len(u0))
-        return values(pole_data, u0)
-
-    monkeypatch.setattr(RFMatrix, "eval", counted_eval)
-    monkeypatch.setattr(harness_cli, "scalar_coefficient_values",
-                        counted_values)
-    report = run_pipeline(prob, SolverConfig(seed=0))
-    status = {c["name"]: c["status"] for c in report["checks"]}
-    assert set(status.values()) == {"PASS"}
-    assert len(report["spectra"]) == 2
-    assert not any(s["exact_point"] for s in report["spectra"])
-    assert set(callers) == ({"first_coefficient_identity"}
-                            if isinstance(z[0], complex) else set())
-    assert scalar_calls == [20, 20]
-
-
 @pytest.mark.parametrize("sites, partitions, exact", [
     ([-2, 0, 3], [[2, 0], [1, 0], [1, 0]], True),
     ([0, 1, 3], [[1, 0], [1, 0], [1, 0]], False),
@@ -549,6 +514,107 @@ def test_exact_spectra_are_read_from_the_pencil(monkeypatch, sites,
                series_by_contour(pole_data, 4).values() for x in c)
     assert all(type(x) is complex for x in
                scalar_coefficient_values(pole_data, Fraction(7)))
+
+
+def _eigen_statuses(report):
+    """{check name: status} of the eigenvalue equations, and the set of the
+    statuses of every other check."""
+    eigen = {c["name"]: c["status"] for c in report["checks"]
+             if c["name"].endswith("eigenvalue_equations")}
+    rest = {c["status"] for c in report["checks"] if c["name"] not in eigen}
+    return eigen, rest
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (2, -1)])
+def test_a_perturbed_floating_spectrum_fails_the_eigenvalue_equations(
+        monkeypatch, i, j):
+    """The eigenvalue equations check the spectrum the report prints: a
+    relative 1e-6 on one coefficient of the complex series fails them at
+    both floating orbits, and nothing else."""
+    series_by_contour = harness_cli.series_by_contour
+
+    def perturbed(pole_data, j_max):
+        series = series_by_contour(pole_data, j_max)
+        series[i][j] *= 1 + 1e-6
+        return series
+
+    monkeypatch.setattr(harness_cli, "series_by_contour", perturbed)
+    prob = GaudinProblem(1, [[1, 0]] * 3, [1],
+                         [Fraction(0), Fraction(1), Fraction(3)])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert not any(s["exact_point"] for s in report["spectra"])
+    eigen, rest = _eigen_statuses(report)
+    assert list(eigen.values()) == ["FAIL"] * 2
+    assert rest == {"PASS"}
+
+
+def test_a_perturbed_exact_spectrum_fails_the_eigenvalue_equations(
+        monkeypatch):
+    """At an exact point only an exact zero passes: 1e-12 added to one
+    coefficient of the pencil's expansion fails both exact orbits."""
+    master_coefficients = harness_cli.master_coefficients
+
+    def perturbed(pencil, j_max):
+        funcs, series = master_coefficients(pencil, j_max)
+        series[1][0] += Fraction(1, 10 ** 12)
+        return funcs, series
+
+    monkeypatch.setattr(harness_cli, "master_coefficients", perturbed)
+    prob = GaudinProblem(1, [[2, 0], [1, 0], [1, 0]], [1],
+                         [Fraction(-2), Fraction(0), Fraction(3)])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert all(s["exact_point"] for s in report["spectra"])
+    eigen, rest = _eigen_statuses(report)
+    assert list(eigen.values()) == ["FAIL"] * 2
+    assert rest == {"PASS"}
+
+
+def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
+        monkeypatch):
+    """`search` seed 5, instance 6: coefficient j of the series grows like
+    |z|^j, and at sites 2, 4, 5, 6 the coefficient-wise residual reaches
+    0.46 of EIG_TOL times max(1, |v|).  Each coefficient is judged relative
+    to the vectors it compares instead, and the report gives the largest
+    such ratio."""
+    seen = {}
+
+    def spy(name):
+        fn = getattr(harness_cli, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.setdefault(name, []).append(out)
+            return out
+        monkeypatch.setattr(harness_cli, name, wrapper)
+
+    for name in ("restrict_family", "series_by_contour", "bethe_vector"):
+        spy(name)
+    prob, config, _ = load_problem({
+        "N": 1, "partitions": [[1, 0]] * 4, "l": [2],
+        "z": ["2", "4", "5", "6"],
+        "solver": {"seed": 1144093041, "starts": 40, "early_stop": False}})
+    report = run_pipeline(prob, config)
+    assert report["summary"]["all_pass"]
+    family, = seen["restrict_family"]
+    absolute = []
+    for series, (vec, info), spec in zip(seen["series_by_contour"],
+                                         seen["bethe_vector"],
+                                         report["spectra"], strict=True):
+        vmax = info["coeff_max"]
+        relative = 0.0
+        for i in (1, 2):
+            for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
+                lhs = mat.apply(vec)
+                res = max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
+                          for k in lhs.keys() | vec.keys())
+                top = max(map(abs, lhs.values()), default=0.0)
+                absolute.append(res / max(1.0, vmax))
+                relative = max(relative,
+                               res / max(1.0, vmax, top, abs(g) * vmax))
+        check = next(c for c in report["checks"] if c["name"]
+                     == f"orbit{spec['index']}.eigenvalue_equations")
+        assert check["residual"] == pytest.approx(relative, rel=1e-6)
+    assert max(absolute) > 0.4 * EIG_TOL
 
 
 def test_algebra_checks_scale_with_the_compared_products():
