@@ -30,18 +30,18 @@ from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
                             restrict_family, universal_operator)
 from .errors import GaudinError, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
-from .master import (CriticalOrbit, GaudinProblem, SolverConfig,
-                     factored_pole_data, find_critical_orbits,
-                     group_polynomials, hessian_determinant,
-                     master_coefficients, master_operator_at,
-                     series_by_contour, try_rationalize_orbit)
+from .master import (GaudinProblem, SolverConfig, factored_pole_data,
+                     find_critical_orbits, group_polynomials,
+                     hessian_determinant, master_coefficients,
+                     master_operator_at, series_by_contour,
+                     try_rationalize_orbit)
 from .repr_core import shared_module, weight_and_singular_subspace
 from .scalars import (QI, format_scalar, is_exact, parse_rational,
                       scalar_abs, to_complex)
 from .weight_function import bethe_vector, term_count
 from .wronski_schubert import (exponent_data, kernel_residuals,
-                               schubert_incidence, solve_h_tuple,
-                               verify_wronskian_identities)
+                               schubert_incidence, series_terms,
+                               solve_h_tuple, verify_wronskian_identities)
 
 REPORT_FORMAT = "gaudin-report/1"
 ALGEBRA_TOL = 1e-10
@@ -239,10 +239,21 @@ def build_modules(problem):
     return shared_module(problem.partitions, problem.N)
 
 
+def _passes(residual, tol, exact):
+    """An exact check admits an exact zero only, a floating one `tol`."""
+    return residual == 0.0 if exact else residual < tol
+
+
 def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                  j_max=None, d_cap=None, max_terms=10 ** 7,
                  stage="verify"):
     """Full machine verification; returns the report dict."""
+    return _verify(problem, config, j_max, d_cap, max_terms, stage)[0]
+
+
+def _verify(problem, config, j_max, d_cap, max_terms, stage):
+    """(report, per orbit the (vector, info) the report verified, or None
+    for a degenerate orbit or a vanishing vector; [] at the solve stage)."""
     config = config or SolverConfig()
     if j_max is None:
         j_max = default_j_max(problem)
@@ -300,7 +311,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
         checks.add("orbit_count", count_ok, detail=count_detail)
         report["checks"] = checks.items
         report["summary"] = checks.summary()
-        return report
+        return report, []
 
     # --- algebra-level checks on the full module
     pencil = universal_operator(M, problem.z)
@@ -308,11 +319,9 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
     sc = algebra_selfcheck(family, form, M, problem.z)
 
     def algebra_ok(residual, scale=0.0):
-        # exact mode admits an exact zero only; numeric residuals are judged
-        # relative to the entries of the compared products
-        if sc["exact"]:
-            return residual == 0.0
-        return residual < ALGEBRA_TOL * max(1.0, scale)
+        # numeric residuals are judged relative to the entries of the
+        # compared products
+        return _passes(residual, ALGEBRA_TOL * max(1.0, scale), sc["exact"])
 
     sym = max(sc["form_symmetry_at_samples"], sc["form_symmetry_coefficients"])
     checks.add("algebra_commutativity",
@@ -333,47 +342,54 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
     checks.add("orbit_count", count_ok, detail=count_detail)
 
     # --- per-orbit checks
-    vectors = []
+    bethe = []
     spectra = []
+    # a floating orbit applies the coefficients to a complex vector; exact
+    # entries are converted once, with the bits of `Fraction * complex`
+    floating_coeffs = None if problem.exact else family.B_coeffs
     for orb in orbits:
         tag = f"orbit{orb.index}"
         if orb.degenerate:
             checks.skip(tag, "degenerate critical point (multiplicity > 1) "
                              "out of scope")
-            vectors.append(None)
+            bethe.append(None)
             spectra.append(None)
             continue
         point = try_rationalize_orbit(problem, orb) or orb.groups
         exact_pt = all(is_exact(x) for grp in point for x in grp)
-        # at an exact point one pencil gives the spectrum, the eigenvalue
-        # equations, the kernel and its certificate
-        if exact_pt and problem.exact:
-            scalar_pencil = master_operator_at(problem, point)
-            _, series = master_coefficients(scalar_pencil, j_max)
+        # one operator gives the spectrum, the eigenvalue equations and the
+        # kernel: the pencil at an exact point, else the series at infinity
+        exact = exact_pt and problem.exact
+        if exact:
+            operator = master_operator_at(problem, point)
+            _, series = master_coefficients(operator, j_max)
+            coeffs = family.B_coeffs
         else:
-            scalar_pencil = None
-            series = series_by_contour(factored_pole_data(problem, point),
-                                       j_max)
-        spectra.append({
-            "index": orb.index,
-            "exact_point": exact_pt,
-            "eigenvalues": {
-                str(i): [format_scalar(c) for c in series[i]]
-                for i in sorted(series)
-            },
-        })
+            operator = series_by_contour(
+                factored_pole_data(problem, point),
+                max(j_max, series_terms(problem, point)))
+            series = {i: c[:j_max] for i, c in operator.items()}
+            if floating_coeffs is None:
+                floating_coeffs = {i: [SparseMatrix(m.nrows, m.ncols, {
+                    k: complex(v) for k, v in m.data.items()}) for m in mats]
+                    for i, mats in family.B_coeffs.items()}
+            coeffs = floating_coeffs
+        spectra.append({"index": orb.index, "exact_point": exact_pt,
+                        "eigenvalues": {str(i): list(map(format_scalar, s))
+                                        for i, s in sorted(series.items())}})
         try:
             vec, info = bethe_vector(problem, M, point, form=form,
                                      max_terms=max_terms)
         except ZeroVector:
             checks.add(f"{tag}.nonvanishing", False,
                        detail="weight function vanished at the critical point")
-            vectors.append(None)
+            bethe.append(None)
             continue
-        vectors.append(vec)
+        bethe.append((vec, info))
         checks.add(f"{tag}.nonvanishing", True, residual=0.0)
         checks.add(f"{tag}.singular_membership",
-                   info["singular_residual"] < SING_TOL * max(1.0, info["coeff_max"]),
+                   _passes(info["singular_residual"],
+                           SING_TOL * max(1.0, info["coeff_max"]), exact),
                    residual=info["singular_residual"])
 
         # eigenvalue equations B_{i,j} vec == g_{i,j} vec, one for each
@@ -382,15 +398,15 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
         worst = 0.0
         vmax = info["coeff_max"]
         for i in range(1, problem.N + 2):
-            for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
+            for mat, g in zip(coeffs[i], series[i], strict=True):
                 lhs = mat.apply(vec)
                 res = _eigen_residual(lhs, vec, g)
-                if scalar_pencil is None:
+                if not exact:
                     top = max(map(scalar_abs, lhs.values()), default=0.0)
                     res /= max(1.0, vmax, top, abs(g) * vmax)
                 worst = max(worst, res)
-        ok = worst == 0.0 if scalar_pencil is not None else worst < EIG_TOL
-        checks.add(f"{tag}.eigenvalue_equations", ok, residual=worst)
+        checks.add(f"{tag}.eigenvalue_equations",
+                   _passes(worst, EIG_TOL, exact), residual=worst)
 
         # norm formula against the Hessian determinant
         det = hessian_determinant(problem, point)
@@ -408,32 +424,31 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
 
         # kernel polynomials and their certificates
         try:
-            ht = solve_h_tuple(problem, point, pencil=scalar_pencil, data=data)
+            ht = solve_h_tuple(problem, point, pencil=operator, data=data)
         except GaudinError as e:
             checks.add(f"{tag}.kernel_shape", False, detail=str(e))
             continue
         checks.add(f"{tag}.kernel_shape", True,
                    detail=f"degrees {[p.degree for p in ht.polys]}")
-        res_k = max(kernel_residuals(problem, point, ht, pencil=scalar_pencil))
+        res_k = max(kernel_residuals(problem, point, ht, pencil=operator))
         checks.add(f"{tag}.kernel_residual", res_k < 1e-8, residual=res_k)
-        ys = group_polynomials(problem, point)
-        yN = ys[-1] if ys else None
-        if problem.N >= 1:
-            diff = ht.polys[-1] - ys[problem.N - 1]
-            res_y = 0.0 if diff.is_zero() else \
-                diff.max_abs() / max(ys[problem.N - 1].max_abs(), 1.0)
-            checks.add(f"{tag}.last_kernel_is_group_polynomial",
-                       res_y < 1e-8, residual=res_y)
+        yN = group_polynomials(problem, point)[-1]
+        diff = ht.polys[-1] - yN
+        res_y = 0.0 if diff.is_zero() else \
+            diff.max_abs() / max(yN.max_abs(), 1.0)
+        checks.add(f"{tag}.last_kernel_is_group_polynomial",
+                   _passes(res_y, 1e-8, exact), residual=res_y)
         wr = verify_wronskian_identities(problem, point, ht)
         res_w = max(wr.values()) if wr else 0.0
-        checks.add(f"{tag}.wronskian_identities", res_w < 1e-8, residual=res_w)
+        checks.add(f"{tag}.wronskian_identities", _passes(res_w, 1e-8, exact),
+                   residual=res_w)
         inc = schubert_incidence(problem, ht, data)
         checks.add(f"{tag}.schubert_incidence", inc["ok"],
                    detail=json.dumps({"sites": [s["ok"] for s in inc["sites"]],
                                       "infinity": inc["infinity"]["ok"]}))
 
     # --- joint checks over all nondegenerate vectors
-    live = [(k, v) for k, v in enumerate(vectors) if v is not None]
+    live = [(k, b[0]) for k, b in enumerate(bethe) if b is not None]
     if not live:
         # nothing to pair: a failure unless the singular subspace is zero
         for name in ("gram_rank", "pairwise_orthogonality", "completeness"):
@@ -454,7 +469,8 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
                    detail=f"rank {g_rank} of {len(live)} vectors")
         diag_scale = max(scalar_abs(gram[a, a]) for a in range(len(live)))
         checks.add("pairwise_orthogonality",
-                   worst_off < 1e-8 * max(1.0, diag_scale),
+                   _passes(worst_off, 1e-8 * max(1.0, diag_scale),
+                           all(b[1]["exact"] for b in bethe if b)),
                    residual=worst_off)
         checks.add("completeness",
                    len(live) == expected and len(orbits) == expected,
@@ -465,7 +481,7 @@ def run_pipeline(problem: GaudinProblem, config: SolverConfig = None,
     report["checks"] = checks.items
     report["summary"] = checks.summary()
     _validate(_REPORT_VALIDATOR, report)
-    return report
+    return report, bethe
 
 
 def emit_report(report, fmt="text", stream=None):
@@ -538,11 +554,9 @@ def main(argv=None):
     stage = {"solve": "solve", "verify": "verify", "selftest": "verify",
              "spectrum": "verify", "weightfn": "verify"}[args.command]
     try:
-        report = run_pipeline(problem, config,
-                              j_max=options.get("j_max"),
-                              d_cap=options.get("d_cap"),
-                              max_terms=options.get("max_terms", 10 ** 7),
-                              stage=stage)
+        report, bethe = _verify(problem, config, options.get("j_max"),
+                                options.get("d_cap"),
+                                options.get("max_terms", 10 ** 7), stage)
     except GaudinError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
@@ -550,7 +564,7 @@ def main(argv=None):
     if args.command == "spectrum":
         _print_spectra(report)
     elif args.command == "weightfn":
-        _print_weightfn(problem, report)
+        _print_weightfn(problem, report, bethe)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -583,25 +597,18 @@ def _print_spectra(report):
             print(f"  coefficient {i}: {coeffs}")
 
 
-def _print_weightfn(problem, report):
-    M, form = build_modules(problem)
+def _print_weightfn(problem, report, bethe):
+    """The vectors the pipeline verified, one entry of `bethe` per orbit."""
+    M, _ = build_modules(problem)
     print(f"summand count: {term_count(problem.l, problem.n_sites)}")
-    for orb in report.get("orbits", []):
+    for orb, entry in zip(report["orbits"], bethe, strict=True):
         if orb["degenerate"]:
             print(f"orbit {orb['index']}: degenerate, skipped")
             continue
-        groups = tuple(tuple(complex(re, im) for (re, im) in grp)
-                       for grp in orb["groups"])
-        orbit = CriticalOrbit(groups, orb["residual"],
-                              complex(*orb["hessian_determinant"]),
-                              orb["degenerate"], orb["index"])
-        # the point run_pipeline verified: exact when the orbit rationalizes
-        point = try_rationalize_orbit(problem, orbit) or groups
-        try:
-            vec, info = bethe_vector(problem, M, point, form=form)
-        except ZeroVector:
+        if entry is None:
             print(f"orbit {orb['index']}: zero vector")
             continue
+        vec, info = entry
         print(f"orbit {orb['index']}: {len(vec)} nonzero coordinates, "
               f"norm^2 = {format_scalar(info['norm_square'])}")
         for idx in sorted(vec):

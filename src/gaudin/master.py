@@ -29,9 +29,10 @@ logarithmic derivative is a sum of simple poles at the sites and the
 variables, so the operator is composed over the product of (u - r) for the
 known pole locations r, like the universal operator over its sites.  At an
 exact point this pencil gives the kernel, its certificate and the
-expansion at infinity exactly.  At a floating point, values at a point and
-the expansion at infinity compose the same factors over truncated complex
-power series instead.
+expansion at infinity exactly.  At a floating point one composition of the
+same factors over complex series in 1/u stands in for it: its expansion at
+infinity gives the spectrum, the eigenvalue equations, the kernel and the
+kernel's residuals.
 """
 
 from __future__ import annotations
@@ -387,8 +388,9 @@ def master_coefficients(pencil: OperatorPencil, j_max: int):
 # composed over truncated complex power series in a local parameter, Taylor
 # jets in u - u0 at a point and series in 1/u at infinity, where each
 # factor, a sum of known simple poles, has an exact expansion.  Only the
-# rule for d/du differs between the two parameters.  An exact point reads
-# the pencil of `master_operator_at` instead.
+# rule for d/du differs between the two parameters.  The pipeline reads the
+# series at infinity; the jets at a point are a reference for it.  An exact
+# point reads the pencil of `master_operator_at` instead.
 
 def factored_pole_data(problem: GaudinProblem, point):
     """Per factor i = 1..N+1: list of (coefficient, location) simple poles."""
@@ -422,7 +424,7 @@ def _pole_jet(poles, u0, order):
     is sum (-1)^m c (u0 - r)^(-m-1)."""
     out = [0j] * (order + 1)
     for c, r in poles:
-        d = u0 - r
+        d = u0 - to_complex(r)
         term = c / d
         for m in range(order + 1):
             out[m] = out[m] + term
@@ -434,7 +436,7 @@ def _pole_series_at_infinity(poles, j_max):
     """Coefficients of u^0 .. u^-j_max of sum c/(u - r) = sum_j c r^(j-1) u^-j."""
     out = [0j] * (j_max + 1)
     for c, r in poles:
-        term = c
+        term, r = c, to_complex(r)
         for j in range(1, j_max + 1):
             out[j] = out[j] + term
             term = term * r
@@ -451,63 +453,47 @@ def _derivative_at_infinity(f):
     return [0, 0] + [-j * f[j] for j in range(1, len(f) - 1)]
 
 
-def _series_mul(f, g, zero):
-    """Product of two truncated series, as long as the shorter one; a term
-    may be an array of values at many points."""
-    return [sum((f[a] * g[m - a] for a in range(m + 1)), zero)
+def _series_mul(f, g):
+    """Product of two truncated series, as long as the shorter one."""
+    return [sum((f[a] * g[m - a] for a in range(m + 1)), 0j)
             for m in range(min(len(f), len(g)))]
 
 
-def _compose_factors(factors, derivative, zero):
+def _compose_factors(factors, derivative):
     """[C_1, ..., C_n] as series, C_i standing in front of d^(n-i) in
-    (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i; `zero` is 0j,
-    or an array of complex zeros for series whose terms are arrays of values
-    at many points.
+    (d - a_1)(d - a_2)...(d - a_n), from the series of the a_i.
 
     (d - a) sum_k q_k d^k = sum_k (q_k' - a q_k + q_(k-1)) d^k, so the
     factors are taken from the right, starting at the identity.  A Taylor
     jet loses one order per factor: jets of orders 0..n give the values.
     """
-    nil = [zero] * len(factors[0])
+    nil = [0j] * len(factors[0])
     q = [[1] + nil[1:]]                   # q[k] stands in front of d^k
     for a in reversed(factors):
         q = [[x - y + w for x, y, w in zip(derivative(qk),
-                                           _series_mul(a, qk, zero), below)]
+                                           _series_mul(a, qk), below)]
              for qk, below in zip(q + [nil], [nil] + q)]
     return q[-2::-1]
 
 
-def _as_complex(pole_data):
-    return [[(c, to_complex(r)) for c, r in fac] for fac in pole_data]
-
-
 def scalar_coefficient_values(pole_data, u0):
-    """[C_1(u0), ..., C_{N+1}(u0)]: complex values of the coefficients
-    standing in front of d^N, ..., d^0, the order-0 terms of the factors
-    composed over complex Taylor jets at u0, whatever the type of the poles.
-
-    u0 may also be a 1-D complex ndarray of points.  Every jet term is then
-    an array of its values at all the points, the factors are composed once,
-    and each C_i(u0) is an array.  Exact values at an exact point are those
-    of the pencil of `master_operator_at`.
-    """
-    pole_data = _as_complex(pole_data)
-    if isinstance(u0, np.ndarray):
-        zero = np.zeros(u0.shape, dtype=complex)
-    else:
-        u0, zero = to_complex(u0), 0j
+    """[C_1(u0), ..., C_{N+1}(u0)]: complex values at the point u0 of the
+    coefficients standing in front of d^N, ..., d^0, the order-0 terms of
+    the factors composed over complex Taylor jets at u0, whatever the type
+    of the poles: a reference for the series at infinity and the pencil."""
+    u0 = to_complex(u0)
     jets = [_pole_jet(fac, u0, len(pole_data)) for fac in pole_data]
-    composed = _compose_factors(jets, _jet_derivative, zero)
+    composed = _compose_factors(jets, _jet_derivative)
     return [c[0] for c in composed]
 
 
 def series_by_contour(pole_data, j_max):
     """{i: complex expansion coefficients of u^-1 .. u^-j_max} of every
     coefficient i = 1..N+1 of the factored operator, from the factors
-    composed over complex series in 1/u, accurate to rounding.  An exact
-    point reads the exact series with `master_coefficients` from its
-    pencil.  perfbench/spans.py binds this name."""
+    composed over complex series in 1/u, accurate to rounding; term j does
+    not depend on j_max.  A floating point's spectrum and kernel read it, an
+    exact point its pencil.  perfbench/spans.py binds this name."""
     factors = [_pole_series_at_infinity(fac, j_max)
-               for fac in _as_complex(pole_data)]
-    composed = _compose_factors(factors, _derivative_at_infinity, 0j)
+               for fac in pole_data]
+    composed = _compose_factors(factors, _derivative_at_infinity)
     return {i: c[1:] for i, c in enumerate(composed, start=1)}

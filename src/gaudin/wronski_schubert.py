@@ -2,16 +2,17 @@
 
 At a critical point the scalar operator annihilates an (N+1)-dimensional
 space of polynomials.  That space is computed here, exactly from the
-numerator of the operator applied to the monomials or numerically from
-samples of its local jets, normalized to the expected exponent shape, and
-certified two ways: Wronskian product identities relating consecutive minors
-to the group polynomials and site factors, and vanishing-order (incidence)
-tables at every site and at infinity.
+numerator of the operator applied to the monomials, or from the Laurent
+coefficients at infinity of its image, normalized to the expected exponent
+shape, and certified two ways: Wronskian product identities relating
+consecutive minors to the group polynomials and site factors, and
+vanishing-order (incidence) tables at every site and at infinity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +24,12 @@ from .errors import (AmbientTooSmall, KernelDimensionMismatch,
 from .linalg import SparseMatrix, nullspace, rref
 from .master import (GaudinProblem, _normalize_groups, factored_pole_data,
                      group_polynomials, master_operator_at,
-                     scalar_coefficient_values)
+                     series_by_contour)
 from .scalars import is_exact, scalar_abs, to_complex
 
 
 SVD_CUTOFF = 1e-10   # relative singular values spanning the numeric kernel
+SERIES_MARGIN = 5    # Laurent coefficients read beyond those that pin it
 
 
 @dataclass
@@ -81,41 +83,62 @@ def _poles_of(problem, point):
     return list(problem.z) + [x for grp in gs for x in grp]
 
 
-def _complex_derivatives(polys, order):
-    """[p, p', ..., p^(order)] over complex coefficients, for each p."""
-    return [[Poly([to_complex(c) for c in p.coeffs]).derivative(j)
-             for j in range(order + 1)] for p in polys]
+def series_terms(problem: GaudinProblem, point):
+    """Terms of the series at infinity that the floating kernel reads:
+    d1 + (N+1) P + SERIES_MARGIN, P the number of distinct poles (sites and
+    variables); see `_laurent_matrix`."""
+    d1 = exponent_data(problem).exponents[0]
+    poles = {to_complex(x) for x in _poles_of(problem, point)}
+    return d1 + (problem.N + 1) * len(poles) + SERIES_MARGIN
 
 
-def _apply_at(pole_data, table, u):
-    """Values at the points of the complex ndarray u of the scalar operator
-    applied to each polynomial of a `_complex_derivatives` table, one array
-    per polynomial, from its coefficient values at u, in front of d^0, ...,
-    d^N, and the monic d^(N+1)."""
-    coeffs = scalar_coefficient_values(pole_data, u)[::-1] + [1]
-    return [sum(c * d.eval(u) for c, d in zip(coeffs, derivs, strict=True))
-            for derivs in table]
+def _laurent_matrix(problem: GaudinProblem, point, series, d1):
+    """(E, R): E[t, k] is the coefficient of u^e in L u^k times R^(e-k), for
+    e = d1-N-1-t down to d1 - series_terms, from the series of L's
+    coefficients (composed here unless given).  R = 1.5 max(1, max|pole|);
+    a coefficient times R^e is the Fourier coefficient on |u| = R.
+
+    L p = Q / prod (u - r)^(N+1) over the P distinct poles r and is
+    O(u^(d1-N-1)) for deg p <= d1, so L p = 0 exactly when its
+    coefficients at u^(d1-N-1), ..., u^(-(N+1)P) vanish."""
+    N, n = problem.N, series_terms(problem, point)
+    R = 1.5 * max([1.0] + [abs(to_complex(x))
+                           for x in _poles_of(problem, point)])
+    if not isinstance(series, dict):
+        series = series_by_contour(factored_pole_data(problem, point), n)
+    rows = n - N
+    E = np.zeros((rows, d1 + 1), dtype=complex)
+    for k in range(N + 1, d1 + 1):          # d^(N+1) u^k, at e = k - N - 1
+        E[d1 - k, k] = math.perm(k, N + 1) * R ** -(N + 1)
+    # C_i d^(N+1-i) u^k: the coefficient of u^-j in C_i lands at row
+    # t = j + d1 - k - i, which is index k + i + t of `padded`
+    scale = R ** (N + 1.0 + np.arange(1, n + 1))
+    for i, c in series.items():
+        padded = np.concatenate([np.zeros(d1 + 1),
+                                 np.array(c[:n]) * R ** i / scale])
+        for k in range(N + 1 - i, d1 + 1):
+            E[:, k] += math.perm(k, N + 1 - i) * padded[k + i:k + i + rows]
+    return E, R
 
 
-def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
+def solve_h_tuple(problem: GaudinProblem, point, pencil=None,
                   data: ExponentData = None) -> PolynomialTuple:
     """Kernel of the scalar operator on polynomials, in exponent shape.
 
-    At an exact point the operator is applied once to the row
-    (1, u, ..., u^d1) of monomials; a polynomial sum_k x_k u^k is in the
-    kernel exactly when x is a null vector of every coefficient matrix of
-    the image's numerator, so the kernel is exact.  Otherwise the operator,
-    from its coefficient values at each point, is sampled on a circle around
-    the poles and the kernel is read from an SVD.  A pencil, given or built
-    here, is present only at an exact point.
+    `pencil` is the point's operator, given or built here: the exact
+    pencil at an exact point, else its coefficients' series at infinity
+    (`series_by_contour`, at least `series_terms` long).  The pencil is
+    applied once to the row (1, u, ..., u^d1) of monomials; sum_k x_k u^k
+    is in the kernel exactly when x is a null vector of every coefficient
+    matrix of the image's numerator.  From the series the kernel is read by
+    an SVD of the Laurent coefficients of the monomials' images.
     """
-    poles = _poles_of(problem, point)
-    if pencil is None and all(is_exact(x) for x in poles):
+    if pencil is None and all(is_exact(x) for x in _poles_of(problem, point)):
         pencil = master_operator_at(problem, point)
     if data is None:
         data = exponent_data(problem)
     d1 = data.exponents[0]
-    if pencil is not None:
+    if isinstance(pencil, OperatorPencil):
         monomials = RFMatrix(1, d1 + 1, [SparseMatrix(1, d1 + 1, {(0, k): 1})
                                          for k in range(d1 + 1)])
         image = pencil.apply(monomials)
@@ -129,25 +152,11 @@ def solve_h_tuple(problem: GaudinProblem, point, pencil: OperatorPencil = None,
         vecs = [[v.get(k, Fraction(0)) for k in range(d1 + 1)] for v in kernel]
     else:
         # the symbolic composition would hide the kernel behind floating
-        # cancellation.  The operator maps a polynomial of degree <= d1 to a
-        # rational function over prod (u - r)^(N+1), r the distinct poles;
-        # more samples than its numerator degree pin it
-        pole_pts = {to_complex(p) for p in poles}
-        n_samples = d1 + (problem.N + 1) * len(pole_pts) + 5
-        pole_data = factored_pole_data(problem, point)
-        R = 1.5 * max([1.0] + [abs(p) for p in pole_pts])
-        monomials = _complex_derivatives(
-            [Poly((0,) * k + (1,)) for k in range(d1 + 1)], problem.N + 1)
-        # the poles lie within R / 1.5, so every point of the circle is at
-        # least R / 3 from them
-        pts = R * np.exp(1j * (0.37 + 2 * np.pi * 0.6180339887498949
-                               * np.arange(n_samples)))
-        E = np.array([v / (R ** k) for k, v in
-                      enumerate(_apply_at(pole_data, monomials, pts))]).T
+        # cancellation; the factors composed over series at infinity do not
+        E, R = _laurent_matrix(problem, point, pencil, d1)
         _, sv, vh = np.linalg.svd(E)
-        smax = sv[0] if len(sv) else 1.0
-        null_rows = [r for r in range(vh.shape[0])
-                     if r >= len(sv) or sv[r] < SVD_CUTOFF * max(smax, 1e-300)]
+        null_rows = [r for r in range(len(sv))
+                     if sv[r] < SVD_CUTOFF * max(sv[0], 1e-300)]
         if len(null_rows) != problem.N + 1:
             raise KernelDimensionMismatch(
                 f"kernel dimension {len(null_rows)}, expected {problem.N + 1}")
@@ -341,22 +350,19 @@ def schubert_incidence(problem: GaudinProblem, htuple: PolynomialTuple,
 
 
 def kernel_residuals(problem: GaudinProblem, point, htuple: PolynomialTuple,
-                     pencil: OperatorPencil = None):
-    """Residuals of the operator applied to each kernel polynomial, sampled
-    away from the poles; exact zero reported as 0.0."""
-    poles = _poles_of(problem, point)
-    if all(is_exact(x) for x in poles) and all(
-            h.is_exact_poly() for h in htuple.polys):
-        if pencil is None:
-            pencil = master_operator_at(problem, point)
+                     pencil=None):
+    """Residuals of the operator, given as in `solve_h_tuple`, applied to
+    each kernel polynomial h: 0.0 for an exact zero, else the largest
+    |Laurent coefficient of L h at u^e| R^e of `_laurent_matrix` over
+    max(1, max|h|), the Cauchy bound of L h on the circle |u| = R."""
+    exact = all(h.is_exact_poly() for h in htuple.polys)
+    if pencil is None and exact and all(
+            is_exact(x) for x in _poles_of(problem, point)):
+        pencil = master_operator_at(problem, point)
+    if isinstance(pencil, OperatorPencil) and exact:
         return [0.0 if pencil.apply(h).is_zero() else float("inf")
                 for h in htuple.polys]
-    poles = [to_complex(p) for p in poles]
-    pole_data = factored_pole_data(problem, point)
-    table = _complex_derivatives(htuple.polys, problem.N + 1)
-    scales = [max(h.max_abs(), 1.0) for h in htuple.polys]
-    R = 1.5 * max([1.0] + [abs(p) for p in poles])
-    # 12 points on a circle at least R / 3 from every pole
-    pts = R * np.exp(1j * (0.21 + 2 * np.pi * np.arange(12) / 12))
-    return [float(np.abs(v).max()) / s
-            for v, s in zip(_apply_at(pole_data, table, pts), scales)]
+    E, R = _laurent_matrix(problem, point, pencil, htuple.exponents[0])
+    return [float(np.abs(E[:, :len(h.coeffs)] @ [
+        to_complex(c) * R ** k for k, c in enumerate(h.coeffs)]).max())
+        / max(h.max_abs(), 1.0) for h in htuple.polys]

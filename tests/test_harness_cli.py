@@ -18,7 +18,9 @@ from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
                            find_critical_orbits, master_coefficients,
                            master_operator_at, scalar_coefficient_values,
                            series_by_contour)
+from gaudin.diffop_ring import Poly
 from gaudin.scalars import QI, format_scalar
+from gaudin.weight_function import singular_residual
 
 ANCHOR_JSON = {
     "N": 1,
@@ -529,23 +531,28 @@ def _eigen_statuses(report):
 def test_a_perturbed_floating_spectrum_fails_the_eigenvalue_equations(
         monkeypatch, i, j):
     """The eigenvalue equations check the spectrum the report prints: a
-    relative 1e-6 on one coefficient of the complex series fails them at
-    both floating orbits, and nothing else."""
+    relative 1e-6 on one of its coefficients, the first or the last printed
+    one, of the complex series fails them at both floating orbits.  The
+    kernel reads the same series, which has no polynomial kernel then, so
+    kernel_shape fails too, and nothing else."""
     series_by_contour = harness_cli.series_by_contour
+    prob = GaudinProblem(1, [[1, 0]] * 3, [1],
+                         [Fraction(0), Fraction(1), Fraction(3)])
+    printed = range(default_j_max(prob))
 
-    def perturbed(pole_data, j_max):
-        series = series_by_contour(pole_data, j_max)
-        series[i][j] *= 1 + 1e-6
+    def perturbed(pole_data, n_terms):
+        series = series_by_contour(pole_data, n_terms)
+        series[i][printed[j]] *= 1 + 1e-6
         return series
 
     monkeypatch.setattr(harness_cli, "series_by_contour", perturbed)
-    prob = GaudinProblem(1, [[1, 0]] * 3, [1],
-                         [Fraction(0), Fraction(1), Fraction(3)])
     report = run_pipeline(prob, SolverConfig(seed=0))
     assert not any(s["exact_point"] for s in report["spectra"])
-    eigen, rest = _eigen_statuses(report)
+    eigen, _ = _eigen_statuses(report)
     assert list(eigen.values()) == ["FAIL"] * 2
-    assert rest == {"PASS"}
+    failed = [c["name"] for c in report["checks"] if c["status"] != "PASS"]
+    assert failed == [f"orbit{k}.{name}" for k in range(2) for name in
+                      ("eigenvalue_equations", "kernel_shape")]
 
 
 def test_a_perturbed_exact_spectrum_fails_the_eigenvalue_equations(
@@ -603,7 +610,8 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         vmax = info["coeff_max"]
         relative = 0.0
         for i in (1, 2):
-            for mat, g in zip(family.B_coeffs[i], series[i], strict=True):
+            printed = series[i][:report["derived"]["j_max"]]
+            for mat, g in zip(family.B_coeffs[i], printed, strict=True):
                 lhs = mat.apply(vec)
                 res = max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
                           for k in lhs.keys() | vec.keys())
@@ -615,6 +623,159 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
                      == f"orbit{spec['index']}.eigenvalue_equations")
         assert check["residual"] == pytest.approx(relative, rel=1e-6)
     assert max(absolute) > 0.4 * EIG_TOL
+
+
+def _spy(monkeypatch, names):
+    """Wrap every `gaudin` module's binding of each name; returns the list
+    of (name, result) of every call, in order."""
+    calls = []
+    for name in names:
+        fn = getattr(sys.modules["gaudin.master"], name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, out))
+            return out
+        for modname, module in list(sys.modules.items()):
+            if (modname.split(".")[0] == "gaudin"
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sites", [
+    [Fraction(0), Fraction(1), Fraction(3)],
+    [0j, complex(1, 0.3), 3.5 + 0j],
+], ids=["rational_sites", "complex_sites"])
+def test_one_series_per_floating_orbit(monkeypatch, sites):
+    """A floating orbit composes its operator once, as series at infinity:
+    one pole layout and one series, which the spectrum, the eigenvalue
+    equations, the kernel and its residuals all read; no value at a point
+    is composed.  The report prints the series' first j_max terms."""
+    calls = _spy(monkeypatch, ("factored_pole_data", "series_by_contour",
+                               "scalar_coefficient_values"))
+    prob = GaudinProblem(1, [[1, 0]] * 3, [1], sites)
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert report["summary"]["all_pass"], report["checks"]
+    spectra = report["spectra"]
+    assert len(spectra) == 2 and not any(s["exact_point"] for s in spectra)
+    assert [name for name, _ in calls] == [
+        "factored_pole_data", "series_by_contour"] * 2
+    j_max = report["derived"]["j_max"]
+    for (_, series), spec in zip(calls[1::2], spectra):
+        assert len(series[1]) > j_max
+        printed = {str(i): [format_scalar(c) for c in c_i[:j_max]]
+                   for i, c_i in series.items()}
+        assert json.dumps(spec["eigenvalues"]) == json.dumps(printed)
+
+
+def test_a_perturbed_kernel_polynomial_fails_kernel_residual(monkeypatch):
+    """A relative 1e-6 on one coefficient of one kernel polynomial shows in
+    the Laurent coefficients of the operator applied to it, at both
+    floating orbits."""
+    solve = harness_cli.solve_h_tuple
+
+    def perturbed(*args, **kwargs):
+        ht = solve(*args, **kwargs)
+        coeffs = list(ht.polys[0].coeffs)
+        k = max(range(len(coeffs) - 1), key=lambda k: abs(coeffs[k]))
+        coeffs[k] *= 1 + 1e-6
+        ht.polys = (Poly(coeffs),) + ht.polys[1:]
+        return ht
+
+    monkeypatch.setattr(harness_cli, "solve_h_tuple", perturbed)
+    prob = GaudinProblem(1, [[1, 0]] * 3, [1],
+                         [Fraction(0), Fraction(1), Fraction(3)])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert not any(s["exact_point"] for s in report["spectra"])
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert [status[f"orbit{k}.kernel_residual"] for k in range(2)] == [
+        "FAIL"] * 2
+
+
+EXACT_ORBITS = GaudinProblem(1, [[2, 0], [1, 0], [1, 0]], [1],
+                             [Fraction(-2), Fraction(0), Fraction(3)])
+
+
+def _perturb_vector(monkeypatch):
+    """Add an exact 10^-12 to one coordinate of the first Bethe vector, and
+    recompute the info that depends on it."""
+    bethe_vector = harness_cli.bethe_vector
+    made = []
+
+    def perturbed(problem, M, point, form=None, **kwargs):
+        vec, info = bethe_vector(problem, M, point, form=form, **kwargs)
+        if not made:
+            k = min(vec)
+            vec = dict(vec)
+            vec[k] += Fraction(1, 10 ** 12)
+            info = dict(info, singular_residual=singular_residual(M, vec),
+                        norm_square=form.norm_square(vec))
+        made.append(vec)
+        return vec, info
+
+    monkeypatch.setattr(harness_cli, "bethe_vector", perturbed)
+    return ["orbit0.singular_membership", "pairwise_orthogonality"]
+
+
+def _perturb_kernel(h):
+    def install(monkeypatch):
+        """Add an exact 10^-12 to the constant coefficient of kernel
+        polynomial h at every orbit."""
+        solve = harness_cli.solve_h_tuple
+
+        def perturbed(*args, **kwargs):
+            ht = solve(*args, **kwargs)
+            polys = list(ht.polys)
+            coeffs = list(polys[h].coeffs)
+            coeffs[0] += Fraction(1, 10 ** 12)
+            polys[h] = Poly(coeffs)
+            ht.polys = tuple(polys)
+            return ht
+
+        monkeypatch.setattr(harness_cli, "solve_h_tuple", perturbed)
+        checks = ["wronskian_identities"] if h == 0 else \
+            ["last_kernel_is_group_polynomial", "wronskian_identities"]
+        return [f"orbit{k}.{name}" for k in range(2) for name in checks]
+    return install
+
+
+@pytest.mark.parametrize("perturb", [_perturb_vector, _perturb_kernel(0),
+                                     _perturb_kernel(-1)],
+                         ids=["vector", "first_kernel", "last_kernel"])
+def test_exact_checks_admit_only_an_exact_zero(monkeypatch, perturb):
+    """At exact points the membership in Sing, the kernel identities and
+    the orthogonality of exact vectors pass on an exact zero only: an exact
+    10^-12 added to a vector or to a kernel polynomial fails them."""
+    failing = perturb(monkeypatch)
+    report = run_pipeline(EXACT_ORBITS, SolverConfig(seed=0))
+    assert all(s["exact_point"] for s in report["spectra"])
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in failing:
+        assert checks[name]["status"] == "FAIL", name
+        assert 0.0 < checks[name]["residual"] < 1e-8, name
+
+
+def test_main_weightfn_prints_the_pipeline_vectors(tmp_path, capsys,
+                                                   monkeypatch):
+    """`weightfn` prints the vectors that `run_pipeline` verified: one
+    `bethe_vector` call per nondegenerate orbit."""
+    calls = []
+    bethe_vector = harness_cli.bethe_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return bethe_vector(*args, **kwargs)
+
+    monkeypatch.setattr(harness_cli, "bethe_vector", counted)
+    path = write_problem(tmp_path, {
+        "N": 1, "partitions": [[2, 0], [1, 0], [1, 0]], "l": [1],
+        "z": ["-2", "0", "3"], "solver": {"seed": 0}})
+    rc = main(["weightfn", "--problem", path])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert len(calls) == 2
+    assert "orbit 0:" in out and "orbit 1:" in out
 
 
 def test_algebra_checks_scale_with_the_compared_products():

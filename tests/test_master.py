@@ -297,25 +297,6 @@ def test_numeric_jets_of_monomials_match_the_fraction_path():
             assert abs(g - complex(w)) < 1e-14 * max(1.0, abs(complex(w)))
 
 
-@pytest.mark.parametrize("l", [[1, 1], [1, 0]])
-def test_coefficient_values_at_many_points_match_one_point_at_a_time(l):
-    """An ndarray of points composes the jets once, with array entries; the
-    values equal the per-point ones to 1e-13 relative.  With l = [1, 0] the
-    last factor has no poles, and every value is still an array."""
-    p = GaudinProblem(2, [[2, 1, 0], [2, 1, 0]], l,
-                      [Fraction(0), Fraction(1)])
-    groups = [(complex(1, 3) / 7,), (5 / 7 + 0j,)]
-    pd = factored_pole_data(p, [g[:n] for g, n in zip(groups, l)])
-    us = np.array([2.5 + 0.3j, complex(-1.75, 4.125), 0.1 - 3.3j, 7 + 0j])
-    got = scalar_coefficient_values(pd, us)
-    assert len(got) == 3
-    for m, u in enumerate(us):
-        want = scalar_coefficient_values(pd, complex(u))
-        for g, w in zip(got, want, strict=True):
-            assert isinstance(g, np.ndarray) and g.shape == us.shape
-            assert abs(g[m] - w) <= 1e-13 * abs(w)
-
-
 def test_jet_coefficient_values_match_pencil():
     """The complex coefficient values at rational points agree with the
     exact pencil's."""

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +9,9 @@ import oracles
 from gaudin import wronski_schubert
 from gaudin.diffop_ring import Poly
 from gaudin.errors import AmbientTooSmall, KernelDimensionMismatch
-from gaudin.master import (GaudinProblem, SolverConfig, find_critical_orbits,
-                           master_operator_at, scalar_coefficient_values,
-                           try_rationalize_orbit)
+from gaudin.master import (GaudinProblem, SolverConfig, factored_pole_data,
+                           find_critical_orbits, master_operator_at,
+                           scalar_coefficient_values, try_rationalize_orbit)
 from gaudin.wronski_schubert import (PolynomialTuple, degree_set,
                                      exponent_data, expected_orders,
                                      kernel_residuals, schubert_incidence,
@@ -163,49 +165,70 @@ def test_numeric_rank2_instance_end_to_end():
         assert rep["ok"]
 
 
-def _one_point_at_a_time(pole_data, table, u):
-    """The operator applied to a derivative table, composed at each point of
-    u on its own in Python complex arithmetic."""
+def _sampled_kernel(p, point):
+    """An independent kernel, read from the operator sampled on a circle
+    around the poles: d1 + (N+1) P + 5 points on
+    |u| = 1.5 max(1, max|pole|), each composed on its own with the scalar
+    `scalar_coefficient_values`, and an SVD of the values of L (u/R)^k."""
+    data = exponent_data(p)
+    d1, N = data.exponents[0], p.N
+    poles = {complex(x) for x in list(p.z) + [t for g in point for t in g]}
+    R = 1.5 * max([1.0] + [abs(r) for r in poles])
+    n = d1 + (N + 1) * len(poles) + 5
+    pole_data = factored_pole_data(p, point)
     rows = []
-    for x in map(complex, u):
+    for m in range(n):
+        x = R * cmath.exp(1j * (0.37 + 2 * math.pi * 0.6180339887498949 * m))
         coeffs = scalar_coefficient_values(pole_data, x)[::-1] + [1]
-        rows.append([sum(c * d.eval(x) for c, d in zip(coeffs, derivs))
-                     for derivs in table])
-    return [np.array(col) for col in zip(*rows)]
+        rows.append([sum(c * math.perm(k, a) * x ** (k - a)
+                         for a, c in enumerate(coeffs) if a <= k) / R ** k
+                     for k in range(d1 + 1)])
+    _, sv, vh = np.linalg.svd(np.array(rows))
+    null = [r for r in range(len(sv)) if sv[r] < 1e-10 * sv[0]]
+    assert len(null) == N + 1
+    vecs = [[vh[r, k].conjugate() / R ** k for k in range(d1 + 1)]
+            for r in null]
+    return wronski_schubert._shape_normalize(vecs, data)
 
 
-def test_sampled_kernel_matches_one_point_at_a_time(monkeypatch):
-    """On CHAIN4 at complex sites the kernel read from the operator sampled
-    at all the circle points at once has the degrees and, to 1e-10, the
-    coefficients of the one sampled point by point; solve_h_tuple and
-    kernel_residuals each compose the scalar operator once per orbit."""
-    p = GaudinProblem(1, [[1, 0]] * 4, [2],
-                      [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j])
-    orbits = find_critical_orbits(p, SolverConfig(seed=0))
-    assert len(orbits) == 2
-    calls = []
-    values = wronski_schubert.scalar_coefficient_values
+# (problem, solver) with floating orbits: CHAIN4 at complex sites, and the
+# orbits that a short search finds on the 8-site chain and the gl3 5-site
+# chain at integer sites, none of which rationalize
+FLOATING_KERNEL_CASES = {
+    "chain4_complex_sites": (
+        GaudinProblem(1, [[1, 0]] * 4, [2],
+                      [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j]),
+        SolverConfig(seed=0)),
+    "chain8": (
+        GaudinProblem(1, [[1, 0]] * 8, [4], [Fraction(x) for x in range(8)]),
+        SolverConfig(seed=2, starts=150, early_stop=False)),
+    "gl3_chain5": (
+        GaudinProblem(2, [[1, 0, 0]] * 5, [3, 1],
+                      [Fraction(x) for x in range(5)]),
+        SolverConfig(seed=1, starts=150, early_stop=False)),
+}
 
-    def counted(pole_data, u0):
-        calls.append(len(u0))
-        return values(pole_data, u0)
 
-    with monkeypatch.context() as m:
-        m.setattr(wronski_schubert, "scalar_coefficient_values", counted)
-        batched = [solve_h_tuple(p, orb.groups) for orb in orbits]
-        residuals = [kernel_residuals(p, orb.groups, ht)
-                     for orb, ht in zip(orbits, batched)]
-    assert len(calls) == 2 * len(orbits) and 12 in calls
-    monkeypatch.setattr(wronski_schubert, "_apply_at", _one_point_at_a_time)
-    for orb, ht, res in zip(orbits, batched, residuals):
-        want = solve_h_tuple(p, orb.groups)
-        assert [h.degree for h in ht.polys] == [h.degree for h in want.polys]
-        for h, w in zip(ht.polys, want.polys):
+@pytest.mark.parametrize("name", sorted(FLOATING_KERNEL_CASES))
+def test_series_kernel_matches_the_circle_sampled_kernel(name):
+    """At every floating orbit the kernel read from the series at infinity
+    has the degrees and, to 1e-10, the coefficients of the kernel sampled
+    point by point on a circle, and both pass kernel_residuals."""
+    p, config = FLOATING_KERNEL_CASES[name]
+    orbits = [orb for orb in find_critical_orbits(p, config)
+              if try_rationalize_orbit(p, orb) is None]
+    assert len(orbits) >= 2
+    for orb in orbits:
+        ht = solve_h_tuple(p, orb.groups)
+        want = _sampled_kernel(p, orb.groups)
+        assert [h.degree for h in ht.polys] == [w.degree for w in want]
+        for h, w in zip(ht.polys, want):
             assert len(h.coeffs) == len(w.coeffs)
             for a, b in zip(h.coeffs, w.coeffs):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
-        assert max(res) < 1e-8
-        assert max(kernel_residuals(p, orb.groups, want)) < 1e-8
+        assert max(kernel_residuals(p, orb.groups, ht)) < 1e-8
+        sampled = PolynomialTuple(polys=tuple(want), exponents=ht.exponents)
+        assert max(kernel_residuals(p, orb.groups, sampled)) < 1e-8
 
 
 def test_polynomial_tuple_iterates_in_order():
