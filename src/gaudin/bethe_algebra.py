@@ -170,11 +170,10 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
     A coefficient P(u)/D(u)^k leaves the span invariant iff every
     coefficient matrix of P does, so each is restricted on its own: R is read
     at the unit rows of P S, and P S == S R is checked as one identity.
-    Raises NotInvariant when it fails.  An integral coefficient is restricted
-    in its integer numerators against the basis scaled to ints by its lcd L,
-    and L goes into the restricted d, so no Fraction is made.  Gaussian-
-    rational and floating coefficients run the same loop on the basis as
-    given, with L = 1.
+    Raises NotInvariant when it fails.  Every coefficient, of any entry
+    type, is restricted in its numerator num against the basis scaled to
+    ints by its lcd L, and L goes into the restricted d; an integral
+    coefficient restricts in ints, with no Fraction made.
     """
     order = pencil.order
     N = order - 1
@@ -186,10 +185,9 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
         (ints,), L = integer_scaled([subspace])
         k = subspace.ncols
         for i, B in B_u.items():
-            S, scale = (ints, L) if B.integral else (subspace, 1)
-            num = [_restrict_matrix(mat, S, unit, scale, B.is_exact(), i)
+            num = [_restrict_matrix(mat, ints, unit, L, B.is_exact(), i)
                    for mat in B.num]
-            B_u[i] = B._like(num, B.power, B.d * scale, k, k)
+            B_u[i] = B._like(num, B.power, B.d * L, k, k)
     B_coeffs = {}
     for i in range(1, order + 1):
         mats = B_u[i].entries_series_at_infinity(j_max) if j_max > 0 else []
@@ -247,10 +245,8 @@ def _dense_horner(B: RFMatrix):
         for rows, cols, vals in coeffs:
             out *= x
             out[rows, cols] += vals
-        if B.power:
-            out /= B._denominator(x)
-        if B.d != 1:
-            out /= float(B.d)
+        if B.power or B.d != 1:
+            out /= complex(B._denominator(x))
         return out
 
     return at

@@ -8,10 +8,10 @@ power of one fixed denominator D(u) = prod (u - r) of the known pole
 locations (RFMatrix), so nothing is ever gcd-reduced, and the same
 composition code serves the row-determinant operator (poles at the sites)
 and the scalar operator at a critical point (1x1, poles at the sites and the
-Bethe variables).  When the entries and the poles are rational, an RFMatrix
-keeps its value P(u)/D(u)^k as P~(u) / (d * D~(u)^k) with P~ and D~ = lcd * D
-in Python ints and one positive int d, so its arithmetic runs in integers;
-Gaussian-rational and floating ones are kept as P / D^k.
+Bethe variables).  An RFMatrix of any entry type keeps its value
+P(u)/D(u)^k in one form, num(u) / (d * den(u)^k) with one positive int d,
+and den = D~ = lcd * D in Python ints when the poles are rational; with
+rational entries num holds ints too, so the arithmetic runs in integers.
 """
 
 from __future__ import annotations
@@ -128,9 +128,8 @@ class Poly:
         return Poly(c)
 
     def taylor_shift(self, a):
-        """Coefficients of p(u + a) -- the Taylor expansion around u = -a... i.e.
-        returns q with q(v) = p(v + a); use taylor_shift(z) to expand around z
-        via p(u) = q(u - z)."""
+        """The polynomial q with q(v) = p(v + a).  Its coefficients are the
+        Taylor coefficients of p at a, since p(u) = q(u - a)."""
         n = len(self.coeffs)
         if n == 0:
             return self
@@ -154,18 +153,6 @@ class Poly:
 
 ONE = Poly((Fraction(1),))
 _INT_ONE = Poly((1,))
-
-
-def _series_quotient(num, den, count):
-    """Coefficients 0..count of the power series num(w) / den(w), den[0] != 0."""
-    out = []
-    for j in range(count + 1):
-        acc = num[j] if j < len(num) else 0
-        for m in range(max(0, j - len(den) + 1), j):
-            if out[m] and den[j - m]:
-                acc = acc - out[m] * den[j - m]
-        out.append(acc / den[0])
-    return out
 
 
 def _mul_poly(mats, q: Poly):
@@ -243,18 +230,17 @@ class RFMatrix:
     has pole order at most i at every site, so P_i / D^i is exact without
     any gcd.
 
-    When every entry and every coefficient of D is rational, the value is
-    stored in integers as P~(u) / (d * D~(u)^k): `num` holds the coefficient
-    matrices of P~ with Python int entries, `den` is D~ = lcd * D with
-    integer coefficients, and d is one positive int, so P = P~ / (d lcd^k).
-    Sums, products, scalings and derivatives then multiply and add ints
-    only, with no gcd; Fractions are made where values leave the type (`eval`,
-    `entries_series_at_infinity`, `coeffs`).  Anything else (Gaussian-
-    rational or floating entries or sites) passes through with num = P,
-    den = D and d = lcd = 1, and an operation between the two forms works on
-    the Fraction form of the integer side, or on its ints as they are when
-    they are P itself (d = 1 and k = 0, as for the identity).  `is_exact`
-    reads what the constructor knew.
+    Every entry type is stored in one form, num(u) / (d * den(u)^k), with d
+    one positive int.  When every coefficient of D is rational, den is
+    D~ = lcd * D with int coefficients, else den is D and lcd is None, so
+    P = num / (d lcd^k).  A sum takes the lcm of the two d's, a product
+    their product, a rational scalar goes into num and d, and no operation
+    converts an operand.  `integral` says that num and den hold Python ints
+    (rational entries over rational poles): its arithmetic then multiplies
+    and adds ints only, with no gcd, and Fractions are made where values
+    leave the type (`eval`, `entries_series_at_infinity`, `coeffs`).
+    Gaussian-rational and floating entries sit in num as they are.
+    `is_exact` reads what the constructor knew.
     """
 
     __slots__ = ("nrows", "ncols", "num", "den", "lcd", "d", "power",
@@ -263,16 +249,21 @@ class RFMatrix:
     def __init__(self, nrows, ncols, coeffs=(), base=ONE, power=0):
         coeffs = list(coeffs)
         values = [v for mat in coeffs for v in mat.data.values()]
-        e = rational_lcd(values)
-        lcd = None if e is None else rational_lcd(base.coeffs)
-        if lcd is None:
-            exact = (base.is_exact_poly()
-                     and all(is_exact(v) for v in values))
-            self._set(nrows, ncols, coeffs, base, 1, 1, power, False, exact)
-            return
-        num = [_to_ints(mat, e, lcd ** power) for mat in coeffs]
-        den = Poly([c.numerator * (lcd // c.denominator) for c in base.coeffs])
-        self._set(nrows, ncols, num, den, lcd, e, power, True, True)
+        lcd = rational_lcd(base.coeffs)
+        e = None if lcd is None else rational_lcd(values)
+        num, den, d = coeffs, base, 1
+        if lcd is not None:
+            # P / D^k = P lcd^k / D~^k
+            den = Poly([c.numerator * (lcd // c.denominator)
+                        for c in base.coeffs])
+            if e is None:
+                num = _scaled(coeffs, lcd ** power)
+            else:
+                num = [_to_ints(mat, e, lcd ** power) for mat in coeffs]
+                d = e
+        exact = e is not None or (base.is_exact_poly()
+                                  and all(is_exact(v) for v in values))
+        self._set(nrows, ncols, num, den, lcd, d, power, e is not None, exact)
 
     def _set(self, nrows, ncols, num, den, lcd, d, power, integral, exact):
         while num and num[-1].is_zero():
@@ -288,47 +279,34 @@ class RFMatrix:
         self.exact = exact
         self._horner = None    # eval's integer rows, made at its first call
 
-    def _like(self, num, power, d=None, nrows=None, ncols=None, exact=None):
-        """A matrix in the same form and over the same denominator."""
+    def _like(self, num, power, d=None, nrows=None, ncols=None, exact=None,
+              integral=None):
+        """A matrix over the same denominator."""
         out = RFMatrix.__new__(RFMatrix)
         out._set(self.nrows if nrows is None else nrows,
                  self.ncols if ncols is None else ncols, num, self.den,
-                 self.lcd, self.d if d is None else d, power, self.integral,
+                 self.lcd, self.d if d is None else d, power,
+                 self.integral if integral is None else integral,
                  self.exact if exact is None else exact)
         return out
 
     @property
     def coeffs(self):
-        """The coefficient matrices of P, made as Fractions in the integer
-        form."""
-        return self._p_matrices() if self.integral else self.num
+        """The coefficient matrices of P = num / (d lcd^k), as Fractions in
+        the integral form."""
+        f = self.d if self.lcd is None else self.d * self.lcd ** self.power
+        if f == 1 and not self.integral:
+            return self.num
+        f = Fraction(f)     # exact: int / int would make a float
+        return [SparseMatrix(self.nrows, self.ncols,
+                             {key: v / f for key, v in mat.data.items()})
+                for mat in self.num]
 
     @property
     def base(self):
-        if not self.integral:
+        if self.lcd is None:
             return self.den
         return Poly([Fraction(c, self.lcd) for c in self.den.coeffs])
-
-    def _p_matrices(self):
-        """P = P~ / (d lcd^k) of the integer form, as Fractions."""
-        f = self.d * self.lcd ** self.power
-        return [SparseMatrix(self.nrows, self.ncols,
-                             {key: Fraction(v, f)
-                              for key, v in mat.data.items()})
-                for mat in self.num]
-
-    def _pass_through(self):
-        """The same value in the pass-through form.  When d = 1 and k = 0
-        the ints of P~ are P and stay as they are: an int meets a Gaussian
-        rational or a complex with the same bits as its Fraction."""
-        if not self.integral:
-            return self
-        num = self.num if self.d == 1 and not self.power \
-            else self._p_matrices()
-        out = RFMatrix.__new__(RFMatrix)
-        out._set(self.nrows, self.ncols, num, self.base, 1, 1, self.power,
-                 False, True)
-        return out
 
     @classmethod
     def identity(cls, n):
@@ -341,6 +319,8 @@ class RFMatrix:
         base, cofactors, lcd = sites
         e = None if lcd is None else rational_lcd(
             v for m in mats for v in m.data.values())
+        exact = e is not None or (base.is_exact_poly() and all(
+            is_exact(v) for m in mats for v in m.data.values()))
         if e is not None:
             mats = [_to_ints(m, e) for m in mats]
         elif not base.is_exact_poly():
@@ -352,11 +332,9 @@ class RFMatrix:
         coeffs = []
         for mat, cofactor in zip(mats, cofactors):
             coeffs = _add_polys(coeffs, _mul_poly([mat], cofactor))
-        if e is None:
-            return cls(mats[0].nrows, mats[0].ncols, coeffs, base, 1)
         out = cls.__new__(cls)
-        out._set(mats[0].nrows, mats[0].ncols, coeffs, base, lcd, e, 1, True,
-                 True)
+        out._set(mats[0].nrows, mats[0].ncols, coeffs, base, lcd, e or 1, 1,
+                 e is not None, exact)
         return out
 
     def is_zero(self):
@@ -365,19 +343,13 @@ class RFMatrix:
     def is_exact(self):
         return self.exact
 
-    def _same_form(self, other):
-        if self.integral == other.integral:
-            return self, other
-        return self._pass_through(), other._pass_through()
-
     def _common_base(self, other):
         """The operand whose denominator the result is kept over."""
         if not other.power:
             return self
         if not self.power:
             return other
-        if self.den is other.den or (self.den == other.den
-                                     and self.lcd == other.lcd):
+        if self.den is other.den or self.den == other.den:
             return self
         raise ValueError("rational matrices over different denominators")
 
@@ -389,19 +361,19 @@ class RFMatrix:
             return self
         if self.is_zero():
             return other
-        a, b = self._same_form(other)
-        over = a._common_base(b)
-        x, y = a.num, b.num
-        d = a.d
-        if a.d != b.d:
-            d = math.lcm(a.d, b.d)
-            x, y = _scaled(x, d // a.d), _scaled(y, d // b.d)
-        if a.power < b.power:
-            x = _mul_poly(x, over.den ** (b.power - a.power))
-        elif b.power < a.power:
-            y = _mul_poly(y, over.den ** (a.power - b.power))
-        return over._like(_add_polys(x, y), max(a.power, b.power), d,
-                          exact=a.exact and b.exact)
+        over = self._common_base(other)
+        x, y = self.num, other.num
+        d = self.d
+        if self.d != other.d:
+            d = math.lcm(self.d, other.d)
+            x, y = _scaled(x, d // self.d), _scaled(y, d // other.d)
+        if self.power < other.power:
+            x = _mul_poly(x, over.den ** (other.power - self.power))
+        elif other.power < self.power:
+            y = _mul_poly(y, over.den ** (self.power - other.power))
+        return over._like(_add_polys(x, y), max(self.power, other.power), d,
+                          exact=self.exact and other.exact,
+                          integral=self.integral and other.integral)
 
     def __neg__(self):
         return self._like([m.scale(-1) for m in self.num], self.power)
@@ -410,13 +382,11 @@ class RFMatrix:
         return self + (-other)
 
     def scale(self, c):
-        if not self.integral:
-            return self._like([m.scale(c) for m in self.num], self.power,
-                              exact=self.exact and is_exact(c))
         if type(c) is int or type(c) is Fraction:
             return self._like([m.scale(c.numerator) for m in self.num],
                               self.power, self.d * c.denominator)
-        return self._pass_through().scale(c)
+        return self._like([m.scale(c) for m in self.num], self.power,
+                          exact=self.exact and is_exact(c), integral=False)
 
     def __mul__(self, other):
         if not isinstance(other, RFMatrix):
@@ -425,14 +395,13 @@ class RFMatrix:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
         if self.is_zero() or other.is_zero():
             return RFMatrix(self.nrows, other.ncols)
-        lhs, rhs = self._same_form(other)
-        over = lhs._common_base(rhs)
-        out = [{} for _ in range(len(lhs.num) + len(rhs.num) - 1)]
-        for a, left in enumerate(lhs.num):
+        over = self._common_base(other)
+        out = [{} for _ in range(len(self.num) + len(other.num) - 1)]
+        for a, left in enumerate(self.num):
             by_col = {}
             for (i, k), x in left.data.items():
                 by_col.setdefault(k, []).append((i, x))
-            for b, right in enumerate(rhs.num):
+            for b, right in enumerate(other.num):
                 acc = out[a + b]
                 for (k, j), y in right.data.items():
                     for i, x in by_col.get(k, ()):
@@ -441,8 +410,9 @@ class RFMatrix:
                         acc[key] = x * y if cur is None else cur + x * y
         return over._like([SparseMatrix(self.nrows, other.ncols, d)
                            for d in out],
-                          lhs.power + rhs.power, lhs.d * rhs.d, self.nrows,
-                          other.ncols, lhs.exact and rhs.exact)
+                          self.power + other.power, self.d * other.d,
+                          self.nrows, other.ncols, self.exact and other.exact,
+                          self.integral and other.integral)
 
     def derivative(self):
         """(P' D - k P D') / D^(k+1); a polynomial matrix stays one."""
@@ -455,18 +425,18 @@ class RFMatrix:
         return self._like(num, self.power + 1)
 
     def eval(self, u) -> SparseMatrix:
-        """Value at u: one Horner pass, then one division per entry.
+        """Value at u: one Horner pass over num, then one division per
+        entry by d * den(u)^k.
 
-        In the integer form at a rational point u = p/q the Horner pass runs
-        in Python ints, homogenised in p and q, over the rows of P~ cached on
-        the object at the first call; each entry becomes one Fraction at the
-        end, d and D~(u)^k folded in.  A floating matrix at a rational u
-        multiplies by complex(u): Fraction * complex computes
-        complex(float(u)) * complex anyway, so the bits are the same.
-        Anything else runs the generic loop, the integer form on its
-        Fractions.  Every path inserts the entries in the order Horner first
-        meets them, from the highest coefficient down, the order in which
-        SparseMatrix.apply then sums them.
+        In the integral form at a rational point u = p/q the Horner pass
+        runs in Python ints, homogenised in p and q, over the rows of num
+        cached on the object at the first call; each entry becomes one
+        Fraction at the end.  A floating matrix at a rational u multiplies
+        by complex(u): Fraction * complex computes complex(float(u)) *
+        complex anyway, so the bits are the same.  Every path inserts the
+        entries in the order Horner first meets them, from the highest
+        coefficient down, the order in which SparseMatrix.apply then sums
+        them.
         """
         if self.is_zero():
             return SparseMatrix(self.nrows, self.ncols)
@@ -477,13 +447,22 @@ class RFMatrix:
                                     {key: Fraction(v, c)
                                      for key, v in mat.data.items()})
             if not self.exact:
-                return self._eval_generic(u, complex(u))
-        return self._pass_through()._eval_generic(u, u)
+                u = complex(u)
+        acc = {}
+        for mat in reversed(self.num):
+            acc = {key: v * u for key, v in acc.items()}
+            for key, v in mat.data.items():
+                cur = acc.get(key)
+                acc[key] = v if cur is None else cur + v
+        if self.power or self.d != 1:
+            c = self._denominator(u)
+            acc = {key: v / c for key, v in acc.items()}
+        return SparseMatrix(self.nrows, self.ncols, acc)
 
     def eval_scaled(self, u):
         """(m, c) with m / c the value at u and c one nonzero int.
 
-        In the integer form at a rational u, m holds the integer numerators
+        In the integral form at a rational u, m holds the integer numerators
         of the Horner pass, with no Fraction made; otherwise it is
         integer_scaled([eval(u)]).
         """
@@ -494,28 +473,18 @@ class RFMatrix:
         return mat, c
 
     def _denominator(self, u):
-        """D(u)^k; PoleEvaluation when D(u) = 0."""
-        d = self.den.eval(u)
-        if not d:
+        """d * den(u)^k, exact where den(u) is (d as a Fraction, since
+        int / int makes a float); PoleEvaluation when den(u) = 0."""
+        c = Fraction(self.d)
+        if not self.power:
+            return c
+        x = self.den.eval(u)
+        if not x:
             raise PoleEvaluation(f"evaluation at pole u={u!r}")
-        den = d
+        den = x
         for _ in range(self.power - 1):
-            den = den * d
-        return den
-
-    def _eval_generic(self, u, factor):
-        """Horner over the coefficient matrices, multiplying by `factor`
-        (u itself, or complex(u) for floating entries), and D(factor)^k."""
-        acc = {}
-        for mat in reversed(self.num):
-            acc = {key: v * factor for key, v in acc.items()}
-            for key, v in mat.data.items():
-                cur = acc.get(key)
-                acc[key] = v if cur is None else cur + v
-        if self.power:
-            den = self._denominator(factor)
-            acc = {key: v / den for key, v in acc.items()}
-        return SparseMatrix(self.nrows, self.ncols, acc)
+            den = den * x
+        return den if self.d == 1 else c * den
 
     def _eval_integer(self, u):
         """(m, c): the value at u = p/q as the int matrix m over the int c.
@@ -560,10 +529,14 @@ class RFMatrix:
     def entries_series_at_infinity(self, j_max):
         """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.
 
-        1/D^k is expanded once; the constant term of the expansion is
-        dropped.  In the integer form 1/D~^k = u^-m sum_t I_t / (l^(t+1) u^t)
-        with integer I_t, l the leading coefficient and m the degree of D~^k,
-        so each output matrix is one integer sum over one denominator.
+        With l the leading coefficient of den^k and m its degree,
+        1/den^k = u^-m sum_t I_t / (l^(t+1) u^t), where I_0 = 1 and I_t is
+        a sum of products of the coefficients of den^k and powers of l, with
+        no division; the constant term is dropped.  Each output matrix is
+        one sum over one divisor d l^(j-m+deg num+1): ints made Fractions in
+        the integral form, an exact division otherwise.  I_t sums its terms
+        in the order of the long division by den^k, so that a floating
+        series keeps the bits of that division, up to the sign of zero.
         """
         mats = [SparseMatrix(self.nrows, self.ncols) for _ in range(j_max)]
         if self.is_zero():
@@ -576,37 +549,35 @@ class RFMatrix:
                 f"degree {top} numerator over degree {m} denominator "
                 "has no expansion at infinity")
         rev = den.coeffs[::-1]
-        if not self.integral:
-            # 1/D^k = u^-m * sum_t inv[t] u^-t
-            inv = _series_quotient([1], rev, j_max)
-            lead = None
-        else:
-            lead = rev[0]
-            lpow = [1]
-            for _ in range(j_max + 1):
-                lpow.append(lpow[-1] * lead)
-            inv = [1]
-            for t in range(1, j_max + 1):
-                acc = 0
-                for i in range(1, min(t, m) + 1):
-                    if rev[i] and inv[t - i]:
-                        acc -= rev[i] * lpow[i - 1] * inv[t - i]
-                inv.append(acc)
+        lpow = [1]
+        for _ in range(j_max + 1):
+            lpow.append(lpow[-1] * rev[0])
+        inv = [1]
+        for t in range(1, j_max + 1):
+            acc = 0
+            for i in range(min(t, m), 0, -1):
+                if rev[i] and inv[t - i]:
+                    acc -= rev[i] * lpow[i - 1] * inv[t - i]
+            inv.append(acc)
         for j in range(1, j_max + 1):
             acc = {}
             for a, mat in enumerate(self.num):
                 t = j - m + a
-                c = inv[t] if t >= 0 else 0
-                if not c:
+                if t < 0 or not inv[t]:
                     continue
-                if lead is not None:
-                    c *= lpow[top - a]
+                c = inv[t] * lpow[top - a]
                 for key, v in mat.data.items():
                     cur = acc.get(key)
                     acc[key] = c * v if cur is None else cur + c * v
-            if lead is not None and acc:
-                f = self.d * lpow[j - m + top + 1]
-                acc = {key: Fraction(v, f) for key, v in acc.items() if v}
+            if not acc:
+                continue
+            f = lpow[j - m + top + 1]
+            if self.integral:
+                f *= self.d
+                acc = {key: Fraction(v, f) for key, v in acc.items()}
+            else:
+                f = Fraction(self.d) * f    # exact, as in eval
+                acc = {key: v / f for key, v in acc.items()}
             mats[j - 1] = SparseMatrix(self.nrows, self.ncols, acc)
         return mats
 

@@ -344,9 +344,16 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
     # --- per-orbit checks
     bethe = []
     spectra = []
-    # a floating orbit applies the coefficients to a complex vector; exact
-    # entries are converted once, with the bits of `Fraction * complex`
-    floating_coeffs = None if problem.exact else family.B_coeffs
+    # the Bethe vectors lie in the weight space W: only the entries in its
+    # columns meet them, and SparseMatrix.apply meets those in the same
+    # order with or without the others.  A floating orbit of an exact
+    # problem applies them to a complex vector, converted once with the
+    # bits of `Fraction * complex`.
+    positions = {k for k, _ in W.data}
+    weight_coeffs = {i: [SparseMatrix(m.nrows, m.ncols, {
+        key: v for key, v in m.data.items() if key[1] in positions})
+        for m in mats] for i, mats in family.B_coeffs.items()}
+    floating_coeffs = None if problem.exact else weight_coeffs
     for orb in orbits:
         tag = f"orbit{orb.index}"
         if orb.degenerate:
@@ -363,7 +370,7 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
         if exact:
             operator = master_operator_at(problem, point)
             _, series = master_coefficients(operator, j_max)
-            coeffs = family.B_coeffs
+            coeffs = weight_coeffs
         else:
             operator = series_by_contour(
                 factored_pole_data(problem, point),
@@ -372,7 +379,7 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
             if floating_coeffs is None:
                 floating_coeffs = {i: [SparseMatrix(m.nrows, m.ncols, {
                     k: complex(v) for k, v in m.data.items()}) for m in mats]
-                    for i, mats in family.B_coeffs.items()}
+                    for i, mats in weight_coeffs.items()}
             coeffs = floating_coeffs
         spectra.append({"index": orb.index, "exact_point": exact_pt,
                         "eigenvalues": {str(i): list(map(format_scalar, s))

@@ -46,3 +46,17 @@ def test_compare_reports_on_two_search_instances(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["search/seed0/1: differs beyond residuals",
                        "search/seed0/1: orbit1.kernel_residual PASS -> FAIL"]
+
+
+def test_compare_reports_on_the_defect9_problem_file(tmp_path):
+    """The committed defect-9 problem file gives equal records, keyed by its
+    path, on two writes."""
+    tool = _tool()
+    problem = str(TOOL.parent / "problems" / "defect9.json")
+    records = []
+    for name in ("old.json", "new.json"):
+        out = tmp_path / name
+        assert tool.main(["write", str(out), "--problem", problem]) == 0
+        records.append(json.loads(out.read_text()))
+    assert list(records[0]) == [problem]
+    assert records[0] == records[1]

@@ -220,6 +220,62 @@ def test_rfmatrix_over_sites_is_a_sum_of_simple_poles():
         assert a.eval(u).data == want.data
 
 
+def _values_at(residues, z, u):
+    """sum_s residues[s] / (u - z_s) as a 2x2 list, in Fractions and QIs."""
+    return [[sum((r[i, j] / (u - zs) for r, zs in zip(residues, z)),
+                 Fraction(0)) for j in range(2)] for i in range(2)]
+
+
+def test_gaussian_residues_meet_an_integral_matrix_over_rational_sites():
+    """A Gaussian-rational residue at the rational sites 1/3 and -2 is
+    added to and multiplied by an integral matrix over the same sites, with
+    no conversion; the series at infinity over the non-monic integer base
+    (3u - 1)(u + 2) is sum_s r_s z_s^(j-1), and that of the square is the
+    Cauchy product of the series with itself."""
+    z = [Fraction(1, 3), Fraction(-2)]
+    sites = site_denominator(z)
+    ra = [SparseMatrix(2, 2, {(0, 0): QI(1, 2), (0, 1): Fraction(1),
+                              (1, 1): Fraction(1, 2)}),
+          SparseMatrix(2, 2, {(1, 0): QI(0, -1), (1, 1): Fraction(3)})]
+    rb = [SparseMatrix(2, 2, {(0, 0): Fraction(2), (1, 0): Fraction(-1),
+                              (0, 1): Fraction(1, 4)}),
+          SparseMatrix(2, 2, {(0, 0): Fraction(-3), (1, 0): Fraction(-1)})]
+    a, b = (RFMatrix.over_sites(r, sites) for r in (ra, rb))
+    assert b.integral and not a.integral
+    assert a.is_exact() and b.is_exact()
+    assert sites[0].coeffs[-1] == 3
+
+    u = Fraction(5)
+    va, vb = _values_at(ra, z, u), _values_at(rb, z, u)
+    want_sum = [[va[i][j] + vb[i][j] for j in range(2)] for i in range(2)]
+    want_prod = [[va[i][0] * vb[0][j] + va[i][1] * vb[1][j]
+                  for j in range(2)] for i in range(2)]
+    got_sum, got_prod = (a + b).eval(u), (a * b).eval(u)
+    for i in range(2):
+        for j in range(2):
+            assert got_sum[i, j] == want_sum[i][j], (i, j)
+            assert got_prod[i, j] == want_prod[i][j], (i, j)
+    assert got_sum[0, 0] == QI(Fraction(3, 14), Fraction(3, 7))
+    assert got_prod[0, 0] == Fraction(-15, 196)
+
+    j_max = 6
+    series = a.entries_series_at_infinity(j_max)
+    for j, mat in enumerate(series, start=1):
+        for i in range(2):
+            for k in range(2):
+                want = sum((r[i, k] * zs ** (j - 1) for r, zs in zip(ra, z)),
+                           Fraction(0))
+                assert mat[i, k] == want, (j, i, k)
+    square = a * a
+    assert square.power == 2
+    for j, mat in enumerate(square.entries_series_at_infinity(j_max),
+                            start=1):
+        want = SparseMatrix(2, 2)
+        for p in range(1, j):
+            want = want + series[p - 1] @ series[j - p - 1]
+        assert mat == want, j
+
+
 def _rand_matrix_poly(rng, deg, n=2):
     mats = []
     for _ in range(deg + 1):

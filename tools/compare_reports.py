@@ -11,6 +11,9 @@ every given problem file, with the `gaudin` package of this checkout's
 `src`.  Per instance it records the sha256 of the report as sorted JSON, the
 sha256 of the report with every check residual blanked, and the status and
 residual of every check.  It edits nothing under `perfbench/`.
+`--problem tools/problems/*.json` adds the two Gaussian-rational instances
+kept there: the defect-9 problem (0.3 s) and a 6-site spin-1/2 chain with
+two sites off the real line (about 4 s).
 
 `diff` pairs the instances of two records by name.  It prints the instances
 whose reports differ beyond residuals and every status that moved, and, per
