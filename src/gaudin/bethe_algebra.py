@@ -5,13 +5,20 @@ delta_ij * d - e_ji(u), where e_ij(u) is the generating current acting on a
 tensor product of evaluation modules: sum_s e_ij^(s) / (u - z_s).  Its
 coefficient matrices commute pairwise, commute with the diagonal gl action,
 and are symmetric for the invariant form; `algebra_selfcheck` checks those
-statements exactly, in integer products, on rational sites, and on dense
-complex128 arrays (one BLAS product each), relative to the size of the
-products, at floating sites.
+statements exactly on rational sites, and on dense complex128 arrays (one
+BLAS product each), relative to the size of the products, at floating sites.
+
+The exact check multiplies integer matrices.  Where a bound proves every
+partial sum of both products of a comparison to be an integer below 2^53,
+it multiplies them as float64 arrays in BLAS, which is then exact; since
+two distinct floats never subtract to 0, a zero float difference is an
+exact zero.  Past the bound, and to measure a nonzero residual, it
+multiplies Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +206,12 @@ def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
 
 
+# An integer product whose terms sum, in absolute value, to less than this
+# is exact in float64: every partial sum is an integer below 2^53, in any
+# order of summation.
+_EXACT_BOUND = 2 ** 53
+
+
 def _difference(left, right, d=1):
     """(largest entry of (left - right) / d, largest entry of left and right).
 
@@ -222,38 +235,145 @@ def _difference(left, right, d=1):
     return max(map(scalar_abs, diff)), 0.0
 
 
-def _dense(mat: SparseMatrix) -> np.ndarray:
-    out = np.zeros((mat.nrows, mat.ncols), dtype=complex)
+class _Scaled:
+    """An exact matrix m / c, with c a nonzero int, for the exact self-check.
+
+    When m holds ints, g is the gcd of its entries, `top` the largest entry
+    of |m| / g, and `rows` and `cols` the largest sums of |m| / g along a
+    row and along a column; else g is 1 and all three are None.  m is given
+    as a SparseMatrix, or as a float64 ndarray of ints below 2^53 (the
+    integral Horner pass).  `sparse()` gives m as a SparseMatrix and
+    `dense()` gives m / g as a float64 ndarray, each made at its first
+    call.
+    """
+
+    __slots__ = ("c", "g", "top", "rows", "cols", "_sparse", "_dense")
+
+    def __init__(self, c, sparse=None, dense=None):
+        self.c = c
+        self.g = 1
+        self._sparse = sparse
+        self._dense = dense
+        if dense is not None:
+            nonzero = dense[dense != 0].astype(np.int64)
+            if nonzero.size:
+                self.g = int(np.gcd.reduce(nonzero))
+                dense /= self.g
+            a = np.abs(dense)
+            # float sums of ints are exact below 2^53 and stay at or above
+            # it past it, which is all the bound needs
+            self.top, self.rows, self.cols = (
+                int(a.max(initial=0.0)), int(a.sum(1).max(initial=0.0)),
+                int(a.sum(0).max(initial=0.0)))
+            return
+        self.top = self.rows = self.cols = None
+        if all(type(v) is int for v in sparse.data.values()):
+            self.g = math.gcd(*sparse.data.values()) or 1
+            top, rows, cols = 0, {}, {}
+            for (i, j), v in sparse.data.items():
+                v = abs(v) // self.g
+                top = max(top, v)
+                rows[i] = rows.get(i, 0) + v
+                cols[j] = cols.get(j, 0) + v
+            self.top = top
+            self.rows = max(rows.values(), default=0)
+            self.cols = max(cols.values(), default=0)
+
+    def sparse(self) -> SparseMatrix:
+        if self._sparse is None:
+            m, g = self._dense, self.g
+            rows, cols = np.nonzero(m)
+            self._sparse = SparseMatrix(
+                *m.shape, {key: g * int(v) for key, v in zip(
+                    zip(rows.tolist(), cols.tolist()),
+                    m[rows, cols].tolist())})
+        return self._sparse
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            m, g = self._sparse, self.g
+            self._dense = _dense(m if g == 1 else SparseMatrix(
+                m.nrows, m.ncols, {k: v // g for k, v in m.data.items()}),
+                float)
+        return self._dense
+
+
+def _scaled_difference(x: _Scaled, y: _Scaled, transposed=False):
+    """_difference of x y and y' x, with y' = y, or its transpose when
+    `transposed`, in exact mode.
+
+    For x and y of ints, x y = y' x exactly when the same holds for x / g(x)
+    and y / g(y), which the dense products compare.  Every partial sum of
+    entry (i, j) of a product a b is an integer of modulus at most
+    sum_k |a_ik| |b_kj|, whatever the order of summation, and that sum is at
+    most rows(a) max|b| and max|a| cols(b).  When those bounds are below
+    2^53 for both products, both are exact float64 BLAS products.  Two
+    distinct floats never subtract to 0, so the products are equal exactly
+    when their float difference is zero, and then the residual is 0.0.
+    Otherwise, and where the products differ, the pair is multiplied in
+    Python ints, so that a residual keeps the bits of the integer products.
+    A zero x or y gives 0.0 at once.
+    """
+    if x.top == 0 or y.top == 0:
+        return 0.0, 0.0
+    if x.top is not None and y.top is not None:
+        y_rows = y.cols if transposed else y.rows
+        bound = max(min(x.rows * y.top, x.top * y.cols),
+                    min(y_rows * x.top, y.top * x.cols))
+        # neither side is zero, so the bound caps every entry too
+        if bound < _EXACT_BOUND:
+            a, b = x.dense(), y.dense()
+            if np.array_equal(a @ b, (b.T if transposed else b) @ a):
+                return 0.0, 0.0
+    a, b = x.sparse(), y.sparse()
+    return _difference(a @ b, (b.transpose() if transposed else b) @ a,
+                       x.c * y.c)
+
+
+def _dense(mat: SparseMatrix, dtype=complex) -> np.ndarray:
+    out = np.zeros((mat.nrows, mat.ncols), dtype=dtype)
     if mat.data:
         rows, cols = zip(*mat.data)
-        out[rows, cols] = list(map(complex, mat.data.values()))
+        out[rows, cols] = list(map(dtype, mat.data.values()))
     return out
 
 
-def _dense_horner(B: RFMatrix):
-    """u -> B(u) as a dense complex ndarray, by Horner over the coefficient
-    matrices of the numerator, each held as (rows, cols, values) arrays."""
+def _dense_horner(B: RFMatrix, scaled=False):
+    """u -> B(u) as a dense ndarray, by Horner over the coefficient matrices
+    of the numerator, each held as (rows, cols, values) arrays.
+
+    By default the values are complex128, divided by d den(u)^k.  With
+    `scaled`, for the integral form at an integer u, they are the int
+    numerators m = d den(u)^k B(u) in float64, with no division, or None
+    where sum_a max|num_a| |u|^a >= 2^53: below that bound every step of the
+    pass is an integer below 2^53, so every value is exact.
+    """
+    dtype = float if scaled else complex
+    tops = [max(map(abs, m.data.values()), default=0) for m in B.num] \
+        if scaled else []
     coeffs = []
-    for mat in reversed(B.num):
-        keys = np.array(list(mat.data), dtype=np.intp).reshape(-1, 2)
-        coeffs.append((keys[:, 0], keys[:, 1],
-                       np.fromiter(mat.data.values(), complex, len(keys))))
+    if max(tops, default=0) < _EXACT_BOUND:
+        for mat in reversed(B.num):
+            keys = np.array(list(mat.data), dtype=np.intp).reshape(-1, 2)
+            coeffs.append((keys[:, 0], keys[:, 1],
+                           np.fromiter(mat.data.values(), dtype, len(keys))))
 
     def at(u):
-        x = complex(u)
-        out = np.zeros((B.nrows, B.ncols), dtype=complex)
+        if scaled:
+            u = int(u)
+            if sum(t * abs(u) ** a for a, t in enumerate(tops)) \
+                    >= _EXACT_BOUND:
+                return None
+        x = dtype(u)
+        out = np.zeros((B.nrows, B.ncols), dtype=dtype)
         for rows, cols, vals in coeffs:
             out *= x
             out[rows, cols] += vals
-        if B.power or B.d != 1:
+        if not scaled and (B.power or B.d != 1):
             out /= complex(B._denominator(x))
         return out
 
     return at
-
-
-def _transpose(mat):
-    return mat.T if isinstance(mat, np.ndarray) else mat.transpose()
 
 
 def sample_points(z, count):
@@ -280,42 +400,77 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     floating point loses no digits to a small D(u).
 
     In exact mode all residuals are exactly zero and `exact` reports True.
-    Every matrix is first brought to integers over one denominator: B_i(u)
-    by `RFMatrix.eval_scaled`, which reads the integer Horner numerators
-    without making Fractions, and G, E and each coefficient matrix by
-    `integer_scaled`.  Products and comparisons then run in Python ints,
-    and a residual, divided back by the denominators, is computed only where
-    a comparison fails.  Gaussian-rational matrices pass through unscaled.
+    Every matrix is first brought to ints m over one int denominator c:
+    B_i(u) by a float64 Horner pass over the int numerator arrays where
+    sum_a max|num_a| |u|^a < 2^53 (then c = d D~(u)^k), else by
+    `RFMatrix.eval_scaled`, and G, E and each coefficient matrix by
+    `integer_scaled`.  A comparison A B = C D then runs as two float64 BLAS
+    products of A, B, C and D divided by the gcd of their entries, when
+    every entry of |A| |B| and |C| |D| is below 2^53 by a bound read from
+    the largest entry, row sum and column sum of each: every partial sum of
+    such a product is an integer below 2^53, so both products are exact,
+    and two distinct floats never subtract to 0, so a zero float difference
+    is an exact zero.  Otherwise, and to compute the residual of a pair that
+    differs, the pair runs in Python-int SparseMatrix products of the
+    unreduced ints, so that a residual, divided back by the
+    denominators, keeps their bits.  Gaussian-rational matrices pass
+    through unscaled and always take the SparseMatrix products.  The route
+    is decided before anything is made dense (`_scaled_difference`).
 
     In numeric mode every matrix is a dense complex128 ndarray, so a product
     is one BLAS call.  B_i(u) comes from a dense Horner over the coefficient
     matrices of its numerator, each held as (rows, cols, values) arrays.
-    Only the values of B_i at the two current sample points, G, and the one
-    generator or series coefficient in use are held dense at a time.
     `scales` holds, per check, the largest entry of the products it
     compares, so that a residual can be judged relative to them; the
     commutator, gl and form checks compare products whose entries reach 1e4
     and more when the sites differ much in size.
+
+    In both modes only the values of B_i at the two current sample points,
+    G, and the one generator or series coefficient in use are held dense at
+    a time.
     """
     N = family.N
     order = N + 1
     family_u = [family.B_u[i] for i in range(1, order + 1)]
     exact_mode = all(B.is_exact() for B in family_u)
-    # at(u) gives (B_i(u) times c, c) for i = 1..N+1
+    # at(u) gives B_i(u) for i = 1..N+1, scaled(mats) the given matrices,
+    # and compare(x, y) the residual and scale of x y - y x, or of
+    # x y - y^T x when transposed
     if exact_mode:
-        scaled = integer_scaled
+        # c = d D~(u)^k is eval_scaled's denominator where B is nonzero
+        horners = [_dense_horner(B, scaled=True)
+                   if B.integral and not B.is_zero() else None
+                   for B in family_u]
 
         def at(u):
-            return [B.eval_scaled(u) for B in family_u]
+            out = []
+            for B, value in zip(family_u, horners):
+                m = None if value is None else value(u)
+                if m is None:
+                    m, c = B.eval_scaled(u)
+                    out.append(_Scaled(c, m))
+                else:
+                    out.append(_Scaled(B.d * B.den.eval(int(u)) ** B.power,
+                                       dense=m))
+            return out
+
+        def scaled(mats):
+            ms, c = integer_scaled(mats)
+            return (_Scaled(c, m) for m in ms)
+
+        compare = _scaled_difference
     else:
         horners = [_dense_horner(B) for B in family_u]
 
         def at(u):
-            return [(value(u), 1) for value in horners]
+            return [value(u) for value in horners]
 
         def scaled(mats):
             # a generator, so that each matrix is made dense only when used
-            return (_dense(m) for m in mats), 1
+            return (_dense(m) for m in mats)
+
+        def compare(x, y, transposed=False):
+            return _difference(x @ y, (y.T if transposed else y) @ x)
 
     pts = sample_points(z, 6)
     # the values at the first sample point serve the gl and form checks,
@@ -323,11 +478,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     left = at(pts[0])
 
     res_gl = scale_gl = 0.0
-    gens, d_gens = scaled([M.e(k, l) for k in range(1, M.rank + 1)
-                           for l in range(1, M.rank + 1)])
-    for E in gens:
-        for Bi, d in left:
-            res, scale = _difference(Bi @ E, E @ Bi, d * d_gens)
+    for E in scaled([M.e(k, l) for k in range(1, M.rank + 1)
+                     for l in range(1, M.rank + 1)]):
+        for Bi in left:
+            res, scale = compare(Bi, E)
             res_gl = max(res_gl, res)
             scale_gl = max(scale_gl, scale)
 
@@ -335,14 +489,14 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     res_sym_c = 0.0
     scale_sym = 0.0
     if form is not None:
-        (G,), d_G = scaled([form.gram])
-        for i, (Bi, d) in enumerate(left, start=1):
-            res, scale = _difference(G @ Bi, _transpose(Bi) @ G, d_G * d)
+        G, = scaled([form.gram])
+        for i, Bi in enumerate(left, start=1):
+            res, scale = compare(G, Bi, transposed=True)
             res_sym_u = max(res_sym_u, res)
             scale_sym = max(scale_sym, scale)
             for mat in family.B_coeffs.get(i, ()):
-                (P,), d = scaled([mat])
-                res, scale = _difference(G @ P, _transpose(P) @ G, d_G * d)
+                P, = scaled([mat])
+                res, scale = compare(G, P, transposed=True)
                 res_sym_c = max(res_sym_c, res)
                 scale_sym = max(scale_sym, scale)
 
@@ -354,8 +508,7 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
         right = at(v0)
         for i in range(order):
             for j in range(i, order):
-                (a, da), (b, db) = left[i], right[j]
-                res, scale = _difference(a @ b, b @ a, da * db)
+                res, scale = compare(left[i], right[j])
                 res_comm = max(res_comm, res)
                 scale_comm = max(scale_comm, scale)
         left = right

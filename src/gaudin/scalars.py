@@ -122,6 +122,9 @@ def _as_qi(x):
 
 def is_exact(x) -> bool:
     """True for scalars carrying exact arithmetic (int, Fraction, QI)."""
+    # the common floating case, before the ABC checks of isinstance
+    if type(x) is complex or type(x) is float:
+        return False
     return isinstance(x, (int, Fraction, QI)) and not isinstance(x, bool)
 
 

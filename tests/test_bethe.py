@@ -429,14 +429,8 @@ def test_numeric_selfcheck_fails_on_a_corrupted_coefficient():
         assert not _passes(got, check), check
 
 
-def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
-    """Numeric mode multiplies ndarrays only; exact mode still multiplies
-    SparseMatrix products, which the counter sees."""
-    parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["complex_sites"]
-    M, form = _module(parts, N)
-    numeric = restrict_family(universal_operator(M, z), None, j_max)
-    z_exact = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)]
-    exact = restrict_family(universal_operator(M, z_exact), None, j_max)
+def _count_sparse_products(monkeypatch):
+    """A list that gets one item per SparseMatrix product from now on."""
     calls = []
     matmul = SparseMatrix.__matmul__
 
@@ -445,8 +439,24 @@ def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    return calls
+
+
+def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
+    """Numeric mode multiplies ndarrays only, and so does exact mode while
+    its products are within the 2^53 bound; with the bound at 0, exact mode
+    multiplies SparseMatrix products, which the counter sees."""
+    parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["complex_sites"]
+    M, form = _module(parts, N)
+    numeric = restrict_family(universal_operator(M, z), None, j_max)
+    z_exact = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)]
+    exact = restrict_family(universal_operator(M, z_exact), None, j_max)
+    calls = _count_sparse_products(monkeypatch)
     assert not algebra_selfcheck(numeric, form, M, z)["exact"]
     assert not calls
+    assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
+    assert not calls
+    monkeypatch.setattr(bethe_algebra, "_EXACT_BOUND", 0)
     assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
     assert calls
 
@@ -474,8 +484,10 @@ def test_numeric_selfcheck_values_match_the_sparse_values(name):
 
 
 def _fraction_selfcheck(monkeypatch, family, form, M, z):
-    """algebra_selfcheck with every matrix left in Fractions."""
+    """algebra_selfcheck with every matrix left in Fractions, and so every
+    product a SparseMatrix one."""
     with monkeypatch.context() as m:
+        m.setattr(bethe_algebra, "_EXACT_BOUND", 0)
         m.setattr(bethe_algebra, "integer_scaled",
                   lambda mats: (list(mats), 1))
         m.setattr(RFMatrix, "eval_scaled", lambda self, u: (self.eval(u), 1))
@@ -511,6 +523,92 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
         assert got[name] > 0, name
     assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
                                                  M, z))
+
+
+class _NoGenerators:
+    """A module stand-in of rank 0, so the self-check compares the family
+    with itself only."""
+    rank = 0
+
+
+def test_exact_selfcheck_multiplies_past_2_53_in_integers(monkeypatch):
+    """x y - y x is -1 and 1 at two entries, where x y and y x are 2^54 - 1
+    and 2^54.  Their float64 products both round to 2^54, so only the integer
+    products see the difference: the pair is past the 2^53 bound, and the
+    self-check reports the exact residual 1.  Forced dense, it reads 0."""
+    p = 2 ** 27
+    x = SparseMatrix(2, 2, {(0, 1): p + 1, (1, 0): p})
+    y = SparseMatrix(2, 2, {(0, 1): p, (1, 0): p - 1})
+    assert (x @ y - y @ x).data == {(0, 0): -1, (1, 1): 1}
+    dx, dy = bethe_algebra._dense(x, float), bethe_algebra._dense(y, float)
+    assert np.array_equal(dx @ dy, dy @ dx)
+    family = bethe_algebra.BetheOperatorFamily(
+        1, {1: RFMatrix(2, 2, [x]), 2: RFMatrix(2, 2, [y])}, {}, None, 0)
+    got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+    assert got["exact"]
+    assert got["commutator_pairs"] == got["max_residual"] == 1.0
+    monkeypatch.setattr(bethe_algebra, "_EXACT_BOUND", 2 ** 200)
+    got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+    assert got["commutator_pairs"] == 0.0
+
+
+def test_exact_selfcheck_divides_out_the_content(monkeypatch):
+    """Entries 2^40 and 2^30 times small ints put the products past 2^53,
+    but the gcd of each matrix divides out: a commuting pair is compared
+    in BLAS with no SparseMatrix product, and a pair that differs gets its
+    residual, 2^71, from the integer products of the undivided matrices."""
+    calls = _count_sparse_products(monkeypatch)
+    x = SparseMatrix(2, 2, {(0, 0): 2 ** 40, (1, 1): 2 ** 41})
+    swap = SparseMatrix(2, 2, {(0, 1): 2 ** 40, (1, 0): 2 ** 40})
+    y = SparseMatrix(2, 2, {(0, 0): 3 * 2 ** 30, (1, 1): 5 * 2 ** 30})
+    for a, want in ((x, 0.0), (swap, 2.0 ** 71)):
+        family = bethe_algebra.BetheOperatorFamily(
+            1, {1: RFMatrix(2, 2, [a]), 2: RFMatrix(2, 2, [y])}, {}, None, 0)
+        got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+        assert got["commutator_pairs"] == want
+        assert bool(calls) == bool(want)
+
+
+def test_integral_dense_horner_stops_at_2_53():
+    """The float64 Horner pass runs only while sum_a max|num_a| |u|^a is
+    below 2^53: num = 2^51 u + 1 is exact at u = 3 and refused at u = 4."""
+    one = SparseMatrix(1, 1, {(0, 0): 1})
+    B = RFMatrix(1, 1, [one, one.scale(2 ** 51)])
+    value = bethe_algebra._dense_horner(B, scaled=True)
+    assert value(Fraction(3)) == 3 * 2 ** 51 + 1
+    assert value(Fraction(4)) is None
+    assert B.eval_scaled(Fraction(4))[0].data == {(0, 0): 2 ** 53 + 1}
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES[1:],
+                         ids=lambda s: "x".join(map(str, s[1])))
+def test_integral_dense_horner_is_eval_scaled_within_the_bound(shape):
+    """Wherever sum_a max|num_a| |u|^a < 2^53, the float64 Horner values of
+    every nonzero B_i of an `algebra` shape at the 6 sample points are the
+    ints of `eval_scaled`, over c = d D~(u)^k; their content-reduced form
+    gives the same ints back."""
+    N, parts, _ = shape
+    M, _ = _module(parts, N)
+    within = 0
+    for z in ([Fraction(-3, 2), Fraction(5, 3)],
+              [Fraction(-6), Fraction(17, 3)]):
+        family = restrict_family(universal_operator(M, z), None, 0)
+        for i in range(1, N + 2):
+            B = family.B_u[i]
+            if B.is_zero():
+                continue
+            value = bethe_algebra._dense_horner(B, scaled=True)
+            for u in sample_points(z, 6):
+                m = value(u)
+                if m is None:
+                    continue
+                within += 1
+                want, c = B.eval_scaled(u)
+                assert c == B.d * B.den.eval(int(u)) ** B.power
+                assert np.array_equal(m, bethe_algebra._dense(want, float))
+                got = bethe_algebra._Scaled(c, dense=m)
+                assert got.sparse().data == want.data
+    assert within
 
 
 # sha256 of the exact universal operator: (power, base, entries in insertion

@@ -13,7 +13,13 @@ sha256 of the report with every check residual blanked, and the status and
 residual of every check.  It edits nothing under `perfbench/`.
 `--problem tools/problems/*.json` adds the two Gaussian-rational instances
 kept there: the defect-9 problem (0.3 s) and a 6-site spin-1/2 chain with
-two sites off the real line (about 4 s).
+two sites off the real line (about 4 s).  `--problem
+tools/problems/ladder/*.json` adds the seven rungs of the instance ladder
+in ROADMAP.md, each with solver seed 0: spin-1/2 chains of 4, 6 and 8
+sites at 0, 1, ..., the adjoint gl3 module squared at 0, 1, and gl3 chains
+of five and six vector sites, the latter at 0..5 and at generic rational
+sites.  They take about 50 s together, most of it on the 8-site chain and
+the two 729-dimensional gl3 chains.
 
 `diff` pairs the instances of two records by name.  It prints the instances
 whose reports differ beyond residuals and every status that moved, and, per
