@@ -79,9 +79,12 @@ def operator_coefficient(pencil: OperatorPencil, i: int) -> RFMatrix:
 class BetheOperatorFamily:
     """Coefficients of the universal operator restricted to a subspace.
 
-    B_u[i] is the RFMatrix coefficient of d^(N+1-i) in
-    the chosen basis; B_coeffs[i][j-1] is the matrix of the u^-j expansion
-    coefficient (j = 1..j_max).
+    B_u[i] is the RFMatrix coefficient of d^(N+1-i) in the chosen basis;
+    B_coeffs[i][j-1] is the u^-j expansion coefficient (j = 1..j_max), a
+    power-0 RFMatrix stored once: for an integral B_u[i] its int numerators
+    in num[0] over the one positive int d, else its values in num[0] with
+    d = 1 (`RFMatrix.entries_series_at_infinity`).  `coeffs[0]` gives the
+    Fractions of a nonzero one.
     """
 
     def __init__(self, N, B_u, B_coeffs, subspace, j_max):
@@ -90,11 +93,6 @@ class BetheOperatorFamily:
         self.B_coeffs = B_coeffs
         self.subspace = subspace
         self.j_max = j_max
-
-    @property
-    def carrier_dim(self):
-        any_mat = self.B_u[1]
-        return any_mat.nrows
 
     def eval(self, i, u) -> SparseMatrix:
         """B_i(u)."""
@@ -180,7 +178,8 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
     Raises NotInvariant when it fails.  Every coefficient, of any entry
     type, is restricted in its numerator num against the basis scaled to
     ints by its lcd L, and L goes into the restricted d; an integral
-    coefficient restricts in ints, with no Fraction made.
+    coefficient restricts in ints, with no Fraction made.  Its series at
+    infinity stays in ints too, one int d per coefficient matrix.
     """
     order = pencil.order
     N = order - 1
@@ -204,6 +203,21 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
 
 def _matrix_residual(mat: SparseMatrix) -> float:
     return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
+
+
+def _numerator(P: RFMatrix) -> SparseMatrix:
+    """num[0] of a series coefficient, empty where the coefficient is 0."""
+    return P.num[0] if P.num else SparseMatrix(P.nrows, P.ncols)
+
+
+def _largest_entry(P: RFMatrix) -> float:
+    """The largest modulus of an entry of a series coefficient num / d: in
+    the integral form max|num| / d, one int division, which rounds as the
+    float of the Fraction does; else d = 1 and num holds the values."""
+    mat = _numerator(P)
+    if P.integral:
+        return max(map(abs, mat.data.values()), default=0) / P.d
+    return _matrix_residual(mat)
 
 
 # An integer product whose terms sum, in absolute value, to less than this
@@ -403,8 +417,11 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     Every matrix is first brought to ints m over one int denominator c:
     B_i(u) by a float64 Horner pass over the int numerator arrays where
     sum_a max|num_a| |u|^a < 2^53 (then c = d D~(u)^k), else by
-    `RFMatrix.eval_scaled`, and G, E and each coefficient matrix by
-    `integer_scaled`.  A comparison A B = C D then runs as two float64 BLAS
+    `RFMatrix.eval_scaled`, and G, E and the series coefficients of a
+    Gaussian-rational family by `integer_scaled`.  A series coefficient of
+    an integral family is read as it is stored, its int num[0] over c = d,
+    and the lower coefficients are checked as max|num[0]| / d, one int
+    division.  A comparison A B = C D then runs as two float64 BLAS
     products of A, B, C and D divided by the gcd of their entries, when
     every entry of |A| |B| and |C| |D| is below 2^53 by a bound read from
     the largest entry, row sum and column sum of each: every partial sum of
@@ -412,10 +429,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
     and two distinct floats never subtract to 0, so a zero float difference
     is an exact zero.  Otherwise, and to compute the residual of a pair that
     differs, the pair runs in Python-int SparseMatrix products of the
-    unreduced ints, so that a residual, divided back by the
-    denominators, keeps their bits.  Gaussian-rational matrices pass
-    through unscaled and always take the SparseMatrix products.  The route
-    is decided before anything is made dense (`_scaled_difference`).
+    unreduced ints, so that a residual, divided back by the denominators,
+    keeps their bits.  Gaussian-rational matrices pass through unscaled and
+    always take the SparseMatrix products.  The route is decided before
+    anything is made dense (`_scaled_difference`).
 
     In numeric mode every matrix is a dense complex128 ndarray, so a product
     is one BLAS call.  B_i(u) comes from a dense Horner over the coefficient
@@ -458,6 +475,13 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
             ms, c = integer_scaled(mats)
             return (_Scaled(c, m) for m in ms)
 
+        def coefficient(P):
+            # an integral coefficient is stored as ints over d already; a
+            # Gaussian-rational one may still hold rationals only
+            if P.integral:
+                return _Scaled(P.d, _numerator(P))
+            return next(scaled([_numerator(P)]))
+
         compare = _scaled_difference
     else:
         horners = [_dense_horner(B) for B in family_u]
@@ -468,6 +492,10 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
         def scaled(mats):
             # a generator, so that each matrix is made dense only when used
             return (_dense(m) for m in mats)
+
+        def coefficient(P):
+            # a floating coefficient keeps its values in num, over d = 1
+            return _dense(_numerator(P))
 
         def compare(x, y, transposed=False):
             return _difference(x @ y, (y.T if transposed else y) @ x)
@@ -494,16 +522,15 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
             res, scale = compare(G, Bi, transposed=True)
             res_sym_u = max(res_sym_u, res)
             scale_sym = max(scale_sym, scale)
-            for mat in family.B_coeffs.get(i, ()):
-                P, = scaled([mat])
-                res, scale = compare(G, P, transposed=True)
+            for P in family.B_coeffs.get(i, ()):
+                res, scale = compare(G, coefficient(P), transposed=True)
                 res_sym_c = max(res_sym_c, res)
                 scale_sym = max(scale_sym, scale)
 
     # B_i(u) and B_j(v) at consecutive sample points, the values at only two
     # points alive at a time
     res_comm = scale_comm = 0.0
-    E = G = P = Bi = None    # free the dense ones before the walk
+    E = G = Bi = None    # free the dense ones before the walk
     for v0 in pts[1:]:
         right = at(v0)
         for i in range(order):
@@ -515,9 +542,9 @@ def algebra_selfcheck(family: BetheOperatorFamily, form, M: GlModule,
 
     res_lower = 0.0
     for i in range(1, order + 1):
-        for j, mat in enumerate(family.B_coeffs.get(i, ()), start=1):
+        for j, P in enumerate(family.B_coeffs.get(i, ()), start=1):
             if j < i:
-                res_lower = max(res_lower, _matrix_residual(mat))
+                res_lower = max(res_lower, _largest_entry(P))
 
     return {
         "commutator_pairs": res_comm,

@@ -12,6 +12,10 @@ Bethe variables).  An RFMatrix of any entry type keeps its value
 P(u)/D(u)^k in one form, num(u) / (d * den(u)^k) with one positive int d,
 and den = D~ = lcd * D in Python ints when the poles are rational; with
 rational entries num holds ints too, so the arithmetic runs in integers.
+The series at infinity stays in that form: each coefficient is a power-0
+RFMatrix, int numerators over one int d in the integral form.  Composing
+with a unit coefficient (the identity leading d - a) reuses the other
+factor instead of multiplying by the identity.
 """
 
 from __future__ import annotations
@@ -238,7 +242,8 @@ class RFMatrix:
     converts an operand.  `integral` says that num and den hold Python ints
     (rational entries over rational poles): its arithmetic then multiplies
     and adds ints only, with no gcd, and Fractions are made where values
-    leave the type (`eval`, `entries_series_at_infinity`, `coeffs`).
+    leave the type (`eval`, `coeffs`); the series at infinity keeps the
+    form, one power-0 matrix per coefficient.
     Gaussian-rational and floating entries sit in num as they are.
     `is_exact` reads what the constructor knew.
     """
@@ -527,18 +532,21 @@ class RFMatrix:
         return mat, bottom
 
     def entries_series_at_infinity(self, j_max):
-        """List of SparseMatrix coefficient matrices for u^-1..u^-j_max.
+        """The coefficients of u^-1..u^-j_max, as a list of power-0 matrices.
 
         With l the leading coefficient of den^k and m its degree,
         1/den^k = u^-m sum_t I_t / (l^(t+1) u^t), where I_0 = 1 and I_t is
         a sum of products of the coefficients of den^k and powers of l, with
-        no division; the constant term is dropped.  Each output matrix is
-        one sum over one divisor d l^(j-m+deg num+1): ints made Fractions in
-        the integral form, an exact division otherwise.  I_t sums its terms
-        in the order of the long division by den^k, so that a floating
-        series keeps the bits of that division, up to the sign of zero.
+        no division; the constant term is dropped.  Coefficient j is one sum
+        over one divisor f = d l^(j-m+deg num+1).  In the integral form the
+        int sums are stored as they are, in num[0] over d = |f|, with no
+        Fraction made; the `coeffs` view gives their Fractions.  Otherwise
+        they are divided by f, exactly for Gaussian rationals, and stored
+        with d = 1.  I_t sums its terms in the order of the long division by
+        den^k, so that a floating series keeps the bits of that division, up
+        to the sign of zero.
         """
-        mats = [SparseMatrix(self.nrows, self.ncols) for _ in range(j_max)]
+        mats = [self._like([], 0, 1) for _ in range(j_max)]
         if self.is_zero():
             return mats
         den = self.den ** self.power
@@ -573,13 +581,27 @@ class RFMatrix:
                 continue
             f = lpow[j - m + top + 1]
             if self.integral:
-                f *= self.d
-                acc = {key: Fraction(v, f) for key, v in acc.items()}
+                d = self.d * f
+                if d < 0:
+                    d = -d
+                    acc = {key: -v for key, v in acc.items()}
             else:
                 f = Fraction(self.d) * f    # exact, as in eval
                 acc = {key: v / f for key, v in acc.items()}
-            mats[j - 1] = SparseMatrix(self.nrows, self.ncols, acc)
+                d = 1
+            mats[j - 1] = self._like(
+                [SparseMatrix(self.nrows, self.ncols, acc)], 0, d)
         return mats
+
+
+def _is_unit(f: RFMatrix):
+    """f is the identity matrix with int entries, d = 1 and power 0."""
+    if not (f.integral and f.power == 0 and f.d == 1 and len(f.num) == 1
+            and f.nrows == f.ncols):
+        return False
+    data = f.num[0].data
+    return len(data) == f.nrows and all(
+        i == j and v == 1 for (i, j), v in data.items())
 
 
 class OperatorPencil:
@@ -617,9 +639,15 @@ class OperatorPencil:
         return self + (-other)
 
     def compose(self, other):
-        """Operator product self o other via normal ordering d o f = f d + f'."""
+        """Operator product self o other via normal ordering d o f = f d + f'.
+
+        A unit coefficient of self (the identity in the integral form, as
+        the leading coefficient of d - a) contributes g^(m) itself: the
+        product would have its num, d and power.
+        """
         zero = RFMatrix(self.coeffs[0].nrows, other.coeffs[0].ncols)
         out = [zero] * (self.order + other.order + 1)
+        units = [_is_unit(f) for f in self.coeffs]
         for b, g in enumerate(other.coeffs):
             if g.is_zero():
                 continue
@@ -634,7 +662,7 @@ class OperatorPencil:
                     gm = deriv_cache[m]
                     if gm.is_zero():
                         continue
-                    term = f * gm
+                    term = gm if units[a] else f * gm
                     c = math.comb(a, m)
                     if c != 1:
                         term = term.scale(Fraction(c))

@@ -29,7 +29,7 @@ from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
                             restrict_family, universal_operator)
 from .errors import GaudinError, SchemaError, ZeroVector
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, rank, rational_lcd
 from .master import (GaudinProblem, SolverConfig, factored_pole_data,
                      find_critical_orbits, group_polynomials,
                      hessian_determinant, master_coefficients,
@@ -208,6 +208,29 @@ def _eigen_residual(lhs, vec, g):
     return max((scalar_abs(v) for v in diff.values()), default=0.0)
 
 
+def _exact_eigen_residual(mat, d, vec, g, ints):
+    """_eigen_residual of lhs = mat vec / d, for an exact mat over the int d.
+
+    `ints` is (w, c) with vec = w / c and w int when vec is rational, else
+    None.  With g = p / q rational too, every coordinate of the difference
+    is (q mat w - p d w) / (q d c), with an int numerator, and the largest
+    is divided once at the end: int / int rounds correctly, as the float of
+    the Fraction does.  Otherwise mat vec is divided by d entry by entry.
+    """
+    if ints is None or type(g) not in (int, Fraction):
+        lhs = mat.apply(vec)
+        if d != 1:
+            lhs = {k: v / d for k, v in lhs.items()}
+        return _eigen_residual(lhs, vec, g)
+    w, c = ints
+    p, q = g.numerator, g.denominator
+    diff = {k: q * v for k, v in mat.apply(w).items()}
+    pd = p * d
+    for idx, v in w.items():
+        diff[idx] = diff.get(idx, 0) - pd * v
+    return max(map(abs, diff.values()), default=0) / (q * d * c)
+
+
 class Checks:
     def __init__(self):
         self.items = []
@@ -346,13 +369,16 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
     spectra = []
     # the Bethe vectors lie in the weight space W: only the entries in its
     # columns meet them, and SparseMatrix.apply meets those in the same
-    # order with or without the others.  A floating orbit of an exact
-    # problem applies them to a complex vector, converted once with the
-    # bits of `Fraction * complex`.
+    # order with or without the others.  Each series coefficient is kept as
+    # it is stored, (num[0], d): int numerators over the int d for an exact
+    # problem, its values over d = 1 at floating sites.  A floating orbit of
+    # an exact problem applies them to a complex vector, converted once to
+    # complex(n / d), the correctly rounded float of the Fraction n / d.
     positions = {k for k, _ in W.data}
-    weight_coeffs = {i: [SparseMatrix(m.nrows, m.ncols, {
-        key: v for key, v in m.data.items() if key[1] in positions})
-        for m in mats] for i, mats in family.B_coeffs.items()}
+    weight_coeffs = {i: [(SparseMatrix(P.nrows, P.ncols, {
+        key: v for m in P.num for key, v in m.data.items()
+        if key[1] in positions}), P.d)
+        for P in mats] for i, mats in family.B_coeffs.items()}
     floating_coeffs = None if problem.exact else weight_coeffs
     for orb in orbits:
         tag = f"orbit{orb.index}"
@@ -377,8 +403,9 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
                 max(j_max, series_terms(problem, point)))
             series = {i: c[:j_max] for i, c in operator.items()}
             if floating_coeffs is None:
-                floating_coeffs = {i: [SparseMatrix(m.nrows, m.ncols, {
-                    k: complex(v) for k, v in m.data.items()}) for m in mats]
+                floating_coeffs = {i: [(SparseMatrix(m.nrows, m.ncols, {
+                    k: complex(v if d == 1 else v / d)
+                    for k, v in m.data.items()}), 1) for m, d in mats]
                     for i, mats in weight_coeffs.items()}
             coeffs = floating_coeffs
         spectra.append({"index": orb.index, "exact_point": exact_pt,
@@ -401,14 +428,22 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
 
         # eigenvalue equations B_{i,j} vec == g_{i,j} vec, one for each
         # coefficient of the series at infinity the spectrum reports: an
-        # exact zero at an exact point, else relative to the vectors compared
+        # exact zero at an exact point, from the int numerators of the
+        # coefficient and of a rational vec, else relative to the vectors
+        # compared (a floating coefficient has d = 1)
         worst = 0.0
         vmax = info["coeff_max"]
+        c = rational_lcd(vec.values()) if exact else None
+        ints = None if c is None else (
+            {k: v.numerator * (c // v.denominator) for k, v in vec.items()},
+            c)
         for i in range(1, problem.N + 2):
-            for mat, g in zip(coeffs[i], series[i], strict=True):
-                lhs = mat.apply(vec)
-                res = _eigen_residual(lhs, vec, g)
-                if not exact:
+            for (mat, d), g in zip(coeffs[i], series[i], strict=True):
+                if exact:
+                    res = _exact_eigen_residual(mat, d, vec, g, ints)
+                else:
+                    lhs = mat.apply(vec)
+                    res = _eigen_residual(lhs, vec, g)
                     top = max(map(scalar_abs, lhs.values()), default=0.0)
                     res /= max(1.0, vmax, top, abs(g) * vmax)
                 worst = max(worst, res)

@@ -51,9 +51,6 @@ class SparseMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    def copy(self):
-        return SparseMatrix(self.nrows, self.ncols, dict(self.data))
-
     def __getitem__(self, key):
         return self.data.get(key, 0)
 

@@ -47,6 +47,7 @@ from . import kernels
 from .diffop_ring import OperatorPencil, Poly, RFMatrix, site_denominator
 from .errors import DimensionMismatch, PointNotInU, RepeatedSites
 from .linalg import SparseMatrix, det
+from .pcg64 import Stream
 from .scalars import QI, coerce, is_exact, to_complex
 from .weights import check_partition, derive_infinity_weight, root_pairing, weight_size
 
@@ -253,7 +254,8 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
     if expected is None:
         expected = expected_orbit_count(problem)
     zc = [to_complex(x) for x in problem.z]
-    rng = np.random.default_rng(config.seed)
+    # the stream of np.random.default_rng(seed), without numpy.random
+    rng = Stream(config.seed)
     n_starts = config.starts or min(max(200 * max(expected, 1), 200), 20000)
     scale = max(1.0, max(abs(z) for z in zc))
     radius = 2.0 * scale
@@ -304,8 +306,8 @@ def find_critical_orbits(problem: GaudinProblem, config: SolverConfig = None,
 
 
 def _disc(rng, n):
-    r = np.sqrt(rng.uniform(0.05, 1.0, size=n))
-    th = rng.uniform(0.0, 2 * np.pi, size=n)
+    r = np.sqrt(rng.uniform(0.05, 1.0, n))
+    th = rng.uniform(0.0, 2 * np.pi, n)
     return r * np.exp(1j * th)
 
 
@@ -372,10 +374,12 @@ def master_operator_at(problem: GaudinProblem, point) -> OperatorPencil:
 
 def master_coefficients(pencil: OperatorPencil, j_max: int):
     """(coefficient functions, expansion coefficients) keyed by 1..order;
-    the functions are the 1x1 RFMatrix coefficients of the pencil."""
+    the functions are the 1x1 RFMatrix coefficients of the pencil, and the
+    expansion coefficients their Fraction (or QI) values, 0 where zero."""
     order = pencil.order
     funcs = {i: pencil.coeffs[order - i] for i in range(1, order + 1)}
-    series = {i: [m[0, 0] for m in funcs[i].entries_series_at_infinity(j_max)]
+    series = {i: [m.coeffs[0][0, 0] if m.num else 0
+                  for m in funcs[i].entries_series_at_infinity(j_max)]
               for i in funcs}
     return funcs, series
 

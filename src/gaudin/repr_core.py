@@ -335,13 +335,3 @@ def weight_and_singular_subspace(M: GlModule, mu):
             S[positions[loc], c] = v
     return W, S
 
-
-def check_contravariance(form: SymmetricForm, M: GlModule):
-    """Gram e_ij == e_ji^T Gram for all generator pairs (exact)."""
-    for i in range(1, M.rank + 1):
-        for j in range(1, M.rank + 1):
-            lhs = form.gram @ M.e(i, j)
-            rhs = M.e(j, i).transpose() @ form.gram
-            if not (lhs - rhs).is_zero():
-                return False
-    return True

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gaudin import bethe_algebra, harness_cli
+from gaudin import bethe_algebra, diffop_ring, harness_cli
 from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
@@ -92,7 +92,7 @@ def test_restriction_to_singular_subspace():
     pencil = universal_operator(M, Z2)
     W, S = weight_and_singular_subspace(M, (1, 1))
     family = restrict_family(pencil, S, 4)
-    assert family.carrier_dim == 1
+    assert family.B_u[1].nrows == 1
     # restriction of B_2 to the 1-dim singular space: eigenvalue function
     mat = family.eval(2, Fraction(3))
     assert mat.nrows == 1 and mat.ncols == 1
@@ -130,7 +130,7 @@ def test_restriction_at_float_sites_matches_exact_sites(name, scale):
     got = restrict_family(universal_operator(M, z), S, 4)
     want = restrict_family(
         universal_operator(M, [_exact_site(x) for x in z]), S, 4)
-    assert got.carrier_dim == want.carrier_dim == 2
+    assert got.B_u[1].nrows == want.B_u[1].nrows == 2
     for i in (1, 2):
         for u in (complex(0.5, 0.7) * scale, complex(-1.3, 0.2) * scale):
             a = got.eval(i, u)
@@ -153,6 +153,12 @@ WORKLOAD_SHAPES = [
     (3, [(1, 0, 0, 0), (1, 1, 0, 0)], [1, 1, 0]),
     (3, [(2, 1, 0, 0), (1, 0, 0, 0)], [1, 1, 0]),
 ]
+
+
+def _values(P: RFMatrix) -> SparseMatrix:
+    """A series coefficient as the SparseMatrix of its values: Fractions in
+    the integral form, where num[0] holds ints over d."""
+    return P.coeffs[0] if P.num else SparseMatrix(P.nrows, P.ncols)
 
 
 def _has_unit_rows(S):
@@ -208,7 +214,7 @@ def test_restriction_needs_unit_rows():
         assert a[0, 0] + a[1, 1] == b[0, 0] + b[1, 1]
     # a Gaussian-rational entry off the unit rows
     key = next(k for k, v in S.data.items() if v != 1)
-    G = S.copy()
+    G = SparseMatrix(S.nrows, S.ncols, S.data)
     G[key] = QI(0, 1)
     with pytest.raises(ValueError, match="rational"):
         restrict_family(pencil, G, 0)
@@ -230,7 +236,7 @@ def test_restricted_family_commutes_with_the_singular_basis(name):
     pencil = universal_operator(M, z)
     full = restrict_family(pencil, None, 0)
     sing = restrict_family(pencil, S, 0)
-    assert sing.carrier_dim == S.ncols > 1
+    assert sing.B_u[1].nrows == S.ncols > 1
     for i in range(1, N + 2):
         for u in (Fraction(37, 7), Fraction(-5, 3)):
             value = sing.eval(i, u)
@@ -271,7 +277,7 @@ def test_restriction_at_float_sites_rejects_a_noninvariant_column():
     with pytest.raises(NotInvariant, match="coefficient 2"):
         restrict_family(universal_operator(M, z), column, 0)
     # the whole weight space is invariant
-    assert restrict_family(universal_operator(M, z), W, 0).carrier_dim == 6
+    assert restrict_family(universal_operator(M, z), W, 0).B_u[1].nrows == 6
 
 
 def test_operator_coefficient_indexing():
@@ -369,7 +375,7 @@ def _sparse_reference(family, form, M, z):
     gl = worst((Bi @ E, E @ Bi) for Bi in B[pts[0]] for E in gens)
     sym_u = worst((G @ Bi, Bi.transpose() @ G) for Bi in B[pts[0]])
     sym_c = worst((G @ P, P.transpose() @ G) for i in range(1, order + 1)
-                  for P in family.B_coeffs[i])
+                  for P in map(_values, family.B_coeffs[i]))
     return {"commutator_pairs": comm[0], "commutator_with_gl": gl[0],
             "form_symmetry_at_samples": sym_u[0],
             "form_symmetry_coefficients": sym_c[0],
@@ -408,37 +414,39 @@ def test_numeric_selfcheck_matches_a_sparse_reference(name):
 
 
 def test_numeric_selfcheck_fails_on_a_corrupted_coefficient():
-    """One corrupted coefficient of B_2 and one of B_3's series fail every
-    check they enter, at floating sites as in exact mode."""
+    """One corrupted coefficient of B_2 and one of B_3's series, changed in
+    the one form the family stores it in, fail every check they enter, at
+    floating sites as in exact mode."""
     parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["far_apart_sites"]
     M, form = _module(parts, N)
     family = restrict_family(universal_operator(M, z), None, j_max)
     B2 = family.B_u[2]
-    coeffs = [mat.copy() for mat in B2.coeffs]
+    coeffs = [SparseMatrix(m.nrows, m.ncols, m.data) for m in B2.coeffs]
     bad = coeffs[0]
     key = next(k for k in bad.data if k[0] != k[1])
     bad[key] = bad[key] + 1 / 7
     family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
-    coeff = family.B_coeffs[3][2].copy()
+    P = family.B_coeffs[3][2]
+    assert P.d == 1 and not P.integral
+    coeff = P.num[0]
     key = next(k for k in coeff.data if k[0] != k[1])
     coeff[key] = coeff[key] - 2 / 9
-    family.B_coeffs[3][2] = coeff
     got = algebra_selfcheck(family, form, M, z)
     assert not got["exact"]
     for check in SCALE_OF:
         assert not _passes(got, check), check
 
 
-def _count_sparse_products(monkeypatch):
-    """A list that gets one item per SparseMatrix product from now on."""
+def _count_products(monkeypatch, cls=SparseMatrix, name="__matmul__"):
+    """A list that gets one item per product of cls from now on."""
     calls = []
-    matmul = SparseMatrix.__matmul__
+    product = getattr(cls, name)
 
     def counted(self, other):
         calls.append(1)
-        return matmul(self, other)
+        return product(self, other)
 
-    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -451,7 +459,7 @@ def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
     numeric = restrict_family(universal_operator(M, z), None, j_max)
     z_exact = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)]
     exact = restrict_family(universal_operator(M, z_exact), None, j_max)
-    calls = _count_sparse_products(monkeypatch)
+    calls = _count_products(monkeypatch)
     assert not algebra_selfcheck(numeric, form, M, z)["exact"]
     assert not calls
     assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
@@ -485,20 +493,25 @@ def test_numeric_selfcheck_values_match_the_sparse_values(name):
 
 def _fraction_selfcheck(monkeypatch, family, form, M, z):
     """algebra_selfcheck with every matrix left in Fractions, and so every
-    product a SparseMatrix one."""
+    product a SparseMatrix one: the series coefficients are handed over as
+    their Fraction values over d = 1, outside the integral form."""
+    series = {i: [P._like([_values(P)], 0, 1, integral=False) for P in mats]
+              for i, mats in family.B_coeffs.items()}
+    fractions = bethe_algebra.BetheOperatorFamily(
+        family.N, family.B_u, series, None, family.j_max)
     with monkeypatch.context() as m:
         m.setattr(bethe_algebra, "_EXACT_BOUND", 0)
         m.setattr(bethe_algebra, "integer_scaled",
                   lambda mats: (list(mats), 1))
         m.setattr(RFMatrix, "eval_scaled", lambda self, u: (self.eval(u), 1))
-        return algebra_selfcheck(family, form, M, z)
+        return algebra_selfcheck(fractions, form, M, z)
 
 
 def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
         monkeypatch):
     """The integer products give the Fraction products' verdicts and, after
-    one coefficient of the family is corrupted, the same nonzero residuals
-    bit for bit."""
+    one coefficient of the family is corrupted in the one form the family
+    stores it in, the same nonzero residuals bit for bit."""
     z = [Fraction(-3, 2), Fraction(5, 3)]
     M, form = _module([(2, 1, 0), (1, 1, 0)], 2)
     family = restrict_family(universal_operator(M, z), None, 4)
@@ -514,9 +527,14 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
     key = next(k for k in bad.data if k[0] != k[1])
     bad[key] = bad[key] + Fraction(1, 7)
     family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
-    coeff = family.B_coeffs[3][2]
+    P = family.B_coeffs[3][2]
+    assert P.integral
+    coeff = _values(P)
     key = next(k for k in coeff.data if k[0] != k[1])
     coeff[key] = coeff[key] - Fraction(2, 9)
+    # back in the integral form: int numerators over one int d
+    family.B_coeffs[3][2] = RFMatrix(P.nrows, P.ncols, [coeff])
+    assert family.B_coeffs[3][2].integral
     got = algebra_selfcheck(family, form, M, z)
     for name in ("commutator_pairs", "commutator_with_gl",
                  "form_symmetry_at_samples", "form_symmetry_coefficients"):
@@ -557,7 +575,7 @@ def test_exact_selfcheck_divides_out_the_content(monkeypatch):
     but the gcd of each matrix divides out: a commuting pair is compared
     in BLAS with no SparseMatrix product, and a pair that differs gets its
     residual, 2^71, from the integer products of the undivided matrices."""
-    calls = _count_sparse_products(monkeypatch)
+    calls = _count_products(monkeypatch)
     x = SparseMatrix(2, 2, {(0, 0): 2 ** 40, (1, 1): 2 ** 41})
     swap = SparseMatrix(2, 2, {(0, 1): 2 ** 40, (1, 0): 2 ** 40})
     y = SparseMatrix(2, 2, {(0, 0): 3 * 2 ** 30, (1, 1): 5 * 2 ** 30})
@@ -637,8 +655,8 @@ def _operator_digest(pencil, j_max):
         h.update(repr((c.power, [str(x) for x in c.base.coeffs])).encode())
         for mat in c.coeffs:
             h.update(entries(mat))
-        for mat in c.entries_series_at_infinity(j_max):
-            h.update(entries(mat))
+        for P in c.entries_series_at_infinity(j_max):
+            h.update(entries(_values(P)))
     return h.hexdigest()
 
 
@@ -696,7 +714,7 @@ def test_exact_mode_returns_no_float(name):
                 assert all(map(_exact_scalar, got.data.values()))
                 for key, pair in pairs.items():
                     assert got[key] == oracles.rf_eval(pair, u)
-            series = family.B_coeffs[i]
+            series = [_values(P) for P in family.B_coeffs[i]]
             for mat in series:
                 assert all(map(_exact_scalar, mat.data.values()))
             for key, pair in pairs.items():
@@ -708,6 +726,90 @@ def test_exact_mode_returns_no_float(name):
         assert all(map(_exact_scalar, coeffs))
         assert coeffs == oracles.rf_series_at_infinity(
             _entry_pair(funcs[i], (0, 0)), j_max)
+
+
+# the `chain6` rung of tools/problems/ladder: six spin-1/2 sites at 0..5
+CHAIN6 = (1, [(1, 0)] * 6, [3])
+
+
+def _fraction_twin(B: RFMatrix) -> RFMatrix:
+    """B with Fraction numerators, outside the integral form, so that its
+    series divides every entry by the Fraction d l^k as it is summed."""
+    return B._like([m.scale(Fraction(1)) for m in B.num], B.power,
+                   integral=False)
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES[1:] + [CHAIN6],
+                         ids=lambda s: "x".join(map(str, s[1])))
+def test_integral_series_is_stored_in_ints(shape):
+    """Each series coefficient of an integral family is stored once, int
+    numerators in num[0] over one positive int d, and its Fractions are the
+    Fraction series of the same coefficient entry by entry, in key order,
+    for the 7 `algebra` shapes and the 6-site chain."""
+    N, parts, _ = shape
+    M, _ = _module(parts, N)
+    z = ([Fraction(k) for k in range(6)] if shape is CHAIN6
+         else [Fraction(-3, 2), Fraction(5, 3)])
+    j_max = len(parts) * max(map(max, parts)) + N + 1
+    family = restrict_family(universal_operator(M, z), None, j_max)
+    nonzero = 0
+    for i in range(1, N + 2):
+        B = family.B_u[i]
+        assert B.integral
+        want = _fraction_twin(B).entries_series_at_infinity(j_max)
+        for P, Q in zip(family.B_coeffs[i], want, strict=True):
+            assert (P.power, P.integral) == (0, True)
+            assert (Q.d, Q.integral) == (1, False)
+            assert type(P.d) is int and P.d > 0
+            assert all(type(v) is int for m in P.num for v in m.data.values())
+            assert list(_values(P).data.items()) == \
+                list(_values(Q).data.items())
+            nonzero += bool(P.num)
+    assert nonzero
+
+
+def _bits(pencil):
+    """Every coefficient's power, d, flags and num dicts, values by repr
+    (which shows the sign of a zero part) in key order."""
+    return [(c.power, c.d, c.integral, c.exact,
+             [repr(list(m.data.items())) for m in c.num])
+            for c in pencil.coeffs]
+
+
+COMPOSE_SITES = {
+    "integral": ([(2, 1, 0), (1, 1, 0)], 2, [Fraction(-3, 2), Fraction(5, 3)]),
+    # the sites of tools/problems/defect9.json
+    "gaussian": ([(1, 0), (2, 0), (3, 0)], 1,
+                 [Fraction(0), Fraction(1), QI(0, Fraction(4, 3))]),
+    "complex": NUMERIC_SELFCHECK_CASES["complex_sites"][:3],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_SITES))
+def test_unit_coefficient_composes_without_a_product(monkeypatch, name):
+    """The unit leading coefficient of each diagonal entry d - e_ii(u)
+    contributes g^(m) itself: the universal operator has the num dicts, d
+    and power of the one made with every product, from fewer products."""
+    parts, N, z = COMPOSE_SITES[name]
+    M, _ = _module(parts, N)
+    assert diffop_ring._is_unit(RFMatrix.identity(M.dim))
+    calls = _count_products(monkeypatch, RFMatrix, "__mul__")
+    got = _bits(universal_operator(M, z))
+    short = len(calls)
+    monkeypatch.setattr(diffop_ring, "_is_unit", lambda f: False)
+    assert got == _bits(universal_operator(M, z))
+    assert short < len(calls) - short
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))
+def test_master_pencil_composes_without_a_product(monkeypatch, name):
+    """master_operator_at composes its factors d - a_i through the same
+    compose, and the unit shortcut leaves its pencil as it was."""
+    parts, N, l, z, _, point, _ = EXACT_INSTANCES[name]
+    problem = GaudinProblem(N, parts, l, z)
+    got = _bits(master_operator_at(problem, point))
+    monkeypatch.setattr(diffop_ring, "_is_unit", lambda f: False)
+    assert got == _bits(master_operator_at(problem, point))
 
 
 # 4-site spin-1/2 chains, l = 2, where multistart reports one orbit for

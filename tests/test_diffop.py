@@ -14,6 +14,13 @@ from gaudin.linalg import SparseMatrix
 from gaudin.scalars import QI
 
 
+def _series(rf, j_max):
+    """The series at infinity as SparseMatrix values, Fractions in the
+    integral form, where each power-0 coefficient holds ints over d."""
+    return [P.coeffs[0] if P.num else SparseMatrix(P.nrows, P.ncols)
+            for P in rf.entries_series_at_infinity(j_max)]
+
+
 def _rand_poly(rng, deg):
     return Poly(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                       for _ in range(deg)) + (Fraction(1),))
@@ -91,20 +98,31 @@ def test_derivative_product_rule():
 def test_series_at_infinity_geometric():
     # 1/(u - 3) = sum 3^(j-1) u^-j
     rf = _scalar(ONE, Poly((Fraction(-3), Fraction(1))), 1)
-    s = [m[0, 0] for m in rf.entries_series_at_infinity(5)]
+    s = [m[0, 0] for m in _series(rf, 5)]
     assert s == [Fraction(3) ** (j - 1) for j in range(1, 6)]
     # (2u + 1)/u^2 = 2/u + 1/u^2
     rf2 = _scalar(Poly((Fraction(1), Fraction(2))),
                   Poly((Fraction(0), Fraction(1))), 2)
-    assert [m[0, 0] for m in rf2.entries_series_at_infinity(3)] == \
+    assert [m[0, 0] for m in _series(rf2, 3)] == \
         [Fraction(2), Fraction(1), Fraction(0)]
     with pytest.raises(ImproperRational):
         _scalar(Poly((0, 0, 1)), Poly((0, 1)), 1).entries_series_at_infinity(2)
 
 
+def test_series_at_infinity_keeps_d_positive():
+    """1/(3 - u) = -sum 3^(j-1) u^-j: a negative leading coefficient of the
+    denominator goes into the int numerators, and each d stays positive."""
+    rf = _scalar(ONE, Poly((Fraction(3), Fraction(-1))), 1)
+    assert rf.integral
+    series = rf.entries_series_at_infinity(4)
+    assert all(P.d > 0 and P.power == 0 for P in series)
+    assert [P.num[0][0, 0] * Fraction(1, P.d) for P in series] == \
+        [-Fraction(3) ** (j - 1) for j in range(1, 5)]
+
+
 def test_series_at_infinity_numeric():
     rf = _scalar(Poly((1.0 + 0j,)), Poly((-0.5 + 0j, 1.0 + 0j)), 1)
-    s = [m[0, 0] for m in rf.entries_series_at_infinity(4)]
+    s = [m[0, 0] for m in _series(rf, 4)]
     want = [0.5 ** (j - 1) for j in range(1, 5)]
     assert max(abs(a - b) for a, b in zip(s, want)) < 1e-12
 
@@ -259,7 +277,7 @@ def test_gaussian_residues_meet_an_integral_matrix_over_rational_sites():
     assert got_prod[0, 0] == Fraction(-15, 196)
 
     j_max = 6
-    series = a.entries_series_at_infinity(j_max)
+    series = _series(a, j_max)
     for j, mat in enumerate(series, start=1):
         for i in range(2):
             for k in range(2):
@@ -268,8 +286,7 @@ def test_gaussian_residues_meet_an_integral_matrix_over_rational_sites():
                 assert mat[i, k] == want, (j, i, k)
     square = a * a
     assert square.power == 2
-    for j, mat in enumerate(square.entries_series_at_infinity(j_max),
-                            start=1):
+    for j, mat in enumerate(_series(square, j_max), start=1):
         want = SparseMatrix(2, 2)
         for p in range(1, j):
             want = want + series[p - 1] @ series[j - p - 1]
@@ -325,7 +342,7 @@ def test_rfmatrix_agrees_with_entrywise_rational_functions():
         _assert_same(b.derivative(), db, points)
         for mat, want in ((a, ra), (b, rb), (a * b, prod),
                           (b.derivative(), db)):
-            series = mat.entries_series_at_infinity(6)
+            series = _series(mat, 6)
             for key, rf in want.items():
                 assert [s[key] for s in series] == \
                     oracles.rf_series_at_infinity(rf, 6)

@@ -611,8 +611,8 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         relative = 0.0
         for i in (1, 2):
             printed = series[i][:report["derived"]["j_max"]]
-            for mat, g in zip(family.B_coeffs[i], printed, strict=True):
-                lhs = mat.apply(vec)
+            for P, g in zip(family.B_coeffs[i], printed, strict=True):
+                lhs = P.coeffs[0].apply(vec) if P.num else {}
                 res = max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
                           for k in lhs.keys() | vec.keys())
                 top = max(map(abs, lhs.values()), default=0.0)
@@ -623,6 +623,33 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
                      == f"orbit{spec['index']}.eigenvalue_equations")
         assert check["residual"] == pytest.approx(relative, rel=1e-6)
     assert max(absolute) > 0.4 * EIG_TOL
+
+
+def test_floating_orbits_read_the_int_series_over_its_d(monkeypatch):
+    """At sites 0, 1/2, 5/3, 3 the series coefficients are int numerators
+    over d > 1, and both orbits are irrational: their eigenvalue equations
+    read the coefficients as complex(n / d) and pass at roundoff (a copy
+    that dropped d read residuals of 1.0)."""
+    seen = []
+    restrict = harness_cli.restrict_family
+
+    def spy(*args):
+        seen.append(restrict(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(harness_cli, "restrict_family", spy)
+    prob, config, _ = load_problem({
+        "N": 1, "partitions": [[1, 0]] * 4, "l": [2],
+        "z": ["0", "1/2", "5/3", "3"], "solver": {"seed": 0}})
+    report = run_pipeline(prob, config)
+    family, = seen
+    assert max(P.d for mats in family.B_coeffs.values() for P in mats) > 1
+    assert [s["exact_point"] for s in report["spectra"]] == [False, False]
+    eigen = [c for c in report["checks"]
+             if c["name"].endswith("eigenvalue_equations")]
+    assert len(eigen) == 2
+    assert all(c["status"] == "PASS" and c["residual"] < 1e-14
+               for c in eigen)
 
 
 def _spy(monkeypatch, names):
