@@ -84,22 +84,33 @@ class BetheOperatorFamily:
     power-0 RFMatrix stored once: for an integral B_u[i] its int numerators
     in num[0] over the one positive int d, else its values in num[0] with
     d = 1 (`RFMatrix.entries_series_at_infinity`).  `coeffs[0]` gives the
-    Fractions of a nonzero one.
+    Fractions of a nonzero one.  `unit_rows[m]` is the unit row of basis
+    column m, or None for the full space; `coordinates` reads a vector of
+    the span in the basis.
     """
 
-    def __init__(self, N, B_u, B_coeffs, subspace, j_max):
+    def __init__(self, N, B_u, B_coeffs, subspace, j_max, unit_rows=None):
         self.N = N
         self.B_u = B_u
         self.B_coeffs = B_coeffs
         self.subspace = subspace
         self.j_max = j_max
+        self.unit_rows = unit_rows
 
     def eval(self, i, u) -> SparseMatrix:
         """B_i(u)."""
         return self.B_u[i].eval(u)
 
+    def coordinates(self, vec):
+        """The coordinates of a sparse dict vector of the span: its entries
+        at the unit rows of the basis, or vec itself on the full space."""
+        if self.unit_rows is None:
+            return vec
+        return {m: vec[r] for m, r in enumerate(self.unit_rows) if r in vec}
 
-# a floating remainder at most this share of the image counts as roundoff
+
+# a floating remainder at most this share of the image, weighted by the
+# scale of the sites (`_check_invariant`), counts as roundoff
 _REMAINDER_RTOL = 1e-9
 
 
@@ -121,15 +132,13 @@ def _unit_rows(S: SparseMatrix):
     return unit
 
 
-def _restrict_matrix(mat: SparseMatrix, S, unit, L, exact, i):
-    """R with mat @ S == S @ R / L, read at the unit rows of S (where S is
-    L); NotInvariant when mat maps a column of S outside its span.
+def _restrict_matrix(mat: SparseMatrix, S, unit, L):
+    """(R, image, remainder): R with mat @ S == S @ R / L, read at the unit
+    rows of S (where S is L), the image mat @ S, and L mat @ S - S @ R, or
+    None where that is zero.
 
     mat's entries are read once, against the rows of S, so each entry of
-    mat @ S is summed in their order, as in SparseMatrix.apply.  Exact
-    matrices must meet the identity exactly.  At floating sites a remainder
-    in column c of at most _REMAINDER_RTOL times the largest entry of the
-    image of column c counts as roundoff.
+    mat @ S is summed in their order, as in SparseMatrix.apply.
     """
     k = S.ncols
     by_row = {}
@@ -144,22 +153,45 @@ def _restrict_matrix(mat: SparseMatrix, S, unit, L, exact, i):
     image = SparseMatrix(mat.nrows, k, image)
     R = SparseMatrix(k, k, {(m, c): image[r, c]
                             for m, r in enumerate(unit) for c in range(k)})
-    if L != 1:
-        image = image.scale(L)
+    scaled = image.scale(L) if L != 1 else image
     back = S @ R
-    if image.data == back.data:
-        return R
-    top, rest = {}, {}
-    for (_, c), v in image.data.items():
-        top[c] = max(top.get(c, 0.0), scalar_abs(v))
-    for (_, c), v in (image - back).data.items():
-        rest[c] = max(rest.get(c, 0.0), scalar_abs(v) / top[c])
-    for c in sorted(rest):
-        if exact or rest[c] > _REMAINDER_RTOL:
-            raise NotInvariant(
-                f"coefficient {i} maps basis vector {c} outside the subspace "
-                f"(remainder {rest[c]:.3e} of the image)")
-    return R
+    return R, image, None if scaled.data == back.data else scaled - back
+
+
+def _check_invariant(B: RFMatrix, parts, i):
+    """NotInvariant unless the remainders of the numerator matrices num_a of
+    B, in `parts` as `_restrict_matrix` gives them, are zero, or at floating
+    sites roundoff.
+
+    When the sites scale by t, num_a scales by t^-a times a common factor,
+    so each is weighted by rho^a, with rho = max_j |c_(m-j) / c_m|^(1/j)
+    over the coefficients c of D, m = deg D, which lies between
+    max|z_s| / 2 and m max|z_s|.  A remainder in column c counts as roundoff
+    when, so weighted, it is at most _REMAINDER_RTOL times the largest
+    weighted entry of column c in every image.  A num_a that is zero at
+    exact sites is roundoff at floating ones, with a remainder as large as
+    its image.
+    """
+    if all(rem is None for _, _, rem in parts):
+        return
+    c = [scalar_abs(x) for x in B.den.coeffs]
+    m = len(c) - 1
+    rho = max([(c[m - j] / c[m]) ** (1 / j) for j in range(1, m + 1)],
+              default=0.0) or 1.0
+    top = {}
+    for a, (_, image, _) in enumerate(parts):
+        for (_, col), v in image.data.items():
+            top[col] = max(top.get(col, 0.0), scalar_abs(v) * rho ** a)
+    for a, (_, _, rem) in enumerate(parts):
+        rest = {}
+        for (_, col), v in (() if rem is None else rem.data.items()):
+            rest[col] = max(rest.get(col, 0.0),
+                            scalar_abs(v) * rho ** a / top[col])
+        for col in sorted(rest):
+            if B.is_exact() or rest[col] > _REMAINDER_RTOL:
+                raise NotInvariant(
+                    f"coefficient {i} maps basis vector {col} outside the "
+                    f"subspace (remainder {rest[col]:.3e} of the image)")
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
@@ -169,21 +201,26 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
     for the full carrier space.  Column m must have a unit row r_m, where it
     is 1 and every other column is 0, as the columns of
     `weight_and_singular_subspace` have; ValueError otherwise.  Any basis
-    gets unit rows from `linalg.rref` of its columns.  The coordinates of a
-    vector of the span are its entries at the unit rows.
+    gets unit rows from `linalg.rref` of its columns.  The coordinates x of
+    a vector v = S x of the span are its entries at the unit rows
+    (`BetheOperatorFamily.coordinates`).  Since S has full column rank,
+    B v - g v = S (R x - g x) is zero exactly when R x = g x: the eigenvalue
+    equations on Sing are checked on the k x k family.
 
     A coefficient P(u)/D(u)^k leaves the span invariant iff every
     coefficient matrix of P does, so each is restricted on its own: R is read
-    at the unit rows of P S, and P S == S R is checked as one identity.
-    Raises NotInvariant when it fails.  Every coefficient, of any entry
-    type, is restricted in its numerator num against the basis scaled to
-    ints by its lcd L, and L goes into the restricted d; an integral
-    coefficient restricts in ints, with no Fraction made.  Its series at
-    infinity stays in ints too, one int d per coefficient matrix.
+    at the unit rows of P S, and P S == S R is checked as one identity,
+    exactly or at floating sites to roundoff (`_check_invariant`).  Raises
+    NotInvariant when it fails.  Every coefficient, of any entry type, is
+    restricted in its numerator num against the basis scaled to ints by its
+    lcd L, and L goes into the restricted d; an integral coefficient
+    restricts in ints, with no Fraction made.  Its series at infinity stays
+    in ints too, one int d per coefficient matrix.
     """
     order = pencil.order
     N = order - 1
     B_u = {i: operator_coefficient(pencil, i) for i in range(1, order + 1)}
+    unit = None
     if subspace is not None:
         unit = _unit_rows(subspace)
         if rational_lcd(subspace.data.values()) is None:
@@ -191,14 +228,12 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
         (ints,), L = integer_scaled([subspace])
         k = subspace.ncols
         for i, B in B_u.items():
-            num = [_restrict_matrix(mat, ints, unit, L, B.is_exact(), i)
-                   for mat in B.num]
-            B_u[i] = B._like(num, B.power, B.d * L, k, k)
-    B_coeffs = {}
-    for i in range(1, order + 1):
-        mats = B_u[i].entries_series_at_infinity(j_max) if j_max > 0 else []
-        B_coeffs[i] = mats
-    return BetheOperatorFamily(N, B_u, B_coeffs, subspace, j_max)
+            parts = [_restrict_matrix(mat, ints, unit, L) for mat in B.num]
+            _check_invariant(B, parts, i)
+            B_u[i] = B._like([R for R, _, _ in parts], B.power, B.d * L, k, k)
+    B_coeffs = {i: B.entries_series_at_infinity(j_max) if j_max > 0 else []
+                for i, B in B_u.items()}
+    return BetheOperatorFamily(N, B_u, B_coeffs, subspace, j_max, unit)
 
 
 def _matrix_residual(mat: SparseMatrix) -> float:

@@ -28,8 +28,8 @@ import jsonschema
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
                             restrict_family, universal_operator)
-from .errors import GaudinError, SchemaError, ZeroVector
-from .linalg import SparseMatrix, rank, rational_lcd
+from .errors import GaudinError, NotInvariant, SchemaError, ZeroVector
+from .linalg import SparseMatrix, rank
 from .master import (GaudinProblem, SolverConfig, factored_pole_data,
                      find_critical_orbits, group_polynomials,
                      hessian_determinant, master_coefficients,
@@ -200,35 +200,22 @@ def _fmt_complex(x):
     return [c.real, c.imag]
 
 
-def _eigen_residual(lhs, vec, g):
-    """Largest coordinate of lhs - g * vec, for sparse dict vectors."""
+def _eigen_residual(P, x, g, exact, xmax):
+    """Largest coordinate of R x - g x, for a series coefficient
+    R = num[0] / d as the family stores it and a sparse dict vector x with
+    xmax = max|x|: as it is at an exact orbit, else relative to
+    max(1, max|x|, max|R x|, |g| max|x|)."""
+    lhs = P.num[0].apply(x) if P.num else {}
+    if P.d != 1:
+        lhs = {k: v / P.d for k, v in lhs.items()}
     diff = dict(lhs)
-    for idx, v in vec.items():
+    for idx, v in x.items():
         diff[idx] = diff.get(idx, 0) - g * v
-    return max((scalar_abs(v) for v in diff.values()), default=0.0)
-
-
-def _exact_eigen_residual(mat, d, vec, g, ints):
-    """_eigen_residual of lhs = mat vec / d, for an exact mat over the int d.
-
-    `ints` is (w, c) with vec = w / c and w int when vec is rational, else
-    None.  With g = p / q rational too, every coordinate of the difference
-    is (q mat w - p d w) / (q d c), with an int numerator, and the largest
-    is divided once at the end: int / int rounds correctly, as the float of
-    the Fraction does.  Otherwise mat vec is divided by d entry by entry.
-    """
-    if ints is None or type(g) not in (int, Fraction):
-        lhs = mat.apply(vec)
-        if d != 1:
-            lhs = {k: v / d for k, v in lhs.items()}
-        return _eigen_residual(lhs, vec, g)
-    w, c = ints
-    p, q = g.numerator, g.denominator
-    diff = {k: q * v for k, v in mat.apply(w).items()}
-    pd = p * d
-    for idx, v in w.items():
-        diff[idx] = diff.get(idx, 0) - pd * v
-    return max(map(abs, diff.values()), default=0) / (q * d * c)
+    res = max(map(scalar_abs, diff.values()), default=0.0)
+    if exact:
+        return res
+    top = max(map(scalar_abs, lhs.values()), default=0.0)
+    return res / max(1.0, xmax, top, abs(g) * xmax)
 
 
 class Checks:
@@ -364,22 +351,19 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
                first_coefficient_identity(pencil, problem.sizes, problem.z))
     checks.add("orbit_count", count_ok, detail=count_detail)
 
+    # the eigenvalue equations read the family restricted to Sing, applied
+    # to the Sing coordinates x of each Bethe vector v = S x: S has full
+    # column rank and singular_membership checks v in Sing, so
+    # B v - g v = S (R x - g x) vanishes exactly when R x - g x does.  A
+    # restriction that fails fails each orbit's equations, with its reason.
+    try:
+        sing, sing_error = restrict_family(pencil, S, j_max), None
+    except NotInvariant as e:
+        sing, sing_error = None, str(e)
+
     # --- per-orbit checks
     bethe = []
     spectra = []
-    # the Bethe vectors lie in the weight space W: only the entries in its
-    # columns meet them, and SparseMatrix.apply meets those in the same
-    # order with or without the others.  Each series coefficient is kept as
-    # it is stored, (num[0], d): int numerators over the int d for an exact
-    # problem, its values over d = 1 at floating sites.  A floating orbit of
-    # an exact problem applies them to a complex vector, converted once to
-    # complex(n / d), the correctly rounded float of the Fraction n / d.
-    positions = {k for k, _ in W.data}
-    weight_coeffs = {i: [(SparseMatrix(P.nrows, P.ncols, {
-        key: v for m in P.num for key, v in m.data.items()
-        if key[1] in positions}), P.d)
-        for P in mats] for i, mats in family.B_coeffs.items()}
-    floating_coeffs = None if problem.exact else weight_coeffs
     for orb in orbits:
         tag = f"orbit{orb.index}"
         if orb.degenerate:
@@ -396,18 +380,11 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
         if exact:
             operator = master_operator_at(problem, point)
             _, series = master_coefficients(operator, j_max)
-            coeffs = weight_coeffs
         else:
             operator = series_by_contour(
                 factored_pole_data(problem, point),
                 max(j_max, series_terms(problem, point)))
             series = {i: c[:j_max] for i, c in operator.items()}
-            if floating_coeffs is None:
-                floating_coeffs = {i: [(SparseMatrix(m.nrows, m.ncols, {
-                    k: complex(v if d == 1 else v / d)
-                    for k, v in m.data.items()}), 1) for m, d in mats]
-                    for i, mats in weight_coeffs.items()}
-            coeffs = floating_coeffs
         spectra.append({"index": orb.index, "exact_point": exact_pt,
                         "eigenvalues": {str(i): list(map(format_scalar, s))
                                         for i, s in sorted(series.items())}})
@@ -426,29 +403,22 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
                            SING_TOL * max(1.0, info["coeff_max"]), exact),
                    residual=info["singular_residual"])
 
-        # eigenvalue equations B_{i,j} vec == g_{i,j} vec, one for each
+        # eigenvalue equations R_{i,j} x == g_{i,j} x on Sing, one for each
         # coefficient of the series at infinity the spectrum reports: an
-        # exact zero at an exact point, from the int numerators of the
-        # coefficient and of a rational vec, else relative to the vectors
-        # compared (a floating coefficient has d = 1)
-        worst = 0.0
-        vmax = info["coeff_max"]
-        c = rational_lcd(vec.values()) if exact else None
-        ints = None if c is None else (
-            {k: v.numerator * (c // v.denominator) for k, v in vec.items()},
-            c)
-        for i in range(1, problem.N + 2):
-            for (mat, d), g in zip(coeffs[i], series[i], strict=True):
-                if exact:
-                    res = _exact_eigen_residual(mat, d, vec, g, ints)
-                else:
-                    lhs = mat.apply(vec)
-                    res = _eigen_residual(lhs, vec, g)
-                    top = max(map(scalar_abs, lhs.values()), default=0.0)
-                    res /= max(1.0, vmax, top, abs(g) * vmax)
-                worst = max(worst, res)
-        checks.add(f"{tag}.eigenvalue_equations",
-                   _passes(worst, EIG_TOL, exact), residual=worst)
+        # exact zero at an exact point, else relative to the vectors compared
+        if sing is None:
+            checks.add(f"{tag}.eigenvalue_equations", False,
+                       detail=sing_error)
+        else:
+            x = sing.coordinates(vec)
+            xmax = max(map(scalar_abs, x.values()), default=0.0)
+            worst = max(
+                (_eigen_residual(P, x, g, exact, xmax)
+                 for i in range(1, problem.N + 2)
+                 for P, g in zip(sing.B_coeffs[i], series[i], strict=True)),
+                default=0.0)
+            checks.add(f"{tag}.eigenvalue_equations",
+                       _passes(worst, EIG_TOL, exact), residual=worst)
 
         # norm formula against the Hessian determinant
         det = hessian_determinant(problem, point)

@@ -70,11 +70,7 @@ class SparseMatrix:
         out = dict(self.data)
         for k, x in other.data.items():
             y = out.get(k)
-            s = x if y is None else y + x
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = x if y is None else y + x
         return SparseMatrix(self.nrows, self.ncols, out)
 
     def __sub__(self, other):
@@ -98,9 +94,7 @@ class SparseMatrix:
             for i, x in hits:
                 key = (i, j)
                 cur = out.get(key)
-                s = x * y if cur is None else cur + x * y
-                out[key] = s
-        out = {k: v for k, v in out.items() if v}
+                out[key] = x * y if cur is None else cur + x * y
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def apply(self, vec):

@@ -269,15 +269,44 @@ def test_integral_pencil_restricts_to_an_integral_family(parts):
 
 def test_restriction_at_float_sites_rejects_a_noninvariant_column():
     """At floating sites a remainder far above roundoff raises NotInvariant:
-    one basis vector of the weight space is not an eigenvector of B_2."""
+    one basis vector of the weight space is not an eigenvector of B_2.  The
+    remainder is judged against the scale of the sites, so it is rejected
+    alike with the sites 1000 times nearer to 0 or farther from it."""
     M, _ = _module([(1, 0)] * 4, 1)
     W, _ = weight_and_singular_subspace(M, (2, 2))
     column = SparseMatrix(M.dim, 1, {(next(iter(W.data))[0], 0): 1})
+    for scale in (1e-3, 1.0, 1e3):
+        z = [complex(x) * scale
+             for x in FLOAT_RESTRICTION_SITES["complex_site"]]
+        with pytest.raises(NotInvariant, match="coefficient 2"):
+            restrict_family(universal_operator(M, z), column, 0)
     z = [complex(x) for x in FLOAT_RESTRICTION_SITES["complex_site"]]
-    with pytest.raises(NotInvariant, match="coefficient 2"):
-        restrict_family(universal_operator(M, z), column, 0)
     # the whole weight space is invariant
     assert restrict_family(universal_operator(M, z), W, 0).B_u[1].nrows == 6
+
+
+@pytest.mark.parametrize("parts, z, a", [
+    ([(2, 1, 0), (2, 0, 0)], [0j, 1.3 + 0.4j], 0),
+    ([(2, 0, 0), (2, 1, 0)], [-1.524 + 0j, 0.762 + 0j], 1),
+], ids=["off_line", "real"])
+def test_a_roundoff_coefficient_restricts_at_float_sites(parts, z, a):
+    """Numerator matrix a of B_3 on the adjoint times Sym^2 of gl3 is zero at
+    exact sites and roundoff, near 1e-14, at these floating ones, so its
+    remainder on Sing is as large as its image.  It is judged against the
+    other numerator matrices, weighted by the scale of the sites, and the
+    restriction commutes with the basis to roundoff."""
+    M, S = _singular_basis(parts, 2, [2, 1])
+    pencil = universal_operator(M, z)
+    roundoff = operator_coefficient(pencil, 3).num[a]
+    assert 0 < max(map(abs, roundoff.data.values())) < 1e-13
+    sing = restrict_family(pencil, S, 0)
+    full = restrict_family(pencil, None, 0)
+    for i in range(1, 4):
+        for u in (2.5 + 0.5j, -1.7 + 0j):
+            left, right = full.eval(i, u) @ S, S @ sing.eval(i, u)
+            size = max(map(abs, left.data.values()))
+            assert all(abs(left[k] - right[k]) <= 1e-12 * size
+                       for k in left.data.keys() | right.data.keys())
 
 
 def test_operator_coefficient_indexing():

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from gaudin import harness_cli, repr_core, wronski_schubert
-from gaudin.errors import SchemaError
+from gaudin.errors import NotInvariant, SchemaError
 from gaudin.harness_cli import (EIG_TOL, REPORT_SCHEMA, SELFTEST_PROBLEM,
                                 default_j_max, emit_report, load_problem,
                                 main, run_pipeline)
@@ -579,10 +579,12 @@ def test_a_perturbed_exact_spectrum_fails_the_eigenvalue_equations(
 def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         monkeypatch):
     """`search` seed 5, instance 6: coefficient j of the series grows like
-    |z|^j, and at sites 2, 4, 5, 6 the coefficient-wise residual reaches
-    0.46 of EIG_TOL times max(1, |v|).  Each coefficient is judged relative
-    to the vectors it compares instead, and the report gives the largest
-    such ratio."""
+    |z|^j, and at sites 2, 4, 5, 6 the coefficient-wise residual of the
+    full-module equations B v = g v reaches 0.46 of EIG_TOL times
+    max(1, |v|).  The report checks R x = g x on the Sing coordinates x
+    instead, each coefficient judged relative to the vectors it compares,
+    and gives the largest such ratio, recomputed here from the Sing family
+    and the coordinates."""
     seen = {}
 
     def spy(name):
@@ -602,23 +604,30 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         "solver": {"seed": 1144093041, "starts": 40, "early_stop": False}})
     report = run_pipeline(prob, config)
     assert report["summary"]["all_pass"]
-    family, = seen["restrict_family"]
+    full, sing = seen["restrict_family"]
+    assert full.subspace is None and sing.subspace is not None
     absolute = []
     for series, (vec, info), spec in zip(seen["series_by_contour"],
                                          seen["bethe_vector"],
                                          report["spectra"], strict=True):
-        vmax = info["coeff_max"]
+        x = sing.coordinates(vec)
+        xmax = max(map(abs, x.values()))
         relative = 0.0
         for i in (1, 2):
             printed = series[i][:report["derived"]["j_max"]]
-            for P, g in zip(family.B_coeffs[i], printed, strict=True):
-                lhs = P.coeffs[0].apply(vec) if P.num else {}
-                res = max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
-                          for k in lhs.keys() | vec.keys())
+            for B, P, g in zip(full.B_coeffs[i], sing.B_coeffs[i], printed,
+                               strict=True):
+                lhs = B.coeffs[0].apply(vec) if B.num else {}
+                absolute.append(max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
+                                    for k in lhs.keys() | vec.keys())
+                                / max(1.0, info["coeff_max"]))
+                lhs = {k: v / P.d for k, v in P.num[0].apply(x).items()} \
+                    if P.num else {}
+                res = max(abs(lhs.get(k, 0) - g * x.get(k, 0))
+                          for k in lhs.keys() | x.keys())
                 top = max(map(abs, lhs.values()), default=0.0)
-                absolute.append(res / max(1.0, vmax))
                 relative = max(relative,
-                               res / max(1.0, vmax, top, abs(g) * vmax))
+                               res / max(1.0, xmax, top, abs(g) * xmax))
         check = next(c for c in report["checks"] if c["name"]
                      == f"orbit{spec['index']}.eigenvalue_equations")
         assert check["residual"] == pytest.approx(relative, rel=1e-6)
@@ -626,10 +635,11 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
 
 
 def test_floating_orbits_read_the_int_series_over_its_d(monkeypatch):
-    """At sites 0, 1/2, 5/3, 3 the series coefficients are int numerators
-    over d > 1, and both orbits are irrational: their eigenvalue equations
-    read the coefficients as complex(n / d) and pass at roundoff (a copy
-    that dropped d read residuals of 1.0)."""
+    """At sites 0, 1/2, 5/3, 3 the series coefficients of the Sing family
+    are int numerators over d > 1, and both orbits are irrational: their
+    eigenvalue equations apply the int numerators to the complex Sing
+    coordinates, divide by d and pass at roundoff (a copy that dropped d
+    read residuals of 1.0)."""
     seen = []
     restrict = harness_cli.restrict_family
 
@@ -642,7 +652,8 @@ def test_floating_orbits_read_the_int_series_over_its_d(monkeypatch):
         "N": 1, "partitions": [[1, 0]] * 4, "l": [2],
         "z": ["0", "1/2", "5/3", "3"], "solver": {"seed": 0}})
     report = run_pipeline(prob, config)
-    family, = seen
+    _, family = seen
+    assert family.subspace is not None
     assert max(P.d for mats in family.B_coeffs.values() for P in mats) > 1
     assert [s["exact_point"] for s in report["spectra"]] == [False, False]
     eigen = [c for c in report["checks"]
@@ -650,6 +661,123 @@ def test_floating_orbits_read_the_int_series_over_its_d(monkeypatch):
     assert len(eigen) == 2
     assert all(c["status"] == "PASS" and c["residual"] < 1e-14
                for c in eigen)
+
+
+@pytest.mark.parametrize("sites, partitions, exact", [
+    ([-2, 0, 3], [[2, 0], [1, 0], [1, 0]], True),
+    ([0, 1, 3], [[1, 0], [1, 0], [1, 0]], False),
+], ids=["exact_orbits", "floating_orbits"])
+def test_a_perturbed_sing_family_fails_the_eigenvalue_equations(
+        monkeypatch, sites, partitions, exact):
+    """The eigenvalue equations read the family restricted to Sing: one int
+    numerator of its u^-1 coefficient of B_1, a multiple of the identity,
+    changed by 1 fails them at both orbits, exact or floating, and nothing
+    else; the full-module family is left as it is."""
+    restrict = harness_cli.restrict_family
+
+    def perturbed(pencil, subspace, j_max):
+        family = restrict(pencil, subspace, j_max)
+        if subspace is not None:
+            P = family.B_coeffs[1][0]
+            assert type(P.num[0][0, 0]) is int
+            P.num[0].data[0, 0] += 1
+        return family
+
+    monkeypatch.setattr(harness_cli, "restrict_family", perturbed)
+    prob = GaudinProblem(1, partitions, [1], [Fraction(x) for x in sites])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    assert [s["exact_point"] for s in report["spectra"]] == [exact] * 2
+    eigen, rest = _eigen_statuses(report)
+    assert list(eigen.values()) == ["FAIL"] * 2
+    assert rest == {"PASS"}
+
+
+def test_a_failed_sing_restriction_fails_each_orbits_eigenvalue_equations(
+        tmp_path, capsys, monkeypatch):
+    """A NotInvariant from the restriction to Sing is a FAIL of every
+    orbit's eigenvalue equations, with its text as the detail, and not an
+    input error: `gaudin verify` exits 1, not 2."""
+    restrict = harness_cli.restrict_family
+    message = "coefficient 2 maps basis vector 0 outside the subspace"
+
+    def failing(pencil, subspace, j_max):
+        if subspace is not None:
+            raise NotInvariant(message)
+        return restrict(pencil, subspace, j_max)
+
+    monkeypatch.setattr(harness_cli, "restrict_family", failing)
+    prob = GaudinProblem(1, [[1, 0]] * 4, [2],
+                         [Fraction(k) for k in range(4)])
+    report = run_pipeline(prob, SolverConfig(seed=0))
+    eigen = [c for c in report["checks"]
+             if c["name"].endswith("eigenvalue_equations")]
+    assert len(eigen) == len(report["orbits"]) == 2
+    assert all(c["status"] == "FAIL" and c["detail"] == message
+               and c["residual"] is None for c in eigen)
+    assert {c["status"] for c in report["checks"] if c not in eigen} \
+        == {"PASS"}
+    path = write_problem(tmp_path, ANCHOR_JSON)
+    assert main(["verify", "--problem", path]) == 1
+    out, err = capsys.readouterr()
+    assert "input error" not in err
+    assert f"FAIL    orbit0.eigenvalue_equations {message}" in out
+
+
+def test_a_zero_singular_space_keeps_its_report():
+    """Weight dimension 2 and Sing dimension 0: the restriction to a basis
+    of no columns raises nothing, no orbit is found, and the nine checks of
+    an empty singular space pass."""
+    prob, config, _ = load_problem({"N": 2, "partitions": [[2, 1, 0]],
+                                    "l": [1, 1], "z": ["0"]})
+    report = run_pipeline(prob, config)
+    assert report["derived"] == {
+        "infinity_weight": [1, 1, 1], "module_dimension": 8,
+        "weight_dimension": 2, "singular_dimension": 0,
+        "expected_orbits": 0, "exponents": [3, 2, 1],
+        "dual_partition": [1, 1, 1], "d_cap": 5, "j_max": 5,
+        "term_count": 2}
+    assert report["orbits"] == report["spectra"] == []
+    empty = "no Bethe vector for singular dimension 0"
+    assert [(c["name"], c["status"], c["residual"], c["detail"])
+            for c in report["checks"]] == [
+        ("algebra_commutativity", "PASS", 0.0, ""),
+        ("algebra_gl_invariance", "PASS", 0.0, ""),
+        ("algebra_form_symmetry", "PASS", 0.0, ""),
+        ("coefficient_triangularity", "PASS", 0.0, ""),
+        ("first_coefficient", "PASS", None, ""),
+        ("orbit_count", "PASS", None, "found 0, expected 0"),
+        ("gram_rank", "PASS", None, empty),
+        ("pairwise_orthogonality", "PASS", None, empty),
+        ("completeness", "PASS", None, empty)]
+    assert report["summary"] == {"checks": 9, "passed": 9, "failed": 0,
+                                 "skipped": 0, "all_pass": True}
+
+
+@pytest.mark.parametrize("source", [
+    {"N": 2, "partitions": [[2, 1, 0], [2, 0, 0]], "l": [2, 1],
+     "z": [[0.0, 0.0], [1.3, 0.4]], "solver": {"seed": 0}},
+    str(Path(__file__).resolve().parents[1] / "tools" / "problems"
+        / "defect9.json"),
+], ids=["adjoint_sym2_off_line", "defect9"])
+def test_sing_restriction_holds_off_the_real_line(monkeypatch, source):
+    """At sites off the real line, floating or Gaussian-rational, the
+    restriction to Sing raises nothing and every eigenvalue equation on the
+    Sing coordinates passes.  On the adjoint times Sym^2 of gl3 a numerator
+    matrix of B_3 is roundoff at these sites."""
+    families = []
+    restrict = harness_cli.restrict_family
+
+    def spy(pencil, subspace, j_max):
+        families.append(restrict(pencil, subspace, j_max))
+        return families[-1]
+
+    monkeypatch.setattr(harness_cli, "restrict_family", spy)
+    report = run_pipeline(*load_problem(source)[:2])
+    full, sing = families
+    k = report["derived"]["singular_dimension"]
+    assert sing.B_u[1].nrows == len(sing.unit_rows) == k > 0
+    eigen, _ = _eigen_statuses(report)
+    assert list(eigen.values()) == ["PASS"] * k
 
 
 def _spy(monkeypatch, names):
