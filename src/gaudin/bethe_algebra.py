@@ -2,7 +2,12 @@
 
 The operator is the row determinant of the (N+1)x(N+1) matrix with entry
 delta_ij * d - e_ji(u), where e_ij(u) is the generating current acting on a
-tensor product of evaluation modules: sum_s e_ij^(s) / (u - z_s).  Its
+tensor product of evaluation modules: sum_s e_ij^(s) / (u - z_s).  The
+coefficient of d^(N+1-k) is a homogeneous polynomial of degree k in the pole
+symbols x_s = 1/(u - z_s), with d x_s = -x_s^2, whose matrix coefficients do
+not depend on the sites (Talalaev 2004; Mukhin-Tarasov-Varchenko 2006).  So
+the determinant is taken once, in ints, over those symbols, and the sites are
+put in once per coefficient, into the RFMatrix form the consumers read.  Its
 coefficient matrices commute pairwise, commute with the diagonal gl action,
 and are symmetric for the invariant form; `algebra_selfcheck` checks those
 statements exactly on rational sites, and on dense complex128 arrays (one
@@ -23,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diffop_ring import (OperatorPencil, RFMatrix, row_determinant,
-                          site_denominator)
+from .diffop_ring import (OperatorPencil, PoleMatrix, RFMatrix,
+                          row_determinant, site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .repr_core import GlModule
@@ -44,31 +49,39 @@ def _check_sites(M: GlModule, z):
 def current_matrix(M: GlModule, i, j, z) -> RFMatrix:
     """Action of the current e_ij(u) = sum_s e_ij^(s)/(u - z_s)."""
     _check_sites(M, z)
-    return _current(M, i, j, site_denominator(z))
-
-
-def _current(M: GlModule, i, j, sites) -> RFMatrix:
     mats = [M.slot_matrix(s, i, j) for s in range(len(M.factors))]
-    return RFMatrix.over_sites(mats, sites)
+    return RFMatrix.over_sites(mats, site_denominator(z))
 
 
 def universal_operator(M: GlModule, z) -> OperatorPencil:
-    """Row determinant of delta_ij d - e_ji(u); monic of order N+1."""
+    """Row determinant of delta_ij d - e_ji(u); monic of order N+1.
+
+    The determinant is taken once over the pole symbols y_s = x_s / e,
+    x_s = 1/(u - z_s), where e is the lcd of the slot matrices' entries:
+    entry (i, j) is delta_ij d - sum_s (e e_ji^(s)) y_s, with int matrices
+    and d/du y_s = -e y_s^2 (`PoleMatrix`), so no site enters it.  The
+    coefficient of d^(N+1-k) is homogeneous of degree k in the y_s, and
+    `PoleMatrix.at_sites` puts the sites in, once per coefficient; the
+    leading one is RFMatrix.identity.
+    """
     _check_sites(M, z)
     r = M.rank
-    ident = RFMatrix.identity(M.dim)
-    sites = site_denominator(z)
+    e = rational_lcd(v for f in M.factors for i in range(1, r + 1)
+                     for j in range(1, r + 1) for v in f.e(i, j).data.values())
+    unit = PoleMatrix.identity(M.dim, e)
     entries = []
     for i in range(1, r + 1):
         row = []
         for j in range(1, r + 1):
-            c0 = -_current(M, j, i, sites)
-            row.append(OperatorPencil([c0, ident]) if i == j
-                       else OperatorPencil([c0]))
+            c0 = -PoleMatrix.over_poles(
+                [M.slot_matrix(s, j, i) for s in range(len(M.factors))], e)
+            row.append(OperatorPencil([c0, unit] if i == j else [c0]))
         entries.append(row)
     pencil = row_determinant(entries)
-    assert pencil.order == r and pencil.is_monic()
-    return pencil
+    assert pencil.order == r and pencil.coeffs[r].is_unit()
+    sites = site_denominator(z)
+    return OperatorPencil([c.at_sites(sites) for c in pencil.coeffs[:r]]
+                          + [RFMatrix.identity(M.dim)])
 
 
 def operator_coefficient(pencil: OperatorPencil, i: int) -> RFMatrix:
@@ -158,6 +171,13 @@ def _restrict_matrix(mat: SparseMatrix, S, unit, L):
     return R, image, None if scaled.data == back.data else scaled - back
 
 
+def _log_abs(v):
+    """log|v|, also for an int past the float range: -inf at 0, and inf or
+    nan at a float that is not finite."""
+    x = abs(v) if type(v) is int else scalar_abs(v)
+    return math.log(x) if x else -math.inf
+
+
 def _check_invariant(B: RFMatrix, parts, i):
     """NotInvariant unless the remainders of the numerator matrices num_a of
     B, in `parts` as `_restrict_matrix` gives them, are zero, or at floating
@@ -170,28 +190,49 @@ def _check_invariant(B: RFMatrix, parts, i):
     when, so weighted, it is at most _REMAINDER_RTOL times the largest
     weighted entry of column c in every image.  A num_a that is zero at
     exact sites is roundoff at floating ones, with a remainder as large as
-    its image.
+    its image.  The weighted sizes are compared as logs, so that no scale of
+    the sites overflows or underflows them.  Sites far enough out overflow
+    the floating site polynomial itself: a coefficient of D, or an entry of
+    an image or a remainder, that is not finite raises NotInvariant too.
     """
     if all(rem is None for _, _, rem in parts):
         return
-    c = [scalar_abs(x) for x in B.den.coeffs]
+
+    def finite(x):
+        # x = _log_abs(v); inf or nan where v is not finite
+        if not x < math.inf:
+            raise NotInvariant(
+                f"coefficient {i} is not finite at these sites (the "
+                "floating site polynomial overflows)")
+        return x
+
+    c = [finite(_log_abs(x)) for x in B.den.coeffs]
     m = len(c) - 1
-    rho = max([(c[m - j] / c[m]) ** (1 / j) for j in range(1, m + 1)],
-              default=0.0) or 1.0
+    log_rho = max([(c[m - j] - c[m]) / j for j in range(1, m + 1)
+                   if c[m - j] > -math.inf], default=0.0)
+
+    def weighted(mat, a):
+        # column -> the largest log(|v| rho^a) over its entries v
+        out = {}
+        for (_, col), v in mat.data.items():
+            x = finite(_log_abs(v)) + a * log_rho
+            if x > out.get(col, -math.inf):
+                out[col] = x
+        return out
+
     top = {}
     for a, (_, image, _) in enumerate(parts):
-        for (_, col), v in image.data.items():
-            top[col] = max(top.get(col, 0.0), scalar_abs(v) * rho ** a)
+        for col, x in weighted(image, a).items():
+            top[col] = max(top.get(col, -math.inf), x)
     for a, (_, _, rem) in enumerate(parts):
-        rest = {}
-        for (_, col), v in (() if rem is None else rem.data.items()):
-            rest[col] = max(rest.get(col, 0.0),
-                            scalar_abs(v) * rho ** a / top[col])
+        rest = {} if rem is None else weighted(rem, a)
         for col in sorted(rest):
-            if B.is_exact() or rest[col] > _REMAINDER_RTOL:
+            share = rest[col] - top.get(col, -math.inf)
+            if B.is_exact() or share > math.log(_REMAINDER_RTOL):
+                share = math.exp(share) if share < 709 else math.inf
                 raise NotInvariant(
                     f"coefficient {i} maps basis vector {col} outside the "
-                    f"subspace (remainder {rest[col]:.3e} of the image)")
+                    f"subspace (remainder {share:.3e} of the image)")
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
@@ -237,7 +278,11 @@ def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFam
 
 
 def _matrix_residual(mat: SparseMatrix) -> float:
-    return max((scalar_abs(v) for v in mat.data.values()), default=0.0)
+    """The largest modulus of an entry, or inf where one is inf or nan, as
+    floating values overflow at far-out sites: a max would drop a nan."""
+    vals = [scalar_abs(v) for v in mat.data.values()]
+    return max(vals, default=0.0) if all(map(math.isfinite, vals)) \
+        else math.inf
 
 
 def _numerator(P: RFMatrix) -> SparseMatrix:
@@ -268,12 +313,15 @@ def _difference(left, right, d=1):
     rational SparseMatrix products in exact mode, where the second value is
     0.0 and only an exact zero passes, or complex ndarrays (d = 1) in numeric
     mode, where the second value is the scale a residual is judged against
-    and left is overwritten by the difference.
+    and left is overwritten by the difference.  A floating difference that
+    is not finite, as far-out sites overflow the values, is inf, which no
+    max drops as it would a nan.
     """
     if isinstance(left, np.ndarray):
         scale = max(np.abs(left).max(), np.abs(right).max())
         left -= right
-        return float(np.abs(left).max()), float(scale)
+        res = float(np.abs(left).max())
+        return (res if res < math.inf else math.inf), float(scale)
     a, b = left.data, right.data
     if a == b:
         return 0.0, 0.0
@@ -613,4 +661,5 @@ def first_coefficient_identity(pencil: OperatorPencil, sizes, z) -> bool:
     if diff.is_exact():
         return False
     scale = max(map(_matrix_residual, B1.num + target.num))
-    return max(map(_matrix_residual, diff.num)) <= 1e-9 * max(1.0, scale)
+    return scale < math.inf and \
+        max(map(_matrix_residual, diff.num)) <= 1e-9 * max(1.0, scale)

@@ -3,15 +3,20 @@ differential-operator pencils.
 
 Everything is generic over the scalar field (Fraction / Gaussian rational /
 complex).  A pencil is sum_k C_k(u) d^k with coefficients written to the left
-of the derivative powers.  Every coefficient is a matrix polynomial over a
-power of one fixed denominator D(u) = prod (u - r) of the known pole
-locations (RFMatrix), so nothing is ever gcd-reduced, and the same
-composition code serves the row-determinant operator (poles at the sites)
-and the scalar operator at a critical point (1x1, poles at the sites and the
-Bethe variables).  An RFMatrix of any entry type keeps its value
-P(u)/D(u)^k in one form, num(u) / (d * den(u)^k) with one positive int d,
-and den = D~ = lcd * D in Python ints when the poles are rational; with
-rational entries num holds ints too, so the arithmetic runs in integers.
+of the derivative powers.  Its coefficients are of one of two types, and one
+composition and one row determinant serve both.  An RFMatrix is a matrix
+polynomial over a power of one fixed denominator D(u) = prod (u - r) of the
+known pole locations, so nothing is ever gcd-reduced: the scalar operator
+at a critical point (1x1, poles at the sites and the Bethe variables) is
+composed over it.  A PoleMatrix is an int matrix polynomial in the pole
+symbols y_s = 1/(e (u - z_s)), with no site in it: the universal operator is
+the row determinant over it, and each of its coefficients is put at the
+sites once, into an RFMatrix (`PoleMatrix.at_sites`).
+
+An RFMatrix of any entry type keeps its value P(u)/D(u)^k in one form,
+num(u) / (d * den(u)^k) with one positive int d, and den = D~ = lcd * D in
+Python ints when the poles are rational; with rational entries num holds
+ints too, so the arithmetic runs in integers.
 The series at infinity stays in that form: each coefficient is a power-0
 RFMatrix, int numerators over one int d in the integral form.  Composing
 with a unit coefficient (the identity leading d - a) reuses the other
@@ -175,15 +180,35 @@ def _mul_poly(mats, q: Poly):
     return [SparseMatrix(mats[0].nrows, mats[0].ncols, d) for d in out]
 
 
-def site_denominator(z):
-    """The site polynomial D(u) = prod_s (u - z_s) and its cofactors
-    prod_{t!=s} (u - z_t), as (base, cofactors, lcd).
+def _by_column(mat):
+    """The entries of mat grouped by column: k -> [(i, mat[i, k]), ...]."""
+    by_col = {}
+    for (i, k), x in mat.data.items():
+        by_col.setdefault(k, []).append((i, x))
+    return by_col
 
-    With every z_s = p_s / q_s rational, lcd = prod_s q_s and everything
-    is scaled to integer coefficients: base is lcd * D = prod_s (q_s u - p_s)
-    and cofactor s is q_s prod_{t!=s} (q_t u - p_t), so that
-    1/(u - z_s) = cofactor_s / base.  Otherwise lcd is None and D and its
-    cofactors are kept as they are.
+
+def _add_product(acc, by_col, right):
+    """acc += left @ right in place, entry by entry; by_col is
+    _by_column(left)."""
+    for (k, j), y in right.data.items():
+        for i, x in by_col.get(k, ()):
+            key = (i, j)
+            cur = acc.get(key)
+            acc[key] = x * y if cur is None else cur + x * y
+
+
+def site_denominator(z):
+    """The site polynomial D(u) = prod_s (u - z_s), its cofactors
+    prod_{t!=s} (u - z_t) and its linear factors, as
+    (base, cofactors, lcd, factors).
+
+    With every z_s = p_s / q_s rational, lcd = lcm_s q_s and everything
+    is scaled to integer coefficients: factor s is q_s u - p_s, base is
+    prod_s (q_s u - p_s), which is lcd * D when the q_s are coprime, and
+    cofactor s is q_s prod_{t!=s} (q_t u - p_t), so that
+    1/(u - z_s) = cofactor_s / base = q_s / factor_s.  Otherwise lcd is
+    None, factor s is u - z_s, and D and its cofactors are kept as they are.
     """
     lcd = rational_lcd(z)
     if lcd is not None:
@@ -202,7 +227,7 @@ def site_denominator(z):
             if t != s:
                 cofactor = cofactor * f
         cofactors.append(cofactor)
-    return base, cofactors, lcd
+    return base, cofactors, lcd, factors
 
 
 def _add_polys(a, b):
@@ -321,7 +346,7 @@ class RFMatrix:
     def over_sites(cls, mats, sites):
         """sum_s mats[s] / (u - z_s), kept as sum_s mats[s] times cofactor s
         over the base; `sites` is site_denominator(z)."""
-        base, cofactors, lcd = sites
+        base, cofactors, lcd, _ = sites
         e = None if lcd is None else rational_lcd(
             v for m in mats for v in m.data.values())
         exact = e is not None or (base.is_exact_poly() and all(
@@ -344,6 +369,17 @@ class RFMatrix:
 
     def is_zero(self):
         return not self.num
+
+    def zero(self, ncols):
+        """The zero matrix with this one's rows and ncols columns."""
+        return RFMatrix(self.nrows, ncols)
+
+    def is_unit(self):
+        """The identity matrix with int entries, d = 1 and power 0."""
+        if not (self.integral and self.power == 0 and self.d == 1
+                and len(self.num) == 1 and self.nrows == self.ncols):
+            return False
+        return _is_identity(self.num[0])
 
     def is_exact(self):
         return self.exact
@@ -403,16 +439,9 @@ class RFMatrix:
         over = self._common_base(other)
         out = [{} for _ in range(len(self.num) + len(other.num) - 1)]
         for a, left in enumerate(self.num):
-            by_col = {}
-            for (i, k), x in left.data.items():
-                by_col.setdefault(k, []).append((i, x))
+            by_col = _by_column(left)
             for b, right in enumerate(other.num):
-                acc = out[a + b]
-                for (k, j), y in right.data.items():
-                    for i, x in by_col.get(k, ()):
-                        key = (i, j)
-                        cur = acc.get(key)
-                        acc[key] = x * y if cur is None else cur + x * y
+                _add_product(out[a + b], by_col, right)
         return over._like([SparseMatrix(self.nrows, other.ncols, d)
                            for d in out],
                           self.power + other.power, self.d * other.d,
@@ -594,21 +623,161 @@ class RFMatrix:
         return mats
 
 
-def _is_unit(f: RFMatrix):
-    """f is the identity matrix with int entries, d = 1 and power 0."""
-    if not (f.integral and f.power == 0 and f.d == 1 and len(f.num) == 1
-            and f.nrows == f.ncols):
-        return False
-    data = f.num[0].data
-    return len(data) == f.nrows and all(
-        i == j and v == 1 for (i, j), v in data.items())
+def _is_identity(mat):
+    """mat is the square identity matrix with int entries."""
+    data = mat.data
+    return mat.nrows == mat.ncols and len(data) == mat.nrows and all(
+        i == j and v == 1 and type(v) is int for (i, j), v in data.items())
+
+
+class PoleMatrix:
+    """A matrix polynomial sum_m C_m y^m in the pole symbols y_s, with int
+    matrices C_m and d/du y_s = -e y_s^2 for one positive int e.
+
+    With y_s = x_s / e and x_s = 1/(u - z_s), a current sum_s a_s x_s of
+    rational slot matrices a_s is sum_s (e a_s) y_s, integral when e is a
+    multiple of their denominators, and d/du x_s = -x_s^2 gives
+    d/du y_s = -e y_s^2.  `terms` maps a monomial, the sorted tuple of the
+    sites in it with repeats, to its nonzero coefficient.  Nothing here
+    depends on where the sites are: `at_sites` puts them in, once.  The
+    coefficients of the row determinant of the Gaudin currents are
+    homogeneous, of degree k in front of d^(N+1-k).
+    """
+
+    __slots__ = ("nrows", "ncols", "terms", "e")
+
+    def __init__(self, nrows, ncols, terms, e):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.terms = {m: mat for m, mat in terms.items() if mat.data}
+        self.e = e
+
+    @classmethod
+    def identity(cls, n, e):
+        return cls(n, n, {(): SparseMatrix(n, n, {(i, i): 1
+                                                  for i in range(n)})}, e)
+
+    @classmethod
+    def over_poles(cls, mats, e):
+        """sum_s mats[s] x_s = sum_s (e mats[s]) y_s, for rational matrices
+        whose denominators divide e."""
+        return cls(mats[0].nrows, mats[0].ncols,
+                   {(s,): _to_ints(mat, e) for s, mat in enumerate(mats)}, e)
+
+    def is_zero(self):
+        return not self.terms
+
+    def zero(self, ncols):
+        return PoleMatrix(self.nrows, ncols, {}, self.e)
+
+    def is_unit(self):
+        """The constant identity matrix, as `identity` makes it."""
+        return (len(self.terms) == 1 and () in self.terms
+                and _is_identity(self.terms[()]))
+
+    def _from_dicts(self, acc, ncols=None):
+        """A PoleMatrix from monomial -> entry dict."""
+        ncols = self.ncols if ncols is None else ncols
+        return PoleMatrix(self.nrows, ncols,
+                          {m: SparseMatrix(self.nrows, ncols, d)
+                           for m, d in acc.items()}, self.e)
+
+    def __add__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        terms = dict(self.terms)
+        for m, mat in other.terms.items():
+            cur = terms.get(m)
+            terms[m] = mat if cur is None else cur + mat
+        return PoleMatrix(self.nrows, self.ncols, terms, self.e)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        return PoleMatrix(self.nrows, self.ncols,
+                          {m: mat.scale(c) for m, mat in self.terms.items()},
+                          self.e)
+
+    def __mul__(self, other):
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
+        out = {}
+        for m, left in self.terms.items():
+            by_col = _by_column(left)
+            for n, right in other.terms.items():
+                key = tuple(sorted(m + n))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                _add_product(acc, by_col, right)
+        return self._from_dicts(out, other.ncols)
+
+    def derivative(self):
+        """-e sum_m C_m sum_s m_s y^m y_s, with m_s the times s is in m."""
+        out = {}
+        for m, mat in self.terms.items():
+            for s in dict.fromkeys(m):
+                c = -self.e * m.count(s)
+                acc = out.setdefault(tuple(sorted(m + (s,))), {})
+                for key, v in mat.data.items():
+                    cur = acc.get(key)
+                    acc[key] = c * v if cur is None else cur + c * v
+        return self._from_dicts(out)
+
+    def at_sites(self, sites) -> RFMatrix:
+        """The value at y_s = 1/(e (u - z_s)) of a value homogeneous of
+        degree k, as an RFMatrix over the site polynomial.
+
+        `sites` is site_denominator(z), whose factor s is L_s = q_s u - p_s
+        with q_s its leading coefficient (1 unless every site is rational),
+        so that 1/(u - z_s) = q_s / L_s and y^m = prod_s q_s^(m_s)
+        L_s^(k - m_s) / (e^k base^k): num = sum_m C_m prod_s q_s^(m_s)
+        L_s^(k - m_s) and d = e^k.  The entries of num are ints at rational
+        sites, and Gaussian rationals or complex floats where the factors
+        hold them.
+        """
+        base, _, lcd, factors = sites
+        k = len(next(iter(self.terms), ()))
+        powers = [[f ** j for j in range(k + 1)] for f in factors]
+        # entry -> its coefficients in u, each w of degree k (n - 1)
+        rows = {}
+        for m, mat in self.terms.items():
+            w = Poly((math.prod(factors[s].coeffs[1] for s in m),))
+            for s, pw in enumerate(powers):
+                j = k - m.count(s)
+                if j:
+                    w = w * pw[j]
+            w = w.coeffs
+            for key, v in mat.data.items():
+                row = rows.get(key)
+                rows[key] = [c * v for c in w] if row is None else \
+                    [x + c * v for x, c in zip(row, w)]
+        num = [{} for _ in range(k * (len(factors) - 1) + 1)] if rows else []
+        for key, row in rows.items():
+            for acc, x in zip(num, row):
+                acc[key] = x
+        out = RFMatrix.__new__(RFMatrix)
+        out._set(self.nrows, self.ncols,
+                 [SparseMatrix(self.nrows, self.ncols, acc) for acc in num],
+                 base, lcd, self.e ** k, k, lcd is not None,
+                 base.is_exact_poly())
+        return out
+
+
+def _is_unit(f):
+    """f is the unit of its coefficient type; both types answer it."""
+    return f.is_unit()
 
 
 class OperatorPencil:
     """Differential operator sum_k coeffs[k] * d^k, coefficients left of d.
 
-    The coefficients are RFMatrix entries of one shape over one denominator;
-    a scalar operator has 1x1 coefficients.
+    The coefficients are RFMatrix entries of one shape over one denominator,
+    or PoleMatrix entries of one shape and one e; a scalar operator has 1x1
+    coefficients.  `apply` and `is_monic` take RFMatrix coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -641,11 +810,12 @@ class OperatorPencil:
     def compose(self, other):
         """Operator product self o other via normal ordering d o f = f d + f'.
 
-        A unit coefficient of self (the identity in the integral form, as
-        the leading coefficient of d - a) contributes g^(m) itself: the
-        product would have its num, d and power.
+        The coefficients are RFMatrix or PoleMatrix values, all of one
+        type.  A unit coefficient of self (the int identity, as the leading
+        coefficient of d - a) contributes g^(m) itself: the product would
+        have its value and form.
         """
-        zero = RFMatrix(self.coeffs[0].nrows, other.coeffs[0].ncols)
+        zero = self.coeffs[0].zero(other.coeffs[0].ncols)
         out = [zero] * (self.order + other.order + 1)
         units = [_is_unit(f) for f in self.coeffs]
         for b, g in enumerate(other.coeffs):
@@ -665,7 +835,7 @@ class OperatorPencil:
                     term = gm if units[a] else f * gm
                     c = math.comb(a, m)
                     if c != 1:
-                        term = term.scale(Fraction(c))
+                        term = term.scale(c)
                     k = a - m + b
                     out[k] = out[k] + term
         return OperatorPencil(out)

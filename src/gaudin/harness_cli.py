@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -144,6 +145,15 @@ def _validate(validator, instance):
         raise error
 
 
+def _finite(x):
+    """float(x); SchemaError for NaN and the infinities, which Python's json
+    reads and the schema's "number" admits."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise SchemaError(f"site position {x!r} is not finite")
+    return x
+
+
 def _parse_site(x):
     if isinstance(x, str):
         return parse_rational(x)
@@ -152,11 +162,11 @@ def _parse_site(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return complex(x, 0.0)
+        return complex(_finite(x), 0.0)
     if isinstance(x, (list, tuple)):
         if all(isinstance(c, str) for c in x):
             return QI(parse_rational(x[0]), parse_rational(x[1]))
-        return complex(float(x[0]), float(x[1]))
+        return complex(_finite(x[0]), _finite(x[1]))
     raise SchemaError(f"unreadable site position {x!r}")
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,15 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
                                   sample_points, universal_operator)
-from gaudin.diffop_ring import Poly, RFMatrix
+from gaudin.diffop_ring import (OperatorPencil, PoleMatrix, Poly, RFMatrix,
+                                row_determinant)
 from gaudin.errors import NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix, integer_scaled, rational_lcd, rref
 from gaudin.master import (GaudinProblem, master_coefficients,
                            master_operator_at)
 from gaudin.repr_core import (build_irreducible, shared_module, tensor_module,
                               tensor_shapovalov, weight_and_singular_subspace)
-from gaudin.scalars import QI, scalar_abs
+from gaudin.scalars import QI, is_exact, scalar_abs
 from gaudin.weights import derive_infinity_weight
 
 Z2 = [Fraction(0), Fraction(1)]
@@ -271,18 +274,42 @@ def test_restriction_at_float_sites_rejects_a_noninvariant_column():
     """At floating sites a remainder far above roundoff raises NotInvariant:
     one basis vector of the weight space is not an eigenvector of B_2.  The
     remainder is judged against the scale of the sites, so it is rejected
-    alike with the sites 1000 times nearer to 0 or farther from it."""
+    alike with the sites 1000 times, 1e200 times or 1e60 times nearer to 0
+    or farther from it, and the whole weight space restricts at every such
+    scale.  Once 1e-200 divided by an underflowed zero and 1e60 overflowed
+    the weights.  At 1e200 the floating site polynomial overflows, and both
+    restrictions are refused rather than read from NaN."""
     M, _ = _module([(1, 0)] * 4, 1)
     W, _ = weight_and_singular_subspace(M, (2, 2))
     column = SparseMatrix(M.dim, 1, {(next(iter(W.data))[0], 0): 1})
-    for scale in (1e-3, 1.0, 1e3):
+    for scale in (1e-200, 1e-3, 1.0, 1e3, 1e60, 1e200):
         z = [complex(x) * scale
              for x in FLOAT_RESTRICTION_SITES["complex_site"]]
-        with pytest.raises(NotInvariant, match="coefficient 2"):
-            restrict_family(universal_operator(M, z), column, 0)
-    z = [complex(x) for x in FLOAT_RESTRICTION_SITES["complex_site"]]
-    # the whole weight space is invariant
-    assert restrict_family(universal_operator(M, z), W, 0).B_u[1].nrows == 6
+        pencil = universal_operator(M, z)
+        if scale > 1e100:
+            for S in (column, W):
+                with pytest.raises(NotInvariant, match="not finite"):
+                    restrict_family(pencil, S, 0)
+            continue
+        with pytest.raises(NotInvariant, match="coefficient 2 maps"):
+            restrict_family(pencil, column, 0)
+        assert restrict_family(pencil, W, 0).B_u[1].nrows == 6
+
+
+def test_floating_residuals_count_an_overflowed_value():
+    """With the sites of the test above 1e60 times farther out, the values
+    of B_2 at the sample points overflow to nan.  The self-check reports an
+    infinite residual for them, as the residual of a matrix does for an
+    entry that is not finite.  A max over the residuals once dropped the
+    nan and read 0."""
+    M, _ = _module([(1, 0)] * 4, 1)
+    z = [complex(x) * 1e60 for x in FLOAT_RESTRICTION_SITES["complex_site"]]
+    family = restrict_family(universal_operator(M, z), None, 3)
+    with np.errstate(invalid="ignore"):
+        sc = algebra_selfcheck(family, None, M, z)
+    assert sc["commutator_pairs"] == sc["max_residual"] == float("inf")
+    mat = SparseMatrix(1, 2, {(0, 0): 1.0, (0, 1): complex("nan")})
+    assert bethe_algebra._matrix_residual(mat) == float("inf")
 
 
 @pytest.mark.parametrize("parts, z, a", [
@@ -291,12 +318,15 @@ def test_restriction_at_float_sites_rejects_a_noninvariant_column():
 ], ids=["off_line", "real"])
 def test_a_roundoff_coefficient_restricts_at_float_sites(parts, z, a):
     """Numerator matrix a of B_3 on the adjoint times Sym^2 of gl3 is zero at
-    exact sites and roundoff, near 1e-14, at these floating ones, so its
+    exact sites.  The row determinant of the currents expanded over the
+    floating site polynomial leaves roundoff there, near 1e-14, so its
     remainder on Sing is as large as its image.  It is judged against the
     other numerator matrices, weighted by the scale of the sites, and the
-    restriction commutes with the basis to roundoff."""
+    restriction commutes with the basis to roundoff.  The universal
+    operator, taken over the pole symbols, has an exact zero there."""
     M, S = _singular_basis(parts, 2, [2, 1])
-    pencil = universal_operator(M, z)
+    assert not operator_coefficient(universal_operator(M, z), 3).num[a].data
+    pencil = _current_determinant(M, z)
     roundoff = operator_coefficient(pencil, 3).num[a]
     assert 0 < max(map(abs, roundoff.data.values())) < 1e-13
     sing = restrict_family(pencil, S, 0)
@@ -307,6 +337,72 @@ def test_a_roundoff_coefficient_restricts_at_float_sites(parts, z, a):
             size = max(map(abs, left.data.values()))
             assert all(abs(left[k] - right[k]) <= 1e-12 * size
                        for k in left.data.keys() | right.data.keys())
+
+
+def _current_determinant(M, z):
+    """The row determinant of delta_ij d - e_ji(u) over pencils of
+    current_matrix entries: every current expanded over the site
+    polynomial before any product is taken."""
+    r = M.rank
+    ident = RFMatrix.identity(M.dim)
+    return row_determinant([
+        [OperatorPencil([-current_matrix(M, j, i, z)]
+                        + ([ident] if i == j else []))
+         for j in range(1, r + 1)] for i in range(1, r + 1)])
+
+
+# (partitions, N) per rank, with one to three sites
+ORACLE_MODULES = [
+    ([(1, 0)], 1), ([(2, 0), (1, 0)], 1), ([(1, 0), (2, 0), (1, 0)], 1),
+    ([(2, 1, 0)], 2), ([(2, 1, 0), (1, 0, 0)], 2), ([(1, 0, 0)] * 3, 2),
+    ([(1, 1, 0, 0)], 3), ([(1, 0, 0, 0), (1, 1, 0, 0)], 3),
+    ([(1, 0, 0, 0)] * 3, 3),
+]
+ORACLE_SITES = {
+    "rational": [Fraction(-13, 7), Fraction(5, 11), Fraction(17, 3)],
+    "gaussian": [QI(0, Fraction(4, 3)), Fraction(1, 2), QI(-1, Fraction(2, 5))],
+    "real": [-1.524 + 0j, 0.762 + 0j, 2.25 + 0j],
+    "off_line": [0j, 1.3 + 0.4j, -0.7 - 2.1j],
+}
+
+
+def _oracle_cases():
+    for parts, N in ORACLE_MODULES:
+        for name in sorted(ORACLE_SITES):
+            yield pytest.param(parts, N, ORACLE_SITES[name][:len(parts)],
+                               id=f"{name}-{N + 1}x{len(parts)}")
+    problem, _, _ = harness_cli.load_problem(str(
+        Path(__file__).resolve().parents[1] / "tools" / "problems"
+        / "defect9.json"))
+    yield pytest.param(problem.partitions, problem.N, problem.z, id="defect9")
+
+
+@pytest.mark.parametrize("parts, N, z", _oracle_cases())
+def test_universal_operator_is_the_determinant_of_the_currents(parts, N, z):
+    """The determinant over the pole symbols, put at the sites, is the row
+    determinant of the currents expanded over the site polynomial: exactly
+    at rational and Gaussian-rational sites, and at floating ones, on the
+    real line and off it, to 1e-12 of the largest numerator entry of each
+    coefficient, or 1e-12 where that is below 1.  There a coefficient that
+    is zero at exact sites may be roundoff in the expanded determinant and
+    an exact zero over the pole symbols."""
+    M, _ = _module(parts, N)
+    got, want = universal_operator(M, z), _current_determinant(M, z)
+    assert got.order == want.order == N + 1
+    assert got.coeffs[-1].is_unit() and want.coeffs[-1].is_unit()
+    exact = all(map(is_exact, z))
+    for a, b in zip(got.coeffs[:-1], want.coeffs[:-1], strict=True):
+        if exact:
+            assert (a - b).is_zero()
+            assert a.is_zero() or a.is_exact()
+            continue
+        assert a.is_zero() or (a.power, a.is_exact()) == (b.power, False)
+        x, y = ([mat.scale(1 / c.d) for mat in c.num] for c in (a, b))
+        tol = 1e-12 * max([1.0] + [abs(v) for mat in y
+                                   for v in mat.data.values()])
+        for p, q in itertools.zip_longest(x, y, fillvalue=SparseMatrix(0, 0)):
+            for key in p.data.keys() | q.data.keys():
+                assert abs(p[key] - q[key]) <= tol
 
 
 def test_operator_coefficient_indexing():
@@ -658,26 +754,27 @@ def test_integral_dense_horner_is_eval_scaled_within_the_bound(shape):
     assert within
 
 
-# sha256 of the exact universal operator: (power, base, entries in insertion
+# sha256 of the exact universal operator: (power, base, entries in key
 # order) of every coefficient, then its series at infinity to u^-4, in the
-# Gelfand-Tsetlin basis of each factor.  The rank-2 pin was recorded when
-# every RFMatrix kept Fraction coefficients; for N = 1 that basis is the one
-# the modules had before.  The site denominators 7, 11 and 3 are coprime, so
-# the integer form scales every base.
+# Gelfand-Tsetlin basis of each factor.  The pins were recorded from the
+# operator expanded over the site polynomial, before the determinant was
+# taken over the pole symbols, which inserts the entries in another order.
+# The site denominators 7, 11 and 3 are coprime, so the integer form scales
+# every base.
 SITES_7_11_3 = [Fraction(-13, 7), Fraction(5, 11), Fraction(17, 3)]
 OPERATOR_PINS = {
     2: ([(1, 0), (2, 0), (1, 0)], 1, SITES_7_11_3,
-        "378c5817c6788223fce3be71c4f4d60ad411fea4acd60d1ed47709a142d75b39"),
+        "3ec1b63f78c7f394882b3b3822c344ae8e4e2ee574fc45b4654a3504d5738818"),
     3: ([(2, 1, 0), (1, 0, 0)], 2, SITES_7_11_3[:2],
-        "6d6bc7599a5effb1da1364550608747a2ddeec8f7d7910af5d4cd3068011c42a"),
+        "f9e524f35a280116e057bb326e6325eca01faa5c7daf89b62af906fcb4f59ba4"),
     4: ([(1, 0, 0, 0), (1, 1, 0, 0)], 3, SITES_7_11_3[1:],
-        "2dc252ad48ff02b9b6239f850f5a2d2f321e1febe57252b64170559288c77490"),
+        "1ee1a6ba64573bed1a192b7e62cebc22891e2488eec15822b29be52c2db80d12"),
 }
 
 
 def _operator_digest(pencil, j_max):
     def entries(mat):
-        return repr([(k, str(v)) for k, v in mat.data.items()]).encode()
+        return repr([(k, str(v)) for k, v in sorted(mat.data.items())]).encode()
 
     h = hashlib.sha256()
     for c in pencil.coeffs:
@@ -818,11 +915,12 @@ COMPOSE_SITES = {
 def test_unit_coefficient_composes_without_a_product(monkeypatch, name):
     """The unit leading coefficient of each diagonal entry d - e_ii(u)
     contributes g^(m) itself: the universal operator has the num dicts, d
-    and power of the one made with every product, from fewer products."""
+    and power of the one made with every product, from fewer products of
+    its pole-symbol coefficients."""
     parts, N, z = COMPOSE_SITES[name]
     M, _ = _module(parts, N)
-    assert diffop_ring._is_unit(RFMatrix.identity(M.dim))
-    calls = _count_products(monkeypatch, RFMatrix, "__mul__")
+    assert diffop_ring._is_unit(PoleMatrix.identity(M.dim, 6))
+    calls = _count_products(monkeypatch, PoleMatrix, "__mul__")
     got = _bits(universal_operator(M, z))
     short = len(calls)
     monkeypatch.setattr(diffop_ring, "_is_unit", lambda f: False)
@@ -833,12 +931,16 @@ def test_unit_coefficient_composes_without_a_product(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))
 def test_master_pencil_composes_without_a_product(monkeypatch, name):
     """master_operator_at composes its factors d - a_i through the same
-    compose, and the unit shortcut leaves its pencil as it was."""
+    compose, and the unit shortcut leaves its pencil as it was, from fewer
+    RFMatrix products."""
     parts, N, l, z, _, point, _ = EXACT_INSTANCES[name]
     problem = GaudinProblem(N, parts, l, z)
+    calls = _count_products(monkeypatch, RFMatrix, "__mul__")
     got = _bits(master_operator_at(problem, point))
+    fast = len(calls)
     monkeypatch.setattr(diffop_ring, "_is_unit", lambda f: False)
     assert got == _bits(master_operator_at(problem, point))
+    assert fast < len(calls) - fast
 
 
 # 4-site spin-1/2 chains, l = 2, where multistart reports one orbit for

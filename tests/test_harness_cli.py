@@ -319,6 +319,48 @@ def test_main_malformed_exit_code(tmp_path, capsys):
     assert "input error" in err
 
 
+# JSON text of the sites, or a list of them that load_problem gets in a dict
+NON_FINITE_SITES = {
+    "nan": '["0", NaN]',
+    "infinity": '["0", Infinity]',
+    "minus_infinity": '[-Infinity, "1"]',
+    "nan_imaginary_part": '["0", [1.5, NaN]]',
+    "infinite_real_part": '["0", [Infinity, 0.5]]',
+    "nan_in_a_dict": ["0", float("nan")],
+}
+
+
+def _non_finite_problem(tmp_path, z):
+    """A problem file with the sites z as JSON text, or a dict with the list
+    z."""
+    if not isinstance(z, str):
+        return {"N": 1, "partitions": [[1, 0], [1, 0]], "l": [1], "z": z}
+    path = tmp_path / "problem.json"
+    path.write_text('{"N": 1, "partitions": [[1, 0], [1, 0]], "l": [1], '
+                    f'"z": {z}}}')
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SITES))
+def test_load_problem_rejects_non_finite_sites(tmp_path, name):
+    """Python's json reads NaN and the infinities, and the schema's
+    "number" admits them: a site there is malformed input.  Once NaN made
+    the sample-point search loop forever and Infinity crashed the
+    operator."""
+    with pytest.raises(SchemaError, match="not finite"):
+        load_problem(_non_finite_problem(tmp_path, NON_FINITE_SITES[name]))
+
+
+@pytest.mark.parametrize("name", ["nan", "infinity"])
+def test_main_non_finite_site_exit_code(tmp_path, capsys, name):
+    rc = main(["verify", "--problem",
+               _non_finite_problem(tmp_path, NON_FINITE_SITES[name])])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in captured.err and "not finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--jmax", "-2"], ["--jmax", "0"], ["--starts", "-5"],
     ["--max-terms", "0"], ["--seed", "-1"], ["--tol-residual", "-1"],
