@@ -6,8 +6,10 @@ tensor product of evaluation modules: sum_s e_ij^(s) / (u - z_s).  The
 coefficient of d^(N+1-k) is a homogeneous polynomial of degree k in the pole
 symbols x_s = 1/(u - z_s), with d x_s = -x_s^2, whose matrix coefficients do
 not depend on the sites (Talalaev 2004; Mukhin-Tarasov-Varchenko 2006).  So
-the determinant is taken once, in ints, over those symbols, and the sites are
-put in once per coefficient, into the RFMatrix form the consumers read.  Its
+the determinant is taken in ints over those symbols (`pole_operator`), once
+per process for each (N, partitions) key, as the module itself is
+(`shared_pole_operator`), and each instance only puts its sites in, once per
+coefficient, into the RFMatrix form the consumers read.  Its
 coefficient matrices commute pairwise, commute with the diagonal gl action,
 and are symmetric for the invariant form; `algebra_selfcheck` checks those
 statements exactly on rational sites, and on dense complex128 arrays (one
@@ -23,16 +25,17 @@ multiplies Python ints.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .diffop_ring import (OperatorPencil, PoleMatrix, RFMatrix,
-                          row_determinant, site_denominator)
+from .diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
+                          RFMatrix, row_determinant, site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
-from .repr_core import GlModule
+from .repr_core import _SHARED_MODULES, GlModule, shared_module
 from .scalars import scalar_abs
 
 
@@ -53,18 +56,18 @@ def current_matrix(M: GlModule, i, j, z) -> RFMatrix:
     return RFMatrix.over_sites(mats, site_denominator(z))
 
 
-def universal_operator(M: GlModule, z) -> OperatorPencil:
-    """Row determinant of delta_ij d - e_ji(u); monic of order N+1.
+def pole_operator(M: GlModule):
+    """The coefficients of d^0 .. d^N of the universal operator over the
+    pole symbols, free of sites, each packed to put sites in
+    (`PackedPoleMatrix`).
 
-    The determinant is taken once over the pole symbols y_s = x_s / e,
-    x_s = 1/(u - z_s), where e is the lcd of the slot matrices' entries:
-    entry (i, j) is delta_ij d - sum_s (e e_ji^(s)) y_s, with int matrices
-    and d/du y_s = -e y_s^2 (`PoleMatrix`), so no site enters it.  The
-    coefficient of d^(N+1-k) is homogeneous of degree k in the y_s, and
-    `PoleMatrix.at_sites` puts the sites in, once per coefficient; the
-    leading one is RFMatrix.identity.
+    The determinant is taken over y_s = x_s / e, x_s = 1/(u - z_s), where e
+    is the lcd of the slot matrices' entries: entry (i, j) is
+    delta_ij d - sum_s (e e_ji^(s)) y_s, with int matrices and
+    d/du y_s = -e y_s^2 (`PoleMatrix`), so no site enters it.  The
+    coefficient of d^(N+1-k) is homogeneous of degree k in the y_s; the
+    leading one, the identity, is left out.
     """
-    _check_sites(M, z)
     r = M.rank
     e = rational_lcd(v for f in M.factors for i in range(1, r + 1)
                      for j in range(1, r + 1) for v in f.e(i, j).data.values())
@@ -79,8 +82,30 @@ def universal_operator(M: GlModule, z) -> OperatorPencil:
         entries.append(row)
     pencil = row_determinant(entries)
     assert pencil.order == r and pencil.coeffs[r].is_unit()
+    return tuple(PackedPoleMatrix(c) for c in pencil.coeffs[:r])
+
+
+@functools.lru_cache(maxsize=_SHARED_MODULES)
+def shared_pole_operator(partitions, N):
+    """`pole_operator` of `shared_module(partitions, N)`, taken once per
+    process and shared by every caller: do not mutate it.  The key holds no
+    site, so each instance of a shape only puts its sites in."""
+    return pole_operator(shared_module(partitions, N)[0])
+
+
+def universal_operator(M: GlModule, z, poles=None) -> OperatorPencil:
+    """Row determinant of delta_ij d - e_ji(u); monic of order N+1.
+
+    `poles` is `pole_operator(M)`, taken here when it is not given (the
+    pipeline passes the shared one, `shared_pole_operator`).
+    `PackedPoleMatrix.at_sites` puts the sites into each of its
+    coefficients, once; the leading one is RFMatrix.identity.
+    """
+    _check_sites(M, z)
+    if poles is None:
+        poles = pole_operator(M)
     sites = site_denominator(z)
-    return OperatorPencil([c.at_sites(sites) for c in pencil.coeffs[:r]]
+    return OperatorPencil([c.at_sites(sites) for c in poles]
                           + [RFMatrix.identity(M.dim)])
 
 

@@ -11,7 +11,7 @@ at a critical point (1x1, poles at the sites and the Bethe variables) is
 composed over it.  A PoleMatrix is an int matrix polynomial in the pole
 symbols y_s = 1/(e (u - z_s)), with no site in it: the universal operator is
 the row determinant over it, and each of its coefficients is put at the
-sites once, into an RFMatrix (`PoleMatrix.at_sites`).
+sites once, into an RFMatrix (`PackedPoleMatrix.at_sites`).
 
 An RFMatrix of any entry type keeps its value P(u)/D(u)^k in one form,
 num(u) / (d * den(u)^k) with one positive int d, and den = D~ = lcd * D in
@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DimensionMismatch, ImproperRational, PoleEvaluation
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
@@ -203,15 +205,16 @@ def site_denominator(z):
     prod_{t!=s} (u - z_t) and its linear factors, as
     (base, cofactors, lcd, factors).
 
-    With every z_s = p_s / q_s rational, lcd = lcm_s q_s and everything
+    With every z_s = p_s / q_s rational, lcd = prod_s q_s and everything
     is scaled to integer coefficients: factor s is q_s u - p_s, base is
-    prod_s (q_s u - p_s), which is lcd * D when the q_s are coprime, and
-    cofactor s is q_s prod_{t!=s} (q_t u - p_t), so that
+    prod_s (q_s u - p_s) = lcd * D, and cofactor s is
+    q_s prod_{t!=s} (q_t u - p_t), so that
     1/(u - z_s) = cofactor_s / base = q_s / factor_s.  Otherwise lcd is
     None, factor s is u - z_s, and D and its cofactors are kept as they are.
     """
-    lcd = rational_lcd(z)
-    if lcd is not None:
+    lcd = None
+    if rational_lcd(z) is not None:
+        lcd = math.prod(zs.denominator for zs in z)
         factors = [Poly((-zs.numerator, zs.denominator)) for zs in z]
         one = _INT_ONE
     else:
@@ -639,8 +642,8 @@ class PoleMatrix:
     multiple of their denominators, and d/du x_s = -x_s^2 gives
     d/du y_s = -e y_s^2.  `terms` maps a monomial, the sorted tuple of the
     sites in it with repeats, to its nonzero coefficient.  Nothing here
-    depends on where the sites are: `at_sites` puts them in, once.  The
-    coefficients of the row determinant of the Gaudin currents are
+    depends on where the sites are: `PackedPoleMatrix.at_sites` puts them
+    in.  The coefficients of the row determinant of the Gaudin currents are
     homogeneous, of degree k in front of d^(N+1-k).
     """
 
@@ -727,6 +730,35 @@ class PoleMatrix:
                     acc[key] = c * v if cur is None else cur + c * v
         return self._from_dicts(out)
 
+
+class PackedPoleMatrix:
+    """A PoleMatrix value held compactly, to put the sites in, as often as
+    needed.
+
+    `keys` is a read-only 2 x K array of the rows and columns of the K
+    entries that are nonzero in some monomial, in the order they first
+    appear.  `terms` holds per monomial, in the PoleMatrix's order, the
+    monomial and a read-only 2 x n array of the key indices and the int
+    values of its entries, in their order: int64, or object past the int64
+    range.  A few arrays take less memory than the dicts of the PoleMatrix,
+    and the values and their order, so every sum `at_sites` makes and the
+    key order of its dicts, are the same.
+    """
+
+    __slots__ = ("nrows", "ncols", "e", "degree", "keys", "terms")
+
+    def __init__(self, value: PoleMatrix):
+        self.nrows = value.nrows
+        self.ncols = value.ncols
+        self.e = value.e
+        self.degree = len(next(iter(value.terms), ()))
+        index = {}
+        self.terms = tuple(
+            (m, _packed([[index.setdefault(key, len(index))
+                          for key in mat.data], list(mat.data.values())]))
+            for m, mat in value.terms.items())
+        self.keys = _packed([[r for r, _ in index], [c for _, c in index]])
+
     def at_sites(self, sites) -> RFMatrix:
         """The value at y_s = 1/(e (u - z_s)) of a value homogeneous of
         degree k, as an RFMatrix over the site polynomial.
@@ -740,23 +772,24 @@ class PoleMatrix:
         hold them.
         """
         base, _, lcd, factors = sites
-        k = len(next(iter(self.terms), ()))
+        k = self.degree
         powers = [[f ** j for j in range(k + 1)] for f in factors]
-        # entry -> its coefficients in u, each w of degree k (n - 1)
-        rows = {}
-        for m, mat in self.terms.items():
+        # per key its coefficients in u, each w of degree k (n - 1)
+        keys = list(zip(*self.keys.tolist()))
+        rows = [None] * len(keys)
+        for m, entries in self.terms:
             w = Poly((math.prod(factors[s].coeffs[1] for s in m),))
             for s, pw in enumerate(powers):
                 j = k - m.count(s)
                 if j:
                     w = w * pw[j]
             w = w.coeffs
-            for key, v in mat.data.items():
-                row = rows.get(key)
-                rows[key] = [c * v for c in w] if row is None else \
+            for i, v in zip(*entries.tolist()):
+                row = rows[i]
+                rows[i] = [c * v for c in w] if row is None else \
                     [x + c * v for x, c in zip(row, w)]
-        num = [{} for _ in range(k * (len(factors) - 1) + 1)] if rows else []
-        for key, row in rows.items():
+        num = [{} for _ in range(k * (len(factors) - 1) + 1)] if keys else []
+        for key, row in zip(keys, rows):
             for acc, x in zip(num, row):
                 acc[key] = x
         out = RFMatrix.__new__(RFMatrix)
@@ -765,6 +798,17 @@ class PoleMatrix:
                  base, lcd, self.e ** k, k, lcd is not None,
                  base.is_exact_poly())
         return out
+
+
+def _packed(rows):
+    """A read-only int64 array of the given lists of ints, or an object
+    array where one is past the int64 range."""
+    try:
+        out = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        out = np.array(rows, dtype=object)
+    out.flags.writeable = False
+    return out
 
 
 def _is_unit(f):

@@ -28,7 +28,8 @@ import jsonschema
 
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
-                            restrict_family, universal_operator)
+                            restrict_family, shared_pole_operator,
+                            universal_operator)
 from .errors import GaudinError, NotInvariant, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
 from .master import (GaudinProblem, SolverConfig, factored_pole_data,
@@ -334,7 +335,10 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
         return report, []
 
     # --- algebra-level checks on the full module
-    pencil = universal_operator(M, problem.z)
+    # the site-free determinant is shared per (N, partitions), like M
+    pencil = universal_operator(
+        M, problem.z,
+        poles=shared_pole_operator(problem.partitions, problem.N))
     family = restrict_family(pencil, None, j_max)
     sc = algebra_selfcheck(family, form, M, problem.z)
 

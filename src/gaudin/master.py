@@ -37,6 +37,7 @@ kernel's residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -73,6 +74,11 @@ class GaudinProblem:
         if len(self.l) != N or any(x < 0 for x in self.l):
             raise ValueError(f"need {N} nonnegative group sizes, got {l!r}")
         self.z = tuple(coerce(x) for x in z)
+        for x in self.z:
+            # no sample point keeps its distance from such a site
+            if type(x) is complex and not (math.isfinite(x.real)
+                                           and math.isfinite(x.imag)):
+                raise ValueError(f"site {x!r} is not finite")
         for a in range(len(self.z)):
             for b in range(a + 1, len(self.z)):
                 if self.z[a] == self.z[b]:

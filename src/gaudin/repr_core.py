@@ -10,7 +10,11 @@ Tensor products act by the Leibniz rule and carry the product form.
 A module and its form depend only on (N, partitions), not on the sites.
 `shared_irreducible` and `shared_module` build and check each such key once
 per process and hand every caller the same objects, so a caller must not
-mutate a module, its generator matrices or its Gram matrix.
+mutate a module, its generator matrices or its Gram matrix.  The site-free
+determinant of the universal operator is shared under the same key
+(`bethe_algebra.shared_pole_operator`), and its packed coefficients must
+not be mutated either.  Slot matrices are made anew on each call and are
+not shared.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,9 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
                                   sample_points, universal_operator)
-from gaudin.diffop_ring import (OperatorPencil, PoleMatrix, Poly, RFMatrix,
-                                row_determinant)
+from gaudin.diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
+                                Poly, RFMatrix, row_determinant,
+                                site_denominator)
 from gaudin.errors import NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix, integer_scaled, rational_lcd, rref
 from gaudin.master import (GaudinProblem, master_coefficients,
@@ -46,6 +48,24 @@ def test_current_matrix_residues():
         for (i, j), v in slot.data.items():
             expect = v / (near - zs) + other[i, j] / (near - Z2[1 - s])
             assert val[i, j] == expect
+
+
+def test_site_polynomial_is_the_base_at_sites_of_one_denominator():
+    """The sites 1/2 and 3/2 share their denominator: den is
+    (2u - 1)(2u - 3) = 4 D, and base reads D, in a current and in a
+    coefficient of the universal operator alike; coeffs over base^power
+    still give the values."""
+    z = [Fraction(1, 2), Fraction(3, 2)]
+    M, _ = _module([(1, 0), (1, 0)], 1)
+    u = Fraction(7, 3)
+    for P in (current_matrix(M, 2, 1, z),
+              operator_coefficient(universal_operator(M, z), 2)):
+        assert P.base == Poly.from_roots(z)
+        assert P.den == Poly((3, -8, 4))
+        value = SparseMatrix(P.nrows, P.ncols)
+        for a, mat in enumerate(P.coeffs):
+            value = value + mat.scale(u ** a / P.base.eval(u) ** P.power)
+        assert value.data == P.eval(u).data
 
 
 def test_universal_operator_is_monic():
@@ -926,6 +946,110 @@ def test_unit_coefficient_composes_without_a_product(monkeypatch, name):
     monkeypatch.setattr(diffop_ring, "_is_unit", lambda f: False)
     assert got == _bits(universal_operator(M, z))
     assert short < len(calls) - short
+
+
+# other sites for each shape of COMPOSE_SITES, of the same kind
+OTHER_COMPOSE_SITES = {
+    "integral": [Fraction(7, 2), Fraction(-1, 3)],
+    "gaussian": [QI(Fraction(1, 2), Fraction(-1)), Fraction(2), Fraction(-3)],
+    "complex": [complex(-1, 0.5), 0.25 + 0j, complex(3, -2), 1.75 + 0j],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_SITES))
+def test_shared_pole_operator_gives_the_bits_of_a_fresh_operator(
+        fresh_modules, name):
+    """The site-free determinant, taken once per (N, partitions) and put at
+    two sets of sites, gives the bits of the universal operator taken afresh
+    at each, on a module built afresh."""
+    parts, N, z = COMPOSE_SITES[name]
+    M, _ = shared_module(tuple(parts), N)
+    fresh, _ = _module(parts, N)
+    poles = bethe_algebra.shared_pole_operator(tuple(parts), N)
+    for sites in (OTHER_COMPOSE_SITES[name], z):
+        assert bethe_algebra.shared_pole_operator(tuple(parts), N) is poles
+        assert _bits(universal_operator(M, sites, poles=poles)) == \
+            _bits(universal_operator(fresh, sites))
+    assert bethe_algebra.shared_pole_operator.cache_info().misses == 1
+
+
+CACHE_SHAPE = {"N": 2, "partitions": [[2, 1, 0], [1, 0, 0]], "l": [1, 1],
+               "solver": {"seed": 2}}
+
+
+def _cache_shape_run(z):
+    problem, config, options = harness_cli.load_problem(dict(CACHE_SHAPE, z=z))
+    return harness_cli.run_pipeline(problem, config, **options)
+
+
+def test_pipeline_takes_one_determinant_per_shape(fresh_modules, monkeypatch):
+    """Runs of one shape at other sites share its determinant; a universal
+    operator asked for without it takes its own every time."""
+    calls = []
+    det = bethe_algebra.row_determinant
+
+    def counted(entries):
+        calls.append(len(entries))
+        return det(entries)
+
+    monkeypatch.setattr(bethe_algebra, "row_determinant", counted)
+    _cache_shape_run(["-1", "3/2"])
+    _cache_shape_run([[0.25, 0.0], [1.5, 0.75]])
+    assert calls == [3]
+    M, _ = shared_module(((2, 1, 0), (1, 0, 0)), 2)
+    universal_operator(M, Z2)
+    universal_operator(M, Z2)
+    assert calls == [3, 3, 3]
+
+
+def test_factor_orders_and_ranks_are_different_keys(fresh_modules):
+    shared = bethe_algebra.shared_pole_operator
+    keys = [(((2, 1, 0), (1, 0, 0)), 2), (((1, 0, 0), (2, 1, 0)), 2),
+            (((2, 1, 0, 0), (1, 0, 0, 0)), 3)]
+    pencils = []
+    for parts, N in keys:
+        M, _ = shared_module(parts, N)
+        pencils.append(_bits(universal_operator(M, Z2,
+                                                poles=shared(parts, N))))
+        assert pencils[-1] == _bits(universal_operator(M, Z2))
+    assert shared.cache_info().misses == shared.cache_info().currsize == 3
+    assert pencils[0] != pencils[1]
+
+
+@pytest.mark.parametrize("z", [["-1", "3/2"], [["0", "1"], ["2", "-1/2"]],
+                               [[0.25, 0.0], [1.5, 0.75]]])
+def test_warm_pole_cache_gives_the_cold_report(fresh_modules, z):
+    """A report made with the shape's determinant already shared, after a
+    run at other sites, equals the report of a cold cache byte for byte."""
+    cold = json.dumps(_cache_shape_run(z), sort_keys=True)
+    bethe_algebra.shared_pole_operator.cache_clear()
+    _cache_shape_run(["5/3", "-2"])
+    poles = bethe_algebra.shared_pole_operator(
+        ((2, 1, 0), (1, 0, 0)), 2)
+    before = [(m, a.tolist()) for c in poles for m, a in c.terms]
+    warm = json.dumps(_cache_shape_run(z), sort_keys=True)
+    assert bethe_algebra.shared_pole_operator.cache_info().hits == 2
+    assert warm == cold
+    # the run read the shared coefficients and left them as they were
+    assert [(m, a.tolist()) for c in poles for m, a in c.terms] == before
+
+
+def test_packed_values_past_int64_put_at_sites():
+    """A value past the int64 range is packed as a Python int and put at
+    the sites as exactly as a small one."""
+    big = 2 ** 70 + 1
+    value = PoleMatrix(1, 2, {(0, 1): SparseMatrix(1, 2, {(0, 1): big}),
+                              (1, 1): SparseMatrix(1, 2, {(0, 0): -3})}, 2)
+    packed = PackedPoleMatrix(value)
+    assert [a.dtype for _, a in packed.terms] == [object, np.int64]
+    assert not any(a.flags.writeable for _, a in packed.terms)
+    assert PackedPoleMatrix(value.scale(0)).terms == ()
+    z = [Fraction(1, 2), Fraction(-4, 3)]
+    P = packed.at_sites(site_denominator(z))
+    u = Fraction(7, 5)
+    y = [1 / (2 * (u - zs)) for zs in z]
+    assert P.eval(u).data == {(0, 1): big * y[0] * y[1],
+                              (0, 0): -3 * y[1] ** 2}
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_INSTANCES))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,15 @@ from gaudin.master import (GaudinProblem, PointConfig, SolverConfig,
 from gaudin.scalars import QI, format_scalar
 
 ANCHOR = (1, [[1, 0], [1, 0]], [1], [Fraction(0), Fraction(1)])
+
+
+@pytest.mark.parametrize("site", [complex(math.nan, 1), complex(1, math.nan),
+                                  complex(math.inf, 0), complex(-math.inf, 0)])
+def test_problem_rejects_a_site_that_is_not_finite(site):
+    """No sample point keeps its distance from such a site, so the pipeline
+    would look for one forever."""
+    with pytest.raises(ValueError, match="not finite"):
+        GaudinProblem(1, [[1, 0], [1, 0]], [1], [0j, site])
 
 
 def test_problem_validation():
