@@ -88,6 +88,15 @@ class GaudinProblem:
         self.sizes = tuple(weight_size(lam) for lam in self.partitions)
         self.exact = all(is_exact(x) for x in self.z)
         self.mode = "exact" if self.exact else "numeric"
+        if not self.exact:
+            # sites far enough out overflow the floating site polynomial
+            # prod_s (u - z_s), and everything built over it is NaN
+            for k, c in enumerate(site_denominator(self.z)[0].coeffs):
+                c = to_complex(c)
+                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                    raise ValueError(
+                        f"coefficient {k} of the site polynomial is not "
+                        f"finite ({c!r}): the sites are too far out")
         # site exponent of color i at site s (integer pairing with alpha_i)
         self.site_exponent = tuple(
             tuple(root_pairing(lam, i) for lam in self.partitions)
@@ -242,9 +251,9 @@ def orbit_distance(groups1, groups2):
 
 def expected_orbit_count(problem: GaudinProblem):
     """Dimension of the singular subspace of the derived weight."""
-    from .repr_core import shared_module, weight_and_singular_subspace
-    M, _ = shared_module(problem.partitions, problem.N)
-    _, S = weight_and_singular_subspace(M, problem.infinity_weight)
+    from .repr_core import shared_singular_subspace
+    _, S = shared_singular_subspace(problem.partitions, problem.N,
+                                    problem.infinity_weight)
     return S.ncols
 
 

@@ -12,9 +12,10 @@ A module and its form depend only on (N, partitions), not on the sites.
 per process and hand every caller the same objects, so a caller must not
 mutate a module, its generator matrices or its Gram matrix.  The site-free
 determinant of the universal operator is shared under the same key
-(`bethe_algebra.shared_pole_operator`), and its packed coefficients must
-not be mutated either.  Slot matrices are made anew on each call and are
-not shared.
+(`bethe_algebra.shared_pole_operator`), and so are the weight and singular
+subspaces of each weight mu under the key (partitions, N, mu)
+(`shared_singular_subspace`); neither may be mutated.  Slot matrices are
+made anew on each call and are not shared.
 """
 
 from __future__ import annotations
@@ -301,6 +302,14 @@ def shared_module(partitions, N):
         return pairs[0]
     return (tensor_module([m for m, _ in pairs]),
             tensor_shapovalov([f for _, f in pairs]))
+
+
+@functools.lru_cache(maxsize=_SHARED_MODULES)
+def shared_singular_subspace(partitions, N, mu):
+    """`weight_and_singular_subspace(M, mu)` of M = `shared_module(partitions,
+    N)`, with mu a tuple, taken once per process.  W and S are shared by
+    every caller: do not mutate them."""
+    return weight_and_singular_subspace(shared_module(partitions, N)[0], mu)
 
 
 def weight_and_singular_subspace(M: GlModule, mu):

@@ -17,6 +17,7 @@ import oracles
 import test_weightfn
 from gaudin.bethe_algebra import (algebra_selfcheck,
                                   first_coefficient_identity,
+                                  module_selfcheck, pole_operator,
                                   restrict_family, universal_operator)
 from gaudin.harness_cli import build_modules, default_j_max
 from gaudin.master import (GaudinProblem, SolverConfig, factored_pole_data,
@@ -153,14 +154,16 @@ def test_c2_commuting_algebra_exact():
             M, form = build_modules(problem)
             assert M.dim <= 200
             max_dim = max(max_dim, M.dim)
-            pencil = universal_operator(M, problem.z)
+            poles = pole_operator(M)
+            pencil = universal_operator(M, problem.z, poles=poles)
             family = restrict_family(pencil, None, default_j_max(problem))
-            sc = algebra_selfcheck(family, form, M, problem.z)
+            sc = algebra_selfcheck(family, problem.z)
             assert sc["exact"], (parts, z)
             assert sc["commutator_pairs"] == 0.0, (parts, z)
-            assert sc["commutator_with_gl"] == 0.0, (parts, z)
-            assert sc["form_symmetry_at_samples"] == 0.0, (parts, z)
-            assert sc["form_symmetry_coefficients"] == 0.0, (parts, z)
+            assert sc["lower_coefficients"] == 0.0, (parts, z)
+            module = module_selfcheck(poles, M, form)
+            assert module["commutator_with_gl"] == 0.0, (parts, z)
+            assert module["form_symmetry"] == 0.0, (parts, z)
         c.note = f"{len(ALGEBRA_DEFS)} modules, max dim {max_dim}"
 
 

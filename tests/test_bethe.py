@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from gaudin import bethe_algebra, diffop_ring, harness_cli
+from conftest import _clear_shared_caches
+from gaudin import bethe_algebra, diffop_ring, harness_cli, repr_core
 from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
                                   first_coefficient_identity,
                                   operator_coefficient, restrict_family,
@@ -98,15 +99,15 @@ def test_first_coefficient_identity_at_floating_sites():
 
 def test_commutativity_and_symmetry_exact_small():
     M, form = _module([(1, 0), (1, 0)], 1)
-    pencil = universal_operator(M, Z2)
+    poles = bethe_algebra.pole_operator(M)
+    pencil = universal_operator(M, Z2, poles=poles)
     family = restrict_family(pencil, None, 4)
-    sc = algebra_selfcheck(family, form, M, Z2)
+    sc = algebra_selfcheck(family, Z2)
     assert sc["exact"]
     assert sc["commutator_pairs"] == 0.0
-    assert sc["commutator_with_gl"] == 0.0
-    assert sc["form_symmetry_at_samples"] == 0.0
-    assert sc["form_symmetry_coefficients"] == 0.0
     assert sc["lower_coefficients"] == 0.0
+    assert bethe_algebra.module_selfcheck(poles, M, form) == {
+        "commutator_with_gl": 0.0, "form_symmetry": 0.0}
 
 
 def test_restriction_to_singular_subspace():
@@ -326,7 +327,7 @@ def test_floating_residuals_count_an_overflowed_value():
     z = [complex(x) * 1e60 for x in FLOAT_RESTRICTION_SITES["complex_site"]]
     family = restrict_family(universal_operator(M, z), None, 3)
     with np.errstate(invalid="ignore"):
-        sc = algebra_selfcheck(family, None, M, z)
+        sc = algebra_selfcheck(family, z)
     assert sc["commutator_pairs"] == sc["max_residual"] == float("inf")
     mat = SparseMatrix(1, 2, {(0, 0): 1.0, (0, 1): complex("nan")})
     assert bethe_algebra._matrix_residual(mat) == float("inf")
@@ -484,7 +485,7 @@ def test_float_sites_match_exact_sites():
             assert err < 1e-12 * scale, (u, i, err, scale)
 
 
-# numeric seed 11 instance 36 (form-symmetry products reach 8.4e4) and the
+# numeric seed 11 instance 36 (commuted products reach 1e4 and more) and the
 # complex-site chain of test_complex_sites_pass_every_check
 NUMERIC_SELFCHECK_CASES = {
     "far_apart_sites": ([(2, 0, 0), (2, 1, 0)], 2,
@@ -493,77 +494,77 @@ NUMERIC_SELFCHECK_CASES = {
                       [0j, complex(1, 0.3), complex(2, -0.1), 3.5 + 0j], 6),
 }
 
+# the per-instance residuals of the self-check, each judged against its
+# scale, or against 1 where it has none
+SELFCHECK_RESIDUALS = ("commutator_pairs", "lower_coefficients")
 
-def _sparse_reference(family, form, M, z):
-    """The numeric self-check's residuals and scales from SparseMatrix
-    products, complex B_i(u) and series coefficients with the Fraction G
-    and E."""
+
+def _sparse_reference(family, z):
+    """The numeric self-check's residuals and scale: the commutators from
+    SparseMatrix products of complex B_i(u), and the lower coefficients from
+    their values."""
     order = family.N + 1
     pts = sample_points(z, 6)
     B = {u: [family.eval(i, u) for i in range(1, order + 1)] for u in pts}
-    gens = [M.e(k, l) for k in range(1, M.rank + 1)
-            for l in range(1, M.rank + 1)]
-    G = form.gram
-
-    def worst(pairs):
-        res = scale = 0.0
-        for left, right in pairs:
-            keys = set(left.data) | set(right.data)
-            res = max([res] + [abs(complex(left[k]) - complex(right[k]))
-                               for k in keys])
-            scale = max([scale] + [abs(complex(v)) for v in
-                                   (*left.data.values(), *right.data.values())])
-        return res, scale
-
-    comm = worst((a @ b, b @ a) for u, v in zip(pts, pts[1:])
-                 for i, a in enumerate(B[u]) for b in B[v][i:])
-    gl = worst((Bi @ E, E @ Bi) for Bi in B[pts[0]] for E in gens)
-    sym_u = worst((G @ Bi, Bi.transpose() @ G) for Bi in B[pts[0]])
-    sym_c = worst((G @ P, P.transpose() @ G) for i in range(1, order + 1)
-                  for P in map(_values, family.B_coeffs[i]))
-    return {"commutator_pairs": comm[0], "commutator_with_gl": gl[0],
-            "form_symmetry_at_samples": sym_u[0],
-            "form_symmetry_coefficients": sym_c[0],
-            "scales": {"commutator_pairs": comm[1],
-                       "commutator_with_gl": gl[1],
-                       "form_symmetry": max(sym_u[1], sym_c[1])}}
-
-
-# each numeric check and the scale it is judged against
-SCALE_OF = {"commutator_pairs": "commutator_pairs",
-            "commutator_with_gl": "commutator_with_gl",
-            "form_symmetry_at_samples": "form_symmetry",
-            "form_symmetry_coefficients": "form_symmetry"}
+    res = scale = 0.0
+    for u, v in zip(pts, pts[1:]):
+        for i, a in enumerate(B[u]):
+            for b in B[v][i:]:
+                left, right = a @ b, b @ a
+                keys = set(left.data) | set(right.data)
+                res = max([res] + [abs(complex(left[k]) - complex(right[k]))
+                                   for k in keys])
+                scale = max([scale] + [abs(complex(x)) for x in
+                                       (*left.data.values(),
+                                        *right.data.values())])
+    lower = max((abs(complex(x)) for i in range(1, order + 1)
+                 for P in family.B_coeffs[i][:i - 1]
+                 for x in _values(P).data.values()), default=0.0)
+    return {"commutator_pairs": res, "lower_coefficients": lower,
+            "scales": {"commutator_pairs": scale}}
 
 
 def _passes(sc, check):
-    scale = sc["scales"][SCALE_OF[check]]
+    scale = sc["scales"].get(check, 0.0)
     return sc[check] < harness_cli.ALGEBRA_TOL * max(1.0, scale)
 
 
 @pytest.mark.parametrize("name", sorted(NUMERIC_SELFCHECK_CASES))
 def test_numeric_selfcheck_matches_a_sparse_reference(name):
-    """The ndarray products give the residuals and scales of the sparse
-    products to 1e-12 of the scale, and the same verdicts."""
+    """The ndarray products give the residual and scale of the sparse
+    products to 1e-12 of the scale, the lower coefficients their largest
+    value, and the same verdicts."""
     parts, N, z, j_max = NUMERIC_SELFCHECK_CASES[name]
-    M, form = _module(parts, N)
+    M, _ = _module(parts, N)
     family = restrict_family(universal_operator(M, z), None, j_max)
-    got = algebra_selfcheck(family, form, M, z)
+    got = algebra_selfcheck(family, z)
     assert not got["exact"]
-    want = _sparse_reference(family, form, M, z)
-    for check, scale_name in SCALE_OF.items():
-        scale = want["scales"][scale_name]
-        assert abs(got["scales"][scale_name] - scale) <= 1e-12 * scale, check
+    want = _sparse_reference(family, z)
+    scale = want["scales"]["commutator_pairs"]
+    assert abs(got["scales"]["commutator_pairs"] - scale) <= 1e-12 * scale
+    for check in SELFCHECK_RESIDUALS:
         assert abs(got[check] - want[check]) <= 1e-12 * max(1.0, scale), check
         assert _passes(got, check) == _passes(want, check), check
 
 
+def _corrupt_lower_coefficient(family, i, j, delta):
+    """Add delta at (0, 1) of the u^-j coefficient of B_i, j < i, which
+    vanishes, in the form the family stores it in: ints over d for an
+    integral family, else its values over d = 1."""
+    P = family.B_coeffs[i][j - 1]
+    coeff = _values(P) if P.integral else bethe_algebra._numerator(P)
+    coeff = SparseMatrix(P.nrows, P.ncols, dict(coeff.data))
+    coeff[0, 1] = coeff[0, 1] + delta
+    family.B_coeffs[i][j - 1] = RFMatrix(P.nrows, P.ncols, [coeff]) \
+        if P.integral else P._like([coeff], 0, 1, integral=False)
+
+
 def test_numeric_selfcheck_fails_on_a_corrupted_coefficient():
-    """One corrupted coefficient of B_2 and one of B_3's series, changed in
-    the one form the family stores it in, fail every check they enter, at
-    floating sites as in exact mode."""
+    """One corrupted coefficient of B_2, and one corrupted lower coefficient
+    of B_3's series, changed in the one form the family stores them in,
+    fail the checks they enter, at floating sites as in exact mode."""
     parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["far_apart_sites"]
-    M, form = _module(parts, N)
+    M, _ = _module(parts, N)
     family = restrict_family(universal_operator(M, z), None, j_max)
     B2 = family.B_u[2]
     coeffs = [SparseMatrix(m.nrows, m.ncols, m.data) for m in B2.coeffs]
@@ -571,14 +572,11 @@ def test_numeric_selfcheck_fails_on_a_corrupted_coefficient():
     key = next(k for k in bad.data if k[0] != k[1])
     bad[key] = bad[key] + 1 / 7
     family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
-    P = family.B_coeffs[3][2]
-    assert P.d == 1 and not P.integral
-    coeff = P.num[0]
-    key = next(k for k in coeff.data if k[0] != k[1])
-    coeff[key] = coeff[key] - 2 / 9
-    got = algebra_selfcheck(family, form, M, z)
+    assert not family.B_coeffs[3][1].integral
+    _corrupt_lower_coefficient(family, 3, 2, -2 / 9)
+    got = algebra_selfcheck(family, z)
     assert not got["exact"]
-    for check in SCALE_OF:
+    for check in SELFCHECK_RESIDUALS:
         assert not _passes(got, check), check
 
 
@@ -600,17 +598,17 @@ def test_numeric_selfcheck_makes_no_sparse_products(monkeypatch):
     its products are within the 2^53 bound; with the bound at 0, exact mode
     multiplies SparseMatrix products, which the counter sees."""
     parts, N, z, j_max = NUMERIC_SELFCHECK_CASES["complex_sites"]
-    M, form = _module(parts, N)
+    M, _ = _module(parts, N)
     numeric = restrict_family(universal_operator(M, z), None, j_max)
     z_exact = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 2)]
     exact = restrict_family(universal_operator(M, z_exact), None, j_max)
     calls = _count_products(monkeypatch)
-    assert not algebra_selfcheck(numeric, form, M, z)["exact"]
+    assert not algebra_selfcheck(numeric, z)["exact"]
     assert not calls
-    assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
+    assert algebra_selfcheck(exact, z_exact)["exact"]
     assert not calls
     monkeypatch.setattr(bethe_algebra, "_EXACT_BOUND", 0)
-    assert algebra_selfcheck(exact, form, M, z_exact)["exact"]
+    assert algebra_selfcheck(exact, z_exact)["exact"]
     assert calls
 
 
@@ -636,7 +634,7 @@ def test_numeric_selfcheck_values_match_the_sparse_values(name):
             assert np.abs(value(u) - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def _fraction_selfcheck(monkeypatch, family, form, M, z):
+def _fraction_selfcheck(monkeypatch, family, z):
     """algebra_selfcheck with every matrix left in Fractions, and so every
     product a SparseMatrix one: the series coefficients are handed over as
     their Fraction values over d = 1, outside the integral form."""
@@ -646,24 +644,22 @@ def _fraction_selfcheck(monkeypatch, family, form, M, z):
         family.N, family.B_u, series, None, family.j_max)
     with monkeypatch.context() as m:
         m.setattr(bethe_algebra, "_EXACT_BOUND", 0)
-        m.setattr(bethe_algebra, "integer_scaled",
-                  lambda mats: (list(mats), 1))
         m.setattr(RFMatrix, "eval_scaled", lambda self, u: (self.eval(u), 1))
-        return algebra_selfcheck(fractions, form, M, z)
+        return algebra_selfcheck(fractions, z)
 
 
 def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
         monkeypatch):
     """The integer products give the Fraction products' verdicts and, after
-    one coefficient of the family is corrupted in the one form the family
-    stores it in, the same nonzero residuals bit for bit."""
+    one coefficient of B_2 and one lower coefficient of B_3's series are
+    corrupted in the one form the family stores them in, the same nonzero
+    residuals bit for bit."""
     z = [Fraction(-3, 2), Fraction(5, 3)]
-    M, form = _module([(2, 1, 0), (1, 1, 0)], 2)
+    M, _ = _module([(2, 1, 0), (1, 1, 0)], 2)
     family = restrict_family(universal_operator(M, z), None, 4)
-    got = algebra_selfcheck(family, form, M, z)
+    got = algebra_selfcheck(family, z)
     assert got["exact"] and got["max_residual"] == 0.0
-    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
-                                                 M, z))
+    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, z))
 
     family = restrict_family(universal_operator(M, z), None, 4)
     B2 = family.B_u[2]
@@ -672,26 +668,14 @@ def test_exact_selfcheck_in_integers_matches_the_fraction_arithmetic(
     key = next(k for k in bad.data if k[0] != k[1])
     bad[key] = bad[key] + Fraction(1, 7)
     family.B_u[2] = RFMatrix(B2.nrows, B2.ncols, coeffs, B2.base, B2.power)
-    P = family.B_coeffs[3][2]
-    assert P.integral
-    coeff = _values(P)
-    key = next(k for k in coeff.data if k[0] != k[1])
-    coeff[key] = coeff[key] - Fraction(2, 9)
+    assert family.B_coeffs[3][1].integral
+    _corrupt_lower_coefficient(family, 3, 2, -Fraction(2, 9))
     # back in the integral form: int numerators over one int d
-    family.B_coeffs[3][2] = RFMatrix(P.nrows, P.ncols, [coeff])
-    assert family.B_coeffs[3][2].integral
-    got = algebra_selfcheck(family, form, M, z)
-    for name in ("commutator_pairs", "commutator_with_gl",
-                 "form_symmetry_at_samples", "form_symmetry_coefficients"):
+    assert family.B_coeffs[3][1].integral
+    got = algebra_selfcheck(family, z)
+    for name in SELFCHECK_RESIDUALS:
         assert got[name] > 0, name
-    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, form,
-                                                 M, z))
-
-
-class _NoGenerators:
-    """A module stand-in of rank 0, so the self-check compares the family
-    with itself only."""
-    rank = 0
+    assert repr(got) == repr(_fraction_selfcheck(monkeypatch, family, z))
 
 
 def test_exact_selfcheck_multiplies_past_2_53_in_integers(monkeypatch):
@@ -707,11 +691,11 @@ def test_exact_selfcheck_multiplies_past_2_53_in_integers(monkeypatch):
     assert np.array_equal(dx @ dy, dy @ dx)
     family = bethe_algebra.BetheOperatorFamily(
         1, {1: RFMatrix(2, 2, [x]), 2: RFMatrix(2, 2, [y])}, {}, None, 0)
-    got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+    got = algebra_selfcheck(family, [Fraction(0)])
     assert got["exact"]
     assert got["commutator_pairs"] == got["max_residual"] == 1.0
     monkeypatch.setattr(bethe_algebra, "_EXACT_BOUND", 2 ** 200)
-    got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+    got = algebra_selfcheck(family, [Fraction(0)])
     assert got["commutator_pairs"] == 0.0
 
 
@@ -727,9 +711,122 @@ def test_exact_selfcheck_divides_out_the_content(monkeypatch):
     for a, want in ((x, 0.0), (swap, 2.0 ** 71)):
         family = bethe_algebra.BetheOperatorFamily(
             1, {1: RFMatrix(2, 2, [a]), 2: RFMatrix(2, 2, [y])}, {}, None, 0)
-        got = algebra_selfcheck(family, None, _NoGenerators(), [Fraction(0)])
+        got = algebra_selfcheck(family, [Fraction(0)])
         assert got["commutator_pairs"] == want
         assert bool(calls) == bool(want)
+
+
+def _pole_terms_reference(packed):
+    """The C_m of a packed coefficient as SparseMatrix of Python ints."""
+    keys = list(zip(*packed.keys.tolist()))
+    return [SparseMatrix(packed.nrows, packed.ncols,
+                         {keys[k]: v for k, v in zip(*entries.tolist())})
+            for _, entries in packed.terms]
+
+
+def _module_reference(poles, M, form):
+    """module_selfcheck's residuals from SparseMatrix products of the int
+    C_m with the Fraction generators and Gram matrix, as the float of the
+    largest exact entry."""
+    gens = [M.e(a, b) for a in range(1, M.rank + 1)
+            for b in range(1, M.rank + 1)]
+    G = form.gram
+    res_gl = res_sym = Fraction(0)
+    for packed in poles:
+        for C in _pole_terms_reference(packed):
+            for E in gens:
+                res_gl = max([res_gl] + [abs(v) for v in
+                                         (C @ E - E @ C).data.values()])
+            res_sym = max([res_sym] + [abs(v) for v in
+                                       (G @ C - C.transpose() @ G)
+                                       .data.values()])
+    return {"commutator_with_gl": float(res_gl),
+            "form_symmetry": float(res_sym)}
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES,
+                         ids=lambda s: "x".join(map(str, s[1])))
+def test_module_selfcheck_is_exactly_zero_on_the_workload_shapes(shape):
+    """Every C_m of every workload shape commutes with every e_ab and is
+    symmetric for the form, exactly, on the BLAS route and on the
+    Python-int route alike."""
+    N, parts, _ = shape
+    M, form = _module(parts, N)
+    poles = bethe_algebra.pole_operator(M)
+    zero = {"commutator_with_gl": 0.0, "form_symmetry": 0.0}
+    assert bethe_algebra.module_selfcheck(poles, M, form) == zero
+    assert _module_reference(poles, M, form) == zero
+
+
+def _corrupted(poles, k, diagonal, delta):
+    """A copy of the packed coefficients with delta added to the first
+    diagonal, or off-diagonal, entry of a C_m of coefficient k; the shared
+    arrays are left as they are."""
+    packed = poles[k]
+    copy = PackedPoleMatrix.__new__(PackedPoleMatrix)
+    for name in PackedPoleMatrix.__slots__:
+        setattr(copy, name, getattr(packed, name))
+    rows, cols = packed.keys.tolist()
+    terms = list(packed.terms)
+    for t, (m, entries) in enumerate(terms):
+        index, values = entries.tolist()
+        hits = [p for p, key in enumerate(index)
+                if (rows[key] == cols[key]) == diagonal]
+        if hits:
+            values[hits[0]] += delta
+            terms[t] = (m, diffop_ring._packed([index, values]))
+            break
+    copy.terms = tuple(terms)
+    return poles[:k] + (copy,) + poles[k + 1:]
+
+
+CORRUPTED_SHAPE = ((2, 1, 0), (1, 0, 0)), 2
+
+
+@pytest.mark.parametrize("delta", [1, 2 ** 70], ids=["small", "past_int64"])
+@pytest.mark.parametrize("dense_dim", [128, 0], ids=["blas", "sparse"])
+def test_a_corrupted_pole_coefficient_fails_the_moved_checks(
+        monkeypatch, delta, dense_dim):
+    """One entry of one C_m changed in a copy of the shared coefficients: on
+    the diagonal it breaks gl-invariance, and off it form symmetry, each
+    with the exact residual of the Fraction products, on both routes and
+    past the int64 range."""
+    monkeypatch.setattr(bethe_algebra, "_DENSE_MODULE_DIM", dense_dim)
+    parts, N = CORRUPTED_SHAPE
+    M, form = _module(parts, N)
+    poles = bethe_algebra.pole_operator(M)
+    for diagonal, check in ((True, "commutator_with_gl"),
+                            (False, "form_symmetry")):
+        bad = _corrupted(poles, 1, diagonal, delta)
+        got = bethe_algebra.module_selfcheck(bad, M, form)
+        assert got[check] > 0, check
+        assert got == _module_reference(bad, M, form)
+    assert bethe_algebra.module_selfcheck(poles, M, form) == {
+        "commutator_with_gl": 0.0, "form_symmetry": 0.0}
+
+
+@pytest.mark.parametrize("z", [["-1", "3/2"], [["0", "1"], ["2", "-1/2"]],
+                               [[0.25, 0.0], [1.5, 0.75]]],
+                         ids=["exact", "gaussian", "floating"])
+def test_a_corrupted_pole_coefficient_fails_the_report(fresh_modules,
+                                                       monkeypatch, z):
+    """The report's gl-invariance and form-symmetry checks read the module
+    check of the shared coefficients: with one diagonal entry of one C_m
+    corrupted they FAIL with its nonzero exact residual, at every kind of
+    site."""
+    parts, N = CORRUPTED_SHAPE
+    poles, _ = bethe_algebra.shared_pole_operator(parts, N)
+    M, form = shared_module(parts, N)
+    bad = _corrupted(poles, 1, True, 1)
+    module = bethe_algebra.module_selfcheck(bad, M, form)
+    monkeypatch.setattr(harness_cli, "shared_pole_operator",
+                        lambda *key: (bad, module))
+    report = _cache_shape_run(z)
+    checks = {c["name"]: c for c in report["checks"]}
+    gl = checks["algebra_gl_invariance"]
+    assert gl["status"] == "FAIL"
+    assert gl["residual"] == module["commutator_with_gl"] > 0
+    assert checks["algebra_form_symmetry"]["status"] == "PASS"
 
 
 def test_integral_dense_horner_stops_at_2_53():
@@ -965,9 +1062,10 @@ def test_shared_pole_operator_gives_the_bits_of_a_fresh_operator(
     parts, N, z = COMPOSE_SITES[name]
     M, _ = shared_module(tuple(parts), N)
     fresh, _ = _module(parts, N)
-    poles = bethe_algebra.shared_pole_operator(tuple(parts), N)
+    shared = bethe_algebra.shared_pole_operator(tuple(parts), N)
+    poles, _ = shared
     for sites in (OTHER_COMPOSE_SITES[name], z):
-        assert bethe_algebra.shared_pole_operator(tuple(parts), N) is poles
+        assert bethe_algebra.shared_pole_operator(tuple(parts), N) is shared
         assert _bits(universal_operator(M, sites, poles=poles)) == \
             _bits(universal_operator(fresh, sites))
     assert bethe_algebra.shared_pole_operator.cache_info().misses == 1
@@ -1010,7 +1108,7 @@ def test_factor_orders_and_ranks_are_different_keys(fresh_modules):
     for parts, N in keys:
         M, _ = shared_module(parts, N)
         pencils.append(_bits(universal_operator(M, Z2,
-                                                poles=shared(parts, N))))
+                                                poles=shared(parts, N)[0])))
         assert pencils[-1] == _bits(universal_operator(M, Z2))
     assert shared.cache_info().misses == shared.cache_info().currsize == 3
     assert pencils[0] != pencils[1]
@@ -1024,7 +1122,7 @@ def test_warm_pole_cache_gives_the_cold_report(fresh_modules, z):
     cold = json.dumps(_cache_shape_run(z), sort_keys=True)
     bethe_algebra.shared_pole_operator.cache_clear()
     _cache_shape_run(["5/3", "-2"])
-    poles = bethe_algebra.shared_pole_operator(
+    poles, _ = bethe_algebra.shared_pole_operator(
         ((2, 1, 0), (1, 0, 0)), 2)
     before = [(m, a.tolist()) for c in poles for m, a in c.terms]
     warm = json.dumps(_cache_shape_run(z), sort_keys=True)
@@ -1032,6 +1130,22 @@ def test_warm_pole_cache_gives_the_cold_report(fresh_modules, z):
     assert warm == cold
     # the run read the shared coefficients and left them as they were
     assert [(m, a.tolist()) for c in poles for m, a in c.terms] == before
+
+
+@pytest.mark.parametrize("z", [["-1", "3/2"], [["0", "1"], ["2", "-1/2"]],
+                               [[0.25, 0.0], [1.5, 0.75]]],
+                         ids=["exact", "gaussian", "floating"])
+def test_warm_shared_caches_give_the_cold_report(fresh_modules, z):
+    """A report made with every shared cache empty equals, byte for byte,
+    the report made after a run at other sites has filled them: the module,
+    the determinant with its module check, and the singular subspace."""
+    cold = json.dumps(_cache_shape_run(z), sort_keys=True)
+    _clear_shared_caches()
+    _cache_shape_run(["5/3", "-2"])
+    warm = json.dumps(_cache_shape_run(z), sort_keys=True)
+    assert warm == cold
+    assert bethe_algebra.shared_pole_operator.cache_info().hits == 1
+    assert repr_core.shared_singular_subspace.cache_info().hits == 1
 
 
 def test_packed_values_past_int64_put_at_sites():

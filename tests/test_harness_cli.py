@@ -361,6 +361,39 @@ def test_main_non_finite_site_exit_code(tmp_path, capsys, name):
     assert captured.out == ""
 
 
+# the four sites of test_bethe's FLOAT_RESTRICTION_SITES["complex_site"]
+FAR_OUT_SITES = [0, 1, 3 + 0.2j, -2]
+
+
+def _far_out_problem(scale):
+    z = [complex(x) * scale for x in FAR_OUT_SITES]
+    return {"N": 1, "partitions": [[1, 0]] * 4, "l": [2],
+            "z": [[x.real, x.imag] for x in z]}
+
+
+def test_sites_that_overflow_the_site_polynomial_are_rejected(tmp_path,
+                                                              capsys):
+    """1e120 times the four sites overflow prod_s (u - z_s): its coefficient
+    of u is about 6e360.  The pipeline once accepted them and computed on
+    NaN.  GaudinProblem raises ValueError, load_problem SchemaError, and
+    `gaudin verify` exits 2.  At 1e60 the polynomial is finite and the
+    problem loads."""
+    payload = _far_out_problem(1e120)
+    z = [complex(*x) for x in payload["z"]]
+    with pytest.raises(ValueError, match="site polynomial is not finite"):
+        GaudinProblem(1, payload["partitions"], [2], z)
+    with pytest.raises(SchemaError, match="site polynomial is not finite"):
+        load_problem(payload)
+    rc = main(["verify", "--problem", write_problem(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in captured.err
+    assert "site polynomial is not finite" in captured.err
+    assert captured.out == ""
+    problem, _, _ = load_problem(_far_out_problem(1e60))
+    assert problem.mode == "numeric"
+
+
 @pytest.mark.parametrize("flags", [
     ["--jmax", "-2"], ["--jmax", "0"], ["--starts", "-5"],
     ["--max-terms", "0"], ["--seed", "-1"], ["--tol-residual", "-1"],
@@ -648,6 +681,7 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
     assert report["summary"]["all_pass"]
     full, sing = seen["restrict_family"]
     assert full.subspace is None and sing.subspace is not None
+    assert full.j_max == prob.N
     absolute = []
     for series, (vec, info), spec in zip(seen["series_by_contour"],
                                          seen["bethe_vector"],
@@ -656,9 +690,11 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         xmax = max(map(abs, x.values()))
         relative = 0.0
         for i in (1, 2):
-            printed = series[i][:report["derived"]["j_max"]]
-            for B, P, g in zip(full.B_coeffs[i], sing.B_coeffs[i], printed,
-                               strict=True):
+            j_max = report["derived"]["j_max"]
+            printed = series[i][:j_max]
+            # the pipeline's full family keeps its series to u^-N only
+            for B, P, g in zip(full.B_u[i].entries_series_at_infinity(j_max),
+                               sing.B_coeffs[i], printed, strict=True):
                 lhs = B.coeffs[0].apply(vec) if B.num else {}
                 absolute.append(max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
                                     for k in lhs.keys() | vec.keys())
@@ -978,10 +1014,12 @@ def test_main_weightfn_prints_the_pipeline_vectors(tmp_path, capsys,
 def test_algebra_checks_scale_with_the_compared_products():
     """Numeric algebra checks are judged relative to the products they
     compare.  Sites -3.657 and -0.002 (numeric seed 11 instance 36):
-    form-symmetry products reach 8.4e4, and a residual of 1.75e-10 (2e-15
-    relative) was a FAIL against an absolute 1e-10.  Sites 1.727 and 3.244
-    (numeric seed 15 instance 36), a FAIL for the same reason, still have a
-    form-symmetry residual above 1e-10."""
+    form-symmetry products at a sample point reached 8.4e4, and a residual
+    of 1.75e-10 (2e-15 relative) was a FAIL against an absolute 1e-10.
+    Sites 1.727 and 3.244 (numeric seed 15 instance 36) failed for the same
+    reason.  Form symmetry and gl-invariance are now checked once per
+    module on the site-free int coefficients, so at these floating sites
+    both residuals are exact zeros, and commutativity stays relative."""
     far_apart = {"N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
                  "z": [[-3.657, 0.0], [-0.002, 0.0]],
                  "solver": {"seed": 242795849, "starts": 40}}
@@ -993,8 +1031,10 @@ def test_algebra_checks_scale_with_the_compared_products():
         failing = [c["name"] for c in report["checks"]
                    if c["status"] != "PASS"]
         assert failing == [], payload["z"]
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["algebra_form_symmetry"]["residual"] > 1e-10
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("algebra_gl_invariance", "algebra_form_symmetry"):
+            assert checks[name]["residual"] == 0.0, (payload["z"], name)
+        assert checks["algebra_commutativity"]["residual"] > 0.0
 
 
 def test_no_orbit_fails_every_joint_check():
@@ -1078,15 +1118,35 @@ def _module_entries(M, form):
             dict(form.gram.data))
 
 
+def test_reports_share_their_check_names():
+    """Every report repeats the check names ("orbit0.nonvanishing", ...): a
+    caller that keeps many reports, as the benchmark runner and
+    `tools/compare_reports.py` do, holds each name once, not a copy per
+    report."""
+    first, again = (run_pipeline(*load_problem(ANCHOR_JSON)[:2])
+                    for _ in range(2))
+    names = [c["name"] for c in first["checks"]]
+    assert any(name.startswith("orbit0.") for name in names)
+    assert all(a is b["name"] for a, b in zip(names, again["checks"],
+                                              strict=True))
+
+
 def test_run_pipeline_leaves_the_shared_module_unchanged(fresh_modules):
+    """The module, its form and the weight and singular subspaces are
+    shared by every run of the shape, and no run changes them."""
     prob, _ = _shape_problem(SHARED_SHAPE_SITES["exact"])
     M, form = harness_cli.build_modules(prob)
     before = _module_entries(M, form)
+    key = (prob.partitions, prob.N, prob.infinity_weight)
+    W, S = repr_core.shared_singular_subspace(*key)
+    bases = (dict(W.data), dict(S.data))
     for z in SHARED_SHAPE_SITES.values():
         prob, config = _shape_problem(z)
         run_pipeline(prob, config)
         assert harness_cli.build_modules(prob) == (M, form)
+        assert repr_core.shared_singular_subspace(*key) == (W, S)
     assert _module_entries(M, form) == before
+    assert (W.data, S.data) == bases
 
 
 def test_main_weightfn_builds_each_irreducible_once(tmp_path, capsys,

@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import gaudin
 import oracles
+from conftest import shared_caches
 from gaudin.errors import DimensionMismatch
 from gaudin.linalg import SparseMatrix
 from gaudin.repr_core import (build_irreducible, tensor_module,
@@ -219,3 +223,20 @@ def test_tensor_shapovalov_is_product():
     k1 = next(iter(fv))
     vec = {k1 * M1.dim + M1.hw_index: Fraction(1)}
     assert form.norm_square(vec) == f1.norm_square(fv) * Fraction(1)
+
+
+def test_the_cache_helper_clears_every_cache_of_the_package():
+    """`fresh_modules` empties every per-process cache of the package, found
+    by name: a cache it missed would carry state from one test into the
+    next, and make a count or a traced layer depend on test order."""
+    caches = {id(fn) for fn in shared_caches()}
+    modules = [importlib.import_module(f"gaudin.{info.name}")
+               for info in pkgutil.iter_modules(gaudin.__path__)
+               if info.name != "__main__"]
+    missed = [f"{mod.__name__}.{name}" for mod in modules
+              for name, fn in vars(mod).items()
+              if hasattr(fn, "cache_clear") and id(fn) not in caches]
+    assert not missed, missed
+    assert {fn.__name__ for fn in shared_caches()} >= {
+        "shared_irreducible", "shared_module", "shared_singular_subspace",
+        "shared_pole_operator"}

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import gaudin
+from conftest import _clear_shared_caches
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,12 +72,12 @@ def test_every_other_traced_layer_is_called_by_the_pipeline():
         import spans
     finally:
         sys.path.remove(str(PERFBENCH))
-    from gaudin import bethe_algebra, harness_cli
+    from gaudin import harness_cli
     loaded = [harness_cli.load_problem(p)
               for p in (harness_cli.SELFTEST_PROBLEM, FLOATING_PROBLEM)]
-    # an earlier run of these shapes would leave their determinants shared,
-    # and the traced runs would not take them
-    bethe_algebra.shared_pole_operator.cache_clear()
+    # an earlier run of these shapes would leave their determinants and
+    # subspaces shared, and the traced runs would not take them
+    _clear_shared_caches()
     with spans.Tracer() as tracer:
         for problem, config, options in loaded:
             # looked up here, where the tracer has wrapped it
