@@ -19,12 +19,13 @@ instance, commutativity at sample points, exactly on exact sites and on
 dense complex128 arrays (one BLAS product each), relative to the size of the
 products, at floating sites, and the vanishing lower series coefficients.
 
-The exact check multiplies integer matrices.  Where a bound proves every
-partial sum of both products of a comparison to be an integer below 2^53,
-it multiplies them as float64 arrays in BLAS, which is then exact; since
-two distinct floats never subtract to 0, a zero float difference is an
-exact zero.  Past the bound, and to measure a nonzero residual, it
-multiplies Python ints.
+The module check multiplies the sparse int matrices in Python ints.  The
+exact commutativity check multiplies integer matrices too.  Where a bound
+proves every partial sum of both products of a comparison to be an integer
+below 2^53, it multiplies them as float64 arrays in BLAS, which is then
+exact; since two distinct floats never subtract to 0, a zero float
+difference is an exact zero.  Past the bound, and to measure a nonzero
+residual, it multiplies Python ints.
 """
 
 from __future__ import annotations
@@ -427,12 +428,10 @@ class _Scaled:
         return self._dense
 
 
-def _scaled_difference(x: _Scaled, y: _Scaled, transposed=False,
-                       dense=True):
-    """_difference of x y and y' x, with y' = y, or its transpose when
-    `transposed`, in exact mode.
+def _scaled_difference(x: _Scaled, y: _Scaled):
+    """_difference of x y and y x in exact mode.
 
-    For x and y of ints, x y = y' x exactly when the same holds for x / g(x)
+    For x and y of ints, x y = y x exactly when the same holds for x / g(x)
     and y / g(y), which the dense products compare.  Every partial sum of
     entry (i, j) of a product a b is an integer of modulus at most
     sum_k |a_ik| |b_kj|, whatever the order of summation, and that sum is at
@@ -442,23 +441,20 @@ def _scaled_difference(x: _Scaled, y: _Scaled, transposed=False,
     when their float difference is zero, and then the residual is 0.0.
     Otherwise, and where the products differ, the pair is multiplied in
     Python ints, so that a residual keeps the bits of the integer products.
-    With `dense` False every pair takes the Python-int products.  A zero x or
-    y gives 0.0 at once.
+    A zero x or y gives 0.0 at once.
     """
     if x.top == 0 or y.top == 0:
         return 0.0, 0.0
-    if dense and x.top is not None and y.top is not None:
-        y_rows = y.cols if transposed else y.rows
+    if x.top is not None and y.top is not None:
         bound = max(min(x.rows * y.top, x.top * y.cols),
-                    min(y_rows * x.top, y.top * x.cols))
+                    min(y.rows * x.top, y.top * x.cols))
         # neither side is zero, so the bound caps every entry too
         if bound < _EXACT_BOUND:
             a, b = x.dense(), y.dense()
-            if np.array_equal(a @ b, (b.T if transposed else b) @ a):
+            if np.array_equal(a @ b, b @ a):
                 return 0.0, 0.0
     a, b = x.sparse(), y.sparse()
-    return _difference(a @ b, (b.transpose() if transposed else b) @ a,
-                       x.c * y.c)
+    return _difference(a @ b, b @ a, x.c * y.c)
 
 
 def _dense(mat: SparseMatrix, dtype=complex) -> np.ndarray:
@@ -521,31 +517,14 @@ def sample_points(z, count):
     return out
 
 
-# Modules up to this dimension hold each C_m dense for the module check.
-# Past it the C_m and the generators are sparse (1.3 entries in a row of a
-# C_m, 2 in a column of a generator, on the 729-dim gl3 6-site chain), and
-# Python-int SparseMatrix products beat BLAS on dense arrays.  Whole module
-# checks on a 2-vCPU x86 machine: 0.8 s against 7.9 s there, 0.13 s against
-# 0.41 s at dim 243, but 12 ms against 6 ms at dim 80.
-_DENSE_MODULE_DIM = 128
-
-
-def _pole_terms(packed: PackedPoleMatrix, dense):
-    """The int matrix C_m of each monomial m of a packed coefficient, over
-    c = 1: with `dense`, made dense straight from the int64 arrays where
-    every entry is below 2^53; else, or past that, a SparseMatrix of Python
-    ints."""
-    rows, cols = packed.keys
+def _pole_terms(packed: PackedPoleMatrix):
+    """The int matrix C_m of each monomial m of a packed coefficient, as a
+    SparseMatrix of Python ints."""
+    rows, cols = packed.keys.tolist()
     for _, (index, values) in packed.terms:
-        if dense and values.dtype == np.int64 and -_EXACT_BOUND < \
-                values.min(initial=0) and values.max(initial=0) < _EXACT_BOUND:
-            mat = np.zeros((packed.nrows, packed.ncols))
-            mat[rows[index], cols[index]] = values
-            yield _Scaled(1, dense=mat)
-        else:
-            yield _Scaled(1, SparseMatrix(packed.nrows, packed.ncols, {
-                (int(rows[k]), int(cols[k])): int(v)
-                for k, v in zip(index.tolist(), values.tolist())}))
+        yield SparseMatrix(packed.nrows, packed.ncols, {
+            (rows[k], cols[k]): v
+            for k, v in zip(index.tolist(), values.tolist())})
 
 
 def module_selfcheck(poles, M: GlModule, form) -> dict:
@@ -559,26 +538,20 @@ def module_selfcheck(poles, M: GlModule, form) -> dict:
     independent functions of (u, z), so B_i(u) commutes with gl and is
     symmetric for the form at every u and every set of sites exactly when
     every C_m is.  Both residuals are exact zeros where that holds, whatever
-    the sites of an instance.  G and E are scaled to ints once for every
-    C_m.  Up to `_DENSE_MODULE_DIM` each comparison takes
-    `_scaled_difference`'s route, float64 BLAS under the 2^53 bound and
-    Python ints past it, with G and E made dense once; past it, Python-int
-    SparseMatrix products.
+    the sites of an instance.  E and G are scaled to ints once for every
+    C_m, and every comparison runs in Python-int SparseMatrix products: the
+    C_m and the generators are sparse, more so as the module grows.
     """
-    dense = M.dim <= _DENSE_MODULE_DIM
-    mats, c = integer_scaled([M.e(a, b) for a in range(1, M.rank + 1)
-                              for b in range(1, M.rank + 1)])
-    gens = [_Scaled(c, m) for m in mats]
-    (gram,), c = integer_scaled([form.gram])
-    G = _Scaled(c, gram)
+    gens, c_gl = integer_scaled([M.e(a, b) for a in range(1, M.rank + 1)
+                                 for b in range(1, M.rank + 1)])
+    (G,), c_sym = integer_scaled([form.gram])
     res_gl = res_sym = 0.0
     for packed in poles:
-        for C in _pole_terms(packed, dense):
+        for C in _pole_terms(packed):
             for E in gens:
-                res_gl = max(res_gl,
-                             _scaled_difference(C, E, dense=dense)[0])
-            res_sym = max(res_sym, _scaled_difference(
-                G, C, transposed=True, dense=dense)[0])
+                res_gl = max(res_gl, _difference(C @ E, E @ C, c_gl)[0])
+            res_sym = max(res_sym, _difference(G @ C, C.transpose() @ G,
+                                               c_sym)[0])
     return {"commutator_with_gl": res_gl, "form_symmetry": res_sym}
 
 

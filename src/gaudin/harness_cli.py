@@ -230,24 +230,19 @@ def _eigen_residual(P, x, g, exact, xmax):
 
 
 class Checks:
-    """The checks of one report.  Check names come from a small vocabulary
-    ("orbit0.nonvanishing", ...) that every report repeats, so each is
-    interned: a caller that keeps many reports, or their check lists, holds
-    each name once."""
-
     def __init__(self):
         self.items = []
 
     def add(self, name, ok, residual=None, detail=""):
         self.items.append({
-            "name": sys.intern(name),
+            "name": name,
             "status": "PASS" if ok else "FAIL",
             "residual": None if residual is None else float(residual),
             "detail": detail,
         })
 
     def skip(self, name, detail):
-        self.items.append({"name": sys.intern(name), "status": "SKIPPED",
+        self.items.append({"name": name, "status": "SKIPPED",
                            "residual": None, "detail": detail})
 
     def summary(self):

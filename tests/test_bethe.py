@@ -748,8 +748,7 @@ def _module_reference(poles, M, form):
                          ids=lambda s: "x".join(map(str, s[1])))
 def test_module_selfcheck_is_exactly_zero_on_the_workload_shapes(shape):
     """Every C_m of every workload shape commutes with every e_ab and is
-    symmetric for the form, exactly, on the BLAS route and on the
-    Python-int route alike."""
+    symmetric for the form, exactly."""
     N, parts, _ = shape
     M, form = _module(parts, N)
     poles = bethe_algebra.pole_operator(M)
@@ -784,14 +783,11 @@ CORRUPTED_SHAPE = ((2, 1, 0), (1, 0, 0)), 2
 
 
 @pytest.mark.parametrize("delta", [1, 2 ** 70], ids=["small", "past_int64"])
-@pytest.mark.parametrize("dense_dim", [128, 0], ids=["blas", "sparse"])
-def test_a_corrupted_pole_coefficient_fails_the_moved_checks(
-        monkeypatch, delta, dense_dim):
+def test_a_corrupted_pole_coefficient_fails_the_moved_checks(delta):
     """One entry of one C_m changed in a copy of the shared coefficients: on
     the diagonal it breaks gl-invariance, and off it form symmetry, each
-    with the exact residual of the Fraction products, on both routes and
-    past the int64 range."""
-    monkeypatch.setattr(bethe_algebra, "_DENSE_MODULE_DIM", dense_dim)
+    with the exact residual of the Fraction products, also past the int64
+    range."""
     parts, N = CORRUPTED_SHAPE
     M, form = _module(parts, N)
     poles = bethe_algebra.pole_operator(M)

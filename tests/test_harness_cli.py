@@ -1019,7 +1019,8 @@ def test_algebra_checks_scale_with_the_compared_products():
     Sites 1.727 and 3.244 (numeric seed 15 instance 36) failed for the same
     reason.  Form symmetry and gl-invariance are now checked once per
     module on the site-free int coefficients, so at these floating sites
-    both residuals are exact zeros, and commutativity stays relative."""
+    both residuals are exact zeros; commutativity stays relative (next
+    test)."""
     far_apart = {"N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
                  "z": [[-3.657, 0.0], [-0.002, 0.0]],
                  "solver": {"seed": 242795849, "starts": 40}}
@@ -1035,6 +1036,28 @@ def test_algebra_checks_scale_with_the_compared_products():
         for name in ("algebra_gl_invariance", "algebra_form_symmetry"):
             assert checks[name]["residual"] == 0.0, (payload["z"], name)
         assert checks["algebra_commutativity"]["residual"] > 0.0
+
+
+@pytest.mark.parametrize("scale, status", [(1e4, "PASS"), (0.0, "FAIL")])
+def test_numeric_commutativity_is_judged_relative_to_its_products(
+        monkeypatch, scale, status):
+    """A floating commutativity residual of 1e-9, above the absolute
+    ALGEBRA_TOL = 1e-10, PASSes when the compared products reach 1e4
+    (1e-13 relative) and FAILs when they stay below 1."""
+    selfcheck = harness_cli.algebra_selfcheck
+
+    def with_residual(*args):
+        out = selfcheck(*args)
+        assert not out["exact"]
+        out["commutator_pairs"] = 1e-9
+        out["scales"]["commutator_pairs"] = scale
+        return out
+
+    monkeypatch.setattr(harness_cli, "algebra_selfcheck", with_residual)
+    report = run_pipeline(*_shape_problem(SHARED_SHAPE_SITES["floating"]))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["algebra_commutativity"]["residual"] == 1e-9
+    assert checks["algebra_commutativity"]["status"] == status
 
 
 def test_no_orbit_fails_every_joint_check():
@@ -1116,19 +1139,6 @@ def _module_entries(M, form):
              for s, f in enumerate(M.factors) for key in f.gen_action},
             {key: dict(mat.data) for key, mat in M.gen_action.items()},
             dict(form.gram.data))
-
-
-def test_reports_share_their_check_names():
-    """Every report repeats the check names ("orbit0.nonvanishing", ...): a
-    caller that keeps many reports, as the benchmark runner and
-    `tools/compare_reports.py` do, holds each name once, not a copy per
-    report."""
-    first, again = (run_pipeline(*load_problem(ANCHOR_JSON)[:2])
-                    for _ in range(2))
-    names = [c["name"] for c in first["checks"]]
-    assert any(name.startswith("orbit0.") for name in names)
-    assert all(a is b["name"] for a, b in zip(names, again["checks"],
-                                              strict=True))
 
 
 def test_run_pipeline_leaves_the_shared_module_unchanged(fresh_modules):
