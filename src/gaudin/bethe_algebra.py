@@ -11,10 +11,13 @@ per process for each (N, partitions) key, as the module itself is
 (`shared_pole_operator`), and each instance only puts its sites in, once per
 coefficient, into the RFMatrix form the consumers read.  Its
 coefficient matrices commute pairwise, commute with the diagonal gl action,
-and are symmetric for the invariant form.  The last two statements hold for
-every set of sites exactly when they hold for the site-free int matrices of
-each monomial, and `module_selfcheck` checks them there, exactly, once per
-module beside the shared determinant.  `algebra_selfcheck` checks, per
+and are symmetric for the invariant form, so they preserve Sing L[mu].
+The last three statements hold for every set of sites exactly when they
+hold for the site-free int matrices of each monomial: `module_selfcheck`
+checks the first two there once per module, and `shared_singular_poles`
+restricts those matrices to Sing once per (N, partitions, mu), so an
+instance puts its sites into k x k matrices, k = dim Sing.
+`algebra_selfcheck` checks, per
 instance, commutativity at sample points, exactly on exact sites and on
 dense complex128 arrays (one BLAS product each), relative to the size of the
 products, at floating sites, and the vanishing lower series coefficients.
@@ -40,7 +43,8 @@ from .diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
                           RFMatrix, row_determinant, site_denominator)
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
-from .repr_core import _SHARED_MODULES, GlModule, shared_module
+from .repr_core import (_SHARED_MODULES, GlModule, shared_module,
+                        shared_singular_subspace)
 from .scalars import scalar_abs
 
 
@@ -105,16 +109,17 @@ def universal_operator(M: GlModule, z, poles=None) -> OperatorPencil:
     """Row determinant of delta_ij d - e_ji(u); monic of order N+1.
 
     `poles` is `pole_operator(M)`, taken here when it is not given (the
-    pipeline passes the shared one, `shared_pole_operator`).
+    pipeline passes the shared one, `shared_pole_operator`), or its
+    restriction to a subspace (`restrict_poles`).
     `PackedPoleMatrix.at_sites` puts the sites into each of its
-    coefficients, once; the leading one is RFMatrix.identity.
+    coefficients, once; the leading one is RFMatrix.identity of their size.
     """
     _check_sites(M, z)
     if poles is None:
         poles = pole_operator(M)
     sites = site_denominator(z)
     return OperatorPencil([c.at_sites(sites) for c in poles]
-                          + [RFMatrix.identity(M.dim)])
+                          + [RFMatrix.identity(poles[0].nrows)])
 
 
 def operator_coefficient(pencil: OperatorPencil, i: int) -> RFMatrix:
@@ -155,11 +160,6 @@ class BetheOperatorFamily:
         return {m: vec[r] for m, r in enumerate(self.unit_rows) if r in vec}
 
 
-# a floating remainder at most this share of the image, weighted by the
-# scale of the sites (`_check_invariant`), counts as roundoff
-_REMAINDER_RTOL = 1e-9
-
-
 def _unit_rows(S: SparseMatrix):
     """For each column m the first row r_m where column m is 1 and every
     other column is 0; ValueError when a column has none."""
@@ -179,9 +179,8 @@ def _unit_rows(S: SparseMatrix):
 
 
 def _restrict_matrix(mat: SparseMatrix, S, unit, L):
-    """(R, image, remainder): R with mat @ S == S @ R / L, read at the unit
-    rows of S (where S is L), the image mat @ S, and L mat @ S - S @ R, or
-    None where that is zero.
+    """(R, remainder): R with mat @ S == S @ R / L, read at the unit rows of
+    S (where S is L), and L mat @ S - S @ R, or None where that is zero.
 
     mat's entries are read once, against the rows of S, so each entry of
     mat @ S is summed in their order, as in SparseMatrix.apply.
@@ -201,110 +200,73 @@ def _restrict_matrix(mat: SparseMatrix, S, unit, L):
                             for m, r in enumerate(unit) for c in range(k)})
     scaled = image.scale(L) if L != 1 else image
     back = S @ R
-    return R, image, None if scaled.data == back.data else scaled - back
+    return R, None if scaled.data == back.data else scaled - back
 
 
-def _log_abs(v):
-    """log|v|, also for an int past the float range: -inf at 0, and inf or
-    nan at a float that is not finite."""
-    x = abs(v) if type(v) is int else scalar_abs(v)
-    return math.log(x) if x else -math.inf
+def restrict_poles(poles, S: SparseMatrix):
+    """`poles` (`pole_operator`) restricted to the span of the columns of S,
+    exactly: k x k PackedPoleMatrix coefficients, k = S.ncols.
 
-
-def _check_invariant(B: RFMatrix, parts, i):
-    """NotInvariant unless the remainders of the numerator matrices num_a of
-    B, in `parts` as `_restrict_matrix` gives them, are zero, or at floating
-    sites roundoff.
-
-    When the sites scale by t, num_a scales by t^-a times a common factor,
-    so each is weighted by rho^a, with rho = max_j |c_(m-j) / c_m|^(1/j)
-    over the coefficients c of D, m = deg D, which lies between
-    max|z_s| / 2 and m max|z_s|.  A remainder in column c counts as roundoff
-    when, so weighted, it is at most _REMAINDER_RTOL times the largest
-    weighted entry of column c in every image.  A num_a that is zero at
-    exact sites is roundoff at floating ones, with a remainder as large as
-    its image.  The weighted sizes are compared as logs, so that no scale of
-    the sites overflows or underflows them.  Sites far enough out overflow
-    the floating site polynomial itself: a coefficient of D, or an entry of
-    an image or a remainder, that is not finite raises NotInvariant too.
+    Each column m of S must be rational and have a unit row r_m, where it is
+    1 and every other column is 0 (ValueError otherwise), as the columns of
+    `weight_and_singular_subspace` have; `linalg.rref` gives any basis unit
+    rows.  The y_s are algebraically independent, so B_i(u) = sum_m C_m y^m
+    preserves the span for every u and every set of sites exactly when
+    every C_m does.  Each C_m is restricted in ints against S scaled by its
+    lcd L, with NotInvariant where a remainder is not zero, and L goes into
+    the packed d, so `at_sites` gives d = e^k L.
     """
-    if all(rem is None for _, _, rem in parts):
-        return
-
-    def finite(x):
-        # x = _log_abs(v); inf or nan where v is not finite
-        if not x < math.inf:
-            raise NotInvariant(
-                f"coefficient {i} is not finite at these sites (the "
-                "floating site polynomial overflows)")
-        return x
-
-    c = [finite(_log_abs(x)) for x in B.den.coeffs]
-    m = len(c) - 1
-    log_rho = max([(c[m - j] - c[m]) / j for j in range(1, m + 1)
-                   if c[m - j] > -math.inf], default=0.0)
-
-    def weighted(mat, a):
-        # column -> the largest log(|v| rho^a) over its entries v
-        out = {}
-        for (_, col), v in mat.data.items():
-            x = finite(_log_abs(v)) + a * log_rho
-            if x > out.get(col, -math.inf):
-                out[col] = x
-        return out
-
-    top = {}
-    for a, (_, image, _) in enumerate(parts):
-        for col, x in weighted(image, a).items():
-            top[col] = max(top.get(col, -math.inf), x)
-    for a, (_, _, rem) in enumerate(parts):
-        rest = {} if rem is None else weighted(rem, a)
-        for col in sorted(rest):
-            share = rest[col] - top.get(col, -math.inf)
-            if B.is_exact() or share > math.log(_REMAINDER_RTOL):
-                share = math.exp(share) if share < 709 else math.inf
+    unit = _unit_rows(S)
+    if rational_lcd(S.data.values()) is None:
+        raise ValueError("basis entries must be rational")
+    (ints,), L = integer_scaled([S])
+    k = S.ncols
+    out = []
+    for a, packed in enumerate(poles):
+        terms = {}
+        for m, C in _pole_terms(packed):
+            terms[m], rem = _restrict_matrix(C, ints, unit, L)
+            if rem is not None:
                 raise NotInvariant(
-                    f"coefficient {i} maps basis vector {col} outside the "
-                    f"subspace (remainder {share:.3e} of the image)")
+                    f"coefficient {len(poles) - a} maps basis vector "
+                    f"{min(c for _, c in rem.data)} outside the subspace")
+        out.append(PackedPoleMatrix(PoleMatrix(k, k, terms, packed.e), L))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_SHARED_MODULES)
+def shared_singular_poles(partitions, N, mu):
+    """`restrict_poles` of `shared_pole_operator(partitions, N)` to the S of
+    `shared_singular_subspace(partitions, N, mu)`, taken once per process
+    and shared by every caller: do not mutate it.  A NotInvariant is raised
+    again at every call."""
+    poles, _ = shared_pole_operator(partitions, N)
+    _, S = shared_singular_subspace(partitions, N, mu)
+    return restrict_poles(poles, S)
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
-    """Express every coefficient of the pencil in the given column basis.
+    """The coefficients of the pencil with their series at infinity to
+    u^-j_max, on the full carrier space (subspace None) or on the span of
+    the columns of S = subspace.
 
-    subspace: SparseMatrix of rational basis columns with unit rows, or None
-    for the full carrier space.  Column m must have a unit row r_m, where it
-    is 1 and every other column is 0, as the columns of
-    `weight_and_singular_subspace` have; ValueError otherwise.  Any basis
-    gets unit rows from `linalg.rref` of its columns.  The coordinates x of
-    a vector v = S x of the span are its entries at the unit rows
-    (`BetheOperatorFamily.coordinates`).  Since S has full column rank,
-    B v - g v = S (R x - g x) is zero exactly when R x = g x: the eigenvalue
-    equations on Sing are checked on the k x k family.
-
-    A coefficient P(u)/D(u)^k leaves the span invariant iff every
-    coefficient matrix of P does, so each is restricted on its own: R is read
-    at the unit rows of P S, and P S == S R is checked as one identity,
-    exactly or at floating sites to roundoff (`_check_invariant`).  Raises
-    NotInvariant when it fails.  Every coefficient, of any entry type, is
-    restricted in its numerator num against the basis scaled to ints by its
-    lcd L, and L goes into the restricted d; an integral coefficient
-    restricts in ints, with no Fraction made.  Its series at infinity stays
-    in ints too, one int d per coefficient matrix.
+    On a span the pencil is already k x k, k = S.ncols: `universal_operator`
+    of `restrict_poles` (DimensionMismatch otherwise).  The family keeps the
+    unit rows of S, where the coordinates x of a vector v = S x of the span
+    are read (`BetheOperatorFamily.coordinates`).  S has full column rank,
+    so B v - g v = S (R x - g x) is zero exactly when R x = g x.  The series
+    of an integral coefficient stays in ints, one int d per matrix.
     """
     order = pencil.order
     N = order - 1
     B_u = {i: operator_coefficient(pencil, i) for i in range(1, order + 1)}
     unit = None
     if subspace is not None:
+        size = pencil.coeffs[0].nrows
+        if size != subspace.ncols:
+            raise DimensionMismatch(
+                f"{size} x {size} pencil on a span of {subspace.ncols}")
         unit = _unit_rows(subspace)
-        if rational_lcd(subspace.data.values()) is None:
-            raise ValueError("basis entries must be rational")
-        (ints,), L = integer_scaled([subspace])
-        k = subspace.ncols
-        for i, B in B_u.items():
-            parts = [_restrict_matrix(mat, ints, unit, L) for mat in B.num]
-            _check_invariant(B, parts, i)
-            B_u[i] = B._like([R for R, _, _ in parts], B.power, B.d * L, k, k)
     B_coeffs = {i: B.entries_series_at_infinity(j_max) if j_max > 0 else []
                 for i, B in B_u.items()}
     return BetheOperatorFamily(N, B_u, B_coeffs, subspace, j_max, unit)
@@ -518,11 +480,11 @@ def sample_points(z, count):
 
 
 def _pole_terms(packed: PackedPoleMatrix):
-    """The int matrix C_m of each monomial m of a packed coefficient, as a
-    SparseMatrix of Python ints."""
+    """(m, C_m) for each monomial m of a packed coefficient, in its order,
+    with the int matrix C_m as a SparseMatrix of Python ints."""
     rows, cols = packed.keys.tolist()
-    for _, (index, values) in packed.terms:
-        yield SparseMatrix(packed.nrows, packed.ncols, {
+    for m, (index, values) in packed.terms:
+        yield m, SparseMatrix(packed.nrows, packed.ncols, {
             (rows[k], cols[k]): v
             for k, v in zip(index.tolist(), values.tolist())})
 
@@ -547,7 +509,7 @@ def module_selfcheck(poles, M: GlModule, form) -> dict:
     (G,), c_sym = integer_scaled([form.gram])
     res_gl = res_sym = 0.0
     for packed in poles:
-        for C in _pole_terms(packed):
+        for _, C in _pole_terms(packed):
             for E in gens:
                 res_gl = max(res_gl, _difference(C @ E, E @ C, c_gl)[0])
             res_sym = max(res_sym, _difference(G @ C, C.transpose() @ G,

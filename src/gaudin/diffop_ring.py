@@ -732,32 +732,36 @@ class PoleMatrix:
 
 
 class PackedPoleMatrix:
-    """A PoleMatrix value held compactly, to put the sites in, as often as
-    needed.
+    """A PoleMatrix value divided by a positive int d, held compactly, to
+    put the sites in, as often as needed.
 
     `keys` is a read-only 2 x K array of the rows and columns of the K
-    entries that are nonzero in some monomial, in the order they first
-    appear.  `terms` holds per monomial, in the PoleMatrix's order, the
-    monomial and a read-only 2 x n array of the key indices and the int
-    values of its entries, in their order: int64, or object past the int64
-    range.  A few arrays take less memory than the dicts of the PoleMatrix,
-    and the values and their order, so every sum `at_sites` makes and the
-    key order of its dicts, are the same.
+    entries that are nonzero in some monomial, in row-major order, which is
+    the key order of the dicts `at_sites` makes.  `terms` holds per
+    monomial, in the PoleMatrix's order, the monomial and a read-only 2 x n
+    array of the key indices and the int values of its entries, in their
+    order: int64, or object past the int64 range.  A few arrays take less
+    memory than the dicts of the PoleMatrix, and the values and their
+    order, so every sum `at_sites` makes, are the same.  d is 1, or the lcd
+    of a basis the value is restricted to (`bethe_algebra.restrict_poles`).
     """
 
-    __slots__ = ("nrows", "ncols", "e", "degree", "keys", "terms")
+    __slots__ = ("nrows", "ncols", "e", "d", "degree", "keys", "terms")
 
-    def __init__(self, value: PoleMatrix):
+    def __init__(self, value: PoleMatrix, d=1):
         self.nrows = value.nrows
         self.ncols = value.ncols
         self.e = value.e
+        self.d = d
         self.degree = len(next(iter(value.terms), ()))
-        index = {}
+        keys = sorted({key for mat in value.terms.values()
+                       for key in mat.data})
+        index = {key: i for i, key in enumerate(keys)}
         self.terms = tuple(
-            (m, _packed([[index.setdefault(key, len(index))
-                          for key in mat.data], list(mat.data.values())]))
+            (m, _packed([[index[key] for key in mat.data],
+                         list(mat.data.values())]))
             for m, mat in value.terms.items())
-        self.keys = _packed([[r for r, _ in index], [c for _, c in index]])
+        self.keys = _packed([[r for r, _ in keys], [c for _, c in keys]])
 
     def at_sites(self, sites) -> RFMatrix:
         """The value at y_s = 1/(e (u - z_s)) of a value homogeneous of
@@ -767,9 +771,9 @@ class PackedPoleMatrix:
         with q_s its leading coefficient (1 unless every site is rational),
         so that 1/(u - z_s) = q_s / L_s and y^m = prod_s q_s^(m_s)
         L_s^(k - m_s) / (e^k base^k): num = sum_m C_m prod_s q_s^(m_s)
-        L_s^(k - m_s) and d = e^k.  The entries of num are ints at rational
-        sites, and Gaussian rationals or complex floats where the factors
-        hold them.
+        L_s^(k - m_s), over e^k times the packed d.  The entries of num are
+        ints at rational sites, and Gaussian rationals or complex floats
+        where the factors hold them.
         """
         base, _, lcd, factors = sites
         k = self.degree
@@ -795,7 +799,7 @@ class PackedPoleMatrix:
         out = RFMatrix.__new__(RFMatrix)
         out._set(self.nrows, self.ncols,
                  [SparseMatrix(self.nrows, self.ncols, acc) for acc in num],
-                 base, lcd, self.e ** k, k, lcd is not None,
+                 base, lcd, self.e ** k * self.d, k, lcd is not None,
                  base.is_exact_poly())
         return out
 
@@ -828,7 +832,9 @@ class OperatorPencil:
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
+        # a pencil over the zero space keeps its order: all its
+        # coefficients, the leading identity too, are zero
+        while len(coeffs) > 1 and coeffs[-1].is_zero() and coeffs[-1].nrows:
             coeffs.pop()
         self.coeffs = coeffs
 

@@ -29,7 +29,7 @@ import jsonschema
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
                             restrict_family, shared_pole_operator,
-                            universal_operator)
+                            shared_singular_poles, universal_operator)
 from .errors import GaudinError, NotInvariant, SchemaError, ZeroVector
 from .linalg import SparseMatrix, rank
 from .master import (GaudinProblem, SolverConfig, factored_pole_data,
@@ -215,14 +215,19 @@ def _eigen_residual(P, x, g, exact, xmax):
     """Largest coordinate of R x - g x, for a series coefficient
     R = num[0] / d as the family stores it and a sparse dict vector x with
     xmax = max|x|: as it is at an exact orbit, else relative to
-    max(1, max|x|, max|R x|, |g| max|x|)."""
+    max(1, max|x|, max|R x|, |g| max|x|).  A coordinate that is not
+    finite, as far-out floating sites overflow the series, gives inf: a max
+    would drop a nan."""
     lhs = P.num[0].apply(x) if P.num else {}
     if P.d != 1:
         lhs = {k: v / P.d for k, v in lhs.items()}
     diff = dict(lhs)
     for idx, v in x.items():
         diff[idx] = diff.get(idx, 0) - g * v
-    res = max(map(scalar_abs, diff.values()), default=0.0)
+    sizes = [scalar_abs(v) for v in diff.values()]
+    if not all(map(math.isfinite, sizes)):
+        return math.inf
+    res = max(sizes, default=0.0)
     if exact:
         return res
     top = max(map(scalar_abs, lhs.values()), default=0.0)
@@ -367,10 +372,15 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
     # the eigenvalue equations read the family restricted to Sing, applied
     # to the Sing coordinates x of each Bethe vector v = S x: S has full
     # column rank and singular_membership checks v in Sing, so
-    # B v - g v = S (R x - g x) vanishes exactly when R x - g x does.  A
-    # restriction that fails fails each orbit's equations, with its reason.
+    # B v - g v = S (R x - g x) vanishes exactly when R x - g x does.  The
+    # sites go into the shared k x k restriction of the site-free
+    # coefficients.  A restriction that fails fails each orbit's equations,
+    # with its reason.
     try:
-        sing, sing_error = restrict_family(pencil, S, j_max), None
+        sing_poles = shared_singular_poles(problem.partitions, problem.N, mu)
+        sing = restrict_family(
+            universal_operator(M, problem.z, poles=sing_poles), S, j_max)
+        sing_error = None
     except NotInvariant as e:
         sing, sing_error = None, str(e)
 

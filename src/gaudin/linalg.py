@@ -9,7 +9,7 @@ reduced row echelon form `rref` (and through it `rank` and `nullspace`).
 Coordinates in a column basis need no elimination once every column has a
 unit row, where it is 1 and the other columns are 0: `rref` of the columns
 gives such a basis, and the coordinates are the entries at those rows
-(`bethe_algebra.restrict_family`).  Square matrices given as lists of rows,
+(`bethe_algebra.restrict_poles`).  Square matrices given as lists of rows,
 determinants (`det`) and square systems (`solve`, the Newton kernel's
 Jacobian), share one dense forward elimination, `_forward`, over list rows:
 on a few variables dict rows cost more than the arithmetic.  Pivots are

@@ -14,7 +14,9 @@ mutate a module, its generator matrices or its Gram matrix.  The site-free
 determinant of the universal operator is shared under the same key
 (`bethe_algebra.shared_pole_operator`), and so are the weight and singular
 subspaces of each weight mu under the key (partitions, N, mu)
-(`shared_singular_subspace`); neither may be mutated.  Slot matrices are
+(`shared_singular_subspace`) and the restriction of that determinant to
+the singular subspace (`bethe_algebra.shared_singular_poles`); none may be
+mutated.  Slot matrices are
 made anew on each call and are not shared.
 """
 
@@ -318,8 +320,9 @@ def weight_and_singular_subspace(M: GlModule, mu):
     Each column of either basis has a unit row, where it is 1 and every
     other column is 0: W's columns are the unit vectors at the weight
     positions, and S's come from `nullspace`, so column m is 1 at its free
-    position and the other columns vanish there.  `restrict_family` reads
-    coordinates in S at these rows.
+    position and the other columns vanish there.
+    `bethe_algebra.restrict_poles` restricts against S at these rows, and
+    `restrict_family` reads coordinates in S there.
     """
     mu = tuple(mu)
     positions = M.weight_positions(mu)

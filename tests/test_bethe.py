@@ -17,7 +17,7 @@ from gaudin.bethe_algebra import (algebra_selfcheck, current_matrix,
 from gaudin.diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
                                 Poly, RFMatrix, row_determinant,
                                 site_denominator)
-from gaudin.errors import NotInvariant, RepeatedSites
+from gaudin.errors import DimensionMismatch, NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix, integer_scaled, rational_lcd, rref
 from gaudin.master import (GaudinProblem, master_coefficients,
                            master_operator_at)
@@ -110,27 +110,53 @@ def test_commutativity_and_symmetry_exact_small():
         "commutator_with_gl": 0.0, "form_symmetry": 0.0}
 
 
+def _sing_family(M, z, S, j_max):
+    """The family on the span of S: the site-free coefficients of M
+    restricted to it, with the sites z put in."""
+    poles = bethe_algebra.restrict_poles(bethe_algebra.pole_operator(M), S)
+    return restrict_family(universal_operator(M, z, poles=poles), S, j_max)
+
+
 def test_restriction_to_singular_subspace():
+    """The family on Sing is k x k; restrict_family restricts nothing, and
+    refuses the full operator with a subspace."""
     parts = [(1, 0), (1, 0)]
     M, form = _module(parts, 1)
-    pencil = universal_operator(M, Z2)
     W, S = weight_and_singular_subspace(M, (1, 1))
-    family = restrict_family(pencil, S, 4)
+    family = _sing_family(M, Z2, S, 4)
     assert family.B_u[1].nrows == 1
     # restriction of B_2 to the 1-dim singular space: eigenvalue function
     mat = family.eval(2, Fraction(3))
     assert mat.nrows == 1 and mat.ncols == 1
+    with pytest.raises(DimensionMismatch):
+        restrict_family(universal_operator(M, Z2), S, 4)
+    # a zero singular space keeps the order of the operator
+    _, S = weight_and_singular_subspace(M, (0, 2))
+    family = _sing_family(M, Z2, S, 4)
+    assert S.ncols == 0 and family.N == 1
+    assert [family.B_u[i].nrows for i in (1, 2)] == [0, 0]
 
 
 def test_restriction_rejects_noninvariant_subspace():
+    """The site-free coefficients are restricted exactly, with no site: a
+    column mixing two weights, or one basis vector of a weight space that
+    is not an eigenvector of B_2, raises NotInvariant, and the whole weight
+    space restricts."""
     M, form = _module([(1, 0), (1, 0)], 1)
-    pencil = universal_operator(M, Z2)
     # a random non-invariant column: mix of different weights
     S = SparseMatrix(M.dim, 1)
     S[0, 0] = Fraction(1)
     S[1, 0] = Fraction(1)
     with pytest.raises(NotInvariant):
-        restrict_family(pencil, S, 4)
+        bethe_algebra.restrict_poles(bethe_algebra.pole_operator(M), S)
+    M, _ = _module([(1, 0)] * 4, 1)
+    poles = bethe_algebra.pole_operator(M)
+    W, _ = weight_and_singular_subspace(M, (2, 2))
+    column = SparseMatrix(M.dim, 1, {(next(iter(W.data))[0], 0): 1})
+    with pytest.raises(NotInvariant, match="coefficient 2 maps basis "
+                                           "vector 0 outside"):
+        bethe_algebra.restrict_poles(poles, column)
+    assert [c.nrows for c in bethe_algebra.restrict_poles(poles, W)] == [6, 6]
 
 
 def _exact_site(x):
@@ -146,14 +172,14 @@ FLOAT_RESTRICTION_SITES = {
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("name", sorted(FLOAT_RESTRICTION_SITES))
 def test_restriction_at_float_sites_matches_exact_sites(name, scale):
-    """Restricting to the singular space at floating sites needs no exact
-    zero remainder and keeps small coordinates."""
+    """The exact restriction of the site-free coefficients, put at floating
+    sites, matches it put at the same sites read exactly, and keeps small
+    coordinates."""
     M, _ = _module([(1, 0)] * 4, 1)
     _, S = weight_and_singular_subspace(M, (2, 2))
     z = [complex(x) * scale for x in FLOAT_RESTRICTION_SITES[name]]
-    got = restrict_family(universal_operator(M, z), S, 4)
-    want = restrict_family(
-        universal_operator(M, [_exact_site(x) for x in z]), S, 4)
+    got = _sing_family(M, z, S, 4)
+    want = _sing_family(M, [_exact_site(x) for x in z], S, 4)
     assert got.B_u[1].nrows == want.B_u[1].nrows == 2
     for i in (1, 2):
         for u in (complex(0.5, 0.7) * scale, complex(-1.3, 0.2) * scale):
@@ -216,16 +242,22 @@ def test_singular_bases_have_unit_rows(fresh_modules):
 
 
 def test_restriction_needs_unit_rows():
-    """A basis without unit rows raises ValueError.  rref of its columns
+    """A basis without unit rows raises ValueError, in the restriction and
+    in the family that reads coordinates at them.  rref of its columns
     spans the same space with unit rows, and restricts to the same traces."""
     M, _ = _module([(1, 0)] * 4, 1)
+    poles = bethe_algebra.pole_operator(M)
     _, S = weight_and_singular_subspace(M, (2, 2))
-    pencil = universal_operator(M, [Fraction(k) for k in range(4)])
+    z = [Fraction(k) for k in range(4)]
     mix = SparseMatrix(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1})
     T = S @ mix
     assert not _has_unit_rows(T)
     with pytest.raises(ValueError, match="unit row"):
-        restrict_family(pencil, T, 0)
+        bethe_algebra.restrict_poles(poles, T)
+    sing = universal_operator(M, z,
+                              poles=bethe_algebra.restrict_poles(poles, S))
+    with pytest.raises(ValueError, match="unit row"):
+        restrict_family(sing, T, 0)
     cols = [{r: v for (r, c), v in T.data.items() if c == m} for m in range(2)]
     rows, _ = rref(cols)
     U = SparseMatrix(M.dim, 2, {(r, m): v for m, row in enumerate(rows)
@@ -233,53 +265,81 @@ def test_restriction_needs_unit_rows():
     assert _has_unit_rows(U)
     u = Fraction(37, 7)
     for i in (1, 2):
-        a = restrict_family(pencil, U, 0).eval(i, u)
-        b = restrict_family(pencil, S, 0).eval(i, u)
+        a = _sing_family(M, z, U, 0).eval(i, u)
+        b = _sing_family(M, z, S, 0).eval(i, u)
         assert a[0, 0] + a[1, 1] == b[0, 0] + b[1, 1]
     # a Gaussian-rational entry off the unit rows
     key = next(k for k, v in S.data.items() if v != 1)
     G = SparseMatrix(S.nrows, S.ncols, S.data)
     G[key] = QI(0, 1)
     with pytest.raises(ValueError, match="rational"):
-        restrict_family(pencil, G, 0)
+        bethe_algebra.restrict_poles(poles, G)
 
 
+# (N, partitions, l, sites, a): at the floating sites numerator matrix a
+# of B_3 on the adjoint times Sym^2 of gl3, zero at exact sites, is
+# roundoff in the determinant of the currents expanded over the site
+# polynomial
 RESTRICTION_SHAPES = {
-    "chain6": (1, [(1, 0)] * 6, [3]),
-    "wide21": (2, [(2, 1, 0), (2, 1, 0)], [1, 1]),
+    "chain6": (1, [(1, 0)] * 6, [3], None, None),
+    "wide21": (2, [(2, 1, 0), (2, 1, 0)], [1, 1], None, None),
+    "adjoint_sym2_off_line": (2, [(2, 1, 0), (2, 0, 0)], [2, 1],
+                              [0j, 1.3 + 0.4j], 0),
+    "adjoint_sym2_real": (2, [(2, 0, 0), (2, 1, 0)], [2, 1],
+                          [-1.524 + 0j, 0.762 + 0j], 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RESTRICTION_SHAPES))
 def test_restricted_family_commutes_with_the_singular_basis(name):
-    """B(u) S == S B_Sing(u) exactly at rational sites, with B(u) the value
-    of the full family and B_Sing the restriction to Sing."""
-    N, parts, l = RESTRICTION_SHAPES[name]
+    """B(u) S == S B_Sing(u), with B(u) the value of the full family and
+    B_Sing that of the site-free restriction to Sing put at the sites:
+    exactly at rational sites, and to 1e-12 of the largest entry at
+    floating ones.  The pole operator has an exact zero where the
+    determinant of the currents leaves roundoff, and no roundoff reaches
+    the restriction, which is taken before any site is put in."""
+    N, parts, l, z, a = RESTRICTION_SHAPES[name]
     M, S = _singular_basis(parts, N, l)
-    z = [Fraction(3 * k - 1, 2) for k in range(len(parts))]
-    pencil = universal_operator(M, z)
-    full = restrict_family(pencil, None, 0)
-    sing = restrict_family(pencil, S, 0)
-    assert sing.B_u[1].nrows == S.ncols > 1
+    points = (2.5 + 0.5j, -1.7 + 0j)
+    if z is None:
+        z = [Fraction(3 * k - 1, 2) for k in range(len(parts))]
+        points = (Fraction(37, 7), Fraction(-5, 3))
+    else:
+        assert not operator_coefficient(universal_operator(M, z),
+                                        3).num[a].data
+        roundoff = operator_coefficient(_current_determinant(M, z), 3).num[a]
+        assert 0 < max(map(abs, roundoff.data.values())) < 1e-13
+    full = restrict_family(universal_operator(M, z), None, 0)
+    sing = _sing_family(M, z, S, 0)
+    assert sing.B_u[1].nrows == S.ncols
+    # dim Sing is 1 on the adjoint times Sym^2, more on the exact shapes
+    assert S.ncols > 1 or a is not None
     for i in range(1, N + 2):
-        for u in (Fraction(37, 7), Fraction(-5, 3)):
+        for u in points:
             value = sing.eval(i, u)
             assert not value.is_zero()
-            assert full.eval(i, u) @ S == S @ value
+            left, right = full.eval(i, u) @ S, S @ value
+            if is_exact(u):
+                assert left == right
+                continue
+            size = max(map(abs, left.data.values()))
+            assert all(abs(left[k] - right[k]) <= 1e-12 * size
+                       for k in left.data.keys() | right.data.keys())
 
 
 @pytest.mark.parametrize("parts", [[(2, 1, 0), (2, 1, 0)],
                                    [(1, 1, 0), (2, 0, 0)]],
                          ids=["lcd2", "lcd6"])
 def test_integral_pencil_restricts_to_an_integral_family(parts):
-    """An integer-form pencil restricts to int numerators over its own
-    denominator, with the lcd L of the basis folded into d; its Fraction
-    view restricts each coefficient matrix of P."""
+    """The site-free restriction, put at rational sites, has int numerators
+    over the full operator's denominator, with the lcd L of the basis folded
+    into d; its Fraction view restricts each coefficient matrix of P."""
     M, S = _singular_basis(parts, 2, [1, 1])
     (_,), L = integer_scaled([S])
     assert L > 1
-    pencil = universal_operator(M, [Fraction(-3, 2), Fraction(5, 3)])
-    family = restrict_family(pencil, S, 4)
+    z = [Fraction(-3, 2), Fraction(5, 3)]
+    pencil = universal_operator(M, z)
+    family = _sing_family(M, z, S, 4)
     k = S.ncols
     for i in range(1, 4):
         big, B = operator_coefficient(pencil, i), family.B_u[i]
@@ -291,35 +351,9 @@ def test_integral_pencil_restricts_to_an_integral_family(parts):
             assert P @ S == S @ R
 
 
-def test_restriction_at_float_sites_rejects_a_noninvariant_column():
-    """At floating sites a remainder far above roundoff raises NotInvariant:
-    one basis vector of the weight space is not an eigenvector of B_2.  The
-    remainder is judged against the scale of the sites, so it is rejected
-    alike with the sites 1000 times, 1e200 times or 1e60 times nearer to 0
-    or farther from it, and the whole weight space restricts at every such
-    scale.  Once 1e-200 divided by an underflowed zero and 1e60 overflowed
-    the weights.  At 1e200 the floating site polynomial overflows, and both
-    restrictions are refused rather than read from NaN."""
-    M, _ = _module([(1, 0)] * 4, 1)
-    W, _ = weight_and_singular_subspace(M, (2, 2))
-    column = SparseMatrix(M.dim, 1, {(next(iter(W.data))[0], 0): 1})
-    for scale in (1e-200, 1e-3, 1.0, 1e3, 1e60, 1e200):
-        z = [complex(x) * scale
-             for x in FLOAT_RESTRICTION_SITES["complex_site"]]
-        pencil = universal_operator(M, z)
-        if scale > 1e100:
-            for S in (column, W):
-                with pytest.raises(NotInvariant, match="not finite"):
-                    restrict_family(pencil, S, 0)
-            continue
-        with pytest.raises(NotInvariant, match="coefficient 2 maps"):
-            restrict_family(pencil, column, 0)
-        assert restrict_family(pencil, W, 0).B_u[1].nrows == 6
-
-
 def test_floating_residuals_count_an_overflowed_value():
-    """With the sites of the test above 1e60 times farther out, the values
-    of B_2 at the sample points overflow to nan.  The self-check reports an
+    """With the "complex_site" sites 1e60 times farther out, the values of
+    B_2 at the sample points overflow to nan.  The self-check reports an
     infinite residual for them, as the residual of a matrix does for an
     entry that is not finite.  A max over the residuals once dropped the
     nan and read 0."""
@@ -331,33 +365,6 @@ def test_floating_residuals_count_an_overflowed_value():
     assert sc["commutator_pairs"] == sc["max_residual"] == float("inf")
     mat = SparseMatrix(1, 2, {(0, 0): 1.0, (0, 1): complex("nan")})
     assert bethe_algebra._matrix_residual(mat) == float("inf")
-
-
-@pytest.mark.parametrize("parts, z, a", [
-    ([(2, 1, 0), (2, 0, 0)], [0j, 1.3 + 0.4j], 0),
-    ([(2, 0, 0), (2, 1, 0)], [-1.524 + 0j, 0.762 + 0j], 1),
-], ids=["off_line", "real"])
-def test_a_roundoff_coefficient_restricts_at_float_sites(parts, z, a):
-    """Numerator matrix a of B_3 on the adjoint times Sym^2 of gl3 is zero at
-    exact sites.  The row determinant of the currents expanded over the
-    floating site polynomial leaves roundoff there, near 1e-14, so its
-    remainder on Sing is as large as its image.  It is judged against the
-    other numerator matrices, weighted by the scale of the sites, and the
-    restriction commutes with the basis to roundoff.  The universal
-    operator, taken over the pole symbols, has an exact zero there."""
-    M, S = _singular_basis(parts, 2, [2, 1])
-    assert not operator_coefficient(universal_operator(M, z), 3).num[a].data
-    pencil = _current_determinant(M, z)
-    roundoff = operator_coefficient(pencil, 3).num[a]
-    assert 0 < max(map(abs, roundoff.data.values())) < 1e-13
-    sing = restrict_family(pencil, S, 0)
-    full = restrict_family(pencil, None, 0)
-    for i in range(1, 4):
-        for u in (2.5 + 0.5j, -1.7 + 0j):
-            left, right = full.eval(i, u) @ S, S @ sing.eval(i, u)
-            size = max(map(abs, left.data.values()))
-            assert all(abs(left[k] - right[k]) <= 1e-12 * size
-                       for k in left.data.keys() | right.data.keys())
 
 
 def _current_determinant(M, z):
@@ -825,6 +832,38 @@ def test_a_corrupted_pole_coefficient_fails_the_report(fresh_modules,
     assert checks["algebra_form_symmetry"]["status"] == "PASS"
 
 
+@pytest.mark.parametrize("z", [["-1", "3/2"], [["0", "1"], ["2", "-1/2"]],
+                               [[0.25, 0.0], [1.5, 0.75]]],
+                         ids=["exact", "gaussian", "floating"])
+def test_a_corrupted_pole_coefficient_fails_the_sing_restriction(
+        fresh_modules, monkeypatch, z):
+    """With one diagonal entry of one C_m of B_2 corrupted, the exact
+    restriction of the site-free coefficients to Sing raises NotInvariant,
+    and every orbit's eigenvalue equations FAIL with its text, at every
+    kind of site: the report is made, with no crash."""
+    parts, N = CORRUPTED_SHAPE
+    poles, _ = bethe_algebra.shared_pole_operator(parts, N)
+    M, form = shared_module(parts, N)
+    bad = _corrupted(poles, 1, True, 1)
+    module = bethe_algebra.module_selfcheck(bad, M, form)
+    # the report's module check and the cached restriction to Sing read the
+    # corrupted coefficients
+    for target in (harness_cli, bethe_algebra):
+        monkeypatch.setattr(target, "shared_pole_operator",
+                            lambda *key: (bad, module))
+    problem, config, options = harness_cli.load_problem(dict(CACHE_SHAPE, z=z))
+    _, S = repr_core.shared_singular_subspace(parts, N,
+                                              problem.infinity_weight)
+    with pytest.raises(NotInvariant, match="coefficient 2 maps") as error:
+        bethe_algebra.restrict_poles(bad, S)
+    report = harness_cli.run_pipeline(problem, config, **options)
+    eigen = [c for c in report["checks"]
+             if c["name"].endswith("eigenvalue_equations")]
+    assert len(eigen) == len(report["orbits"]) > 0
+    assert all(c["status"] == "FAIL" and c["detail"] == str(error.value)
+               and c["residual"] is None for c in eigen)
+
+
 def test_integral_dense_horner_stops_at_2_53():
     """The float64 Horner pass runs only while sum_a max|num_a| |u|^a is
     below 2^53: num = 2^51 u + 1 is exact at u = 3 and refused at u = 4."""
@@ -941,7 +980,7 @@ def test_exact_mode_returns_no_float(name):
     pencil = universal_operator(M, z)
     _, S = weight_and_singular_subspace(M, mu)
     assert S.ncols
-    for family in (restrict_family(pencil, S, j_max),
+    for family in (_sing_family(M, z, S, j_max),
                    restrict_family(pencil, None, j_max)):
         for i in range(1, N + 2):
             B = family.B_u[i]
@@ -1134,14 +1173,17 @@ def test_warm_pole_cache_gives_the_cold_report(fresh_modules, z):
 def test_warm_shared_caches_give_the_cold_report(fresh_modules, z):
     """A report made with every shared cache empty equals, byte for byte,
     the report made after a run at other sites has filled them: the module,
-    the determinant with its module check, and the singular subspace."""
+    the determinant with its module check, the singular subspace and the
+    restriction of the determinant to it."""
     cold = json.dumps(_cache_shape_run(z), sort_keys=True)
     _clear_shared_caches()
     _cache_shape_run(["5/3", "-2"])
     warm = json.dumps(_cache_shape_run(z), sort_keys=True)
     assert warm == cold
-    assert bethe_algebra.shared_pole_operator.cache_info().hits == 1
-    assert repr_core.shared_singular_subspace.cache_info().hits == 1
+    # the cold restriction to Sing read the determinant and S once more
+    assert bethe_algebra.shared_pole_operator.cache_info().hits == 2
+    assert repr_core.shared_singular_subspace.cache_info().hits == 2
+    assert bethe_algebra.shared_singular_poles.cache_info()[:2] == (1, 1)
 
 
 def test_packed_values_past_int64_put_at_sites():
@@ -1199,7 +1241,7 @@ def test_bethe_algebra_eigenvalue_that_is_not_a_critical_point(name):
     M, _ = _module([(1, 0)] * 4, 1)
     _, S = weight_and_singular_subspace(M, (2, 2))
     assert S.ncols == 2
-    family = restrict_family(universal_operator(M, z), S, 0)
+    family = _sing_family(M, z, S, 0)
     y = Poly.from_roots([z0, z0])
     c1 = -sum(1 / (u0 - s) for s in z)
     c2 = -(y.derivative(2).eval(u0) + c1 * y.derivative().eval(u0)) / y.eval(u0)

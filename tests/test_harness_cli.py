@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gaudin import harness_cli, repr_core, wronski_schubert
+from gaudin import bethe_algebra, harness_cli, repr_core, wronski_schubert
+from gaudin.bethe_algebra import restrict_family, universal_operator
 from gaudin.errors import NotInvariant, SchemaError
+from gaudin.linalg import SparseMatrix
 from gaudin.harness_cli import (EIG_TOL, REPORT_SCHEMA, SELFTEST_PROBLEM,
                                 default_j_max, emit_report, load_problem,
                                 main, run_pipeline)
@@ -18,7 +21,7 @@ from gaudin.master import (CriticalOrbit, GaudinProblem, SolverConfig,
                            find_critical_orbits, master_coefficients,
                            master_operator_at, scalar_coefficient_values,
                            series_by_contour)
-from gaudin.diffop_ring import Poly
+from gaudin.diffop_ring import Poly, RFMatrix
 from gaudin.scalars import QI, format_scalar
 from gaudin.weight_function import singular_residual
 
@@ -799,6 +802,31 @@ def test_a_failed_sing_restriction_fails_each_orbits_eigenvalue_equations(
     out, err = capsys.readouterr()
     assert "input error" not in err
     assert f"FAIL    orbit0.eigenvalue_equations {message}" in out
+
+
+def test_eigen_residual_counts_a_coordinate_that_is_not_finite():
+    """A nan coordinate of R x - g x reads inf in either entry order: a max
+    over the moduli once dropped it and read 0.0, a PASS at a floating
+    orbit.  Far-out floating sites give such entries: the Sing series of
+    the 4-site chain at 1e90 times the sites 0, 1, 3 + 0.2i, -2 holds
+    entries that are not finite."""
+    nan, inf = float("nan"), float("inf")
+    x = {0: 1.0, 1: 1.0}
+    for entries in ({(0, 0): 0.5, (1, 1): nan}, {(1, 1): nan, (0, 0): 0.5}):
+        P = RFMatrix(2, 2, [SparseMatrix(2, 2, entries)])
+        assert harness_cli._eigen_residual(P, x, 0.5, False, 1.0) == inf
+    parts = ((1, 0),) * 4
+    M, _ = repr_core.shared_module(parts, 1)
+    _, S = repr_core.shared_singular_subspace(parts, 1, (2, 2))
+    poles = bethe_algebra.restrict_poles(bethe_algebra.pole_operator(M), S)
+    z = [complex(s) * 1e90 for s in (0, 1, 3 + 0.2j, -2)]
+    family = restrict_family(universal_operator(M, z, poles=poles), S, 6)
+    overflowed = [P for mats in family.B_coeffs.values() for P in mats
+                  if P.num and not all(map(math.isfinite, map(
+                      abs, P.num[0].data.values())))]
+    assert overflowed
+    for P in overflowed:
+        assert harness_cli._eigen_residual(P, x, 0.0, False, 1.0) == inf
 
 
 def test_a_zero_singular_space_keeps_its_report():

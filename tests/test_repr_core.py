@@ -239,4 +239,4 @@ def test_the_cache_helper_clears_every_cache_of_the_package():
     assert not missed, missed
     assert {fn.__name__ for fn in shared_caches()} >= {
         "shared_irreducible", "shared_module", "shared_singular_subspace",
-        "shared_pole_operator"}
+        "shared_pole_operator", "shared_singular_poles"}
