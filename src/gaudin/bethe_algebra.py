@@ -14,13 +14,19 @@ coefficient matrices commute pairwise, commute with the diagonal gl action,
 and are symmetric for the invariant form, so they preserve Sing L[mu].
 The last three statements hold for every set of sites exactly when they
 hold for the site-free int matrices of each monomial: `module_selfcheck`
-checks the first two there once per module, and `shared_singular_poles`
-restricts those matrices to Sing once per (N, partitions, mu), so an
-instance puts its sites into k x k matrices, k = dim Sing.
-`algebra_selfcheck` checks, per
-instance, commutativity at sample points, exactly on exact sites and on
-dense complex128 arrays (one BLAS product each), relative to the size of the
-products, at floating sites, and the vanishing lower series coefficients.
+checks the first two there once per module, exactly.  Given exact
+gl-invariance, M = sum_mu L_mu x Sing M[mu] and every B_i(u) acts as the sum
+of Id x B_i(u)|Sing M[mu], so commutativity, the vanishing lower series
+coefficients and B_1 = scalar Id hold on M exactly when they hold on
+Sing M, the sum of the Sing M[mu] over the dominant weights mu.
+`shared_singular_poles` restricts the C_m to Sing M once per
+(partitions, N), and an instance puts its sites in once, into K x K
+matrices, K = dim Sing M (2-6 where the benchmark modules have 16-80
+dimensions); `algebra_selfcheck` runs on that family, and the eigenvalue
+equations on its block mu (`SingularPoles.split`).  Commutativity is
+compared at sample points, exactly on exact sites and on dense complex128
+arrays (one BLAS product each), relative to the size of the products, at
+floating sites.
 
 The module check multiplies the sparse int matrices in Python ints.  The
 exact commutativity check multiplies integer matrices too.  Where a bound
@@ -44,7 +50,7 @@ from .diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .repr_core import (_SHARED_MODULES, GlModule, shared_module,
-                        shared_singular_subspace)
+                        weight_and_singular_subspace)
 from .scalars import scalar_abs
 
 
@@ -90,7 +96,9 @@ def pole_operator(M: GlModule):
             row.append(OperatorPencil([c0, unit] if i == j else [c0]))
         entries.append(row)
     pencil = row_determinant(entries)
-    assert pencil.order == r and pencil.coeffs[r].is_unit()
+    if pencil.order != r or not pencil.coeffs[r].is_unit():
+        raise DimensionMismatch(f"determinant of order {pencil.order} is "
+                                f"not monic of order {r}")
     return tuple(PackedPoleMatrix(c) for c in pencil.coeffs[:r])
 
 
@@ -234,15 +242,113 @@ def restrict_poles(poles, S: SparseMatrix):
     return tuple(out)
 
 
+class SingularPoles:
+    """The site-free coefficients restricted to Sing M, the direct sum of
+    the Sing M[mu] over the dominant weights mu of M.
+
+    `poles` holds one block-diagonal K x K PackedPoleMatrix per coefficient,
+    K = dim Sing M, with d = 1.  Block mu, at rows and columns
+    offset .. offset + k - 1, holds the int matrices of
+    `restrict_poles(poles, S_mu)`: L_mu times the matrices of the C_m in the
+    basis S_mu of `weight_and_singular_subspace`, with L_mu the lcd of S_mu.
+    `blocks` maps each mu with k > 0 to (offset, k, L_mu), and `lcd` is the
+    lcm of the L_mu.  `split` reads the whole family and one block from a
+    single `universal_operator` of `poles`.
+    """
+
+    __slots__ = ("poles", "blocks", "lcd")
+
+    def __init__(self, poles, blocks):
+        self.poles = poles
+        self.blocks = blocks
+        self.lcd = math.lcm(*(L for _, _, L in blocks.values()))
+
+    def split(self, pencil: OperatorPencil, mu):
+        """(whole, block): the pencil on Sing M and on Sing M[mu], from
+        `pencil` = `universal_operator(M, z, poles=self.poles)`.
+
+        Block mu of each coefficient is num / (e^k L_mu) with the numerators
+        put in at the sites, so it has the entries, their order and the d of
+        the sites put into `restrict_poles(poles, S_mu)` alone; a weight
+        with no singular vector gives the 0 x 0 pencil.  The whole pencil
+        scales the rows of block mu by lcd / L_mu, over e^k lcd.
+        """
+        coeffs = pencil.coeffs[:-1]
+        start, k, L = self.blocks.get(tuple(mu), (0, 0, 1))
+        block = [_block(P, start, k, L) for P in coeffs]
+        factors = {}
+        for offset, size, f in self.blocks.values():
+            if f != self.lcd:
+                factors.update(dict.fromkeys(range(offset, offset + size),
+                                             self.lcd // f))
+        whole = [_rows_scaled(P, factors, self.lcd) for P in coeffs]
+        return (OperatorPencil(whole + pencil.coeffs[-1:]),
+                OperatorPencil(block + [RFMatrix.identity(k)]))
+
+
+def _block(P: RFMatrix, start, size, L) -> RFMatrix:
+    """Rows and columns start .. start + size - 1 of a block-diagonal P,
+    over L times its d."""
+    stop = start + size
+    num = [SparseMatrix(size, size, {
+        (r - start, c - start): v for (r, c), v in mat.data.items()
+        if start <= r < stop}) for mat in P.num]
+    return P._like(num, P.power, d=P.d * L, nrows=size, ncols=size)
+
+
+def _rows_scaled(P: RFMatrix, factors, L) -> RFMatrix:
+    """P with row r multiplied by factors.get(r, 1), over L times its d."""
+    num = P.num if not factors else [
+        SparseMatrix(P.nrows, P.ncols, {
+            key: v * factors[key[0]] if key[0] in factors else v
+            for key, v in mat.data.items()}) for mat in P.num]
+    return P._like(num, P.power, d=P.d * L)
+
+
+def singular_poles(poles, M: GlModule) -> SingularPoles:
+    """`poles` (`pole_operator(M)`) restricted to Sing M, exactly, one
+    dominant weight at a time (`restrict_poles`), highest weight first;
+    NotInvariant where a C_m does not preserve some Sing M[mu].
+
+    The blocks keep the monomials in the order of `poles`, so that each
+    entry of a block sums its monomials in the order `restrict_poles` alone
+    gives them.
+    """
+    parts, blocks, K = [], {}, 0
+    for mu in sorted(set(M.basis_weights), reverse=True):
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        _, S = weight_and_singular_subspace(M, mu)
+        if not S.ncols:
+            continue
+        restricted = restrict_poles(poles, S)
+        parts.append((K, restricted))
+        blocks[mu] = (K, S.ncols, restricted[0].d)
+        K += S.ncols
+    out = []
+    for a, full in enumerate(poles):
+        order = {m: t for t, (m, _) in enumerate(full.terms)}
+        terms = {}
+        for offset, restricted in parts:
+            for m, C in _pole_terms(restricted[a]):
+                terms.setdefault(m, {}).update(
+                    ((r + offset, c + offset), v)
+                    for (r, c), v in C.data.items())
+        out.append(PackedPoleMatrix(PoleMatrix(K, K, {
+            m: SparseMatrix(K, K, terms[m])
+            for m in sorted(terms, key=order.__getitem__)}, full.e)))
+    return SingularPoles(tuple(out), blocks)
+
+
 @functools.lru_cache(maxsize=_SHARED_MODULES)
-def shared_singular_poles(partitions, N, mu):
-    """`restrict_poles` of `shared_pole_operator(partitions, N)` to the S of
-    `shared_singular_subspace(partitions, N, mu)`, taken once per process
-    and shared by every caller: do not mutate it.  A NotInvariant is raised
-    again at every call."""
+def shared_singular_poles(partitions, N):
+    """`singular_poles` of `shared_pole_operator(partitions, N)`, taken once
+    per process and shared by every caller: do not mutate it.  A
+    NotInvariant is raised again at every call.  The bases S_mu are made
+    here and not kept, so the per-weight cache
+    (`shared_singular_subspace`) holds only the weights instances ask for."""
     poles, _ = shared_pole_operator(partitions, N)
-    _, S = shared_singular_subspace(partitions, N, mu)
-    return restrict_poles(poles, S)
+    return singular_poles(poles, shared_module(partitions, N)[0])
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:
@@ -518,10 +624,12 @@ def module_selfcheck(poles, M: GlModule, form) -> dict:
 
 
 def algebra_selfcheck(family: BetheOperatorFamily, z) -> dict:
-    """Commutativity and lower-coefficient residuals of a family on the full
-    module.  gl-invariance and form symmetry hold for every set of sites
-    once they hold for the site-free coefficients, and `module_selfcheck`
-    checks them there, once per module.
+    """Commutativity and lower-coefficient residuals of a family: the
+    pipeline passes the family on Sing M, which decides them for the whole
+    module once gl-invariance holds (module docstring).  gl-invariance and
+    form symmetry hold for every set of sites once they hold for the
+    site-free coefficients, and `module_selfcheck` checks them there, once
+    per module.
 
     Commutativity compares B_i(u) and B_j(v), i <= j, at consecutive sample
     points: integers at distance at least 1 from every site z_s, where

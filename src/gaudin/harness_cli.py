@@ -339,50 +339,67 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
         report["summary"] = checks.summary()
         return report, []
 
-    # --- algebra-level checks on the full module
-    # the site-free determinant, and its gl-invariance and form symmetry,
-    # are shared per (N, partitions), like M; the full family needs its
-    # series only to u^-N, the lower coefficients j < i <= N + 1
-    poles, module_check = shared_pole_operator(problem.partitions, problem.N)
-    pencil = universal_operator(M, problem.z, poles=poles)
-    family = restrict_family(pencil, None, problem.N)
-    sc = algebra_selfcheck(family, problem.z)
+    # --- algebra-level checks
+    # gl-invariance and form symmetry hold for every set of sites once they
+    # hold for the site-free coefficients C_m, checked once per
+    # (N, partitions).  Then every B_i(u) acts on M = sum_mu L_mu x Sing M[mu]
+    # as the sum of Id x B_i(u)|Sing M[mu], so commutativity, the vanishing
+    # lower coefficients and B_1 = scalar Id hold on M exactly when they
+    # hold on Sing M: the sites go once into the shared restriction of the
+    # C_m to Sing M, whose series is needed only to u^-N (j < i <= N + 1).
+    # A restriction that fails fails these checks and each orbit's
+    # eigenvalue equations, with its reason.
+    _, module_check = shared_pole_operator(problem.partitions, problem.N)
+    try:
+        sing_poles = shared_singular_poles(problem.partitions, problem.N)
+        whole, block = sing_poles.split(
+            universal_operator(M, problem.z, poles=sing_poles.poles), mu)
+        sing_error = None
+    except NotInvariant as e:
+        sing_error = str(e)
 
-    def algebra_ok(residual, scale=0.0):
-        # numeric residuals are judged relative to the entries of the
-        # compared products
-        return _passes(residual, ALGEBRA_TOL * max(1.0, scale), sc["exact"])
+    sing_checks = {}
+    if sing_error is None:
+        sc = algebra_selfcheck(restrict_family(whole, None, problem.N),
+                               problem.z)
 
-    checks.add("algebra_commutativity",
-               algebra_ok(sc["commutator_pairs"],
-                          sc["scales"]["commutator_pairs"]),
-               residual=sc["commutator_pairs"])
+        def algebra_ok(residual, scale=0.0):
+            # numeric residuals are judged relative to the entries of the
+            # compared products
+            return _passes(residual, ALGEBRA_TOL * max(1.0, scale),
+                           sc["exact"])
+
+        sing_checks = {
+            "algebra_commutativity": (
+                algebra_ok(sc["commutator_pairs"],
+                           sc["scales"]["commutator_pairs"]),
+                sc["commutator_pairs"]),
+            "coefficient_triangularity": (
+                algebra_ok(sc["lower_coefficients"]),
+                sc["lower_coefficients"]),
+            "first_coefficient": (first_coefficient_identity(
+                whole, problem.sizes, problem.z), None),
+        }
+
+    def add_sing_check(name):
+        ok, residual = sing_checks.get(name, (False, None))
+        checks.add(name, ok, residual=residual, detail=sing_error or "")
+
+    add_sing_check("algebra_commutativity")
     # exact at every kind of site: the site-free coefficients are ints
     for name, key in (("algebra_gl_invariance", "commutator_with_gl"),
                       ("algebra_form_symmetry", "form_symmetry")):
         checks.add(name, module_check[key] == 0.0,
                    residual=module_check[key])
-    checks.add("coefficient_triangularity",
-               algebra_ok(sc["lower_coefficients"]),
-               residual=sc["lower_coefficients"])
-    checks.add("first_coefficient",
-               first_coefficient_identity(pencil, problem.sizes, problem.z))
+    add_sing_check("coefficient_triangularity")
+    add_sing_check("first_coefficient")
     checks.add("orbit_count", count_ok, detail=count_detail)
 
-    # the eigenvalue equations read the family restricted to Sing, applied
-    # to the Sing coordinates x of each Bethe vector v = S x: S has full
-    # column rank and singular_membership checks v in Sing, so
-    # B v - g v = S (R x - g x) vanishes exactly when R x - g x does.  The
-    # sites go into the shared k x k restriction of the site-free
-    # coefficients.  A restriction that fails fails each orbit's equations,
-    # with its reason.
-    try:
-        sing_poles = shared_singular_poles(problem.partitions, problem.N, mu)
-        sing = restrict_family(
-            universal_operator(M, problem.z, poles=sing_poles), S, j_max)
-        sing_error = None
-    except NotInvariant as e:
-        sing, sing_error = None, str(e)
+    # the eigenvalue equations read block mu of the family on Sing M,
+    # applied to the Sing coordinates x of each Bethe vector v = S x: S has
+    # full column rank and singular_membership checks v in Sing, so
+    # B v - g v = S (R x - g x) vanishes exactly when R x - g x does
+    sing = None if sing_error else restrict_family(block, S, j_max)
 
     # --- per-orbit checks
     bethe = []

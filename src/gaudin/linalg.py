@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .scalars import is_exact, scalar_abs
 
 _NUMERIC_EPS = 1e-12
@@ -66,7 +67,9 @@ class SparseMatrix:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.data == other.data
 
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch(
+                f"{self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
         out = dict(self.data)
         for k, x in other.data.items():
             y = out.get(k)
@@ -82,7 +85,8 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, self.ncols, {k: c * v for k, v in self.data.items()})
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, (self.ncols, other.nrows)
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
         rows = {}
         for (i, k), x in self.data.items():
             rows.setdefault(k, []).append((i, x))

@@ -383,7 +383,9 @@ def master_operator_at(problem: GaudinProblem, point) -> OperatorPencil:
             else RFMatrix(1, 1)
         factor = OperatorPencil([minus_a, one])
         pencil = factor if pencil is None else pencil.compose(factor)
-    assert pencil.order == problem.N + 1 and pencil.is_monic()
+    if pencil.order != problem.N + 1 or not pencil.is_monic():
+        raise DimensionMismatch(f"master operator of order {pencil.order} "
+                                f"is not monic of order {problem.N + 1}")
     return pencil
 
 

@@ -232,8 +232,9 @@ def _assert_weight(problem, M, vec):
         [sum(col) for col in zip(*(list(lam) for lam in problem.partitions))],
         problem.l, problem.N)
     for idx in vec:
-        assert M.basis_weights[idx] == tuple(mu), \
-            "weight function left the expected weight subspace"
+        if M.basis_weights[idx] != tuple(mu):
+            raise DimensionMismatch(
+                "weight function left the expected weight subspace")
 
 
 def singular_residual(M: GlModule, vec):

@@ -314,3 +314,26 @@ def brute_weight_terms(l, n):
 
 def random_rational(rng, lo=-12, hi=12, den=7):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+# ------------------------------------------------ full-module algebra checks
+# Unlike the rest of this file, these call the package: they are the
+# per-instance algebra checks as the pipeline once ran them on the whole
+# module, kept as the reference that the checks on Sing M are compared with.
+
+def full_module_family(M, z, j_max):
+    """The universal operator of M at the sites z on the whole module, with
+    its series at infinity to u^-j_max."""
+    from gaudin.bethe_algebra import restrict_family, universal_operator
+    return restrict_family(universal_operator(M, z), None, j_max)
+
+
+def full_module_algebra_checks(M, z, sizes):
+    """(algebra_selfcheck, first_coefficient_identity) of the universal
+    operator of M at the sites z, on the whole module."""
+    from gaudin.bethe_algebra import (algebra_selfcheck,
+                                      first_coefficient_identity,
+                                      restrict_family, universal_operator)
+    pencil = universal_operator(M, z)
+    return (algebra_selfcheck(restrict_family(pencil, None, M.N), z),
+            first_coefficient_identity(pencil, sizes, z))

@@ -1180,9 +1180,11 @@ def test_warm_shared_caches_give_the_cold_report(fresh_modules, z):
     _cache_shape_run(["5/3", "-2"])
     warm = json.dumps(_cache_shape_run(z), sort_keys=True)
     assert warm == cold
-    # the cold restriction to Sing read the determinant and S once more
+    # the cold restriction to Sing M read the determinant once more and
+    # made its bases S_mu itself, so the per-weight cache holds the
+    # instance's weight only
     assert bethe_algebra.shared_pole_operator.cache_info().hits == 2
-    assert repr_core.shared_singular_subspace.cache_info().hits == 2
+    assert repr_core.shared_singular_subspace.cache_info()[:2] == (1, 1)
     assert bethe_algebra.shared_singular_poles.cache_info()[:2] == (1, 1)
 
 
@@ -1271,3 +1273,50 @@ def test_eval_scaled_is_eval_over_one_int_denominator():
                      (operator_coefficient(gaussian, i), Fraction(7, 2))):
             (want,), d = integer_scaled([A.eval(u)])
             assert A.eval_scaled(u) == (want, d)
+
+
+@pytest.mark.parametrize("parts, N, z", _oracle_cases())
+def test_sing_algebra_checks_agree_with_the_full_module(parts, N, z):
+    """The commutativity, lower-coefficient and first-coefficient checks
+    read on Sing M agree with the same checks on the whole module
+    (`oracles.full_module_algebra_checks`): the same exact zeros at exact
+    sites, and residuals within 1e-12 of their scale on both sides at
+    floating ones."""
+    M, _ = _module(parts, N)
+    sizes = [sum(lam) for lam in parts]
+    full, full_first = oracles.full_module_algebra_checks(M, z, sizes)
+    sing = bethe_algebra.singular_poles(bethe_algebra.pole_operator(M), M)
+    whole, _ = sing.split(universal_operator(M, z, poles=sing.poles), ())
+    got = algebra_selfcheck(restrict_family(whole, None, N), z)
+    assert whole.coeffs[0].nrows == sum(k for _, k, _ in sing.blocks.values())
+    assert first_coefficient_identity(whole, sizes, z) == full_first is True
+    assert got["exact"] == full["exact"] == is_exact(z[0])
+    for key in ("commutator_pairs", "lower_coefficients"):
+        if got["exact"]:
+            assert got[key] == full[key] == 0.0
+            continue
+        for sc in (got, full):
+            scale = sc["scales"]["commutator_pairs"] \
+                if key == "commutator_pairs" else 1.0
+            assert sc[key] <= 1e-12 * max(1.0, scale), (key, sc)
+
+
+def test_a_second_algebra_pass_misses_no_shared_cache(fresh_modules):
+    """A second verify pass over the `algebra` instances of seed 0 finds
+    every shared module, determinant, basis and restriction in its cache."""
+    import sys
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    loaded = [harness_cli.load_problem(p)
+              for p in workloads.generate("algebra", 0)]
+    for problem, config, options in loaded:
+        harness_cli.run_pipeline(problem, config, **options)
+    from conftest import shared_caches
+    before = {c.__name__: c.cache_info().misses for c in shared_caches()}
+    for problem, config, options in loaded:
+        harness_cli.run_pipeline(problem, config, **options)
+    after = {c.__name__: c.cache_info().misses for c in shared_caches()}
+    assert after == before
+    assert bethe_algebra.shared_singular_poles.cache_info().currsize == 11

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import oracles
 from gaudin import bethe_algebra, harness_cli, repr_core, wronski_schubert
 from gaudin.bethe_algebra import restrict_family, universal_operator
 from gaudin.errors import NotInvariant, SchemaError
@@ -682,9 +683,15 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         "solver": {"seed": 1144093041, "starts": 40, "early_stop": False}})
     report = run_pipeline(prob, config)
     assert report["summary"]["all_pass"]
-    full, sing = seen["restrict_family"]
-    assert full.subspace is None and sing.subspace is not None
-    assert full.j_max == prob.N
+    whole, sing = seen["restrict_family"]
+    assert whole.subspace is None and sing.subspace is not None
+    assert whole.j_max == prob.N
+    # the family on Sing M is 6 x 6: dim Sing M[(2, 2)] = 2, [(3, 1)] = 3
+    # and [(4, 0)] = 1
+    assert whole.B_u[1].nrows == 6 and sing.B_u[1].nrows == 2
+    j_max = report["derived"]["j_max"]
+    full = oracles.full_module_family(harness_cli.build_modules(prob)[0],
+                                      prob.z, j_max)
     absolute = []
     for series, (vec, info), spec in zip(seen["series_by_contour"],
                                          seen["bethe_vector"],
@@ -693,11 +700,9 @@ def test_eigenvalue_equations_are_judged_relative_to_the_vectors(
         xmax = max(map(abs, x.values()))
         relative = 0.0
         for i in (1, 2):
-            j_max = report["derived"]["j_max"]
             printed = series[i][:j_max]
-            # the pipeline's full family keeps its series to u^-N only
-            for B, P, g in zip(full.B_u[i].entries_series_at_infinity(j_max),
-                               sing.B_coeffs[i], printed, strict=True):
+            for B, P, g in zip(full.B_coeffs[i], sing.B_coeffs[i], printed,
+                               strict=True):
                 lhs = B.coeffs[0].apply(vec) if B.num else {}
                 absolute.append(max(abs(lhs.get(k, 0) - g * vec.get(k, 0))
                                     for k in lhs.keys() | vec.keys())
@@ -773,35 +778,40 @@ def test_a_perturbed_sing_family_fails_the_eigenvalue_equations(
     assert rest == {"PASS"}
 
 
+# the checks read from the family on Sing M
+SING_CHECKS = ("algebra_commutativity", "coefficient_triangularity",
+               "first_coefficient")
+
+
 def test_a_failed_sing_restriction_fails_each_orbits_eigenvalue_equations(
         tmp_path, capsys, monkeypatch):
-    """A NotInvariant from the restriction to Sing is a FAIL of every
-    orbit's eigenvalue equations, with its text as the detail, and not an
-    input error: `gaudin verify` exits 1, not 2."""
-    restrict = harness_cli.restrict_family
+    """A NotInvariant from the restriction to Sing M is a FAIL of the
+    algebra checks read on Sing M and of every orbit's eigenvalue
+    equations, with its text as the detail, and not an input error:
+    `gaudin verify` exits 1, not 2."""
     message = "coefficient 2 maps basis vector 0 outside the subspace"
 
-    def failing(pencil, subspace, j_max):
-        if subspace is not None:
-            raise NotInvariant(message)
-        return restrict(pencil, subspace, j_max)
+    def failing(*key):
+        raise NotInvariant(message)
 
-    monkeypatch.setattr(harness_cli, "restrict_family", failing)
+    monkeypatch.setattr(harness_cli, "shared_singular_poles", failing)
     prob = GaudinProblem(1, [[1, 0]] * 4, [2],
                          [Fraction(k) for k in range(4)])
     report = run_pipeline(prob, SolverConfig(seed=0))
-    eigen = [c for c in report["checks"]
-             if c["name"].endswith("eigenvalue_equations")]
-    assert len(eigen) == len(report["orbits"]) == 2
+    failed = [c for c in report["checks"]
+              if c["name"].endswith("eigenvalue_equations")
+              or c["name"] in SING_CHECKS]
+    assert len(failed) == len(report["orbits"]) + 3 == 5
     assert all(c["status"] == "FAIL" and c["detail"] == message
-               and c["residual"] is None for c in eigen)
-    assert {c["status"] for c in report["checks"] if c not in eigen} \
+               and c["residual"] is None for c in failed)
+    assert {c["status"] for c in report["checks"] if c not in failed} \
         == {"PASS"}
     path = write_problem(tmp_path, ANCHOR_JSON)
     assert main(["verify", "--problem", path]) == 1
     out, err = capsys.readouterr()
     assert "input error" not in err
-    assert f"FAIL    orbit0.eigenvalue_equations {message}" in out
+    for name in SING_CHECKS + ("orbit0.eigenvalue_equations",):
+        assert f"FAIL    {name} {message}" in out
 
 
 def test_eigen_residual_counts_a_coordinate_that_is_not_finite():
@@ -1047,8 +1057,10 @@ def test_algebra_checks_scale_with_the_compared_products():
     Sites 1.727 and 3.244 (numeric seed 15 instance 36) failed for the same
     reason.  Form symmetry and gl-invariance are now checked once per
     module on the site-free int coefficients, so at these floating sites
-    both residuals are exact zeros; commutativity stays relative (next
-    test)."""
+    both residuals are exact zeros.  Commutativity is read on Sing M, which
+    is multiplicity-free here (four weights, one singular vector each), so
+    its 1 x 1 blocks commute exactly too; where they do not, it stays
+    relative (next test)."""
     far_apart = {"N": 2, "partitions": [[2, 0, 0], [2, 1, 0]], "l": [2, 1],
                  "z": [[-3.657, 0.0], [-0.002, 0.0]],
                  "solver": {"seed": 242795849, "starts": 40}}
@@ -1061,9 +1073,9 @@ def test_algebra_checks_scale_with_the_compared_products():
                    if c["status"] != "PASS"]
         assert failing == [], payload["z"]
         checks = {c["name"]: c for c in report["checks"]}
-        for name in ("algebra_gl_invariance", "algebra_form_symmetry"):
+        for name in ("algebra_gl_invariance", "algebra_form_symmetry",
+                     "algebra_commutativity"):
             assert checks[name]["residual"] == 0.0, (payload["z"], name)
-        assert checks["algebra_commutativity"]["residual"] > 0.0
 
 
 @pytest.mark.parametrize("scale, status", [(1e4, "PASS"), (0.0, "FAIL")])

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +257,23 @@ def test_scalar_abs():
     assert scalar_abs(QI(3, 4)) == 5.0
     assert abs(QI(3, 4)) == 5.0
     assert scalar_abs(3 - 4j) == 5.0
+
+
+def test_shape_mismatches_raise_under_python_O():
+    """A sum or product of mismatched shapes raises DimensionMismatch, also
+    under `python -O`, which strips assert statements: an assert there let
+    the mismatch compute garbage."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "from gaudin.errors import DimensionMismatch\n"
+        "from gaudin.linalg import SparseMatrix\n"
+        "a, b = SparseMatrix(2, 3, {(0, 0): 1}), SparseMatrix(2, 2)\n"
+        "for op in (lambda: a + b, lambda: a @ b):\n"
+        "    try:\n"
+        "        op()\n"
+        "    except DimensionMismatch:\n"
+        "        print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["raised", "raised"]
