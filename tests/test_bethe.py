@@ -1320,3 +1320,36 @@ def test_a_second_algebra_pass_misses_no_shared_cache(fresh_modules):
     after = {c.__name__: c.cache_info().misses for c in shared_caches()}
     assert after == before
     assert bethe_algebra.shared_singular_poles.cache_info().currsize == 11
+
+
+def test_a_gl_invariant_perturbation_fails_commutativity_only(
+        fresh_modules, monkeypatch):
+    """The two-site Casimir Omega_12 = sum_ab e_ab^(1) e_ba^(2) added to the
+    C_m of y_1 y_2 in B_2 of three spin-1/2 sites keeps every C_m
+    gl-invariant and symmetric, so it preserves Sing M and the module check
+    PASSes; but B_2(u) and B_2(v) no longer commute on the 2-dim Sing M[(2,1)],
+    and the commutativity check read on Sing M FAILs."""
+    parts, N = ((1, 0),) * 3, 1
+    M, form = shared_module(parts, N)
+    poles, _ = bethe_algebra.shared_pole_operator(parts, N)
+    omega = None
+    for a in (1, 2):
+        for b in (1, 2):
+            term = M.slot_matrix(0, a, b) @ M.slot_matrix(1, b, a)
+            omega = term if omega is None else omega + term
+    (omega,), _ = integer_scaled([omega])
+    terms = dict(bethe_algebra._pole_terms(poles[0]))
+    terms[(0, 1)] = terms[(0, 1)] + omega
+    bad = (PackedPoleMatrix(PoleMatrix(M.dim, M.dim, terms, poles[0].e)),) \
+        + poles[1:]
+    module = bethe_algebra.module_selfcheck(bad, M, form)
+    for target in (harness_cli, bethe_algebra):
+        monkeypatch.setattr(target, "shared_pole_operator",
+                            lambda *key: (bad, module))
+    report = harness_cli.run_pipeline(
+        GaudinProblem(1, [[1, 0]] * 3, [1],
+                      [Fraction(0), Fraction(1), Fraction(3)]))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["algebra_gl_invariance"] == "PASS"
+    assert status["algebra_form_symmetry"] == "PASS"
+    assert status["algebra_commutativity"] == "FAIL"
