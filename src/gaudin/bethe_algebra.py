@@ -50,6 +50,7 @@ from .diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
 from .errors import DimensionMismatch, NotInvariant, RepeatedSites
 from .linalg import SparseMatrix, integer_scaled, rational_lcd
 from .repr_core import (_SHARED_MODULES, GlModule, shared_module,
+                        shared_singular_subspace,
                         weight_and_singular_subspace)
 from .scalars import scalar_abs
 
@@ -305,20 +306,24 @@ def _rows_scaled(P: RFMatrix, factors, L) -> RFMatrix:
     return P._like(num, P.power, d=P.d * L)
 
 
-def singular_poles(poles, M: GlModule) -> SingularPoles:
+def singular_poles(poles, M: GlModule, subspaces=None) -> SingularPoles:
     """`poles` (`pole_operator(M)`) restricted to Sing M, exactly, one
     dominant weight at a time (`restrict_poles`), highest weight first;
     NotInvariant where a C_m does not preserve some Sing M[mu].
+    `subspaces(mu)` gives (W, S) of weight mu, by default
+    `weight_and_singular_subspace(M, mu)`.
 
     The blocks keep the monomials in the order of `poles`, so that each
     entry of a block sums its monomials in the order `restrict_poles` alone
     gives them.
     """
+    subspaces = subspaces or functools.partial(weight_and_singular_subspace,
+                                               M)
     parts, blocks, K = [], {}, 0
     for mu in sorted(set(M.basis_weights), reverse=True):
         if any(a < b for a, b in zip(mu, mu[1:])):
             continue
-        _, S = weight_and_singular_subspace(M, mu)
+        _, S = subspaces(mu)
         if not S.ncols:
             continue
         restricted = restrict_poles(poles, S)
@@ -344,11 +349,13 @@ def singular_poles(poles, M: GlModule) -> SingularPoles:
 def shared_singular_poles(partitions, N):
     """`singular_poles` of `shared_pole_operator(partitions, N)`, taken once
     per process and shared by every caller: do not mutate it.  A
-    NotInvariant is raised again at every call.  The bases S_mu are made
-    here and not kept, so the per-weight cache
-    (`shared_singular_subspace`) holds only the weights instances ask for."""
+    NotInvariant is raised again at every call.  The bases S_mu come from
+    the per-weight cache (`shared_singular_subspace`), which the instances
+    read too, so each weight's basis is made once."""
     poles, _ = shared_pole_operator(partitions, N)
-    return singular_poles(poles, shared_module(partitions, N)[0])
+    return singular_poles(poles, shared_module(partitions, N)[0],
+                          functools.partial(shared_singular_subspace,
+                                            partitions, N))
 
 
 def restrict_family(pencil: OperatorPencil, subspace, j_max) -> BetheOperatorFamily:

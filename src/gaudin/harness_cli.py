@@ -14,6 +14,16 @@ rational strings/integers or pairs of rational strings such as ["0", "4/3"]
 numbers (numeric mode).
 Reports are deterministic for a fixed seed; exit status is 0 when
 every check passes, 1 on any failure, 2 on malformed input.
+
+Every problem is checked against PROBLEM_SCHEMA and every report against
+REPORT_SCHEMA by `_mismatch`, a checker of the JSON Schema keywords the two
+schemas use, which names the JSON path and the rule that failed.  An
+"integer" is an int that is not a bool (1.0 is none), a "number" an int or
+float that is not a bool, NaN and the infinities included.  At import each
+schema is checked to use no other keyword, so an edit to a schema cannot be
+silently ignored.  A problem that breaks its schema is an input error
+(SchemaError, exit 2); a report that breaks its schema is a fault of the
+program (RuntimeError).
 """
 
 from __future__ import annotations
@@ -23,8 +33,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import kernels
 from .bethe_algebra import (algebra_selfcheck, first_coefficient_identity,
@@ -127,23 +135,91 @@ REPORT_SCHEMA = {
 }
 
 
-def _validator(schema):
-    """A validator for `schema`, which is checked against its metaschema here,
-    once, instead of at every validation."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# the keywords `_mismatch` implements, and the type predicates of JSON
+# Schema's type names: a bool is neither an "integer" nor a "number", and a
+# float is no "integer" even where it is integral
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: (isinstance(x, (int, float))
+                         and not isinstance(x, bool)),
+}
+_KEYWORDS = {"type", "const", "enum", "anyOf", "minimum", "exclusiveMinimum",
+             "minItems", "maxItems", "items", "required", "properties",
+             "additionalProperties"}
 
 
-_PROBLEM_VALIDATOR = _validator(PROBLEM_SCHEMA)
-_REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
+def _check_schema(schema):
+    """Raise ValueError where `schema` uses a keyword, a type name or an
+    `additionalProperties` other than false that `_mismatch` does not
+    implement, so that no rule of a schema is silently ignored."""
+    unknown = set(schema) - _KEYWORDS
+    types = schema.get("type", [])
+    unknown |= set([types] if isinstance(types, str) else types) - set(_TYPES)
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise ValueError(f"schema rules not implemented: {sorted(unknown)}")
+    for sub in ([schema["items"]] if "items" in schema else []) \
+            + schema.get("anyOf", []) \
+            + list(schema.get("properties", {}).values()):
+        _check_schema(sub)
 
 
-def _validate(validator, instance):
-    """Raise the error `jsonschema.validate` would raise for `instance`."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
+def _same(x, v):
+    """JSON equality of a value and a const or enum entry: true is not 1."""
+    return x == v and isinstance(x, bool) == isinstance(v, bool)
+
+
+def _mismatch(schema, x, path="$"):
+    """The first rule of `schema` that `x` breaks, as "path: reason", or
+    None where `x` matches."""
+    if "type" in schema:
+        types = schema["type"]
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPES[t](x) for t in types):
+            return f"{path}: {x!r} is not of type {' or '.join(types)}"
+    if "const" in schema and not _same(x, schema["const"]):
+        return f"{path}: {x!r} is not {schema['const']!r}"
+    if "enum" in schema and not any(_same(x, v) for v in schema["enum"]):
+        return f"{path}: {x!r} is not one of {schema['enum']!r}"
+    if "anyOf" in schema and all(_mismatch(s, x, path)
+                                 for s in schema["anyOf"]):
+        return f"{path}: {x!r} matches no alternative of anyOf"
+    if _TYPES["number"](x):
+        if "minimum" in schema and x < schema["minimum"]:
+            return f"{path}: {x!r} is less than {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+            return (f"{path}: {x!r} is not greater than "
+                    f"{schema['exclusiveMinimum']!r}")
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            return f"{path}: fewer than {schema['minItems']} items"
+        if len(x) > schema.get("maxItems", len(x)):
+            return f"{path}: more than {schema['maxItems']} items"
+        for k, item in enumerate(x if "items" in schema else ()):
+            if why := _mismatch(schema["items"], item, f"{path}[{k}]"):
+                return why
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in x:
+                return f"{path}: {key!r} is a required property"
+        for key, value in x.items():
+            if key in props:
+                if why := _mismatch(props[key], value, f"{path}.{key}"):
+                    return why
+            elif schema.get("additionalProperties", True) is False:
+                return f"{path}: unexpected property {key!r}"
+    return None
+
+
+_check_schema(PROBLEM_SCHEMA)
+_check_schema(REPORT_SCHEMA)
 
 
 def _finite(x):
@@ -185,10 +261,8 @@ def _read_problem(source):
 def load_problem(source):
     """dict or path -> (GaudinProblem, SolverConfig, options dict)."""
     source = _read_problem(source)
-    try:
-        _validate(_PROBLEM_VALIDATOR, source)
-    except jsonschema.ValidationError as e:
-        raise SchemaError(f"problem does not match the schema: {e.message}") from e
+    if why := _mismatch(PROBLEM_SCHEMA, source):
+        raise SchemaError(f"problem does not match the schema: {why}")
     try:
         z = [_parse_site(x) for x in source["z"]]
         problem = GaudinProblem(source["N"], source["partitions"],
@@ -532,7 +606,10 @@ def _verify(problem, config, j_max, d_cap, max_terms, stage):
     report["spectra"] = [s for s in spectra if s is not None]
     report["checks"] = checks.items
     report["summary"] = checks.summary()
-    _validate(_REPORT_VALIDATOR, report)
+    # a report that breaks its schema is a fault of the program, not of the
+    # input: RuntimeError, which `main` does not report as an input error
+    if why := _mismatch(REPORT_SCHEMA, report):
+        raise RuntimeError(f"report does not match the schema: {why}")
     return report, bethe
 
 

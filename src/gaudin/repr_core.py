@@ -35,6 +35,11 @@ _COMMUTATION_CHECK_MAX_DIM = 200
 # keys kept per shared-module cache: 7 shapes in both factor orders, above
 # the 12 tensor keys and 7 irreducibles that one workload seed uses
 _SHARED_MODULES = 16
+# keys (partitions, N, mu) kept by the per-weight cache: every dominant
+# weight of the shared modules, which `bethe_algebra.shared_singular_poles`
+# asks for; 35-39 keys per workload seed, at most 5 per module there and 7
+# on the ladder (the gl3 chains of six sites)
+_SHARED_WEIGHTS = 8 * _SHARED_MODULES
 
 
 class GlModule:
@@ -306,11 +311,12 @@ def shared_module(partitions, N):
             tensor_shapovalov([f for _, f in pairs]))
 
 
-@functools.lru_cache(maxsize=_SHARED_MODULES)
+@functools.lru_cache(maxsize=_SHARED_WEIGHTS)
 def shared_singular_subspace(partitions, N, mu):
     """`weight_and_singular_subspace(M, mu)` of M = `shared_module(partitions,
-    N)`, with mu a tuple, taken once per process.  W and S are shared by
-    every caller: do not mutate them."""
+    N)`, with mu a tuple, taken once per process for the instance weights
+    and for the restriction to Sing M alike.  W and S are shared by every
+    caller: do not mutate them."""
     return weight_and_singular_subspace(shared_module(partitions, N)[0], mu)
 
 

@@ -19,8 +19,8 @@ from gaudin.diffop_ring import (OperatorPencil, PackedPoleMatrix, PoleMatrix,
                                 site_denominator)
 from gaudin.errors import DimensionMismatch, NotInvariant, RepeatedSites
 from gaudin.linalg import SparseMatrix, integer_scaled, rational_lcd, rref
-from gaudin.master import (GaudinProblem, master_coefficients,
-                           master_operator_at)
+from gaudin.master import (GaudinProblem, expected_orbit_count,
+                           master_coefficients, master_operator_at)
 from gaudin.repr_core import (build_irreducible, shared_module, tensor_module,
                               tensor_shapovalov, weight_and_singular_subspace)
 from gaudin.scalars import QI, is_exact, scalar_abs
@@ -1181,11 +1181,42 @@ def test_warm_shared_caches_give_the_cold_report(fresh_modules, z):
     warm = json.dumps(_cache_shape_run(z), sort_keys=True)
     assert warm == cold
     # the cold restriction to Sing M read the determinant once more and
-    # made its bases S_mu itself, so the per-weight cache holds the
-    # instance's weight only
+    # took its bases S_mu from the per-weight cache: the instance's weight
+    # there is a hit, and each of the other dominant weights one miss; the
+    # warm run reads the instance's weight once more
+    M, _ = shared_module(((2, 1, 0), (1, 0, 0)), 2)
+    dominant = {mu for mu in M.basis_weights
+                if all(a >= b for a, b in zip(mu, mu[1:]))}
     assert bethe_algebra.shared_pole_operator.cache_info().hits == 2
-    assert repr_core.shared_singular_subspace.cache_info()[:2] == (1, 1)
+    assert repr_core.shared_singular_subspace.cache_info()[:2] == \
+        (2, len(dominant))
     assert bethe_algebra.shared_singular_poles.cache_info()[:2] == (1, 1)
+
+
+def test_each_weight_basis_is_made_once_per_module(fresh_modules,
+                                                    monkeypatch):
+    """Two instances of the 4-site spin-1/2 chain, at the weights (2, 2) and
+    (3, 1), and their orbit counts make the basis of each dominant weight
+    once: the restriction to Sing M and the instances read one per-weight
+    cache.  The restriction once made every basis itself, and the
+    instance's weight was made a second time."""
+    calls = []
+    make = repr_core.weight_and_singular_subspace
+
+    def counted(M, mu):
+        calls.append(tuple(mu))
+        return make(M, mu)
+
+    for module in (repr_core, bethe_algebra):
+        monkeypatch.setattr(module, "weight_and_singular_subspace", counted)
+    for l in ([2], [1]):
+        problem = GaudinProblem(1, [[1, 0]] * 4, l,
+                                [Fraction(k) for k in range(4)])
+        report = harness_cli.run_pipeline(problem, stage="verify")
+        assert report["summary"]["all_pass"], report["checks"]
+        assert expected_orbit_count(problem) == \
+            report["derived"]["expected_orbits"]
+    assert calls == [(2, 2), (4, 0), (3, 1)]
 
 
 def test_packed_values_past_int64_put_at_sites():

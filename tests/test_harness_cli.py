@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -168,19 +169,197 @@ BAD_REPORTS = [
 
 
 @pytest.mark.parametrize("report", BAD_REPORTS)
-def test_prebuilt_validator_raises_what_validate_raises(report):
-    with pytest.raises(jsonschema.ValidationError) as want:
+def test_checker_rejects_the_bad_reports_jsonschema_rejects(report):
+    with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, REPORT_SCHEMA)
-    with pytest.raises(jsonschema.ValidationError) as got:
-        harness_cli._validate(harness_cli._REPORT_VALIDATOR, report)
-    assert str(got.value) == str(want.value)
+    assert harness_cli._mismatch(REPORT_SCHEMA, report).startswith("$")
 
 
-def test_run_pipeline_rejects_a_report_that_breaks_the_schema(monkeypatch):
+def _workload_problems():
+    """The problems of seeds 0-2 of every benchmark workload."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    return [p for name in sorted(workloads.WORKLOADS) for seed in range(3)
+            for p in workloads.generate(name, seed)]
+
+
+# no integral float among them: the checker rejects 1.0 as an "integer",
+# which jsonschema admits (test_float_valued_integers_are_the_one_divergence)
+WRONG_VALUES = ["7", "", True, False, None, -1, 0, -2.5, 2.5, [], {}, [0.5],
+                ["1"], [[1, 0]]]
+BAD_SITES = [["1"], [0.5], ["0", "1", "2"], ["0", 1.5], [True, 1.0], [], {}]
+
+
+def _paths(x, path=()):
+    """The path of every value inside x, as tuples of keys and indices."""
+    yield path
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, rng):
+    """A deep copy of a problem or report with one seeded change: a value
+    of a wrong type, sign or size, a key left out or added, an array
+    emptied, a `precision` or a site pair that is not in the schema."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_paths(doc))[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.choice(["value", "value", "drop", "extra", "empty",
+                       "precision", "site"])
+    if kind == "value":
+        parent[path[-1]] = rng.choice(WRONG_VALUES)
+    elif kind == "drop":
+        del parent[path[-1]]
+    elif kind == "extra":
+        (parent if isinstance(parent, dict) else doc)["surprise"] = 1
+    elif kind == "empty":
+        parent[path[-1]] = [] if isinstance(parent[path[-1]], list) else {}
+    elif kind == "precision":
+        doc.setdefault("solver", {})["precision"] = rng.choice(
+            ["quad", "", None, 1, "double", "longdouble"])
+    elif isinstance(doc.get("z"), list) and doc["z"]:
+        doc["z"][rng.randrange(len(doc["z"]))] = rng.choice(BAD_SITES)
+    return doc
+
+
+def _jsonschema_accepts(schema, doc):
+    """The decision of `jsonschema.validate(doc, schema)`, from a validator
+    whose schema is checked against the metaschema once, not per doc."""
+    key = json.dumps(schema, sort_keys=True)
+    if key not in _JSONSCHEMA_VALIDATORS:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _JSONSCHEMA_VALIDATORS[key] = cls(schema)
+    return _JSONSCHEMA_VALIDATORS[key].is_valid(doc)
+
+
+_JSONSCHEMA_VALIDATORS = {}
+
+
+def _decisions(schema, docs):
+    """(#accepted, #rejected) by jsonschema, after asserting that the
+    checker makes the same decision on every document."""
+    accepted = 0
+    for doc in docs:
+        want = _jsonschema_accepts(schema, doc)
+        why = harness_cli._mismatch(schema, doc)
+        assert want == (why is None), (doc, why)
+        accepted += want
+    return accepted, len(docs) - accepted
+
+
+# solver options at and around their bounds
+SOLVER_EDGES = [("tol_residual", 0), ("tol_residual", 1e-300),
+                ("tol_dedup", -0.0), ("tol_degenerate", float("nan")),
+                ("tol_degenerate", float("inf")), ("pole_margin", 0),
+                ("pole_margin", -1e-12), ("early_stop", 1),
+                ("early_stop", False), ("precision", "longdouble"),
+                ("starts", 0), ("max_iter", 0)]
+
+
+def test_checker_decides_problems_as_jsonschema_does():
+    """The benchmark problems of seeds 0-2 and five seeded mutations of
+    each: the checker accepts and rejects the documents that jsonschema
+    accepts and rejects."""
+    rng = random.Random(0)
+    problems = _workload_problems()
+    docs = problems + [_mutated(p, rng) for p in problems for _ in range(5)]
+    docs += [None, [], "problem", dict(ANCHOR_JSON, z=[]),
+             dict(ANCHOR_JSON, partitions=[])]
+    docs += [dict(ANCHOR_JSON, solver={key: value})
+             for key, value in SOLVER_EDGES]
+    accepted, rejected = _decisions(harness_cli.PROBLEM_SCHEMA, docs)
+    assert accepted > len(problems) and rejected > 3 * len(problems)
+
+
+def test_checker_decides_reports_as_jsonschema_does():
+    """The reports of ANCHOR_JSON and DEFECT9_JSON, 50 seeded mutations of
+    each and BAD_REPORTS."""
+    rng = random.Random(1)
+    reports = [json.loads(json.dumps(run_pipeline(*load_problem(doc)[:2])))
+               for doc in (dict(ANCHOR_JSON), dict(DEFECT9_JSON))]
+    docs = reports + BAD_REPORTS \
+        + [_mutated(r, rng) for r in reports for _ in range(50)] \
+        + [dict(reports[0], format=f) for f in ("gaudin-report/2", None,
+                                                 ["gaudin-report/1"])]
+    accepted, rejected = _decisions(REPORT_SCHEMA, docs)
+    assert accepted > 2 and rejected > len(BAD_REPORTS) + 10
+
+
+# each integer field of the problem schema at a float of integral value
+FLOAT_INTEGERS = {
+    "N": lambda d: d.update(N=1.0),
+    "l[0]": lambda d: d["l"].__setitem__(0, 1.0),
+    "partitions[0][0]": lambda d: d["partitions"][0].__setitem__(0, 1.0),
+    "j_max": lambda d: d.update(j_max=3.0),
+    "d_cap": lambda d: d.update(d_cap=5.0),
+    "max_terms": lambda d: d.update(max_terms=100.0),
+    "solver.seed": lambda d: d["solver"].update(seed=1.0),
+    "solver.starts": lambda d: d["solver"].update(starts=40.0),
+    "solver.max_iter": lambda d: d["solver"].update(max_iter=50.0),
+}
+
+
+def _float_integer_problem(field):
+    doc = json.loads(json.dumps(ANCHOR_JSON))
+    FLOAT_INTEGERS[field](doc)
+    return doc
+
+
+@pytest.mark.parametrize("field", sorted(FLOAT_INTEGERS))
+def test_main_rejects_float_valued_integers(tmp_path, capsys, field):
+    """A float of integral value in an integer field once passed the schema
+    and ran `gaudin verify` to a TypeError traceback, exit 1 as if a check
+    had failed (`l[0]` ran as an int); it is malformed input."""
+    rc = main(["verify", "--problem",
+               write_problem(tmp_path, _float_integer_problem(field))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in captured.err and "is not of type integer" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_float_valued_integers_are_the_one_divergence_from_jsonschema():
+    """JSON Schema's "integer" admits 1.0; the checker's does not."""
+    for field in FLOAT_INTEGERS:
+        doc = _float_integer_problem(field)
+        assert _jsonschema_accepts(harness_cli.PROBLEM_SCHEMA, doc), field
+        assert "is not of type integer" in \
+            harness_cli._mismatch(harness_cli.PROBLEM_SCHEMA, doc), field
+
+
+@pytest.mark.parametrize("schema, error", [
+    ({"type": "object", "patternProperties": {}}, "patternProperties"),
+    ({"items": {"type": "array", "uniqueItems": True}}, "uniqueItems"),
+    ({"anyOf": [{"type": "decimal"}]}, "decimal"),
+    ({"properties": {"a": {"additionalProperties": {}}}},
+     "additionalProperties"),
+])
+def test_a_schema_rule_the_checker_lacks_raises(schema, error):
+    with pytest.raises(ValueError, match=error):
+        harness_cli._check_schema(schema)
+
+
+def test_run_pipeline_rejects_a_report_that_breaks_the_schema(
+        tmp_path, capsys, monkeypatch):
+    """A report that breaks its schema is a fault of the program: a
+    RuntimeError with the path and the rule, which `gaudin verify` does not
+    turn into an exit 2 input error."""
     monkeypatch.setattr(harness_cli.kernels, "backend_name", lambda: 3)
     prob, config, _ = load_problem(dict(ANCHOR_JSON))
-    with pytest.raises(jsonschema.ValidationError, match="is not of type"):
+    message = r"\$\.backend: 3 is not of type string"
+    with pytest.raises(RuntimeError, match=message):
         run_pipeline(prob, config)
+    with pytest.raises(RuntimeError, match=message):
+        main(["verify", "--problem", write_problem(tmp_path, ANCHOR_JSON)])
+    assert "input error" not in capsys.readouterr().err
 
 
 def test_default_j_max():
@@ -468,22 +647,42 @@ def test_main_seed_override(tmp_path, capsys):
     assert report["seed"] == 77
 
 
+def _run_from_src(*args):
+    """`python *args` with only the checkout's src on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_console_script_selftest():
     # the installed `gaudin` script and `python -m gaudin` share one entry
     # point; running the module also works in a checkout with no install
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     assert 'gaudin = "gaudin.harness_cli:main"' in scripts.splitlines()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "gaudin", "selftest",
-                           "--format", "json"],
-                          capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_from_src("-m", "gaudin", "selftest", "--format", "json")
     report = json.loads(proc.stdout)
     assert report["summary"]["all_pass"]
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import gaudin; print(gaudin.__file__)"],
+    ["-m", "gaudin", "selftest"]], ids=["import", "selftest"])
+def test_jsonschema_is_not_imported(args):
+    """Problems and reports are checked without jsonschema, whose import
+    took about 60 ms of every start: `-X importtime` lists every module the
+    process imports, gaudin's own ones from src among them."""
+    proc = _run_from_src("-X", "importtime", *args)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()}
+    assert "gaudin.harness_cli" in imported
+    assert not any(name.split(".")[0] == "jsonschema" for name in imported)
+    if args[0] == "-c":
+        src = Path(__file__).resolve().parents[1] / "src"
+        assert Path(proc.stdout.strip()).parent.parent == src
 
 
 def test_rank2_pipeline_passes():
